@@ -60,11 +60,14 @@ def _build_ctx(args):
 
 
 def _parse_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+    lo, sep, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise HfqError(f"bad range {text!r}; expected N or LO..HI") from None
+    if lo > hi:
+        raise HfqError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _rat(x):
@@ -76,7 +79,10 @@ def _rat(x):
 
 def _guard_default() -> int:
     env = os.environ.get("HFQ_GUARD")
-    return int(env) if env else 10**8
+    try:
+        return int(env) if env else 10**8
+    except ValueError:
+        raise HfqError(f"HFQ_GUARD must be an integer, got {env!r}") from None
 
 
 def _print_result(res, as_json: bool) -> int:
@@ -151,6 +157,8 @@ def cmd_variance(args) -> int:
     u = Poly.from_literal(ctx, args.U)
     v = Poly.from_literal(ctx, args.V)
     n, h = args.n, args.h
+    if not 0 <= h <= n:
+        raise HfqError(f"need 0 <= h <= n, got n={n} h={h}")
     report = variance.theorem_predict(u, v, n, h)
     if args.oracle:
         report.oracle = variance.variance_bruteforce(u, v, n, h, guard=args.guard)
@@ -245,6 +253,8 @@ def cmd_phisum(args) -> int:
     ctx = _build_ctx(args)
     w2 = Poly.from_literal(ctx, args.W2)
     w3 = Poly.from_literal(ctx, args.W3)
+    if args.kmax < 0:
+        raise HfqError(f"--kmax must be >= 0, got {args.kmax}")
     report = analytic.convergence_report(w2, w3, args.kmax, guard=args.guard)
     if args.json:
         print(
@@ -293,7 +303,7 @@ def cmd_analyze(args) -> int:
 def _add_common(sp) -> None:
     sp.add_argument("--q", type=int, required=True, help="field size (prime power)")
     sp.add_argument("--modulus", help="defining polynomial over F_p when q = p^k, k > 1")
-    sp.add_argument("--guard", type=int, default=_guard_default(), help="enumeration step cap")
+    sp.add_argument("--guard", type=int, help="enumeration step cap (default HFQ_GUARD or 10^8)")
     sp.add_argument("--workers", type=int, default=1, help="worker processes for enumeration")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -363,6 +373,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.guard is None:
+            args.guard = _guard_default()
         return args.fn(args)
     except TooLargeError as exc:
         print(f"hfq: guard: {exc}", file=sys.stderr)

@@ -102,9 +102,5 @@ class TooLargeError(HfqError):
     pass
 
 
-class GuardExceededError(TooLargeError):
-    pass
-
-
 class BoundUndefinedError(HfqError):
     pass

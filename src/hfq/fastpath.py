@@ -1,9 +1,11 @@
-"""Vectorized exact mod-p linear algebra for the large enumeration loops.
+"""Vectorized exact mod-p arithmetic for the large enumeration loops.
 
 Everything here is integer arithmetic on numpy arrays; no floating point.
-Only prime fields are served (extension fields fall back to the scalar
+The sequence profile is a batched Berlekamp-Massey pass, the same algorithm
+as the scalar hankel.profile, run on a whole [N, m] block at once.  Only
+prime fields are served (extension fields fall back to the scalar
 implementations, which these routines must agree with -- the test suite
-checks that on exhaustive small envelopes).
+checks that exhaustively on small envelopes and by property tests beyond).
 """
 
 from __future__ import annotations
@@ -11,66 +13,33 @@ from __future__ import annotations
 import numpy as np
 
 
-def _inverse_table(p: int) -> np.ndarray:
-    inv = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        inv[x] = pow(x, p - 2, p)
-    return inv
-
-
-def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a batch of matrices over F_p; consumes its input."""
-    n_mats, n_rows, n_cols = mats.shape
-    inv = _inverse_table(p)
-    row = np.zeros(n_mats, dtype=np.int64)
-    rows_idx = np.arange(n_rows)
-    for c in range(n_cols):
-        avail = (mats[:, :, c] != 0) & (rows_idx[None, :] >= row[:, None])
-        has = avail.any(axis=1)
-        if not has.any():
-            continue
-        sel = np.nonzero(has)[0]
-        k = len(sel)
-        ar = np.arange(k)
-        sub = mats[sel]
-        piv = np.argmax(avail[sel], axis=1)
-        cur = row[sel]
-        pivot_rows = sub[ar, piv].copy()
-        sub[ar, piv] = sub[ar, cur]
-        pivot_rows = (pivot_rows * inv[pivot_rows[:, c]][:, None]) % p
-        sub[ar, cur] = pivot_rows
-        below = rows_idx[None, :] > cur[:, None]
-        factors = sub[:, :, c] * below
-        sub -= factors[:, :, None] * pivot_rows[:, None, :]
-        sub %= p
-        mats[sel] = sub
-        row[sel] = cur + 1
-    return row
-
-
-def hankel_batch(seqs: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """[N, rows, cols] Hankel matrices of a batch of sequences."""
-    idx = np.arange(rows)[:, None] + np.arange(cols)[None, :]
-    return seqs[:, idx]
-
-
-def batched_rank_invariant(seqs: np.ndarray, p: int) -> np.ndarray:
-    """r of each sequence: rank of its n1 x n2 Hankel matrix."""
-    top = seqs.shape[1] - 1
-    n1, n2 = (top + 2) // 2, (top + 3) // 2
-    return batched_rank(hankel_batch(seqs, n1, n2).astype(np.int64), p)
-
-
-def batched_strict_rho(seqs: np.ndarray, p: int) -> np.ndarray:
-    """Largest k <= n2 - 1 with the leading k x k square invertible."""
-    n_seqs = seqs.shape[0]
-    top = seqs.shape[1] - 1
-    cap = (top + 3) // 2 - 1
-    out = np.zeros(n_seqs, dtype=np.int64)
-    for k in range(1, cap + 1):
-        ranks = batched_rank(hankel_batch(seqs, k, k).astype(np.int64), p)
-        out = np.where(ranks == k, k, out)
-    return out
+def batched_profile(seqs: np.ndarray, p: int):
+    """(r, strict rho) of each row of an [N, m] batch over F_p, read off the
+    linear-complexity profile L_0..L_m exactly as hankel.profile does.  bs
+    holds x^shift * B, so each step shifts it uniformly by one column."""
+    n_seqs, m = seqs.shape
+    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
+    c = np.zeros((n_seqs, m + 1), dtype=np.int64)
+    c[:, 0] = 1
+    bs = np.roll(c, 1, axis=1)
+    b = np.ones(n_seqs, dtype=np.int64)
+    lc = np.zeros((n_seqs, m + 1), dtype=np.int64)
+    for i in range(m):
+        length = lc[:, i]
+        d = (c[:, : i + 1] * seqs[:, i::-1]).sum(axis=1) % p
+        grow = (d != 0) & (2 * length <= i)
+        prev = c
+        c = (c - (d * inv[b] % p)[:, None] * bs) % p
+        lc[:, i + 1] = np.where(grow, i + 1 - length, length)
+        b = np.where(grow, d, b)
+        bs = np.where(grow[:, None], prev, bs)
+        bs[:, 1:] = bs[:, :-1].copy()
+        bs[:, 0] = 0
+    final = lc[:, m]
+    r = np.minimum(final, m + 1 - final)
+    ks = np.arange(1, (m + 2) // 2)  # k <= n2 - 1 for top index n = m - 1
+    strict_rho = ((lc[:, 2 * ks - 1] == ks) * ks).max(axis=1, initial=0)
+    return r, strict_rho
 
 
 def batched_odot(seqs: np.ndarray, wvec, p: int) -> np.ndarray:
@@ -127,10 +96,9 @@ def variance_exponent_counts(
             seqs = block
         x = batched_odot(seqs, monic_wvec, p)
         y = batched_odot(seqs, all_wvec, p)
-        r_x = batched_rank_invariant(x, p)
-        srho_x = batched_strict_rho(x, p)
+        r_x, srho_x = batched_profile(x, p)
         spi_x = r_x - srho_x
-        r_y = batched_rank_invariant(y, p)
+        r_y, _ = batched_profile(y, p)
         mask = spi_x <= 1
         exps = (2 * l_m + spi_x - r_x) + (2 * l_a + 2 - r_y)
         counts += np.bincount(exps[mask], minlength=max_e + 1)
@@ -160,7 +128,7 @@ def qform_vectors(p: int, l: int, monic: bool) -> np.ndarray:
 def qform_value_counts(p: int, entries, l: int, monic: bool):
     """Histogram of the quadratic form values over the vector family."""
     e = np.asarray(entries, dtype=np.int64)
-    mat = hankel_batch(e[None, :], l + 1, l + 1)[0]
+    mat = e[np.arange(l + 1)[:, None] + np.arange(l + 1)[None, :]]
     vecs = qform_vectors(p, l, monic)
     vals = ((vecs @ mat) * vecs).sum(axis=1) % p
     return np.bincount(vals, minlength=p).tolist()

@@ -13,6 +13,10 @@ Conventions: rho is the size of the largest invertible leading square
 submatrix (capped at n_1 = floor((n+2)/2); the strict variant caps at
 n_2 - 1 with n_2 = floor((n+3)/2)), r is the rank of the n_1 x n_2 matrix,
 and pi = r - rho.
+
+The characteristic comes from one Berlekamp-Massey pass, O(n^2) per
+sequence; Gaussian elimination serves the ranks and kernels of explicit
+views, and is the oracle the profile is tested against.
 """
 
 from __future__ import annotations
@@ -159,10 +163,6 @@ def _row_reduce(rows, ncols: int, ctx: FieldCtx):
     return pivots
 
 
-def _rank_raw(rows, ncols: int, ctx: FieldCtx) -> int:
-    return len(_row_reduce([list(r) for r in rows], ncols, ctx))
-
-
 def _kernel_basis_raw(rows, ncols: int, ctx: FieldCtx):
     """Kernel basis from the RREF, one vector per free column, in column order."""
     work = [list(r) for r in rows]
@@ -182,7 +182,7 @@ def _kernel_basis_raw(rows, ncols: int, ctx: FieldCtx):
 
 def rank(view: HankelView) -> int:
     """Rank of the view's matrix (not the rank invariant of the sequence)."""
-    return _rank_raw(view.matrix(), view.cols, view.seq.ctx)
+    return len(_row_reduce(view.matrix(), view.cols, view.seq.ctx))
 
 
 def kernel_basis(view: HankelView):
@@ -223,22 +223,45 @@ def _hankel_rows(entries, rows: int, cols: int):
     return [list(entries[i : i + cols]) for i in range(rows)]
 
 
-def profile(seq: Seq) -> Profile:
-    """(r, rho, pi) and the strict variant, by elimination on leading squares.
+def _lc_profile(entries, ctx: FieldCtx):
+    """Linear complexities L_0..L_len of the prefixes (Berlekamp-Massey).
+    c and bs = x^shift * B have fixed width len + 1; each step shifts bs."""
+    zero = ctx.zero
+    width = len(entries) + 1
+    c = [ctx.one] + [zero] * (width - 1)
+    bs = [zero, ctx.one] + [zero] * (width - 2)
+    b_inv = ctx.one
+    length = 0
+    out = [0]
+    for i, d in enumerate(entries):
+        for j in range(1, length + 1):
+            if c[j] != zero:
+                d = ctx.add(d, ctx.mul(c[j], entries[i - j]))
+        if d != zero:
+            f = ctx.mul(d, b_inv)
+            prev = c
+            c = [ctx.sub(x, ctx.mul(f, y)) if y != zero else x for x, y in zip(c, bs)]
+            if 2 * length <= i:
+                length = i + 1 - length
+                b_inv = ctx.inv(d)
+                bs = prev
+        bs = [zero] + bs[:-1]
+        out.append(length)
+    return out
 
-    Each leading square is eliminated separately; at the sizes this package
-    targets the O(n^4) total is irrelevant and the per-square runs are easy
-    to audit.
+
+def profile(seq: Seq) -> Profile:
+    """(r, rho, pi) and the strict variant, from the linear-complexity profile.
+
+    One Berlekamp-Massey pass gives L_0..L_{n+1}.  The n_1 x n_2 matrix has
+    rank r = min(L_{n+1}, n + 2 - L_{n+1}), and the leading k x k square is
+    invertible iff L_{2k-1} = k.
     """
-    ctx = seq.ctx
-    e = seq.entries
-    n1, n2 = seq.n1, seq.n2
-    invertible = [False] * (n1 + 1)
-    for k in range(1, n1 + 1):
-        invertible[k] = _rank_raw(_hankel_rows(e, k, k), k, ctx) == k
-    r = _rank_raw(_hankel_rows(e, n1, n2), n2, ctx)
-    rho = max((k for k in range(1, n1 + 1) if invertible[k]), default=0)
-    strict_rho = max((k for k in range(1, n2) if invertible[k]), default=0)
+    lc = _lc_profile(seq.entries, seq.ctx)
+    r = min(lc[-1], seq.n + 2 - lc[-1])
+    invertible = [k for k in range(1, seq.n1 + 1) if lc[2 * k - 1] == k]
+    rho = max(invertible, default=0)
+    strict_rho = max((k for k in invertible if k < seq.n2), default=0)
     return Profile(r, rho, r - rho, strict_rho, r - strict_rho)
 
 
@@ -469,9 +492,9 @@ def census_enumerate(
     sequences in F_q^{n+1} with h leading zeros."""
     if n < 0 or not 0 <= h <= n + 1:
         raise ValueError("need n >= 0 and 0 <= h <= n+1")
-    if ctx.q ** (n + 1) > cap:
-        raise TooLargeError(f"census space q^{n + 1} exceeds the cap {cap}")
     total = ctx.q ** (n + 1 - h)
+    if total > cap:
+        raise TooLargeError(f"census space q^{n + 1 - h} exceeds the cap {cap}")
     if workers <= 1 or total < 4 * workers:
         standard, strict = _census_chunk((ctx, n, h, 0, total))
         return CensusTally(standard, strict, total)

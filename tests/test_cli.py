@@ -167,3 +167,37 @@ def test_extension_field_census(capsys):
         "census", "--q", "9", "--modulus", "1,0,1", "--n", "1..2", "--h", "0..1",
     )
     assert code == EXIT_OK and "FAIL" not in out
+
+
+def test_variance_h_above_n_exits_64(capsys):
+    code, out, err = run(
+        capsys, "variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "4", "--h", "6"
+    )
+    assert code == EXIT_USAGE and out == "" and "h <= n" in err
+
+
+def test_phisum_negative_kmax_exits_64(capsys):
+    code, out, err = run(
+        capsys, "phisum", "--q", "3", "--W2", "1", "--W3", "1", "--kmax", "-1"
+    )
+    assert code == EXIT_USAGE and out == "" and "--kmax" in err
+
+
+def test_bad_guard_env_exits_64(capsys, monkeypatch):
+    monkeypatch.setenv("HFQ_GUARD", "abc")
+    code, out, err = run(capsys, "census", "--q", "3", "--n", "2", "--h", "0")
+    assert code == EXIT_USAGE and out == "" and "HFQ_GUARD" in err
+
+
+def test_census_empty_range_exits_64(capsys):
+    code, out, err = run(capsys, "census", "--q", "3", "--n", "5..3", "--h", "0")
+    assert code == EXIT_USAGE and out == "" and "empty range" in err
+
+
+def test_census_guard_bounds_free_entries(capsys):
+    # n=6, h=3 enumerates 3^4 = 81 sequences, far below q^(n+1) = 2187
+    base = ("census", "--q", "3", "--n", "6", "--h", "3")
+    code, out, _ = run(capsys, *base, "--guard", "81")
+    assert code == EXIT_OK and "PASS" in out
+    code, out, err = run(capsys, *base, "--guard", "80")
+    assert code == EXIT_GUARD and out == "" and "q^4" in err
