@@ -25,99 +25,53 @@ from typing import List
 import numpy as np
 
 from .errors import NotCoprimeError, NotMonicError, TooLargeError
-from .field import FieldCtx
+from .field import FieldCtx, fq_vectors
 from .polyring import Poly, factor, gcd
 
 _SIEVE_CACHE: dict = {}
 
 
-def _encode(ctx: FieldCtx, coeffs) -> int:
+def _encode(q: int, coeffs) -> int:
     code = 0
     for c in reversed(coeffs):
-        code = code * ctx.q + ctx.to_int(c)
+        code = code * q + c
     return code
 
 
-def _decode_digits(code: int, q: int, width: int):
-    out = []
-    for _ in range(width):
-        code, r = divmod(code, q)
-        out.append(r)
-    return out
-
-
 def _phi_array(ctx: FieldCtx, kmax: int) -> np.ndarray:
-    """phi for every monic polynomial of degree <= kmax, indexed by digit code."""
-    key = (ctx.p, ctx.k, ctx.modulus)
-    cached = _SIEVE_CACHE.get(key)
+    """phi for every monic polynomial of degree <= kmax, indexed by digit code.
+
+    Each composite M is reached once, as P * B with P the smallest prime
+    factor of M, taken in discovery order; spf holds that factor's index in
+    ``primes`` for every code, so P divides B exactly when P is B's smallest
+    prime factor.
+    """
+    cached = _SIEVE_CACHE.get(ctx)
     if cached is not None and cached[0] >= kmax:
         return cached[1]
     q = ctx.q
     phi = np.zeros(q ** (kmax + 1), dtype=np.int64)
+    spf = np.zeros(q ** (kmax + 1), dtype=np.int32)
     phi[1] = 1  # the polynomial 1
-    primes: list = []  # (degree, code, element tuple) in discovery order
+    primes: list = []  # (degree, Poly) in discovery order
     for d in range(1, kmax + 1):
-        prime_phi = q**d - 1
-        for code in range(q**d, 2 * q**d):
-            digits = _decode_digits(code, q, d + 1)
+        for code, coeffs in enumerate(fq_vectors(ctx, d + 1, q**d, 2 * q**d), q**d):
+            b = Poly(ctx, coeffs)
             if phi[code] == 0:
-                phi[code] = prime_phi
-                primes.append((d, code, tuple(ctx.from_int(r) for r in digits)))
-            phi_b = int(phi[code])
-            b_elems = None
-            for dp, _pcode, ptup in primes:
+                phi[code] = q**d - 1
+                spf[code] = len(primes)
+                primes.append((d, b))
+            phi_b, spf_b = int(phi[code]), int(spf[code])
+            for i, (dp, prime) in enumerate(primes):
                 if dp + d > kmax:
                     break
-                if b_elems is None:
-                    b_elems = tuple(ctx.from_int(r) for r in digits)
-                m_code = _encode(ctx, _tuple_mul(ctx, ptup, b_elems))
-                divides = _divides(ctx, ptup, b_elems)
-                phi[m_code] = phi_b * (q**dp if divides else q**dp - 1)
-                if divides:
+                m_code = _encode(q, (prime * b).coeffs)
+                phi[m_code] = phi_b * (q**dp if i == spf_b else q**dp - 1)
+                spf[m_code] = i
+                if i == spf_b:
                     break
-    _SIEVE_CACHE[key] = (kmax, phi)
+    _SIEVE_CACHE[ctx] = (kmax, phi)
     return phi
-
-
-def _tuple_mul(ctx: FieldCtx, a, b):
-    if ctx.k == 1:
-        p = ctx.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return [x % p for x in out]
-    out = [ctx.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai != ctx.zero:
-            for j, bj in enumerate(b):
-                out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
-    return out
-
-
-def _divides(ctx: FieldCtx, den, num) -> bool:
-    if len(den) > len(num):
-        return False
-    if ctx.k == 1 and len(den) == 2:
-        # degree-one divisor: evaluate at its root
-        p = ctx.p
-        root = (-den[0] * pow(den[1], p - 2, p)) % p
-        val = 0
-        for c in reversed(num):
-            val = (val * root + c) % p
-        return val == 0
-    rem = list(num)
-    dd = len(den) - 1
-    inv_lead = ctx.inv(den[-1])
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c == ctx.zero:
-            continue
-        f = ctx.mul(c, inv_lead)
-        for j in range(dd + 1):
-            rem[i - dd + j] = ctx.sub(rem[i - dd + j], ctx.mul(f, den[j]))
-    return all(c == ctx.zero for c in rem[:dd])
 
 
 def _validate(w2: Poly, w3: Poly) -> None:
@@ -164,15 +118,9 @@ def _degree_numerators(ctx: FieldCtx, w2: Poly, w3: Poly, kmax: int) -> List[int
             nums[d] = int(phi[codes[mask]].sum())
         else:
             total = 0
-            for code in range(q**d, 2 * q**d):
-                digits = _decode_digits(code, q, d + 1)
-                b = Poly(ctx, tuple(ctx.from_int(r) for r in digits))
-                ok = True
-                for p, need in flags:
-                    if ((b % p).is_zero) != need:
-                        ok = False
-                        break
-                if ok:
+            for code, coeffs in enumerate(fq_vectors(ctx, d + 1, q**d, 2 * q**d), q**d):
+                b = Poly(ctx, coeffs)
+                if all((b % p).is_zero == need for p, need in flags):
                     total += int(phi[code])
             nums[d] = total
     return nums

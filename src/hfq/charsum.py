@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .errors import LengthMismatchError, TooLargeError
-from .field import CycInt, FieldCtx, mag_sq_from_counts
+from .field import CycInt, FieldCtx, fq_vectors, mag_sq_from_counts
 from .hankel import Profile, Seq, odot, profile
 from .polyring import Poly, coeff_vector
 from .variance import ThmParams
@@ -202,21 +202,12 @@ def _near_zero_contribution(u: Poly, v: Poly, par: ThmParams) -> int:
 
 def _included_sum_scalar(u: Poly, v: Poly, par: ThmParams, l_m: int, l_a: int, mode: str) -> int:
     ctx = u.ctx
-    q = ctx.q
-    n, h = par.n, par.h
     (mw, m_width), (aw, a_width) = _windows(u, v, par)
-    free = n + 1 - h
-    zero_prefix = (ctx.zero,) * h
     total = 0
-    for code in range(q**free):
-        digits = []
-        c = code
-        for _ in range(free):
-            c, r = divmod(c, q)
-            digits.append(ctx.from_int(r))
-        if all(d == ctx.zero for d in digits[:-1]):
+    for entries in fq_vectors(ctx, par.n + 1 - par.h, zeros=par.h):
+        if not any(entries[:-1]):
             continue  # near-zero classes carry the squared mean
-        seq = Seq(ctx, zero_prefix + tuple(digits))
+        seq = Seq(ctx, entries)
         x = odot(seq, mw, m_width)
         y = odot(seq, aw, a_width)
         if mode == "fast":

@@ -13,7 +13,7 @@ from itertools import product as iter_product
 from typing import List
 
 from . import charsum, variance
-from .field import FieldCtx
+from .field import FieldCtx, fq_vectors
 from .hankel import (
     Seq,
     bijection_inverse,
@@ -58,16 +58,7 @@ class CheckResult:
 
 
 def _all_seqs(ctx: FieldCtx, n: int, h: int = 0):
-    q = ctx.q
-    free = n + 1 - h
-    prefix = (ctx.zero,) * h
-    for code in range(q**free):
-        digits = []
-        c = code
-        for _ in range(free):
-            c, r = divmod(c, q)
-            digits.append(ctx.from_int(r))
-        yield Seq(ctx, prefix + tuple(digits))
+    return (Seq(ctx, e) for e in fq_vectors(ctx, n + 1 - h, zeros=h))
 
 
 def check_census(

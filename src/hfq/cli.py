@@ -55,8 +55,7 @@ def _build_ctx(args):
         return ctx_new(p)
     if not args.modulus:
         raise HfqError(f"q = {args.q} needs --modulus (degree-{k} literal over F_{p})")
-    modulus = [int(c) for c in args.modulus.split(",")]
-    return ctx_new(p, k, modulus)
+    return ctx_new(p, k, ctx_new(p).parse_literal(args.modulus))
 
 
 def _parse_range(text: str):
@@ -106,6 +105,9 @@ def _print_result(res, as_json: bool) -> int:
 
 
 def cmd_census(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise HfqError(f"--workers must be in 1..{cpus}, got {args.workers}")
     ctx = _build_ctx(args)
     worst = EXIT_OK
     for n in _parse_range(args.n):
@@ -304,7 +306,6 @@ def _add_common(sp) -> None:
     sp.add_argument("--q", type=int, required=True, help="field size (prime power)")
     sp.add_argument("--modulus", help="defining polynomial over F_p when q = p^k, k > 1")
     sp.add_argument("--guard", type=int, help="enumeration step cap (default HFQ_GUARD or 10^8)")
-    sp.add_argument("--workers", type=int, default=1, help="worker processes for enumeration")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -317,6 +318,7 @@ def build_parser() -> _Parser:
     _add_common(sp)
     sp.add_argument("--n", required=True, help="range, e.g. 2..5")
     sp.add_argument("--h", required=True, help="range, e.g. 0..6")
+    sp.add_argument("--workers", type=int, default=1, help="worker processes (1..CPU count)")
     sp.set_defaults(fn=cmd_census)
 
     sp = sub.add_parser("variance", help="oracle / character sum / closed forms")

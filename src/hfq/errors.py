@@ -104,3 +104,7 @@ class TooLargeError(HfqError):
 
 class BoundUndefinedError(HfqError):
     pass
+
+
+class LiteralError(HfqError):
+    pass

@@ -1,10 +1,13 @@
 """Arithmetic in F_q (q = p^k, p an odd prime) and in Z[zeta_p].
 
-Field elements are kept as plain Python data rather than wrapper objects:
-an element of a prime field is an int in [0, p), and an element of an
-extension field is a tuple of k ints (constant term first) reduced modulo
-the defining polynomial.  All operations live on FieldCtx so the same code
-path serves both cases.
+Every element of F_q is an int code in 0..q-1, for prime and extension
+fields alike.  The base-p digits of a code are the element's residues
+modulo the defining polynomial, constant residue least significant, so a
+prime field's elements are its residues and code order is lexicographic
+with the constant residue fastest.  FieldCtx builds its addition,
+subtraction, negation, multiplication, inversion and trace tables once;
+every operation is a lookup.  A table has q^2 entries, so q is capped at
+MAX_Q.
 
 CycInt implements the ring Z[zeta] for zeta a primitive p-th root of unity,
 with coefficient vectors over the full index set 0..p-1.  Canonical form
@@ -15,17 +18,23 @@ character-sum values.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from itertools import islice, product
+from typing import Iterator, Optional
 
 from .errors import (
     EvenCharacteristicError,
+    LiteralError,
     MixedCharacteristicError,
     NotPrimeError,
     ReducibleModulusError,
+    TooLargeError,
 )
 
-FqElem = Union[int, tuple]
+FqElem = int
+
+MAX_Q = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -41,164 +50,114 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# Small helpers for F_p[x] on raw int tuples (low-to-high, trailing zeros
-# trimmed).  polyring builds the full-featured ring on top of FieldCtx, so
-# the modulus validation here keeps its own minimal copies.
+def _mul_row(a: tuple, residues, low: tuple, p: int, code: dict) -> tuple:
+    """a * b for every residue vector b: the sum of b_i (T^i a), each T^i a
+    by shift-and-reduce with T^k = -low."""
+    shifts = [a]
+    for _ in range(len(a) - 1):
+        v = shifts[-1]
+        shifts.append(tuple((s - v[-1] * m) % p for s, m in zip((0,) + v[:-1], low)))
+    cols = list(zip(*shifts))  # cols[j][i] = residue j of T^i a
+    return tuple(
+        code[tuple(sum(x * y for x, y in zip(b, col)) % p for col in cols)]
+        for b in residues
+    )
 
 
-def _modp_trim(c: tuple, p: int) -> tuple:
-    c = tuple(x % p for x in c)
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise LiteralError(f"not an integer: {text!r}") from None
 
 
-def _modp_rem(num: tuple, den: tuple, p: int) -> tuple:
-    num = list(num)
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] % p
-        if c == 0:
-            continue
-        f = (c * inv_lead) % p
-        for j in range(dd + 1):
-            num[i - dd + j] = (num[i - dd + j] - f * den[j]) % p
-    return _modp_trim(tuple(num[:dd]), p)
-
-
-def _modp_mul(a: tuple, b: tuple, p: int) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _modp_trim(tuple(out), p)
-
-
-def _modulus_is_irreducible(modulus: tuple, p: int) -> bool:
-    """Trial-divide by every monic polynomial of degree 1..k//2 over F_p."""
-    k = len(modulus) - 1
-    for d in range(1, k // 2 + 1):
-        for code in range(p**d):
-            cand = []
-            c = code
-            for _ in range(d):
-                c, r = divmod(c, p)
-                cand.append(r)
-            cand.append(1)
-            if not _modp_rem(modulus, tuple(cand), p):
-                return False
-    return True
+def split_literal(text: str) -> list:
+    """Split a comma-separated literal at the commas outside brackets."""
+    return re.split(r",(?![^\[]*\])", text)
 
 
 @dataclass(frozen=True)
 class FieldCtx:
-    """Immutable description of F_q with q = p^k; safe to share freely."""
+    """Immutable description of F_q with q = p^k; safe to share freely.
+
+    Equality, hashing and repr use (p, k, modulus) alone; the operation
+    tables are derived from them on construction, which raises
+    ReducibleModulusError unless every nonzero element has an inverse
+    (exactly when the modulus is irreducible).
+    """
 
     p: int
     k: int
     modulus: Optional[tuple]  # monic, length k+1, present iff k > 1
 
-    @property
-    def q(self) -> int:
-        return self.p**self.k
+    zero = 0
+    one = 1
 
-    @property
-    def zero(self) -> FqElem:
-        return 0 if self.k == 1 else (0,) * self.k
+    def __post_init__(self):
+        p, k = self.p, self.k
+        q = p**k
+        low = self.modulus[:-1] if self.modulus else (0,)  # F_p is F_p[T]/(T)
+        residues = [v[::-1] for v in product(range(p), repeat=k)]
+        code = {v: c for c, v in enumerate(residues)}
+        add = tuple(
+            tuple(code[tuple((x + y) % p for x, y in zip(a, b))] for b in residues)
+            for a in residues
+        )
+        neg = tuple(code[tuple(-x % p for x in a)] for a in residues)
+        mul = tuple(_mul_row(a, residues, low, p, code) for a in residues)
+        units = [row.index(1) for row in mul[1:] if 1 in row]
+        if len(units) != q - 1:
+            raise ReducibleModulusError(
+                "modulus is reducible: a nonzero residue has no inverse"
+            )
+        trace = []
+        for a in range(q):
+            conj = total = a  # the sum of a^(p^i) for i < k
+            for _ in range(k - 1):
+                frob = 1
+                for _ in range(p):
+                    frob = mul[frob][conj]
+                conj = frob
+                total = add[total][conj]
+            if total >= p:
+                raise AssertionError("trace left the prime field")
+            trace.append(total)
+        for name, value in (
+            ("q", q),
+            ("residues", tuple(residues)),
+            ("add_table", add),
+            ("sub_table", tuple(tuple(row[b] for b in neg) for row in add)),
+            ("neg_table", neg),
+            ("mul_table", mul),
+            ("inv_table", (None, *units)),
+            ("trace_table", tuple(trace)),
+        ):
+            object.__setattr__(self, name, value)
 
-    @property
-    def one(self) -> FqElem:
-        return 1 if self.k == 1 else (1,) + (0,) * (self.k - 1)
-
-    def elements(self) -> Iterator[FqElem]:
-        """All q elements, lexicographic with the constant residue fastest."""
-        if self.k == 1:
-            yield from range(self.p)
-            return
-        for code in range(self.q):
-            yield self.from_int(code)
-
-    def from_int(self, code: int) -> FqElem:
-        """Element with base-p digits of ``code`` as residues (little-endian)."""
-        if self.k == 1:
-            return code % self.p
-        digits = []
-        for _ in range(self.k):
-            code, r = divmod(code, self.p)
-            digits.append(r)
-        return tuple(digits)
-
-    def to_int(self, a: FqElem) -> int:
-        if self.k == 1:
-            return a
-        code = 0
-        for r in reversed(a):
-            code = code * self.p + r
-        return code
+    def elements(self) -> range:
+        """All q elements in code order: lexicographic, constant residue fastest."""
+        return range(self.q)
 
     def add(self, a: FqElem, b: FqElem) -> FqElem:
-        if self.k == 1:
-            return (a + b) % self.p
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        return self.add_table[a][b]
 
     def sub(self, a: FqElem, b: FqElem) -> FqElem:
-        if self.k == 1:
-            return (a - b) % self.p
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return self.sub_table[a][b]
 
     def neg(self, a: FqElem) -> FqElem:
-        if self.k == 1:
-            return (-a) % self.p
-        return tuple((-x) % self.p for x in a)
+        return self.neg_table[a]
 
     def mul(self, a: FqElem, b: FqElem) -> FqElem:
-        if self.k == 1:
-            return (a * b) % self.p
-        prod = _modp_mul(a, b, self.p)
-        prod = _modp_rem(prod, self.modulus, self.p)
-        return prod + (0,) * (self.k - len(prod))
+        return self.mul_table[a][b]
 
     def inv(self, a: FqElem) -> FqElem:
-        if a == self.zero:
+        if not a:
             raise ZeroDivisionError("inverse of 0 in F_q")
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a: FqElem, e: int) -> FqElem:
-        if self.k == 1:
-            return pow(a, e, self.p)
-        acc = self.one
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
-
-    def is_zero(self, a: FqElem) -> bool:
-        return a == self.zero
+        return self.inv_table[a]
 
     def trace(self, a: FqElem) -> int:
-        """Absolute trace Tr(a) = sum of a^(p^i) for i < k, as a residue mod p.
-
-        The result lies in the prime field, so it is returned as an int even
-        for extension fields.
-        """
-        if self.k == 1:
-            return a % self.p
-        acc = a
-        total = a
-        for _ in range(self.k - 1):
-            acc = self.pow(acc, self.p)
-            total = self.add(total, acc)
-        if any(total[1:]):
-            raise AssertionError("trace left the prime field")
-        return total[0]
+        """Absolute trace Tr(a) = sum of a^(p^i) for i < k, an element of F_p."""
+        return self.trace_table[a]
 
     def psi_exponent(self, a: FqElem) -> int:
         """Exponent e with psi(a) = zeta_p^e for the canonical character."""
@@ -210,18 +169,36 @@ class FieldCtx:
     def format_elem(self, a: FqElem) -> str:
         if self.k == 1:
             return str(a)
-        return "[" + ",".join(str(x) for x in a) + "]"
+        return "[" + ",".join(map(str, self.residues[a])) + "]"
 
     def parse_elem(self, text: str) -> FqElem:
         text = text.strip()
         if self.k == 1:
-            return int(text) % self.p
+            return _parse_int(text) % self.p
         if not (text.startswith("[") and text.endswith("]")):
-            raise ValueError(f"extension-field element must be bracketed: {text!r}")
+            raise LiteralError(f"extension-field element must be bracketed: {text!r}")
         parts = text[1:-1].split(",")
         if len(parts) != self.k:
-            raise ValueError(f"expected {self.k} residues, got {len(parts)}")
-        return tuple(int(x) % self.p for x in parts)
+            raise LiteralError(f"expected {self.k} residues, got {len(parts)}: {text!r}")
+        return sum(_parse_int(x) % self.p * self.p**i for i, x in enumerate(parts))
+
+    def parse_literal(self, text: str) -> tuple:
+        """The elements of a comma-separated literal; k > 1 entries bracketed."""
+        return tuple(self.parse_elem(x) for x in split_literal(text))
+
+
+def fq_vectors(
+    ctx: FieldCtx, width: int, start: int = 0, stop: Optional[int] = None, zeros: int = 0
+) -> Iterator[tuple]:
+    """The vectors of F_q^width with codes start..stop-1, in code order.
+
+    A vector's code has its entries as base-q digits, first entry least
+    significant, so the first entry varies fastest.  Each vector comes with
+    ``zeros`` zero entries in front.
+    """
+    prefix = (0,) * zeros
+    for v in islice(product(range(ctx.q), repeat=width), start, stop):
+        yield prefix + v[::-1]
 
 
 def ctx_new(p: int, k: int = 1, modulus=None) -> FieldCtx:
@@ -232,6 +209,8 @@ def ctx_new(p: int, k: int = 1, modulus=None) -> FieldCtx:
         raise EvenCharacteristicError("characteristic 2 is not supported")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
+    if p**k > MAX_Q:
+        raise TooLargeError(f"q = {p}^{k} exceeds {MAX_Q}; the field tables hold q^2 entries")
     if k == 1:
         if modulus is not None:
             raise ValueError("prime field takes no modulus")
@@ -241,8 +220,6 @@ def ctx_new(p: int, k: int = 1, modulus=None) -> FieldCtx:
     modulus = tuple(int(c) % p for c in modulus)
     if len(modulus) != k + 1 or modulus[-1] != 1:
         raise ReducibleModulusError(f"modulus must be monic of degree {k}")
-    if not _modulus_is_irreducible(modulus, p):
-        raise ReducibleModulusError("modulus has a factor of degree <= k/2")
     return FieldCtx(p, k, modulus)
 
 

@@ -33,12 +33,12 @@ from .errors import (
     WidthTooSmallError,
     WrongClassError,
 )
-from .field import FieldCtx, FqElem
+from .field import FieldCtx, FqElem, fq_vectors
 from .polyring import Poly, coeff_vector, gcd, laurent_expand
 
 
 class Seq:
-    """Finite sequence alpha_0..alpha_n of field elements (length n+1 >= 1)."""
+    """Finite sequence alpha_0..alpha_n of F_q codes (length n+1 >= 1)."""
 
     __slots__ = ("ctx", "entries")
 
@@ -54,7 +54,7 @@ class Seq:
 
     @classmethod
     def from_literal(cls, ctx: FieldCtx, text: str) -> "Seq":
-        return cls(ctx, tuple(ctx.parse_elem(x) for x in text.split(",")))
+        return cls(ctx, ctx.parse_literal(text))
 
     @property
     def n(self) -> int:
@@ -468,16 +468,8 @@ def _census_chunk(args):
     ctx, n, h, start, stop = args
     standard: dict = {}
     strict: dict = {}
-    free = n + 1 - h
-    q = ctx.q
-    zero_prefix = (ctx.zero,) * h
-    for code in range(start, stop):
-        digits = []
-        c = code
-        for _ in range(free):
-            c, rdx = divmod(c, q)
-            digits.append(ctx.from_int(rdx))
-        prof = profile(Seq(ctx, zero_prefix + tuple(digits)))
+    for entries in fq_vectors(ctx, n + 1 - h, start, stop, zeros=h):
+        prof = profile(Seq(ctx, entries))
         key = prof.standard
         standard[key] = standard.get(key, 0) + 1
         skey = prof.strict

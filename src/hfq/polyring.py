@@ -1,7 +1,8 @@
 """Polynomial arithmetic over F_q with the conventions used throughout.
 
-Polynomials are immutable coefficient tuples, constant term first, with no
-trailing zeros; the zero polynomial has an empty tuple and degree NEG_INF.
+Polynomials are immutable tuples of F_q codes (ints, see field), constant
+term first, with no trailing zeros; the zero polynomial has an empty tuple
+and degree NEG_INF.
 |A| denotes q^(deg A) with |0| = 0.  Greatest common divisors are monic and
 gcd(0, V) is the monic normalization of V.
 
@@ -21,7 +22,7 @@ from .errors import (
     ZeroDenominatorError,
     ZeroPolynomialError,
 )
-from .field import FieldCtx, FqElem
+from .field import FieldCtx, FqElem, fq_vectors
 
 NEG_INF = float("-inf")
 
@@ -34,8 +35,7 @@ class Poly:
     def __init__(self, ctx: FieldCtx, coeffs=()):
         cs = tuple(coeffs)
         n = len(cs)
-        zero = ctx.zero
-        while n and cs[n - 1] == zero:
+        while n and not cs[n - 1]:
             n -= 1
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", cs[:n])
@@ -73,25 +73,7 @@ class Poly:
     def from_literal(cls, ctx: FieldCtx, text: str) -> "Poly":
         """Parse a comma-separated literal, low-to-high; k>1 entries bracketed."""
         text = text.strip()
-        if not text:
-            return cls.zero(ctx)
-        if ctx.k == 1:
-            return cls(ctx, tuple(int(x) % ctx.p for x in text.split(",")))
-        parts = []
-        depth = 0
-        cur = ""
-        for ch in text:
-            if ch == "," and depth == 0:
-                parts.append(cur)
-                cur = ""
-                continue
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            cur += ch
-        parts.append(cur)
-        return cls(ctx, tuple(ctx.parse_elem(x) for x in parts))
+        return cls(ctx, ctx.parse_literal(text)) if text else cls.zero(ctx)
 
     # basic queries
 
@@ -151,9 +133,7 @@ class Poly:
 
     def literal(self) -> str:
         """Low-to-high coefficient literal, inverse of from_literal."""
-        if self.is_zero:
-            return "0"
-        return ",".join(self.ctx.format_elem(c) for c in self.coeffs)
+        return ",".join(self.ctx.format_elem(c) for c in self.coeffs or (0,))
 
     # arithmetic
 
@@ -183,19 +163,13 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(ctx)
-        if ctx.k == 1:
-            p = ctx.p
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            return Poly(ctx, tuple(c % p for c in out))
-        out = [ctx.zero] * (len(a) + len(b) - 1)
+        add = ctx.add_table
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai != ctx.zero:
+            if ai:
+                row = ctx.mul_table[ai]
                 for j, bj in enumerate(b):
-                    out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
+                    out[i + j] = add[out[i + j]][row[bj]]
         return Poly(ctx, out)
 
     def scale(self, c: FqElem) -> "Poly":
@@ -301,30 +275,17 @@ def polys_of_degree(ctx: FieldCtx, n: int) -> Iterator[Poly]:
     """All polynomials of exact degree n (empty for n < 0)."""
     if n < 0:
         return
-    elems = list(ctx.elements())
-    nonzero = elems[1:] if ctx.k == 1 else [e for e in elems if e != ctx.zero]
-    for lead in nonzero:
-        for code in range(ctx.q**n):
-            tail = []
-            c = code
-            for _ in range(n):
-                c, r = divmod(c, ctx.q)
-                tail.append(elems[r])
-            yield Poly(ctx, tuple(tail) + (lead,))
+    for lead in range(1, ctx.q):
+        for tail in fq_vectors(ctx, n):
+            yield Poly(ctx, tail + (lead,))
 
 
 def monics(ctx: FieldCtx, n: int) -> Iterator[Poly]:
     """All monic polynomials of exact degree n (empty for n < 0)."""
     if n < 0:
         return
-    elems = list(ctx.elements())
-    for code in range(ctx.q**n):
-        tail = []
-        c = code
-        for _ in range(n):
-            c, r = divmod(c, ctx.q)
-            tail.append(elems[r])
-        yield Poly(ctx, tuple(tail) + (ctx.one,))
+    for tail in fq_vectors(ctx, n):
+        yield Poly(ctx, tail + (ctx.one,))
 
 
 def polys_upto(ctx: FieldCtx, n: int) -> Iterator[Poly]:

@@ -20,12 +20,14 @@ from typing import Optional
 from .errors import (
     BadParityError,
     BoundUndefinedError,
+    DegreeTooLargeError,
     ExponentNotIntegerError,
     NotCoprimeError,
     NotMonicError,
     RangeEmptyError,
     TooLargeError,
 )
+from .field import fq_vectors
 from .hankel import Seq, char_polys, profile
 from .polyring import (
     Poly,
@@ -71,7 +73,7 @@ class ThmParams:
     def compute(cls, u: Poly, v: Poly, n: int, h: int) -> "ThmParams":
         validate_pair(u, v)
         if n < 0 or not 0 <= h <= n:
-            raise ValueError("need n >= 0 and 0 <= h <= n")
+            raise RangeEmptyError("need n >= 0 and 0 <= h <= n")
         if n % 2 == 0:
             s, t = u.degree, v.degree + 1
         else:
@@ -79,7 +81,9 @@ class ThmParams:
         if (n - s) % 2 or (n - t) % 2:
             raise ExponentNotIntegerError("parity bookkeeping failed for (n, s, t)")
         if n < max(s, t):
-            raise ValueError(f"n = {n} is too small for deg U = {u.degree}, deg V = {v.degree}")
+            raise DegreeTooLargeError(
+                f"n = {n} is too small for deg U = {u.degree}, deg V = {v.degree}"
+            )
         return cls(n, h, s, t, (n - s) // 2, (n - t) // 2, (n + 2) // 2, (n + 3) // 2)
 
 
@@ -426,15 +430,8 @@ def w_sum_identity(u: Poly, v: Poly, n: int, h: int, r: int, guard: int = 10**8)
         raise TooLargeError(f"identity enumeration needs {space} steps, cap {guard}")
 
     lhs = 0
-    zero_prefix = (ctx.zero,) * h
-    free = n - h
-    for code in range(space):
-        digits = []
-        cc = code
-        for _ in range(free):
-            cc, rr = divmod(cc, q)
-            digits.append(ctx.from_int(rr))
-        seq = Seq(ctx, zero_prefix + tuple(digits))
+    for entries in fq_vectors(ctx, n - h, zeros=h):
+        seq = Seq(ctx, entries)
         prof = profile(seq)
         if prof.strict != (r, r, 0):
             continue

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from hfq.analytic import convergence_report, phi_ratio_sum, phi_slope
+from hfq.analytic import _phi_array, convergence_report, phi_ratio_sum, phi_slope
 from hfq.errors import NotCoprimeError, NotMonicError, TooLargeError
 from hfq.field import ctx_new
-from hfq.polyring import Poly, gcd, phi, polys_upto, rad
+from hfq.polyring import Poly, gcd, monics_upto, phi, polys_upto, rad
 
 F3 = ctx_new(3)
 ONE = Poly.one(F3)
@@ -78,3 +78,15 @@ def test_increments_approach_slope():
     rep = convergence_report(ONE, T, 8)
     devs = [abs(inc / rep.slope - 1) for inc in rep.increments[4:]]
     assert devs[-1] < Fraction(1, 4)
+
+
+@pytest.mark.parametrize(
+    "ctx,kmax",
+    [(F3, 6), (ctx_new(5), 4), (ctx_new(3, 2, [2, 1, 1]), 3)],
+    ids=["q3", "q5", "q9"],
+)
+def test_sieve_matches_factored_phi(ctx, kmax):
+    sieve = _phi_array(ctx, kmax)
+    for a in monics_upto(ctx, kmax):
+        code = sum(c * ctx.q**i for i, c in enumerate(a.coeffs))
+        assert sieve[code] == phi(a), a

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from hfq import hankel
 from hfq.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
 
 
@@ -201,3 +203,63 @@ def test_census_guard_bounds_free_entries(capsys):
     assert code == EXIT_OK and "PASS" in out
     code, out, err = run(capsys, *base, "--guard", "80")
     assert code == EXIT_GUARD and out == "" and "q^4" in err
+
+
+def test_bad_alpha_literal_exits_64(capsys):
+    code, out, err = run(capsys, "analyze", "--q", "3", "--alpha", "1,x")
+    assert code == EXIT_USAGE and out == "" and "'x'" in err
+
+
+def test_extension_field_alpha_literal(capsys):
+    code, out, _ = run(
+        capsys, "analyze", "--q", "9", "--modulus", "1,0,1", "--alpha", "[1,2],[0,1]"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["alpha"] == ["[1,2]", "[0,1]"]
+
+
+@pytest.mark.parametrize(
+    "alpha", ["1,[0,1]", "[1,2,0],[0,1]", "[1,y],[0,1]"], ids=["bare", "three", "y"]
+)
+def test_bad_extension_alpha_exits_64(capsys, alpha):
+    code, out, _ = run(capsys, "analyze", "--q", "9", "--modulus", "1,0,1", "--alpha", alpha)
+    assert code == EXIT_USAGE and out == ""
+
+
+def test_bad_modulus_literal_exits_64(capsys):
+    code, out, err = run(
+        capsys, "census", "--q", "9", "--modulus", "1,x,1", "--n", "1", "--h", "0"
+    )
+    assert code == EXIT_USAGE and out == "" and "'x'" in err
+
+
+def test_bad_polynomial_literal_exits_64(capsys):
+    code, out, err = run(
+        capsys, "variance", "--q", "3", "--U", "1,y", "--V", "0,1", "--n", "4", "--h", "0"
+    )
+    assert code == EXIT_USAGE and out == "" and "'y'" in err
+
+
+def test_variance_n_below_degrees_exits_64(capsys):
+    code, out, err = run(
+        capsys, "variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "1", "--h", "0"
+    )
+    assert code == EXIT_USAGE and out == "" and "too small" in err
+
+
+@pytest.mark.parametrize("workers", [0, (os.cpu_count() or 1) + 1], ids=["zero", "above"])
+def test_census_workers_bounded(capsys, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(hankel, "ProcessPoolExecutor", no_pool)
+    code, out, err = run(
+        capsys, "census", "--q", "3", "--n", "3", "--h", "0", "--workers", str(workers)
+    )
+    assert code == EXIT_USAGE and out == "" and "--workers" in err
+
+
+def test_workers_only_on_census(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--q", "3", "--alpha", "0,1", "--workers", "2"])
+    assert exc.value.code == EXIT_USAGE

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -7,8 +8,10 @@ from hfq.errors import (
     MixedCharacteristicError,
     NotPrimeError,
     ReducibleModulusError,
+    TooLargeError,
 )
 from hfq.field import CycInt, ctx_new, mag_sq_from_counts
+from hfq.polyring import Poly
 
 
 def test_ctx_new_prime_fields():
@@ -39,7 +42,6 @@ def test_extension_arithmetic_round_trips():
     ctx = ctx_new(3, 2, [1, 0, 1])
     elems = list(ctx.elements())
     for a in elems:
-        assert ctx.from_int(ctx.to_int(a)) == a
         if a != ctx.zero:
             assert ctx.mul(a, ctx.inv(a)) == ctx.one
 
@@ -52,12 +54,12 @@ def test_trace_prime_field_is_identity():
 
 def test_trace_extension_matches_repeated_squaring_oracle():
     ctx = ctx_new(3, 2, [1, 0, 1])
-    t = (0, 1)
+    t = 3  # the code of T: residues (0, 1)
     # oracle: T^3 mod (T^2 + 1) computed by explicit powering
     cube = ctx.mul(ctx.mul(t, t), t)
     expected = ctx.add(t, cube)
-    assert expected == ctx.zero or all(c == 0 for c in expected[1:])
-    assert ctx.trace(t) == (0 if expected == ctx.zero else expected[0])
+    assert expected < ctx.p  # in the prime field
+    assert ctx.trace(t) == expected
     assert ctx.trace(t) == 0
 
 
@@ -141,3 +143,68 @@ def test_cyc_ring_axioms_random():
 def test_cyc_mixed_characteristic_rejected():
     with pytest.raises(MixedCharacteristicError):
         CycInt.zeta_pow(3, 1) + CycInt.zeta_pow(5, 1)
+
+
+# The tables against an independent oracle: prime-field Poly arithmetic on
+# the residue vectors, reduced modulo the defining polynomial.
+
+TABLE_FIELDS = [
+    (3, 2, (1, 0, 1)),
+    (3, 2, (2, 1, 1)),
+    (3, 2, (2, 2, 1)),
+    (5, 2, (2, 0, 1)),
+    (3, 3, (1, 2, 0, 1)),
+]
+
+
+def _as_poly(fp, code: int, k: int) -> Poly:
+    p = fp.p
+    return Poly.from_ints(fp, [code // p**i % p for i in range(k)])
+
+
+def _as_code(a: Poly) -> int:
+    return sum(c * a.ctx.p**i for i, c in enumerate(a.coeffs))
+
+
+@pytest.mark.parametrize(
+    "p,k,modulus", TABLE_FIELDS, ids=["9a", "9b", "9c", "25", "27"]
+)
+def test_tables_match_residue_polynomial_oracle(p, k, modulus):
+    ctx = ctx_new(p, k, modulus)
+    fp = ctx_new(p)
+    m = Poly.from_ints(fp, modulus)
+    polys = [_as_poly(fp, c, k) for c in range(ctx.q)]
+    for a in range(ctx.q):
+        pa = polys[a]
+        for b in range(ctx.q):
+            assert ctx.add(a, b) == _as_code(pa + polys[b])
+            assert ctx.mul(a, b) == _as_code((pa * polys[b]) % m)
+        if a:
+            assert (pa * polys[ctx.inv(a)]) % m == Poly.one(fp)
+        tr = Poly.zero(fp)
+        for i in range(k):
+            tr = tr + (pa ** (p**i)) % m
+        assert tr.degree <= 0
+        assert ctx.trace(a) == _as_code(tr)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)], ids=["3^2", "5^2", "3^3"])
+def test_ctx_new_accepts_exactly_the_rootless_moduli(p, k):
+    # below degree 4 a monic polynomial is irreducible iff it has no root
+    for low in product(range(p), repeat=k):
+        modulus = low + (1,)
+        has_root = any(
+            sum(c * x**i for i, c in enumerate(modulus)) % p == 0 for x in range(p)
+        )
+        if has_root:
+            with pytest.raises(ReducibleModulusError):
+                ctx_new(p, k, modulus)
+        else:
+            assert ctx_new(p, k, modulus).q == p**k
+
+
+def test_ctx_new_caps_q():
+    with pytest.raises(TooLargeError):
+        ctx_new(257)
+    with pytest.raises(TooLargeError):
+        ctx_new(3, 6, (2, 1, 0, 0, 0, 0, 1))

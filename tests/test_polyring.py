@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfq.errors import (
     BothZeroError,
@@ -10,6 +12,7 @@ from hfq.errors import (
     ZeroPolynomialError,
 )
 from hfq.field import ctx_new
+from hfq.hankel import Seq
 from hfq.polyring import (
     NEG_INF,
     Poly,
@@ -194,3 +197,53 @@ def test_laurent_remultiplication_recovers():
         p = Poly(F3, tuple(reversed(alphas)))
         lhs = b.shift(d) - a * p
         assert lhs.degree < a.degree
+
+
+# Ring and literal laws over a prime field and two extension fields.
+
+RING_FIELDS = [F3, ctx_new(3, 2, [2, 2, 1]), ctx_new(5, 2, [2, 0, 1])]
+
+
+@st.composite
+def field_polys(draw, count):
+    ctx = draw(st.sampled_from(RING_FIELDS))
+    coeffs = st.lists(st.integers(0, ctx.q - 1), max_size=7)
+    return ctx, [Poly(ctx, draw(coeffs)) for _ in range(count)]
+
+
+@settings(max_examples=150)
+@given(field_polys(2))
+def test_divmod_law(case):
+    ctx, (a, b) = case
+    if b.is_zero:
+        b = Poly.one(ctx)
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+
+
+@settings(max_examples=150)
+@given(field_polys(2))
+def test_xgcd_bezout(case):
+    ctx, (a, b) = case
+    if a.is_zero and b.is_zero:
+        return
+    g, s, t = xgcd(a, b)
+    assert s * a + t * b == g == gcd(a, b)
+    assert g.is_monic
+
+
+@settings(max_examples=150)
+@given(field_polys(1))
+def test_poly_literal_round_trip(case):
+    ctx, (a,) = case
+    assert Poly.from_literal(ctx, a.literal()) == a
+
+
+@settings(max_examples=150)
+@given(field_polys(1))
+def test_seq_literal_round_trip(case):
+    ctx, (a,) = case
+    entries = a.coeffs or (ctx.zero,)
+    text = ",".join(ctx.format_elem(e) for e in entries)
+    assert Seq.from_literal(ctx, text) == Seq(ctx, entries)
