@@ -14,6 +14,10 @@ decomposition), keyed by the base-q digit code of the coefficient vector.
 Unit multiples share phi, absolute value, and the support condition, so the
 sum over all B is (q-1) times the sum over monic B; that equivalence is
 enforced against the literal all-B enumeration in the tests.
+
+The support condition is linear: B mod P is the sum of b_j (T^j mod P), so
+one table row per coefficient gives the residues of every B at once, for
+primes of any degree over prime and extension fields alike.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import NotCoprimeError, NotMonicError, TooLargeError
 from .field import FieldCtx, fq_vectors
-from .polyring import Poly, factor, gcd
+from .polyring import Poly, coeff_vector, factor, gcd
 
 _SIEVE_CACHE: dict = {}
 
@@ -92,37 +96,45 @@ def _support_flags(ctx: FieldCtx, w2: Poly, w3: Poly):
     return out
 
 
+def _residue_table(ctx: FieldCtx, flags, kmax: int) -> np.ndarray:
+    """lut[j, c]: the base-p residue digits of c * (T^j mod P) for every
+    flagged prime P, side by side; shape (kmax + 1, q, sum of k deg P)."""
+    mul = np.array(ctx.mul_table, dtype=np.int64)
+    digits = np.array(ctx.residues, dtype=np.int64)
+    one = Poly.one(ctx)
+    blocks = [np.zeros((ctx.q, kmax + 1, 0), dtype=np.int64)]
+    for prime, _ in flags:
+        powers = [coeff_vector(one.shift(j) % prime, prime.degree - 1) for j in range(kmax + 1)]
+        blocks.append(digits[mul[:, powers]].reshape(ctx.q, kmax + 1, -1))
+    return np.concatenate(blocks, axis=2).transpose(1, 0, 2)
+
+
 def _degree_numerators(ctx: FieldCtx, w2: Poly, w3: Poly, kmax: int) -> List[int]:
-    """num[d] = sum of phi(B) over qualifying monic B of degree d."""
+    """num[d] = sum of phi(B) over qualifying monic B of degree d.
+
+    B mod P is the sum of b_j (T^j mod P) over B's coefficients b_j, so the
+    residues of every B come from one table row per coefficient: ``tails``
+    holds the summed rows of each coefficient vector of length d, in code
+    order, and the monic B of degree d add the row of b_d = 1.  P divides B
+    iff all of its residue digits vanish mod p.
+    """
     phi = _phi_array(ctx, kmax)
     flags = _support_flags(ctx, w2, w3)
     q = ctx.q
-    nums = [0] * (kmax + 1)
-    nums[0] = 1 if all(not need for _, need in flags) else 0
-    simple = ctx.k == 1 and all(p.degree == 1 for p, _ in flags)
-    for d in range(1, kmax + 1):
-        codes = np.arange(q**d, 2 * q**d, dtype=np.int64)
-        if simple:
-            digits = []
-            rest = codes.copy()
-            for _ in range(d + 1):
-                rest, dig = np.divmod(rest, q)
-                digits.append(dig)
-            mask = np.ones(len(codes), dtype=bool)
-            for p, need in flags:
-                root = (-p.coeff(0)) % ctx.p
-                val = np.zeros(len(codes), dtype=np.int64)
-                for dig in reversed(digits):
-                    val = (val * root + dig) % ctx.p
-                mask &= (val == 0) if need else (val != 0)
-            nums[d] = int(phi[codes[mask]].sum())
-        else:
-            total = 0
-            for code, coeffs in enumerate(fq_vectors(ctx, d + 1, q**d, 2 * q**d), q**d):
-                b = Poly(ctx, coeffs)
-                if all((b % p).is_zero == need for p, need in flags):
-                    total += int(phi[code])
-            nums[d] = total
+    lut = _residue_table(ctx, flags, kmax)
+    tails = np.zeros((1, lut.shape[2]), dtype=np.int64)
+    nums = []
+    for d in range(kmax + 1):
+        vanish = (tails + lut[d, 1]) % ctx.p == 0
+        mask = np.ones(q**d, dtype=bool)
+        start = 0
+        for prime, need in flags:
+            stop = start + prime.degree * ctx.k
+            mask &= vanish[:, start:stop].all(axis=1) == need
+            start = stop
+        nums.append(int(phi[q**d : 2 * q**d][mask].sum()))
+        if d < kmax:
+            tails = (lut[d][:, None, :] + tails[None, :, :]).reshape(q ** (d + 1), -1)
     return nums
 
 

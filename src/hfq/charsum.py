@@ -140,7 +140,6 @@ def variance_charsum(
     h: int,
     mode: str = "exact",
     guard: int = 10**8,
-    chunk: int = 20000,
 ) -> Fraction:
     """The variance as a character sum over sequences with h leading zeros.
 
@@ -169,35 +168,11 @@ def variance_charsum(
             h,
             [c for c in coeff_vector(mw, m_width)],
             [c for c in coeff_vector(aw, a_width)],
-            chunk=chunk,
         )
         total = sum(int(c) * q**e for e, c in enumerate(counts) if c)
-        total -= _near_zero_contribution(u, v, par)
     else:
         total = _included_sum_scalar(u, v, par, l_m, l_a, mode)
     return Fraction(4 * q ** (2 * h), q ** (2 * n + 1)) * total
-
-
-def _near_zero_classes(ctx: FieldCtx, n: int):
-    """The sequences with every entry zero except possibly the last: exactly
-    the ones whose contribution reproduces the squared mean."""
-    for e in ctx.elements():
-        yield Seq(ctx, (ctx.zero,) * n + (e,))
-
-
-def _near_zero_contribution(u: Poly, v: Poly, par: ThmParams) -> int:
-    """Closed-form total over the near-zero classes, matching what the
-    batched tally counted for them (it must be subtracted back out)."""
-    ctx = u.ctx
-    (mw, m_width), (aw, a_width) = _windows(u, v, par)
-    l_m = (par.n - m_width) // 2
-    l_a = (par.n - a_width) // 2
-    total = 0
-    for seq in _near_zero_classes(ctx, par.n):
-        x = odot(seq, mw, m_width)
-        y = odot(seq, aw, a_width)
-        total += magsq_via_profile(x, l_m, True) * magsq_via_profile(y, l_a, False)
-    return total
 
 
 def _included_sum_scalar(u: Poly, v: Poly, par: ThmParams, l_m: int, l_a: int, mode: str) -> int:

@@ -9,7 +9,6 @@ offending instances are kept verbatim in the lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 from typing import List
 
 from . import charsum, variance
@@ -22,16 +21,21 @@ from .hankel import (
     census_formula,
     census_formula_total,
     char_polys,
-    kernel_basis,
     HankelView,
+    _row_reduce,
     odot,
     profile,
+    rank,
     reduction_profile,
     reduction_strict_class,
 )
 from .polyring import Poly, coeff_vector, gcd, monics, polys_upto
 
 _MAX_DETAIL = 8
+
+# q -> the largest l that the acceptance suite runs check_quadform to; the
+# CLI trusts --fast (closed-form magnitudes) only inside this envelope.
+QUADFORM_VERIFIED_L = {3: 3, 5: 2}
 
 
 @dataclass
@@ -108,24 +112,16 @@ def check_census(
     return res
 
 
-def _kernel_vectors(view) -> frozenset:
-    basis = kernel_basis(view)
-    ctx = view.seq.ctx
-    if not basis:
-        return frozenset({(ctx.zero,) * view.cols})
-    out = set()
-    for coeffs in iter_product(list(ctx.elements()), repeat=len(basis)):
-        vec = [ctx.zero] * view.cols
-        for c, b in zip(coeffs, basis):
-            if c != ctx.zero:
-                vec = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(vec, b)]
-        out.add(tuple(vec))
-    return frozenset(out)
-
-
 def check_kernel_structure(ctx: FieldCtx, n_max: int) -> CheckResult:
-    """Kernel law: for every sequence and split, the kernel equals the set of
-    bounded-degree combinations of the two kernel polynomials."""
+    """Kernel law (Heinig-Rost): for every sequence and split (l+1) x (m+1),
+    the kernel is spanned by T^i a1 for i <= m - r and T^j a2 for
+    j <= m - (n - r + 2).
+
+    Decided by containment and rank: every generator lies in the kernel (the
+    view times [g]_m is the sliding product odot(alpha, g, m)), and the
+    generators' coefficient vectors have rank m + 1 - rank(view), the
+    kernel's dimension.
+    """
     res = CheckResult("kernel structure law")
     for n in range(n_max + 1):
         for seq in _all_seqs(ctx, n):
@@ -140,18 +136,14 @@ def check_kernel_structure(ctx: FieldCtx, n_max: int) -> CheckResult:
                 good_pair = False
             res.count(good_pair, f"pair contract broken at {seq!r}")
             for m in range(n + 1):
-                l = n - m
-                view = HankelView(seq, l + 1, m + 1)
-                got = _kernel_vectors(view)
-                span = set()
-                for b1 in polys_upto(ctx, m - prof.r):
-                    pa = b1 * cp.a1
-                    for b2 in polys_upto(ctx, m - (n - prof.r + 2)):
-                        span.add(coeff_vector(pa + b2 * cp.a2, m))
-                res.count(
-                    got == frozenset(span),
-                    f"kernel mismatch at {seq!r} split {l + 1}x{m + 1}",
-                )
+                gens = [cp.a1.shift(i) for i in range(m - prof.r + 1)]
+                gens += [cp.a2.shift(j) for j in range(m - (n - prof.r + 2) + 1)]
+                good = all(g.degree <= m and odot(seq, g, m).is_zero() for g in gens)
+                if good:
+                    vecs = [list(coeff_vector(g, m)) for g in gens]
+                    kernel_dim = m + 1 - rank(HankelView(seq, n - m + 1, m + 1))
+                    good = len(_row_reduce(vecs, m + 1, ctx)) == kernel_dim
+                res.count(good, f"kernel mismatch at {seq!r} split {n - m + 1}x{m + 1}")
     return res
 
 
@@ -287,15 +279,4 @@ def check_w_sum(u: Poly, v: Poly, n: int, h: int, guard: int = 10**8) -> CheckRe
     for r in range(max(h + 1, 3), min(mn, n2_seq - 1) + 1):
         lhs, rhs = variance.w_sum_identity(u, v, n, h, r, guard=guard)
         res.count(lhs == rhs, f"r={r}: lhs {lhs} != rhs {rhs}")
-    return res
-
-
-def check_variance_pair(
-    u: Poly, v: Poly, n: int, h: int, guard: int = 10**8, fast: bool = False
-) -> CheckResult:
-    """Brute-force variance against the character-sum value, exactly."""
-    res = CheckResult(f"variance oracle vs character sum (n={n}, h={h})")
-    oracle = variance.variance_bruteforce(u, v, n, h, guard=guard)
-    cs = charsum.variance_charsum(u, v, n, h, mode="fast" if fast else "exact", guard=guard)
-    res.count(oracle == cs, f"oracle {oracle} != charsum {cs}")
     return res

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import __version__, analytic, charsum, checks, variance
 from .errors import HfqError, TooLargeError
-from .field import ctx_new
+from .field import MAX_Q, ctx_new
 from .hankel import Seq, char_polys, profile
 from .polyring import Poly
 
@@ -37,16 +37,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _factor_prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            while q % p == 0:
-                q //= p
-                k += 1
-            if q != 1:
-                raise HfqError("q must be a prime power")
-            return p, k
-    raise HfqError("q must be >= 2")
+    """(p, k) with q = p^k.  Trial division stops at MAX_Q: a q with no prime
+    factor that small has no field table either, and is refused as too large."""
+    if q < 2:
+        raise HfqError("q must be >= 2")
+    p = next((p for p in range(2, MAX_Q + 1) if q % p == 0), None)
+    if p is None:
+        raise TooLargeError(
+            f"q = {q} has no prime factor <= {MAX_Q}; the field tables hold q^2 entries"
+        )
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    if q != 1:
+        raise HfqError("q must be a prime power")
+    return p, k
 
 
 def _build_ctx(args):
@@ -150,7 +156,7 @@ def cmd_census(args) -> int:
 
 
 def _fast_envelope_ok(q: int, l_m: int, l_a: int) -> bool:
-    lim = {3: 3, 5: 2}.get(q)
+    lim = checks.QUADFORM_VERIFIED_L.get(q)
     return lim is not None and l_m <= lim and l_a <= lim
 
 

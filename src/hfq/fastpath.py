@@ -74,8 +74,8 @@ def variance_exponent_counts(
     product of the two squared character-sum magnitudes is q^e, tallied.
 
     Sequences whose monic-side strict pi exceeds 1 contribute zero and are
-    left out of the tally.  Nothing is excluded beyond that; the caller
-    removes the near-zero classes itself.
+    left out of the tally, and so are the near-zero sequences (every entry
+    zero except possibly the last), which carry the squared mean.
     """
     free = n + 1 - h
     total = p**free
@@ -99,7 +99,7 @@ def variance_exponent_counts(
         r_x, srho_x = batched_profile(x, p)
         spi_x = r_x - srho_x
         r_y, _ = batched_profile(y, p)
-        mask = spi_x <= 1
+        mask = (spi_x <= 1) & seqs[:, :-1].any(axis=1)
         exps = (2 * l_m + spi_x - r_x) + (2 * l_a + 2 - r_y)
         counts += np.bincount(exps[mask], minlength=max_e + 1)
     return counts

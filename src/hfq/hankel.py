@@ -318,10 +318,6 @@ class CharPolys:
     canonical: bool
 
 
-def _poly_from_vector(ctx: FieldCtx, vec) -> Poly:
-    return Poly(ctx, vec)
-
-
 def _is_a1_multiple_in_range(v: Poly, a1: Poly, max_cofactor_deg) -> bool:
     if v.is_zero:
         return True
@@ -361,7 +357,7 @@ def char_polys(seq: Seq) -> CharPolys:
         cand = [v for v in kb if v[-1] != ctx.zero]
         if not cand:
             raise AssertionError("no monic kernel vector of full degree")
-        a1 = _poly_from_vector(ctx, cand[0]).monic()
+        a1 = Poly(ctx, cand[0]).monic()
 
     m = n + 2 - r
     if r >= 2:
@@ -374,7 +370,7 @@ def char_polys(seq: Seq) -> CharPolys:
     max_cof = m - r  # degree bound for a1-multiples inside this kernel
     pick = None
     for v in kb:
-        pv = _poly_from_vector(ctx, v)
+        pv = Poly(ctx, v)
         if not _is_a1_multiple_in_range(pv, a1, max_cof):
             pick = pv
             break

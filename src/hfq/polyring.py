@@ -12,7 +12,7 @@ the constant term varying fastest, so iteration is reproducible.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import (
     BothZeroError,
@@ -56,11 +56,6 @@ class Poly:
     @classmethod
     def t(cls, ctx: FieldCtx) -> "Poly":
         return cls(ctx, (ctx.zero, ctx.one))
-
-    @classmethod
-    def monomial(cls, ctx: FieldCtx, deg: int, coeff: Optional[FqElem] = None) -> "Poly":
-        c = ctx.one if coeff is None else coeff
-        return cls(ctx, (ctx.zero,) * deg + (c,))
 
     @classmethod
     def from_ints(cls, ctx: FieldCtx, ints) -> "Poly":
@@ -225,18 +220,6 @@ class Poly:
             return self
         return self.scale(self.ctx.inv(self.coeffs[-1]))
 
-    def evaluate(self, a: FqElem) -> FqElem:
-        ctx = self.ctx
-        acc = ctx.zero
-        for c in reversed(self.coeffs):
-            acc = ctx.add(ctx.mul(acc, a), c)
-        return acc
-
-    def divides(self, other: "Poly") -> bool:
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
-
 
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, V) is monic-normalized V."""
@@ -262,10 +245,6 @@ def xgcd(a: Poly, b: Poly):
         t0, t1 = t1, t0 - q * t1
     lead_inv = ctx.inv(r0.leading)
     return r0.monic(), s0.scale(lead_inv), t0.scale(lead_inv)
-
-
-def coprime(a: Poly, b: Poly) -> bool:
-    return gcd(a, b).degree == 0
 
 
 # enumeration
@@ -299,20 +278,6 @@ def monics_upto(ctx: FieldCtx, n: int) -> Iterator[Poly]:
     """All monic polynomials of degree <= n; empty for n < 0."""
     for d in range(max(n + 1, 0)):
         yield from monics(ctx, d)
-
-
-def enumerate_polys(ctx: FieldCtx, kind: str, n: int) -> Iterator[Poly]:
-    """Dispatch by family name: 'A_n' (exact degree), 'M_n' (monic exact),
-    'A_<=n' (degree at most n, with 0), 'M_<=n' (monic at most n)."""
-    table = {
-        "A_n": polys_of_degree,
-        "M_n": monics,
-        "A_<=n": polys_upto,
-        "M_<=n": monics_upto,
-    }
-    if kind not in table:
-        raise ValueError(f"unknown family {kind!r}")
-    return table[kind](ctx, n)
 
 
 def in_interval(b: Poly, a: Poly, h: int) -> bool:

@@ -46,10 +46,8 @@ def test_criterion_02_kernel_structure():
 
 
 def test_criterion_03_quadratic_form_magnitudes():
-    res3 = checks.check_quadform(F3, 3)
-    _record("quadform-q3", res3)
-    res5 = checks.check_quadform(F5, 2)
-    _record("quadform-q5", res5)
+    for q, l_max in checks.QUADFORM_VERIFIED_L.items():
+        _record(f"quadform-q{q}", checks.check_quadform(ctx_new(q), l_max))
 
 
 def test_criterion_04_reduction_lemma():

@@ -8,6 +8,8 @@ from hfq.field import ctx_new
 from hfq.polyring import Poly, gcd, monics_upto, phi, polys_upto, rad
 
 F3 = ctx_new(3)
+F5 = ctx_new(5)
+F9 = ctx_new(3, 2, [2, 1, 1])
 ONE = Poly.one(F3)
 T = Poly.t(F3)
 T1 = Poly.from_ints(F3, [1, 1])
@@ -33,12 +35,12 @@ def test_validation():
         phi_ratio_sum(ONE, ONE, 30, guard=100)
 
 
-def _direct_all_b(w2, w3, k):
+def _direct_all_b(ctx, w2, w3, k):
     """Literal sum over every non-zero B of degree <= k."""
     w = w2 * w3
-    want = rad(w3) if w3.degree > 0 else Poly.one(F3)
+    want = rad(w3) if w3.degree > 0 else Poly.one(ctx)
     total = Fraction(0)
-    for b in polys_upto(F3, k):
+    for b in polys_upto(ctx, k):
         if b.is_zero:
             continue
         if rad(gcd(b, w)) != want:
@@ -48,13 +50,24 @@ def _direct_all_b(w2, w3, k):
 
 
 @pytest.mark.parametrize(
-    "w2,w3",
-    [(ONE, ONE), (T, ONE), (ONE, T), (T1, T)],
-    ids=["1,1", "T,1", "1,T", "T+1,T"],
+    "ctx,w2,w3,k_max",
+    [
+        (F3, ONE, ONE, 3),
+        (F3, T, ONE, 3),
+        (F3, ONE, T, 3),
+        (F3, T1, T, 3),
+        (F3, Poly(F3, (1, 0, 1)), T, 3),
+        (F3, T * T, T1, 3),
+        (F5, Poly(F5, (2, 0, 1)), Poly.t(F5), 3),
+        (F9, Poly(F9, (3, 0, 1)), Poly(F9, (4, 1)), 2),
+        (F9, Poly(F9, (1, 1)) ** 2, Poly(F9, (5, 0, 1)), 2),
+    ],
+    ids=["1,1", "T,1", "1,T", "T+1,T", "T^2+1,T", "T^2,T+1", "q5-T^2+2,T",
+         "q9-T^2+alpha,T+1+alpha", "q9-(T+1)^2,T^2+2+alpha"],
 )
-def test_matches_literal_enumeration(w2, w3):
-    for k in range(4):
-        assert phi_ratio_sum(w2, w3, k) == _direct_all_b(w2, w3, k)
+def test_matches_literal_enumeration(ctx, w2, w3, k_max):
+    for k in range(k_max + 1):
+        assert phi_ratio_sum(w2, w3, k) == _direct_all_b(ctx, w2, w3, k)
 
 
 def test_partial_sums_monotone_and_prefix_stable():

@@ -144,6 +144,15 @@ def test_phisum_rejects_common_factor(capsys):
     assert code == EXIT_USAGE and "coprime" in err
 
 
+@pytest.mark.parametrize(
+    "q,want", [("10000019", EXIT_GUARD), ("1000", EXIT_USAGE), ("1", EXIT_USAGE)]
+)
+def test_q_refused_before_any_work(capsys, q, want):
+    # a q with no prime factor <= 256 has no field table: the guard refuses it
+    code, out, err = run(capsys, "analyze", "--q", q, "--alpha", "0,1")
+    assert code == want and out == "" and err
+
+
 def test_analyze(capsys):
     code, out, _ = run(capsys, "analyze", "--q", "3", "--alpha", "0,0,1,0,0")
     assert code == EXIT_OK

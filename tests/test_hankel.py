@@ -2,6 +2,7 @@ from itertools import product as iter_product
 
 import pytest
 
+from hfq import checks
 from hfq.errors import (
     NotPiZeroError,
     PreconditionViolatedError,
@@ -13,6 +14,7 @@ from hfq.errors import (
 )
 from hfq.field import ctx_new
 from hfq.hankel import (
+    CharPolys,
     HankelView,
     Seq,
     bijection_inverse,
@@ -202,6 +204,34 @@ def test_kernel_structure_law_small():
                     for b2 in polys_upto(F3, m - (n - p.r + 2)):
                         span.add(coeff_vector(base + b2 * cp.a2, m))
                 assert kernel_set(view) == frozenset(span)
+
+
+@pytest.mark.parametrize(
+    "ctx,n_max",
+    [(F3, 4), (ctx_new(5), 3), (ctx_new(3, 2, [2, 1, 1]), 2)],
+    ids=["q3", "q5", "q9"],
+)
+def test_check_kernel_structure_passes(ctx, n_max):
+    res = checks.check_kernel_structure(ctx, n_max)
+    assert res.ok, res.lines
+
+
+@pytest.mark.parametrize("which", ["a1+1", "a2+1", "a2=0"])
+def test_check_kernel_structure_catches_wrong_char_polys(monkeypatch, which):
+    # a generator outside the kernel fails containment; a2 = 0 keeps every
+    # generator inside it and fails on rank alone
+    def broken(seq):
+        cp = char_polys(seq)
+        one = Poly.one(seq.ctx)
+        if which == "a1+1":
+            return CharPolys(cp.a1 + one, cp.a2, cp.canonical)
+        if which == "a2+1":
+            return CharPolys(cp.a1, cp.a2 + one, cp.canonical)
+        return CharPolys(cp.a1, Poly.zero(seq.ctx), cp.canonical)
+
+    monkeypatch.setattr(checks, "char_polys", broken)
+    res = checks.check_kernel_structure(F3, 4)
+    assert not res.ok and any("kernel mismatch" in line for line in res.lines)
 
 
 def test_pi_zero_iff_nonzero_final_kernel_entry():
