@@ -8,12 +8,13 @@ increment approaches the closed-form slope
 verification suite checks that numerically since the approach rate carries
 an unspecified constant.
 
-phi is computed for every monic polynomial up to the cutoff with a linear
-sieve (each composite is produced exactly once from its smallest-factor
-decomposition), keyed by the base-q digit code of the coefficient vector.
-Unit multiples share phi, absolute value, and the support condition, so the
-sum over all B is (q-1) times the sum over monic B; that equivalence is
-enforced against the literal all-B enumeration in the tests.
+phi is computed for every monic polynomial up to the cutoff with a sieve
+of Eratosthenes by degree, keyed by the base-q digit code of the coefficient
+vector: the primes of each degree, the codes no smaller prime has touched,
+multiply every monic cofactor at once in numpy.  Unit multiples share phi,
+absolute value, and the support condition, so the sum over all B is (q-1)
+times the sum over monic B; that equivalence is enforced against the
+literal all-B enumeration in the tests.
 
 The support condition is linear: B mod P is the sum of b_j (T^j mod P), so
 one table row per coefficient gives the residues of every B at once, for
@@ -24,56 +25,68 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import List
 
 import numpy as np
 
 from .errors import NotCoprimeError, NotMonicError, TooLargeError
-from .field import FieldCtx, fq_vectors
+from .field import CHUNK, FieldCtx, from_digits, to_digits
 from .polyring import Poly, coeff_vector, factor, gcd
 
 _SIEVE_CACHE: dict = {}
 
 
-def _encode(q: int, coeffs) -> int:
-    code = 0
-    for c in reversed(coeffs):
-        code = code * q + c
-    return code
+def _monic_products(ctx: FieldCtx, left: np.ndarray, emax: int) -> np.ndarray:
+    """Codes of A * B for every row A of ``left`` (coefficient codes, constant
+    first) and every monic B of degree <= emax, as a convolution of residue
+    digits summed mod p, built in blocks of CHUNK digits."""
+    q, p, k = ctx.q, ctx.p, ctx.k
+    prod_digits = to_digits(p, ctx.mul_table, k)  # [a, b] -> residues of a * b
+    n_left, width_a = left.shape
+    codes = np.empty(n_left * ((q ** (emax + 1) - 1) // (q - 1)), dtype=np.int64)
+    pos = 0
+    for e in range(emax + 1):
+        width = width_a + e
+        total = n_left * q**e
+        step = max(1, CHUNK // (width * k))
+        for start in range(0, total, step):
+            t = np.arange(start, min(start + step, total))
+            a = left[t // q**e]
+            b = to_digits(q, q**e + t % q**e, e + 1)
+            acc = np.zeros((t.size, width, k), dtype=np.int64)
+            for i in range(width_a):
+                acc[:, i : i + e + 1] += prod_digits[a[:, i, None], b]
+            codes[pos : pos + t.size] = from_digits(p, (acc % p).reshape(t.size, -1))
+            pos += t.size
+    return codes
 
 
 def _phi_array(ctx: FieldCtx, kmax: int) -> np.ndarray:
-    """phi for every monic polynomial of degree <= kmax, indexed by digit code.
+    """phi for every monic polynomial of degree <= kmax, indexed by digit code;
+    the codes of non-monic vectors hold 0.
 
-    Each composite M is reached once, as P * B with P the smallest prime
-    factor of M, taken in discovery order; spf holds that factor's index in
-    ``primes`` for every code, so P divides B exactly when P is B's smallest
-    prime factor.
+    Eratosthenes by degree: phi[M] starts at q^deg M.  For d = 1..kmax the
+    primes of degree d are the monic codes of degree d whose phi is still q^d,
+    since a composite of degree d has a smaller prime factor, already applied.
+    Each product P * B, B monic of degree <= kmax - d, hits M once per degree-d
+    prime P | M; c hits make phi[M] // q^(d c) * (q^d - 1)^c, an exact step.
     """
     cached = _SIEVE_CACHE.get(ctx)
     if cached is not None and cached[0] >= kmax:
         return cached[1]
     q = ctx.q
     phi = np.zeros(q ** (kmax + 1), dtype=np.int64)
-    spf = np.zeros(q ** (kmax + 1), dtype=np.int32)
-    phi[1] = 1  # the polynomial 1
-    primes: list = []  # (degree, Poly) in discovery order
+    for d in range(kmax + 1):
+        phi[q**d : 2 * q**d] = q**d
     for d in range(1, kmax + 1):
-        for code, coeffs in enumerate(fq_vectors(ctx, d + 1, q**d, 2 * q**d), q**d):
-            b = Poly(ctx, coeffs)
-            if phi[code] == 0:
-                phi[code] = q**d - 1
-                spf[code] = len(primes)
-                primes.append((d, b))
-            phi_b, spf_b = int(phi[code]), int(spf[code])
-            for i, (dp, prime) in enumerate(primes):
-                if dp + d > kmax:
-                    break
-                m_code = _encode(q, (prime * b).coeffs)
-                phi[m_code] = phi_b * (q**dp if i == spf_b else q**dp - 1)
-                spf[m_code] = i
-                if i == spf_b:
-                    break
+        qd = q**d
+        primes = np.flatnonzero(phi[qd : 2 * qd] == qd) + qd
+        products = _monic_products(ctx, to_digits(q, primes, d + 1), kmax - d)
+        hits = np.bincount(products, minlength=phi.size)
+        m = np.flatnonzero(hits)
+        c = hits[m]
+        phi[m] = phi[m] // qd**c * (qd - 1) ** c
     _SIEVE_CACHE[ctx] = (kmax, phi)
     return phi
 
@@ -99,13 +112,12 @@ def _support_flags(ctx: FieldCtx, w2: Poly, w3: Poly):
 def _residue_table(ctx: FieldCtx, flags, kmax: int) -> np.ndarray:
     """lut[j, c]: the base-p residue digits of c * (T^j mod P) for every
     flagged prime P, side by side; shape (kmax + 1, q, sum of k deg P)."""
-    mul = np.array(ctx.mul_table, dtype=np.int64)
-    digits = np.array(ctx.residues, dtype=np.int64)
+    prod_digits = to_digits(ctx.p, ctx.mul_table, ctx.k)
     one = Poly.one(ctx)
     blocks = [np.zeros((ctx.q, kmax + 1, 0), dtype=np.int64)]
     for prime, _ in flags:
         powers = [coeff_vector(one.shift(j) % prime, prime.degree - 1) for j in range(kmax + 1)]
-        blocks.append(digits[mul[:, powers]].reshape(ctx.q, kmax + 1, -1))
+        blocks.append(prod_digits[:, powers].reshape(ctx.q, kmax + 1, -1))
     return np.concatenate(blocks, axis=2).transpose(1, 0, 2)
 
 
@@ -141,15 +153,7 @@ def _degree_numerators(ctx: FieldCtx, w2: Poly, w3: Poly, kmax: int) -> List[int
 def phi_ratio_sum(w2: Poly, w3: Poly, k: int, guard: int = 10**8) -> Fraction:
     """Exact sum of phi(B)/|B|^2 over non-zero B of degree <= k whose prime
     support inside W = W2 W3 is exactly the primes of W3."""
-    _validate(w2, w3)
-    if k < 0:
-        raise ValueError("need k >= 0")
-    ctx = w2.ctx
-    if ctx.q ** (k + 1) > guard:
-        raise TooLargeError(f"enumeration space q^{k + 1} exceeds the cap {guard}")
-    nums = _degree_numerators(ctx, w2, w3, k)
-    q = ctx.q
-    return sum(Fraction((q - 1) * nums[d], q ** (2 * d)) for d in range(k + 1))
+    return convergence_report(w2, w3, k, guard).partial_sums[-1]
 
 
 def phi_slope(w2: Poly, w3: Poly) -> Fraction:
@@ -182,22 +186,11 @@ class PhiSumReport:
 
     def csv_rows(self):
         """One row per k: k, S(k), increment(k), slope (rationals as num/den)."""
-        rows = []
-        for k in range(self.k_max + 1):
-            s = self.partial_sums[k]
-            inc = self.increments[k]
-            rows.append(
-                (
-                    k,
-                    s.numerator,
-                    s.denominator,
-                    inc.numerator,
-                    inc.denominator,
-                    self.slope.numerator,
-                    self.slope.denominator,
-                )
-            )
-        return rows
+        slope = (self.slope.numerator, self.slope.denominator)
+        return [
+            (k, s.numerator, s.denominator, inc.numerator, inc.denominator, *slope)
+            for k, (s, inc) in enumerate(zip(self.partial_sums, self.increments))
+        ]
 
 
 def convergence_report(
@@ -212,12 +205,6 @@ def convergence_report(
         raise TooLargeError(f"enumeration space q^{k_max + 1} exceeds the cap {guard}")
     nums = _degree_numerators(ctx, w2, w3, k_max)
     q = ctx.q
-    partial: List[Fraction] = []
-    increments: List[Fraction] = []
-    acc = Fraction(0)
-    for d in range(k_max + 1):
-        inc = Fraction((q - 1) * nums[d], q ** (2 * d))
-        acc += inc
-        increments.append(inc)
-        partial.append(acc)
+    increments = [Fraction((q - 1) * nums[d], q ** (2 * d)) for d in range(k_max + 1)]
+    partial = list(accumulate(increments))
     return PhiSumReport(w2, w3, k_max, partial, increments, phi_slope(w2, w3))

@@ -116,8 +116,12 @@ def cmd_census(args) -> int:
         raise HfqError(f"--workers must be in 1..{cpus}, got {args.workers}")
     ctx = _build_ctx(args)
     worst = EXIT_OK
-    for n in _parse_range(args.n):
-        hs = [h for h in _parse_range(args.h) if h <= n + 1]
+    ranges = [(n, [h for h in _parse_range(args.h) if h <= n + 1]) for n in _parse_range(args.n)]
+    if not any(hs for _, hs in ranges):
+        print("nothing to check in the requested ranges")
+    for n, hs in ranges:
+        if not hs:
+            continue  # no class to count at this n
         rows: list = []
         res = checks.check_census(
             ctx, [n], hs, cap=args.guard, workers=args.workers, rows=rows

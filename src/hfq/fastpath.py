@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .field import to_digits
+
 
 def batched_profile(seqs: np.ndarray, p: int):
     """(r, strict rho) of each row of an [N, m] batch over F_p, read off the
@@ -53,15 +55,6 @@ def batched_odot(seqs: np.ndarray, wvec, p: int) -> np.ndarray:
     return out % p
 
 
-def digits_block(start: int, stop: int, width: int, p: int) -> np.ndarray:
-    """Base-p digit rows for codes in [start, stop), least significant first."""
-    codes = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, width), dtype=np.int64)
-    for j in range(width):
-        codes, out[:, j] = np.divmod(codes, p)[0], codes % p
-    return out
-
-
 def variance_exponent_counts(
     p: int,
     n: int,
@@ -87,7 +80,7 @@ def variance_exponent_counts(
     counts = np.zeros(max_e + 1, dtype=np.int64)
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
-        block = digits_block(start, stop, free, p)
+        block = to_digits(p, np.arange(start, stop), free)
         if h:
             seqs = np.concatenate(
                 [np.zeros((stop - start, h), dtype=np.int64), block], axis=1
@@ -116,11 +109,11 @@ def qform_vectors(p: int, l: int, monic: bool) -> np.ndarray:
         return got
     if monic:
         vecs = np.concatenate(
-            [digits_block(0, p**l, l, p), np.ones((p**l, 1), dtype=np.int64)],
+            [to_digits(p, np.arange(p**l), l), np.ones((p**l, 1), dtype=np.int64)],
             axis=1,
         )
     else:
-        vecs = digits_block(0, p ** (l + 1), l + 1, p)
+        vecs = to_digits(p, np.arange(p ** (l + 1)), l + 1)
     _QFORM_CACHE[key] = vecs
     return vecs
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .errors import (
     EvenCharacteristicError,
     LiteralError,
@@ -35,6 +37,8 @@ from .errors import (
 FqElem = int
 
 MAX_Q = 256
+
+CHUNK = 1 << 14  # int64 elements in one block of array temporaries
 
 
 def _is_prime(n: int) -> bool:
@@ -199,6 +203,21 @@ def fq_vectors(
     prefix = (0,) * zeros
     for v in islice(product(range(ctx.q), repeat=width), start, stop):
         yield prefix + v[::-1]
+
+
+def to_digits(base: int, codes, width: int) -> np.ndarray:
+    """Base-``base`` digits of each code, least significant first, on a new last
+    axis: an element's residues (base p) or a polynomial's coefficients (base q)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    out = np.empty(codes.shape + (width,), dtype=np.int64)
+    for j in range(width):
+        codes, out[..., j] = np.divmod(codes, base)
+    return out
+
+
+def from_digits(base: int, digits: np.ndarray) -> np.ndarray:
+    """The inverse of to_digits over the last axis."""
+    return digits @ base ** np.arange(digits.shape[-1])
 
 
 def ctx_new(p: int, k: int = 1, modulus=None) -> FieldCtx:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
     BadParityError,
     BoundUndefinedError,
@@ -27,10 +29,11 @@ from .errors import (
     RangeEmptyError,
     TooLargeError,
 )
-from .field import fq_vectors
+from .field import CHUNK, from_digits, fq_vectors, to_digits
 from .hankel import Seq, char_polys, profile
 from .polyring import (
     Poly,
+    coeff_vector,
     divisors,
     factor,
     gcd,
@@ -87,14 +90,22 @@ class ThmParams:
         return cls(n, h, s, t, (n - s) // 2, (n - t) // 2, (n + 2) // 2, (n + 3) // 2)
 
 
-def s_count(u: Poly, v: Poly, b: Poly) -> int:
+def _half_degrees(u: Poly, v: Poly, degree) -> tuple:
+    """Largest deg E, deg F with deg(U E^2), deg(V F^2) <= degree (-1: just 0)."""
+    if degree < 0:
+        return -1, -1
+    return max((degree - u.degree) // 2, -1), max((degree - v.degree) // 2, -1)
+
+
+def s_count(u: Poly, v: Poly, b: Poly, guard: int = 10**8) -> int:
     """Number of pairs (E, F) with B = U E^2 + V F^2, by full enumeration of
     the degree-feasible candidates."""
     validate_pair(u, v)
     ctx = u.ctx
-    db = b.degree
-    e_max = -1 if b.is_zero else (db - u.degree) // 2
-    f_max = -1 if b.is_zero else (db - v.degree) // 2
+    e_max, f_max = _half_degrees(u, v, b.degree)
+    work = ctx.q ** (e_max + f_max + 2)
+    if work > guard:
+        raise TooLargeError(f"s_count needs {work} pairs, cap {guard}")
     count = 0
     f_squares = [v * f * f for f in polys_upto(ctx, f_max)]
     for e in polys_upto(ctx, e_max):
@@ -115,19 +126,31 @@ def mean_formula(u: Poly, v: Poly, n: int, h: int) -> Fraction:
     return 2 * Fraction(u.ctx.q) ** (h + num // 2)
 
 
-def interval_sum(u: Poly, v: Poly, a: Poly, h: int) -> int:
+def interval_sum(u: Poly, v: Poly, a: Poly, h: int, guard: int = 10**8) -> int:
     """Sum of s_count over the q^h polynomials within distance < h of A."""
     if h < 0:
         raise ValueError("interval radius must be >= 0")
+    validate_pair(u, v)
+    e_max, f_max = _half_degrees(u, v, max(a.degree, h - 1))  # the largest deg(A + D)
+    work = u.ctx.q ** (h + e_max + f_max + 2)
+    if work > guard:
+        raise TooLargeError(f"interval_sum needs {work} pairs, cap {guard}")
     total = 0
     for d in polys_upto(u.ctx, h - 1):
-        total += s_count(u, v, a + d)
+        total += s_count(u, v, a + d, guard)
     return total
 
 
-def _binned_interval_sums(u: Poly, v: Poly, par: ThmParams):
-    """Tally of interval sums keyed by the class representative coefficients
-    (positions h..n-1 of B; the leading coefficient is always 1)."""
+def _class_digits(ctx, parts, h: int, n: int) -> np.ndarray:
+    """Residue digits of coefficients h..n-1 of each part, one row per part."""
+    coeffs = np.array([coeff_vector(b, n)[h:n] for b in parts], dtype=np.int64)
+    return to_digits(ctx.p, coeffs, ctx.k).reshape(len(parts), -1)
+
+
+def _binned_interval_sums(u: Poly, v: Poly, par: ThmParams) -> np.ndarray:
+    """Interval sum of every class, indexed by the code of coefficients h..n-1
+    of B (the leading one is always 1).  Each pair of a monic and a free part
+    adds 2, for E and -E; the pairs' digits are summed mod p in blocks."""
     ctx = u.ctx
     n, h = par.n, par.h
     if par.even:
@@ -136,38 +159,34 @@ def _binned_interval_sums(u: Poly, v: Poly, par: ThmParams):
     else:
         monic_w, monic_half = v, par.t_prime
         free_w, free_half = u, par.s_prime
-    monic_parts = [monic_w * e * e for e in monics(ctx, monic_half)]
-    free_parts = [free_w * f * f for f in polys_upto(ctx, free_half)]
-    tally: dict = {}
-    for mp in monic_parts:
-        mc = mp.coeffs
-        for fp in free_parts:
-            fc = fp.coeffs
-            bc = [ctx.add(x, y) for x, y in zip(mc, fc)] + list(mc[len(fc):])
-            key = tuple(bc[h:n])
-            tally[key] = tally.get(key, 0) + 2
-    return tally
+    monic_rows = _class_digits(ctx, [monic_w * e * e for e in monics(ctx, monic_half)], h, n)
+    free_rows = _class_digits(ctx, [free_w * f * f for f in polys_upto(ctx, free_half)], h, n)
+    n_free = len(free_rows)
+    total = len(monic_rows) * n_free
+    codes = np.empty(total, dtype=np.int64)
+    step = max(1, CHUNK // max(monic_rows.shape[1], 1))
+    for start in range(0, total, step):
+        t = np.arange(start, min(start + step, total))
+        digits = (monic_rows[t // n_free] + free_rows[t % n_free]) % ctx.p
+        codes[start : start + t.size] = from_digits(ctx.p, digits)
+    return 2 * np.bincount(codes, minlength=ctx.q ** (n - h))
 
 
 def variance_bruteforce(u: Poly, v: Poly, n: int, h: int, guard: int = 10**8) -> Fraction:
-    """Exact variance of the interval sums over all monic centres of degree n.
-
-    One pass bins every representation pair into its interval class; classes
-    never hit contribute the squared mean.
-    """
+    """Exact variance of the interval sums over all monic centres of degree n,
+    from the sum S1 and the sum of squares S2 of every class's interval sum.
+    Pairs are capped at 2^30 so that S2 <= S1^2 = (2 pairs)^2 is exact in int64."""
     par = ThmParams.compute(u, v, n, h)
     q = u.ctx.q
     pairs = q ** (par.s_prime + par.t_prime + 1)
     classes = q ** (n - h)
-    if max(pairs, classes) > guard:
-        raise TooLargeError(f"enumeration needs {max(pairs, classes)} steps, cap {guard}")
-    tally = _binned_interval_sums(u, v, par)
+    cap = min(guard, 2**30)
+    if max(pairs, classes) > cap:
+        raise TooLargeError(f"enumeration needs {max(pairs, classes)} steps, cap {cap}")
+    counts = _binned_interval_sums(u, v, par)
+    s1, s2 = int(counts.sum()), int(counts @ counts)
     mean = mean_formula(u, v, n, h)
-    acc = Fraction(0)
-    for count in tally.values():
-        acc += (count - mean) ** 2
-    acc += (classes - len(tally)) * mean * mean
-    return acc / classes
+    return (s2 - 2 * mean * s1 + classes * mean * mean) / classes
 
 
 def gcd_divisibility_sum(w: Poly, d1: int, d2: int, monic2: bool) -> int:

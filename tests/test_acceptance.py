@@ -225,7 +225,7 @@ def test_criterion_12_mean():
                     except ValueError:
                         continue
                     tally = variance._binned_interval_sums(u, v, par)
-                    total = sum(tally.values())
+                    total = int(tally.sum())
                     for h in range(n + 1):
                         want = ctx.q**n * variance.mean_formula(u, v, n, h)
                         res.count(

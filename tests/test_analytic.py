@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hfq import analytic
 from hfq.analytic import _phi_array, convergence_report, phi_ratio_sum, phi_slope
 from hfq.errors import NotCoprimeError, NotMonicError, TooLargeError
-from hfq.field import ctx_new
+from hfq.field import CHUNK, ctx_new
 from hfq.polyring import Poly, gcd, monics_upto, phi, polys_upto, rad
 
 F3 = ctx_new(3)
@@ -93,13 +95,33 @@ def test_increments_approach_slope():
     assert devs[-1] < Fraction(1, 4)
 
 
+F27 = ctx_new(3, 3, [1, 2, 0, 1])
+
+
 @pytest.mark.parametrize(
     "ctx,kmax",
-    [(F3, 6), (ctx_new(5), 4), (ctx_new(3, 2, [2, 1, 1]), 3)],
-    ids=["q3", "q5", "q9"],
+    [
+        (F3, 7),
+        (F5, 4),
+        (F9, 3),
+        (ctx_new(7), 3),
+        (ctx_new(5, 2, [2, 0, 1]), 2),
+        (F27, 2),
+    ],
+    ids=["q3", "q5", "q9", "q7", "q25", "q27"],
 )
-def test_sieve_matches_factored_phi(ctx, kmax):
+def test_sieve_matches_factored_phi(monkeypatch, ctx, kmax):
+    # q3 at kmax 7 spans two blocks: its degree-1 primes times the monic B
+    # of degree 6 are 3 * 3^6 products of 8 coefficients, more than CHUNK
+    # digits.  A fresh cache keeps an earlier, larger sieve from answering.
+    monkeypatch.setattr(analytic, "_SIEVE_CACHE", {})
+    if ctx is F3:
+        assert 3 * 3**6 * 8 > CHUNK
     sieve = _phi_array(ctx, kmax)
+    assert sieve.shape == (ctx.q ** (kmax + 1),)
+    monic = np.zeros(sieve.shape, dtype=bool)
     for a in monics_upto(ctx, kmax):
         code = sum(c * ctx.q**i for i, c in enumerate(a.coeffs))
+        monic[code] = True
         assert sieve[code] == phi(a), a
+    assert not sieve[~monic].any()

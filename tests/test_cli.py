@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hfq import hankel
-from hfq.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
+from hfq import cli, hankel
+from hfq.cli import EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -25,7 +29,9 @@ def test_census_rejects_even_q(capsys):
     assert "error" in err
 
 
-def test_census_workers_byte_identical(capsys):
+def test_census_workers_byte_identical(capsys, monkeypatch):
+    # two workers on any machine: the CPU-count bound would refuse 2 on one CPU
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     args = ("census", "--q", "3", "--n", "3", "--h", "0..2", "--json")
     code1, out1, _ = run(capsys, *args, "--workers", "1")
     code2, out2, _ = run(capsys, *args, "--workers", "2")
@@ -200,6 +206,13 @@ def test_bad_guard_env_exits_64(capsys, monkeypatch):
     assert code == EXIT_USAGE and out == "" and "HFQ_GUARD" in err
 
 
+def test_census_h_above_every_n_is_not_a_failure(capsys):
+    code, out, _ = run(capsys, "census", "--q", "3", "--n", "0", "--h", "2")
+    assert code == EXIT_OK and "nothing to check" in out
+    code, out, _ = run(capsys, "census", "--q", "3", "--n", "0..1", "--h", "2")
+    assert code == EXIT_OK and "n=1 h=2" in out and "FAIL" not in out
+
+
 def test_census_empty_range_exits_64(capsys):
     code, out, err = run(capsys, "census", "--q", "3", "--n", "5..3", "--h", "0")
     assert code == EXIT_USAGE and out == "" and "empty range" in err
@@ -272,3 +285,59 @@ def test_workers_only_on_census(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--q", "3", "--alpha", "0,1", "--workers", "2"])
     assert exc.value.code == EXIT_USAGE
+
+
+# Small argv for four subcommands: valid tiny values mixed with malformed
+# literals, empty or reversed ranges, negative sizes and tiny guards.
+_FIELD = st.sampled_from(
+    [("3",), ("3",), ("5",), ("9", "--modulus", "1,0,1"), ("9",), ("4",), ("1",), ("x",)]
+)
+_INT = st.sampled_from(["0", "1", "2", "2", "3", "-1", "x"])
+_RANGE = st.sampled_from(["0", "2", "0..2", "1..3", "3..1", "a..b", "1..", "-2..1", ""])
+_POLY = st.sampled_from(
+    ["1", "1", "0,1", "1,1", "1,0,1", "0,0,0,1", "[1,0]", "[0,0],[1,0]", "0", "2", "x"]
+)
+_VALID_UV = st.sampled_from(
+    [("1", "0,1"), ("1", "1,1"), ("1,0,1", "0,1"), ("1", "0,0,0,1"), ("[1,0]", "[0,0],[1,0]")]
+)
+_ALPHA = st.sampled_from(["0,1", "1,2,0", "[1,2],[0,1]", "0", "1,,2", "x", ""])
+_GUARD = st.sampled_from(
+    [[], [], ["--guard", "1"], ["--guard", "10"], ["--guard", "0"], ["--guard", "x"]]
+)
+_FLAGS = {
+    "census": ["--json", "--workers=1", "--workers=0", "--workers=-1"],
+    "variance": ["--json", "--oracle", "--charsum", "--theorem", "--fast", "--trust-lemmas"],
+    "phisum": ["--json"],
+    "analyze": ["--json"],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command, "--q", *draw(_FIELD)]
+    if command == "census":
+        argv += ["--n", draw(_RANGE), "--h", draw(_RANGE)]
+    elif command == "variance":
+        u, v = draw(st.one_of(_VALID_UV, st.tuples(_POLY, _POLY)))
+        argv += ["--U", u, "--V", v, "--n", draw(_INT), "--h", draw(_INT)]
+    elif command == "phisum":
+        argv += ["--W2", draw(_POLY), "--W3", draw(_POLY), "--kmax", draw(_INT)]
+    else:
+        argv += ["--alpha", draw(_ALPHA)]
+    flags = draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=3, unique=True))
+    return argv + flags + draw(_GUARD)
+
+
+@settings(max_examples=300)
+@given(_argv())
+def test_exit_codes_property(argv):
+    # No argv here asks for a falsified identity, so 1 would mean bad input
+    # was reported as a mathematical mismatch.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a missing or mistyped flag
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_GUARD, EXIT_USAGE)
+    assert code != EXIT_MISMATCH, argv

@@ -2,16 +2,18 @@ from fractions import Fraction
 
 import pytest
 
+from hfq import variance
 from hfq.errors import (
     BadParityError,
     BoundUndefinedError,
+    HfqError,
     NotCoprimeError,
     NotMonicError,
     RangeEmptyError,
     TooLargeError,
 )
 from hfq.field import ctx_new
-from hfq.polyring import Poly, monics
+from hfq.polyring import Poly, monics, polys_upto
 from hfq.variance import (
     ThmParams,
     case_classify,
@@ -92,6 +94,60 @@ def test_variance_bruteforce_fixtures():
         assert variance_bruteforce(U1, V1, 4, h) == 0
     with pytest.raises(TooLargeError):
         variance_bruteforce(U1, V1, 8, 0, guard=10)
+
+
+def test_s_count_and_interval_sum_guards(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumeration started past the guard")
+
+    b = p3(0, 1, 1)  # T^2 + T: E of degree <= 1, F of degree <= 0, 9 * 3 pairs
+    assert s_count(U1, V1, b, guard=27) == 4
+    # interval of radius 1: 3 members of degree 2, 27 pairs each
+    assert interval_sum(U1, V1, b, 1, guard=81) == 6
+    monkeypatch.setattr(variance, "polys_upto", no_enumeration)
+    with pytest.raises(TooLargeError, match="27"):
+        s_count(U1, V1, b, guard=26)
+    with pytest.raises(TooLargeError, match="81"):
+        interval_sum(U1, V1, b, 1, guard=80)
+
+
+def _literal_variance(u, v, n, h):
+    """The definition: the mean over every monic A of degree n of
+    (interval sum around A - mean)^2, each interval sum added up from
+    s_count of its q^h members."""
+    ctx = u.ctx
+    s = {b.coeffs: s_count(u, v, b) for b in monics(ctx, n)}
+    mean = mean_formula(u, v, n, h)
+    total = Fraction(0)
+    for a in monics(ctx, n):
+        members = sum(s[(a + d).coeffs] for d in polys_upto(ctx, h - 1))
+        total += (members - mean) ** 2
+    return total / ctx.q**n
+
+
+@pytest.mark.parametrize(
+    "ctx,n_max",
+    [(F3, 4), (F5, 3), (ctx_new(3, 2, [2, 1, 1]), 2)],
+    ids=["q3", "q5", "q9"],
+)
+def test_variance_bruteforce_matches_definition(monkeypatch, ctx, n_max):
+    t = Poly.t(ctx)
+    checked = 0
+    for u in (Poly.one(ctx), Poly(ctx, (ctx.one, ctx.zero, ctx.one))):
+        for n in range(n_max + 1):
+            for h in range(n + 1):
+                try:
+                    ThmParams.compute(u, t, n, h)
+                except HfqError:
+                    continue
+                want = _literal_variance(u, t, n, h)
+                assert variance_bruteforce(u, t, n, h) == want
+                # blocks of 8 digits: the pairs span many blocks
+                with monkeypatch.context() as m:
+                    m.setattr(variance, "CHUNK", 8)
+                    assert variance_bruteforce(u, t, n, h) == want
+                checked += 1
+    assert checked >= 2 * n_max
 
 
 def test_f_formula_fixture_and_empty_range():
