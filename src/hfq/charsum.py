@@ -4,25 +4,28 @@ The two base sums attach the square Hankel matrix of a length-(2l+1)
 sequence to the quadratic form [E]^T H [E] and sum psi over all E of degree
 <= l, or over the monic E of degree l.  Their squared magnitudes are powers
 of q determined by the sequence's characteristic alone (rank for the full
-sum; rank and strict pi for the monic sum), which is what magsq_via_profile
-evaluates without summing.
+sum; rank and strict pi for the monic sum).  magsq_exponents evaluates
+that law, and every caller reads it from there.
 
 variance_charsum assembles the short-interval variance as the weighted sum
 of products of two such magnitudes over all sequences with h leading zeros,
-using the parity-dependent window widths; exact mode computes cyclotomic
-sums, fast mode trusts the closed-form magnitudes.  Everything is integer
-or Fraction arithmetic throughout.
+using the parity-dependent window widths; exact mode sums the characters,
+fast mode trusts the closed-form magnitudes.  Both run on the fastpath
+engine, over every F_q.  Everything is integer or Fraction arithmetic
+throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
-from .errors import LengthMismatchError, TooLargeError
-from .field import CycInt, FieldCtx, fq_vectors, mag_sq_from_counts
-from .hankel import Profile, Seq, odot, profile
+import numpy as np
+
+from . import fastpath
+from .errors import LengthMismatchError, check_guard
+from .field import CycInt
+from .hankel import Profile, Seq, profile
 from .polyring import Poly, coeff_vector
 from .variance import ThmParams
 
@@ -43,39 +46,12 @@ def _check_length(seq: Seq, l: int) -> None:
         )
 
 
-def _value_counts_scalar(seq: Seq, l: int, monic: bool):
-    """Tally psi-exponents of the quadratic form over the vector family."""
-    ctx = seq.ctx
-    e = seq.entries
-    rows = [e[i : i + l + 1] for i in range(l + 1)]
-    counts = [0] * ctx.p
-    elems = list(ctx.elements())
-    positions = l if monic else l + 1
-    for tail in iter_product(elems, repeat=positions):
-        vec = tail + (ctx.one,) if monic else tail
-        acc = ctx.zero
-        for i in range(l + 1):
-            vi = vec[i]
-            if vi == ctx.zero:
-                continue
-            row = rows[i]
-            dot = ctx.zero
-            for j in range(l + 1):
-                vj = vec[j]
-                if vj != ctx.zero:
-                    dot = ctx.add(dot, ctx.mul(row[j], vj))
-            acc = ctx.add(acc, ctx.mul(vi, dot))
-        counts[ctx.psi_exponent(acc)] += 1
-    return counts
-
-
 def _quad_sum(seq: Seq, l: int, monic: bool) -> QuadSumResult:
     _check_length(seq, l)
     ctx = seq.ctx
-    counts = _value_counts_scalar(seq, l, monic)
-    value = CycInt(ctx.p, counts)
-    mag = mag_sq_from_counts(ctx.p, counts)
-    return QuadSumResult(value, mag, profile(seq))
+    counts = fastpath.qform_counts(ctx, np.array([seq.entries]), l, monic)
+    value = CycInt(ctx.p, counts[0].tolist())
+    return QuadSumResult(value, int(fastpath.magsq(counts)[0]), profile(seq))
 
 
 def quad_sum_all(seq: Seq, l: int) -> QuadSumResult:
@@ -89,6 +65,16 @@ def quad_sum_monic(seq: Seq, l: int) -> QuadSumResult:
     return _quad_sum(seq, l, monic=True)
 
 
+def magsq_exponents(l: int, r, strict_pi, monic: bool):
+    """The closed-form law, elementwise: |sum|^2 = q^e, where e = 2l + 2 - r
+    for the full sum, and for the monic sum e = 2l - r or 2l + 1 - r as the
+    strict pi is 0 or 1.  e = -1 marks a vanishing monic sum (strict pi > 1).
+    """
+    if not monic:
+        return 2 * l + 2 - r
+    return np.where(strict_pi <= 1, 2 * l + strict_pi - r, -1)
+
+
 def magsq_via_profile(seq: Seq, l: int, monic: bool) -> int:
     """Closed-form |sum|^2 from the sequence characteristic, without summing.
 
@@ -97,28 +83,9 @@ def magsq_via_profile(seq: Seq, l: int, monic: bool) -> int:
     this path.
     """
     _check_length(seq, l)
-    q = seq.ctx.q
     prof = profile(seq)
-    if not monic:
-        return q ** (2 * l + 2 - prof.r)
-    if prof.strict_pi == 0:
-        return q ** (2 * l - prof.r)
-    if prof.strict_pi == 1:
-        return q ** (2 * l + 1 - prof.r)
-    return 0
-
-
-def _magsq_pair_exact(ctx: FieldCtx, x: Seq, y: Seq, l_m: int, l_a: int):
-    """(monic-sum magnitude^2 of x, full-sum magnitude^2 of y), exactly."""
-    if ctx.k == 1:
-        from . import fastpath
-
-        cm = fastpath.qform_value_counts(ctx.p, x.entries, l_m, True)
-        ca = fastpath.qform_value_counts(ctx.p, y.entries, l_a, False)
-    else:
-        cm = _value_counts_scalar(x, l_m, True)
-        ca = _value_counts_scalar(y, l_a, False)
-    return mag_sq_from_counts(ctx.p, cm), mag_sq_from_counts(ctx.p, ca)
+    e = int(magsq_exponents(l, prof.r, prof.strict_pi, monic))
+    return seq.ctx.q**e if e >= 0 else 0
 
 
 def _windows(u: Poly, v: Poly, par: ThmParams):
@@ -143,52 +110,43 @@ def variance_charsum(
 ) -> Fraction:
     """The variance as a character sum over sequences with h leading zeros.
 
-    Exact mode evaluates both quadratic-form sums as cyclotomic integers per
-    sequence; fast mode reads the magnitudes off the closed forms.  The two
-    agree by the quadratic-form law, and the test suite enforces it.
+    Exact mode sums both quadratic-form characters per sequence; fast mode
+    reads the magnitudes off the closed forms.  The two agree by the
+    quadratic-form law, and the test suite enforces it.  The guard bounds
+    the sequences, times the monic and full vectors summed over in exact
+    mode.
     """
     if mode not in ("exact", "fast"):
         raise ValueError(f"unknown mode {mode!r}")
     par = ThmParams.compute(u, v, n, h)
     ctx = u.ctx
     q = ctx.q
-    space = q ** (n + 1 - h)
-    if space > guard:
-        raise TooLargeError(f"character sum needs {space} sequences, cap {guard}")
     (mw, m_width), (aw, a_width) = _windows(u, v, par)
     l_m = (n - m_width) // 2
     l_a = (n - a_width) // 2
+    work = q ** (n + 1 - h)
+    if mode == "exact":
+        work *= q**l_m + q ** (l_a + 1)
+    check_guard(work, guard, "character sum")
+    m_vec = coeff_vector(mw, m_width)
+    a_vec = coeff_vector(aw, a_width)
 
-    if mode == "fast" and ctx.k == 1:
-        from . import fastpath
-
-        counts = fastpath.variance_exponent_counts(
-            ctx.p,
-            n,
-            h,
-            [c for c in coeff_vector(mw, m_width)],
-            [c for c in coeff_vector(aw, a_width)],
-        )
-        total = sum(int(c) * q**e for e, c in enumerate(counts) if c)
-    else:
-        total = _included_sum_scalar(u, v, par, l_m, l_a, mode)
-    return Fraction(4 * q ** (2 * h), q ** (2 * n + 1)) * total
-
-
-def _included_sum_scalar(u: Poly, v: Poly, par: ThmParams, l_m: int, l_a: int, mode: str) -> int:
-    ctx = u.ctx
-    (mw, m_width), (aw, a_width) = _windows(u, v, par)
+    tally = np.zeros(2 * l_m + 2 * l_a + 4, dtype=np.int64)  # by exponent of q
     total = 0
-    for entries in fq_vectors(ctx, par.n + 1 - par.h, zeros=par.h):
-        if not any(entries[:-1]):
-            continue  # near-zero classes carry the squared mean
-        seq = Seq(ctx, entries)
-        x = odot(seq, mw, m_width)
-        y = odot(seq, aw, a_width)
+    for block in fastpath.blocks(ctx, n + 1 - h, zeros=h):
+        block = block[block[:, :-1].any(axis=1)]  # near-zero classes carry the squared mean
+        x = fastpath.odot(ctx, block, m_vec)
+        y = fastpath.odot(ctx, block, a_vec)
         if mode == "fast":
-            prod = magsq_via_profile(x, l_m, True) * magsq_via_profile(y, l_a, False)
+            r_x, _, srho_x = fastpath.profile(ctx, x)
+            r_y, _, _ = fastpath.profile(ctx, y)
+            e_x = magsq_exponents(l_m, r_x, r_x - srho_x, True)
+            e_y = magsq_exponents(l_a, r_y, None, False)
+            keep = e_x >= 0
+            tally += np.bincount(e_x[keep] + e_y[keep], minlength=len(tally))
         else:
-            mm, ma = _magsq_pair_exact(ctx, x, y, l_m, l_a)
-            prod = mm * ma
-        total += prod
-    return total
+            mm = fastpath.magsq(fastpath.qform_counts(ctx, x, l_m, True)).tolist()
+            ma = fastpath.magsq(fastpath.qform_counts(ctx, y, l_a, False)).tolist()
+            total += sum(a * b for a, b in zip(mm, ma))  # Python ints: may pass 2^63
+    total += sum(c * q**e for e, c in enumerate(tally.tolist()))
+    return Fraction(4 * q ** (2 * h), q ** (2 * n + 1)) * total

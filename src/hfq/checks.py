@@ -11,7 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from . import charsum, variance
+import numpy as np
+
+from . import charsum, fastpath, variance
+from .errors import PreconditionViolatedError, RangeEmptyError, check_guard
 from .field import FieldCtx, fq_vectors
 from .hankel import (
     Seq,
@@ -112,7 +115,7 @@ def check_census(
     return res
 
 
-def check_kernel_structure(ctx: FieldCtx, n_max: int) -> CheckResult:
+def check_kernel_structure(ctx: FieldCtx, n_max: int, guard: int = 10**8) -> CheckResult:
     """Kernel law (Heinig-Rost): for every sequence and split (l+1) x (m+1),
     the kernel is spanned by T^i a1 for i <= m - r and T^j a2 for
     j <= m - (n - r + 2).
@@ -123,6 +126,7 @@ def check_kernel_structure(ctx: FieldCtx, n_max: int) -> CheckResult:
     kernel's dimension.
     """
     res = CheckResult("kernel structure law")
+    check_guard(sum(ctx.q ** (n + 1) for n in range(n_max + 1)), guard, "kernel-structure check")
     for n in range(n_max + 1):
         for seq in _all_seqs(ctx, n):
             prof = profile(seq)
@@ -147,37 +151,35 @@ def check_kernel_structure(ctx: FieldCtx, n_max: int) -> CheckResult:
     return res
 
 
-def check_quadform(ctx: FieldCtx, l_max: int, l_min: int = 0) -> CheckResult:
+def check_quadform(ctx: FieldCtx, l_max: int, l_min: int = 0, guard: int = 10**8) -> CheckResult:
     """Squared magnitudes of both quadratic-form sums against the closed
     forms, exhaustively."""
+    if l_min < 0:
+        raise RangeEmptyError(f"need l >= 0, got {l_min}")
     res = CheckResult(f"quadratic form magnitudes (q={ctx.q})")
     q = ctx.q
-    for l in range(l_min, l_max + 1):
-        for seq in _all_seqs(ctx, 2 * l):
-            prof = profile(seq)
-            r_all = charsum.quad_sum_all(seq, l)
-            want_all = q ** (2 * l + 2 - prof.r)
-            res.count(
-                r_all.mag_sq == want_all
-                and r_all.mag_sq == charsum.magsq_via_profile(seq, l, False),
-                f"all-sum magnitude at {seq!r}: {r_all.mag_sq} != {want_all}",
-            )
-            r_mon = charsum.quad_sum_monic(seq, l)
-            if prof.strict_pi == 0:
-                want_mon = q ** (2 * l - prof.r)
-            elif prof.strict_pi == 1:
-                want_mon = q ** (2 * l + 1 - prof.r)
-            else:
-                want_mon = 0
-            res.count(
-                r_mon.mag_sq == want_mon
-                and r_mon.mag_sq == charsum.magsq_via_profile(seq, l, True),
-                f"monic-sum magnitude at {seq!r}: {r_mon.mag_sq} != {want_mon}",
-            )
+    ls = range(l_min, l_max + 1)
+    check_guard(sum(q ** (2 * l + 1) * (q**l + q ** (l + 1)) for l in ls), guard, "quadform check")
+    for l in ls:
+        for block in fastpath.blocks(ctx, 2 * l + 1):
+            r, _, strict_rho = fastpath.profile(ctx, block)
+            sides = (False, True)  # the all-sum, then the monic sum, per sequence
+            got = np.stack(
+                [fastpath.magsq(fastpath.qform_counts(ctx, block, l, m)) for m in sides], axis=1
+            ).ravel()
+            exps = np.stack(
+                [charsum.magsq_exponents(l, r, r - strict_rho, m) for m in sides], axis=1
+            ).ravel()
+            want = np.where(exps >= 0, q ** np.maximum(exps, 0), 0)
+            res.checked += int((got == want).sum())
+            for i in np.flatnonzero(got != want).tolist():
+                seq = Seq(ctx, block[i // 2].tolist())
+                side = ("all", "monic")[i % 2]
+                res.count(False, f"{side}-sum magnitude at {seq!r}: {got[i]} != {want[i]}")
     return res
 
 
-def check_reduction(ctx: FieldCtx, n_max: int, ws=None) -> CheckResult:
+def check_reduction(ctx: FieldCtx, n_max: int, ws=None, guard: int = 10**8) -> CheckResult:
     """Predicted characteristic and first kernel polynomial of the sliding
     products, against direct computation, over every valid width."""
     res = CheckResult("sliding-product reduction law")
@@ -188,6 +190,9 @@ def check_reduction(ctx: FieldCtx, n_max: int, ws=None) -> CheckResult:
             Poly(ctx, (ctx.one, ctx.one)),
             Poly(ctx, (ctx.one, ctx.zero, ctx.one)),
         ]
+    if any(w.is_zero for w in ws):
+        raise PreconditionViolatedError("reduction windows must be non-zero")
+    check_guard(sum(ctx.q ** (n + 1) for n in range(2, n_max + 1)), guard, "reduction check")
     for n in range(2, n_max + 1):
         for seq in _all_seqs(ctx, n):
             prof = profile(seq)
@@ -217,11 +222,13 @@ def check_reduction(ctx: FieldCtx, n_max: int, ws=None) -> CheckResult:
     return res
 
 
-def check_bijection(ctx: FieldCtx, n: int, r: int, hs) -> CheckResult:
+def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = 10**8) -> CheckResult:
     """Forward map into the coprime pairs, the inverse roundtrip, injectivity,
     and both cardinalities."""
     res = CheckResult(f"class/pair bijection (n={n}, r={r})")
     q = ctx.q
+    # sequences, then the monic-by-bounded pairs, at each h
+    check_guard(sum(q ** (n + 1 - h) + q ** (2 * r - h) for h in hs), guard, "bijection check")
     for h in hs:
         image = set()
         members = 0

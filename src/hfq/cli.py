@@ -221,32 +221,36 @@ def cmd_identity(args) -> int:
     ctx = _build_ctx(args)
     kind = args.kind
     results = []
+    guard = args.guard
     if kind == "quadform":
         ls = _parse_range(args.l)
-        results.append(checks.check_quadform(ctx, max(ls), l_min=min(ls)))
+        results.append(checks.check_quadform(ctx, max(ls), l_min=min(ls), guard=guard))
     elif kind == "kernel-structure":
-        results.append(checks.check_kernel_structure(ctx, max(_parse_range(args.n))))
+        results.append(checks.check_kernel_structure(ctx, max(_parse_range(args.n)), guard))
     elif kind == "reduction":
         ws = None
         if args.W:
             ws = [Poly.from_literal(ctx, w) for w in args.W]
-        results.append(checks.check_reduction(ctx, max(_parse_range(args.n)), ws))
+        results.append(checks.check_reduction(ctx, max(_parse_range(args.n)), ws, guard))
     elif kind == "bijection":
-        hs = list(_parse_range(args.h))
+        hs = [x for x in _parse_range(args.h) if x < args.r]
         for n in _parse_range(args.n):
             n2 = (n + 3) // 2
             if 2 < args.r <= n2 - 1:
-                results.append(checks.check_bijection(ctx, n, args.r, [x for x in hs if x < args.r]))
+                results.append(checks.check_bijection(ctx, n, args.r, hs, guard))
     elif kind in ("kernel-sum", "w-sum"):
         u = Poly.from_literal(ctx, args.U)
         v = Poly.from_literal(ctx, args.V)
+        variance.validate_pair(u, v)  # a bad pair is bad input, not an empty range
         fn = checks.check_kernel_sum if kind == "kernel-sum" else checks.check_w_sum
         for n in _parse_range(args.n):
             for h in _parse_range(args.h):
                 if h > n:
                     continue
                 try:
-                    results.append(fn(u, v, n, h, guard=args.guard))
+                    results.append(fn(u, v, n, h, guard=guard))
+                except TooLargeError:
+                    raise
                 except HfqError:
                     continue  # infeasible (n, h): nothing to check
     else:

@@ -102,6 +102,11 @@ class TooLargeError(HfqError):
     pass
 
 
+def check_guard(work: int, guard: int, what: str) -> None:
+    if work > guard:
+        raise TooLargeError(f"{what} needs {work} steps, cap {guard}")
+
+
 class BoundUndefinedError(HfqError):
     pass
 

@@ -1,127 +1,170 @@
-"""Vectorized exact mod-p arithmetic for the large enumeration loops.
+"""One exact int64 numpy engine for the exhaustive enumerations over F_q.
 
-Everything here is integer arithmetic on numpy arrays; no floating point.
-The sequence profile is a batched Berlekamp-Massey pass, the same algorithm
-as the scalar hankel.profile, run on a whole [N, m] block at once.  Only
-prime fields are served (extension fields fall back to the scalar
-implementations, which these routines must agree with -- the test suite
-checks that exhaustively on small envelopes and by property tests beyond).
+Prime and extension fields are served alike: elements are the int codes of
+hfq.field, and every operation is a gather from a table derived, on first
+use, from the FieldCtx's tables.  A sum of products is one gather from the
+fused table pack[mul], whose entry for a product holds its residue digits
+at base W = terms * (p - 1) + 1; an integer sum of at most ``terms`` entries
+carries no digit into the next, so it unpacks digit by digit (mod p) to the
+F_q sum.  Over a prime field pack is the identity: this is sum(c * s) mod p.
+
+The functions work on [N, m] blocks of codes: blocks enumerates them in
+fq_vectors order, profile and odot batch hankel.profile and hankel.odot,
+qform_counts tallies the character sums of Hankel quadratic forms, and
+magsq takes their squared magnitudes.  Everything is integer arithmetic.
+The scalar hankel routines and the literal character sum in the test suite
+are the oracles these are checked against.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-from .field import to_digits
+from .errors import TooLargeError
+from .field import CHUNK, FieldCtx, to_digits
 
 
-def batched_profile(seqs: np.ndarray, p: int):
-    """(r, strict rho) of each row of an [N, m] batch over F_p, read off the
-    linear-complexity profile L_0..L_m exactly as hankel.profile does.  bs
-    holds x^shift * B, so each step shifts it uniformly by one column."""
-    n_seqs, m = seqs.shape
-    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
-    c = np.zeros((n_seqs, m + 1), dtype=np.int64)
-    c[:, 0] = 1
-    bs = np.roll(c, 1, axis=1)
+@cache
+def _tables(ctx: FieldCtx):
+    """(mul, sub_q, inv, tr): the flat product table, q times the flat
+    difference table, the inverses (0 at 0), and tr[c, a, b] = Tr(c w^a w^b)
+    with w^a the element of code p^a."""
+    mul = np.array(ctx.mul_table, dtype=np.int64)
+    basis = ctx.p ** np.arange(ctx.k)
+    tr = np.array(ctx.trace_table, dtype=np.int64)[mul[mul[:, basis][:, :, None], basis]]
+    sub_q = ctx.q * np.array(ctx.sub_table, dtype=np.int64).ravel()
+    return mul.ravel(), sub_q, np.array((0, *ctx.inv_table[1:]), dtype=np.int64), tr
+
+
+@cache
+def _packed(ctx: FieldCtx, terms: int):
+    """(W, pack[mul]) for sums of up to ``terms`` products."""
+    base = terms * (ctx.p - 1) + 1
+    if base**ctx.k >= 2**63:
+        raise TooLargeError(f"a sum of {terms} products over F_{ctx.q} overflows int64")
+    pack = to_digits(ctx.p, np.arange(ctx.q), ctx.k) @ base ** np.arange(ctx.k)
+    return base, pack[_tables(ctx)[0]]
+
+
+def _unpack(ctx: FieldCtx, sums: np.ndarray, base: int) -> np.ndarray:
+    """The F_q code of each packed sum: base-W digit j, mod p, is residue j."""
+    code = np.zeros_like(sums)
+    for j in range(ctx.k):
+        sums, digit = np.divmod(sums, base)
+        code += digit % ctx.p * ctx.p**j
+    return code
+
+
+def blocks(ctx: FieldCtx, width: int, zeros: int = 0, start: int = 0, stop=None):
+    """The vectors of F_q^width with codes start..stop-1, in the order of
+    field.fq_vectors, as [N, zeros + width] code blocks with N * width at
+    most field.CHUNK / 2 (profile keeps about eight arrays of a block's size
+    live); each vector comes behind ``zeros`` zero entries."""
+    if stop is None:
+        stop = ctx.q**width
+    step = max(1, CHUNK // 2 // max(width, 1))
+    for lo in range(start, stop, step):
+        codes = np.arange(lo, min(lo + step, stop))
+        block = np.zeros((len(codes), zeros + width), dtype=np.int64)
+        block[:, zeros:] = to_digits(ctx.q, codes, width)
+        yield block
+
+
+def profile(ctx: FieldCtx, block: np.ndarray):
+    """(r, rho, strict_rho) of each row of an [N, m] block, read off the
+    linear-complexity profile L_0..L_m exactly as hankel.profile does.
+
+    The pass runs on the transposed block, one sequence per column, so that
+    sums over a polynomial's coefficients add whole rows.  c and
+    bs = x^shift * B hold codes times q, ready to index a table row.  deg c
+    <= L_i, and before step i neither c nor bs has a nonzero coefficient
+    past i + 1, so only those rows are touched.  bs is a window on a zero
+    buffer whose origin moves up one row per step: that is the shift.
+    """
+    mul, sub_q, inv, _ = _tables(ctx)
+    q = ctx.q
+    n_seqs, m = block.shape
+    base, pack_mul = _packed(ctx, m)
+    rev = np.ascontiguousarray(block[:, ::-1].T)
+    c = np.zeros((m + 1, n_seqs), dtype=np.int64)
+    c[0] = q
+    buf = np.zeros((m + 1, n_seqs), dtype=np.int64)
+    buf[m] = q  # bs = x * 1 before step 0
     b = np.ones(n_seqs, dtype=np.int64)
-    lc = np.zeros((n_seqs, m + 1), dtype=np.int64)
+    length = rho = strict_rho = np.zeros(n_seqs, dtype=np.int64)
     for i in range(m):
-        length = lc[:, i]
-        d = (c[:, : i + 1] * seqs[:, i::-1]).sum(axis=1) % p
+        w = i + 2
+        bs = buf[m - 1 - i :]
+        top = length.max(initial=0) + 1
+        d = _unpack(ctx, pack_mul[c[:top] + rev[m - 1 - i : m - 1 - i + top]].sum(axis=0), base)
         grow = (d != 0) & (2 * length <= i)
-        prev = c
-        c = (c - (d * inv[b] % p)[:, None] * bs) % p
-        lc[:, i + 1] = np.where(grow, i + 1 - length, length)
+        f = mul[d * q + inv[b]]
+        new = sub_q[c[:w] + mul[bs + f]]
+        np.copyto(bs, c[:w], where=grow)
+        c[:w] = new
+        length = np.where(grow, i + 1 - length, length)
         b = np.where(grow, d, b)
-        bs = np.where(grow[:, None], prev, bs)
-        bs[:, 1:] = bs[:, :-1].copy()
-        bs[:, 0] = 0
-    final = lc[:, m]
-    r = np.minimum(final, m + 1 - final)
-    ks = np.arange(1, (m + 2) // 2)  # k <= n2 - 1 for top index n = m - 1
-    strict_rho = ((lc[:, 2 * ks - 1] == ks) * ks).max(axis=1, initial=0)
-    return r, strict_rho
+        if i % 2 == 0:  # the leading k x k square is invertible iff L_{2k-1} = k
+            k = i // 2 + 1  # k <= n1 = (m + 1) // 2 for top index n = m - 1
+            rho = np.where(length == k, k, rho)
+            if k == m // 2:  # strict rho stops at n2 - 1 = m // 2
+                strict_rho = rho
+    return np.minimum(length, m + 1 - length), rho, strict_rho
 
 
-def batched_odot(seqs: np.ndarray, wvec, p: int) -> np.ndarray:
-    """Sliding dot products against the padded coefficient vector wvec."""
-    s = len(wvec) - 1
-    out_len = seqs.shape[1] - s
-    out = np.zeros((seqs.shape[0], out_len), dtype=np.int64)
+def odot(ctx: FieldCtx, block: np.ndarray, wvec) -> np.ndarray:
+    """Sliding products of each row against the padded coefficient vector
+    wvec: entry i is sum_j wvec_j row_{i+j}, as hankel.odot."""
+    base, pack_mul = _packed(ctx, len(wvec))
+    out_len = block.shape[1] - len(wvec) + 1
+    acc = np.zeros((block.shape[0], out_len), dtype=np.int64)
     for j, wj in enumerate(wvec):
         if wj:
-            out += wj * seqs[:, j : j + out_len]
-    return out % p
+            acc += pack_mul[wj * ctx.q + block[:, j : j + out_len]]
+    return _unpack(ctx, acc, base)
 
 
-def variance_exponent_counts(
-    p: int,
-    n: int,
-    h: int,
-    monic_wvec,
-    all_wvec,
-    chunk: int = 20000,
-):
-    """For every sequence with h leading zeros, the exponent e such that the
-    product of the two squared character-sum magnitudes is q^e, tallied.
+@cache
+def _qform_pairs(p: int, k: int, l: int, monic: bool) -> np.ndarray:
+    """e_d e_d' for the residue digits e of every E of degree <= l, or of
+    every monic E of degree l (its last coefficient has code 1)."""
+    free = k * (l + 1 - monic)
+    vecs = to_digits(p, np.arange(p**free) + monic * p**free, k * (l + 1))
+    return (vecs[:, :, None] * vecs[:, None, :]).reshape(len(vecs), -1)
 
-    Sequences whose monic-side strict pi exceeds 1 contribute zero and are
-    left out of the tally, and so are the near-zero sequences (every entry
-    zero except possibly the last), which carry the squared mean.
+
+def qform_counts(ctx: FieldCtx, block: np.ndarray, l: int, monic: bool) -> np.ndarray:
+    """[N, p] histograms of the psi-exponent Tr(sum_{i,j} x_{i+j} E_i E_j)
+    over E of degree <= l (or monic of degree l), one row per row x of an
+    [N, 2l+1] block.  In the residue digits e_{i,a} of E the exponent is the
+    F_p-quadratic form with matrix M[(i,a),(j,b)] = Tr(x_{i+j} w^a w^b)."""
+    p, k = ctx.p, ctx.k
+    dim = k * (l + 1)
+    pairs = _qform_pairs(p, k, l, monic)
+    idx = np.arange(l + 1)
+    mats = _tables(ctx)[3][block[:, idx[:, None] + idx]]  # [N, i, j, a, b]
+    mats = mats.transpose(0, 1, 3, 2, 4).reshape(len(block), dim * dim)
+    out = np.empty((len(block), p), dtype=np.int64)
+    step = max(1, CHUNK // len(pairs))
+    for lo in range(0, len(block), step):
+        vals = mats[lo : lo + step] @ pairs.T % p
+        rows = len(vals)
+        vals += p * np.arange(rows)[:, None]
+        out[lo : lo + rows] = np.bincount(vals.ravel(), minlength=rows * p).reshape(rows, p)
+    return out
+
+
+def magsq(counts: np.ndarray) -> np.ndarray:
+    """|sum_j counts_j zeta_p^j|^2 of each row of an [N, p] array, exactly.
+
+    The product with the conjugate is sum_d A_d zeta^d, A the cyclic
+    autocorrelation of the row; it is the integer A_0 - A_{p-1} when
+    A_1 = ... = A_{p-1}, which holds for every sum this package forms.
     """
-    free = n + 1 - h
-    total = p**free
-    sm = len(monic_wvec) - 1
-    sa = len(all_wvec) - 1
-    l_m = (n - sm) // 2
-    l_a = (n - sa) // 2
-    max_e = (2 * l_m + 1) + (2 * l_a + 2) + 1
-    counts = np.zeros(max_e + 1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        block = to_digits(p, np.arange(start, stop), free)
-        if h:
-            seqs = np.concatenate(
-                [np.zeros((stop - start, h), dtype=np.int64), block], axis=1
-            )
-        else:
-            seqs = block
-        x = batched_odot(seqs, monic_wvec, p)
-        y = batched_odot(seqs, all_wvec, p)
-        r_x, srho_x = batched_profile(x, p)
-        spi_x = r_x - srho_x
-        r_y, _ = batched_profile(y, p)
-        mask = (spi_x <= 1) & seqs[:, :-1].any(axis=1)
-        exps = (2 * l_m + spi_x - r_x) + (2 * l_a + 2 - r_y)
-        counts += np.bincount(exps[mask], minlength=max_e + 1)
-    return counts
-
-
-_QFORM_CACHE: dict = {}
-
-
-def qform_vectors(p: int, l: int, monic: bool) -> np.ndarray:
-    """All coefficient vectors of A_{<= l} (or of the monic degree-l set)."""
-    key = (p, l, monic)
-    got = _QFORM_CACHE.get(key)
-    if got is not None:
-        return got
-    if monic:
-        vecs = np.concatenate(
-            [to_digits(p, np.arange(p**l), l), np.ones((p**l, 1), dtype=np.int64)],
-            axis=1,
-        )
-    else:
-        vecs = to_digits(p, np.arange(p ** (l + 1)), l + 1)
-    _QFORM_CACHE[key] = vecs
-    return vecs
-
-
-def qform_value_counts(p: int, entries, l: int, monic: bool):
-    """Histogram of the quadratic form values over the vector family."""
-    e = np.asarray(entries, dtype=np.int64)
-    mat = e[np.arange(l + 1)[:, None] + np.arange(l + 1)[None, :]]
-    vecs = qform_vectors(p, l, monic)
-    vals = ((vecs @ mat) * vecs).sum(axis=1) % p
-    return np.bincount(vals, minlength=p).tolist()
+    p = counts.shape[1]
+    auto = np.stack([(counts * np.roll(counts, d, axis=1)).sum(axis=1) for d in range(p)], axis=1)
+    if (auto[:, 1:] != auto[:, -1:]).any():
+        raise AssertionError("squared magnitude is not a rational integer")
+    return auto[:, 0] - auto[:, -1]

@@ -348,21 +348,3 @@ class CycInt:
                 terms.append(f"{c}*z^{i}" if i else str(c))
         return "CycInt(p=%d: %s)" % (self.p, " + ".join(terms) if terms else "0")
 
-
-def mag_sq_from_counts(p: int, counts) -> int:
-    """|sum_j counts[j] * zeta^j|^2 as an exact integer.
-
-    Raises if the squared magnitude is not a rational integer; for the sums
-    this package produces it always is.
-    """
-    out = [0] * p
-    for i, a in enumerate(counts):
-        if a:
-            for j, b in enumerate(counts):
-                if b:
-                    out[(i - j) % p] += a * b
-    last = out[-1]
-    val = [c - last for c in out]
-    if any(val[1:]):
-        raise AssertionError("squared magnitude is not a rational integer")
-    return val[0]

@@ -15,8 +15,9 @@ n_2 - 1 with n_2 = floor((n+3)/2)), r is the rank of the n_1 x n_2 matrix,
 and pi = r - rho.
 
 The characteristic comes from one Berlekamp-Massey pass, O(n^2) per
-sequence; Gaussian elimination serves the ranks and kernels of explicit
-views, and is the oracle the profile is tested against.
+sequence; the census runs the same pass batched (fastpath.profile).
+Gaussian elimination serves the ranks and kernels of explicit views, and
+is the oracle the profile is tested against.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import fastpath
 from .errors import (
     NotPiZeroError,
     PreconditionViolatedError,
@@ -33,7 +37,7 @@ from .errors import (
     WidthTooSmallError,
     WrongClassError,
 )
-from .field import FieldCtx, FqElem, fq_vectors
+from .field import FieldCtx, FqElem
 from .polyring import Poly, coeff_vector, gcd, laurent_expand
 
 
@@ -461,16 +465,15 @@ class CensusTally:
 
 
 def _census_chunk(args):
-    ctx, n, h, start, stop = args
-    standard: dict = {}
-    strict: dict = {}
-    for entries in fq_vectors(ctx, n + 1 - h, start, stop, zeros=h):
-        prof = profile(Seq(ctx, entries))
-        key = prof.standard
-        standard[key] = standard.get(key, 0) + 1
-        skey = prof.strict
-        strict[skey] = strict.get(skey, 0) + 1
-    return standard, strict
+    """Class tallies of the sequences with codes start..stop-1, indexed by
+    r * side + rho (row 0) and r * side + strict rho (row 1)."""
+    ctx, n, h, start, stop, side = args
+    tallies = np.zeros((2, side * side), dtype=np.int64)
+    for block in fastpath.blocks(ctx, n + 1 - h, zeros=h, start=start, stop=stop):
+        r, rho, strict_rho = fastpath.profile(ctx, block)
+        for tally, key in zip(tallies, (rho, strict_rho)):
+            tally += np.bincount(r * side + key, minlength=side * side)
+    return tallies
 
 
 def census_enumerate(
@@ -483,19 +486,18 @@ def census_enumerate(
     total = ctx.q ** (n + 1 - h)
     if total > cap:
         raise TooLargeError(f"census space q^{n + 1 - h} exceeds the cap {cap}")
+    side = (n + 2) // 2 + 1  # r, rho and strict rho are at most n1
     if workers <= 1 or total < 4 * workers:
-        standard, strict = _census_chunk((ctx, n, h, 0, total))
-        return CensusTally(standard, strict, total)
-    bounds = [total * i // workers for i in range(workers + 1)]
-    jobs = [(ctx, n, h, bounds[i], bounds[i + 1]) for i in range(workers)]
-    standard: dict = {}
-    strict: dict = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part_std, part_strict in pool.map(_census_chunk, jobs):
-            for k, v in part_std.items():
-                standard[k] = standard.get(k, 0) + v
-            for k, v in part_strict.items():
-                strict[k] = strict.get(k, 0) + v
+        tallies = _census_chunk((ctx, n, h, 0, total, side))
+    else:
+        bounds = [total * i // workers for i in range(workers + 1)]
+        jobs = [(ctx, n, h, bounds[i], bounds[i + 1], side) for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            tallies = sum(pool.map(_census_chunk, jobs))
+    standard, strict = (
+        {(c // side, c % side, c // side - c % side): int(t[c]) for c in np.flatnonzero(t).tolist()}
+        for t in tallies
+    )
     return CensusTally(standard, strict, total)
 
 

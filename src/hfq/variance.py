@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import fastpath
 from .errors import (
     BadParityError,
     BoundUndefinedError,
@@ -28,9 +29,10 @@ from .errors import (
     NotMonicError,
     RangeEmptyError,
     TooLargeError,
+    check_guard,
 )
-from .field import CHUNK, from_digits, fq_vectors, to_digits
-from .hankel import Seq, char_polys, profile
+from .field import CHUNK, from_digits, to_digits
+from .hankel import Seq, char_polys
 from .polyring import (
     Poly,
     coeff_vector,
@@ -401,8 +403,7 @@ def kernel_sum_identity(
         c_outer = list(monics(ctx, par.t_prime))
         c_inner = list(monics_upto(ctx, r1 - par.t_prime - 1))
     work = q**da * (len(b_outer) * len(b_inner) + len(c_outer) * len(c_inner))
-    if work > guard:
-        raise TooLargeError(f"identity enumeration needs {work} steps, cap {guard}")
+    check_guard(work, guard, "identity enumeration")
 
     b_bound, c_bound = b_args[0], c_args[0]
     lhs = 0
@@ -444,18 +445,14 @@ def w_sum_identity(u: Poly, v: Poly, n: int, h: int, r: int, guard: int = 10**8)
         raise RangeEmptyError(
             f"r = {r} outside [{h + 1}, {min(mn, n2_seq - 1)}] (and r > 2)"
         )
-    space = q ** (n - h)
-    if space > guard:
-        raise TooLargeError(f"identity enumeration needs {space} steps, cap {guard}")
+    check_guard(q ** (n - h), guard, "identity enumeration")
 
     lhs = 0
-    for entries in fq_vectors(ctx, n - h, zeros=h):
-        seq = Seq(ctx, entries)
-        prof = profile(seq)
-        if prof.strict != (r, r, 0):
-            continue
-        a1 = char_polys(seq).a1
-        lhs += gcd(a1, u).abs_value() * gcd(a1, v).abs_value()
+    for block in fastpath.blocks(ctx, n - h, zeros=h):
+        rank, _, strict_rho = fastpath.profile(ctx, block)
+        for entries in block[(rank == r) & (strict_rho == r)].tolist():  # strict (r, r, 0)
+            a1 = char_polys(Seq(ctx, entries)).a1
+            lhs += gcd(a1, u).abs_value() * gcd(a1, v).abs_value()
 
     w = u * v
     counts: dict = {}

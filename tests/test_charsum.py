@@ -2,18 +2,19 @@ import random
 from fractions import Fraction
 from itertools import product as iter_product
 
+import numpy as np
 import pytest
+from oracle import value_counts_scalar
 
 from hfq import fastpath
 from hfq.charsum import (
-    _value_counts_scalar,
     magsq_via_profile,
     quad_sum_all,
     quad_sum_monic,
     variance_charsum,
 )
 from hfq.errors import BadParityError, LengthMismatchError, NotCoprimeError, TooLargeError
-from hfq.field import CycInt, ctx_new, mag_sq_from_counts
+from hfq.field import CycInt, ctx_new
 from hfq.hankel import Seq, odot, profile
 from hfq.polyring import Poly
 from hfq.variance import ThmParams, variance_bruteforce
@@ -70,9 +71,10 @@ def test_vectorized_counts_match_scalar(ctx):
     for l in (0, 1, 2):
         for s in seqs(ctx, 2 * l):
             for monic in (False, True):
-                fast = fastpath.qform_value_counts(ctx.p, s.entries, l, monic)
-                slow = _value_counts_scalar(s, l, monic)
-                assert fast == slow
+                fast = fastpath.qform_counts(ctx, np.array([s.entries]), l, monic)
+                slow = value_counts_scalar(s, l, monic)
+                assert fast.tolist() == [slow]
+                assert fastpath.magsq(fast)[0] == CycInt(ctx.p, slow).mag_sq().as_integer()
 
 
 def test_joint_sum_factorizes():
@@ -83,14 +85,17 @@ def test_joint_sum_factorizes():
         y = Seq(F3, tuple(rng.randrange(3) for _ in range(3)))
         vx = quad_sum_monic(x, 2).value
         vy = quad_sum_all(y, 1).value
-        cx = _value_counts_scalar(x, 2, True)
-        cy = _value_counts_scalar(y, 1, False)
+        cx = value_counts_scalar(x, 2, True)
+        cy = value_counts_scalar(y, 1, False)
         joint = [0, 0, 0]
         for i, a in enumerate(cx):
             for j, b in enumerate(cy):
                 joint[(i + j) % 3] += a * b
         assert CycInt(3, joint) == vx * vy
-        assert mag_sq_from_counts(3, joint) == vx.mag_sq().as_integer() * vy.mag_sq().as_integer()
+        assert (
+            fastpath.magsq(np.array([joint]))[0]
+            == vx.mag_sq().as_integer() * vy.mag_sq().as_integer()
+        )
 
 
 def test_variance_charsum_fixtures():
@@ -108,6 +113,14 @@ def test_variance_modes_agree():
                 assert variance_charsum(u, v, n, h, "exact") == variance_charsum(
                     u, v, n, h, "fast"
                 ), (ctx.q, n, h)
+    for f9 in (ctx_new(3, 2, (1, 0, 1)), ctx_new(3, 2, (2, 1, 1))):
+        u9, v9 = Poly.one(f9), Poly(f9, (3, 1))  # V = T + w
+        for n in range(2, 4):
+            for h in range(n + 1):
+                oracle = variance_bruteforce(u9, v9, n, h)
+                assert variance_charsum(u9, v9, n, h, "exact") == oracle, (f9, n, h)
+                assert variance_charsum(u9, v9, n, h, "fast") == oracle, (f9, n, h)
+    u, v = Poly.one(F3), Poly.t(F3)
     u2 = Poly.from_ints(F3, [1, 0, 1])
     for h in (2, 3, 4):
         assert variance_charsum(u2, v, 6, h, "exact") == variance_charsum(
@@ -126,7 +139,7 @@ def test_variance_charsum_matches_bruteforce_odd_n():
 
 
 def test_variance_extension_field():
-    # q = 9 walks the generic (non-vectorized) code paths end to end
+    # q = 9 walks the table-gather engine end to end
     ctx = ctx_new(3, 2, [1, 0, 1])
     u, v = Poly.one(ctx), Poly.t(ctx)
     for h in (0, 1, 2):
@@ -169,11 +182,11 @@ def test_variance_invariant_under_character_choice():
                         continue
                     x = odot(s, mw, m_width)
                     y = odot(s, aw, a_width)
-                    cm = _value_counts_scalar(x, l_m, True)
-                    ca = _value_counts_scalar(y, l_a, False)
-                    cm_g = [cm[(j * pow(g, -1, 3)) % 3] for j in range(3)]
-                    ca_g = [ca[(j * pow(g, -1, 3)) % 3] for j in range(3)]
-                    total += mag_sq_from_counts(3, cm_g) * mag_sq_from_counts(3, ca_g)
+                    cm = value_counts_scalar(x, l_m, True)
+                    ca = value_counts_scalar(y, l_a, False)
+                    cm_g = CycInt(3, [cm[(j * pow(g, -1, 3)) % 3] for j in range(3)])
+                    ca_g = CycInt(3, [ca[(j * pow(g, -1, 3)) % 3] for j in range(3)])
+                    total += cm_g.mag_sq().as_integer() * ca_g.mag_sq().as_integer()
                 totals[g] = Fraction(4 * 3 ** (2 * h), 3 ** (2 * n + 1)) * total
             assert totals[1] == totals[2]
             assert totals[1] == variance_charsum(u, v, n, h, "exact")

@@ -133,6 +133,57 @@ def test_identity_kernel_sum(capsys):
     assert code == EXIT_OK and "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "argv,cap",
+    [
+        # sum over l of q^(2l+1) sequences times q^l + q^(l+1) vectors
+        (("identity", "quadform", "--q", "3", "--l", "0..1"), 3 * 4 + 27 * 12),
+        # q^(n+1) sequences per n
+        (("identity", "kernel-structure", "--q", "3", "--n", "0..2"), 3 + 9 + 27),
+        (("identity", "reduction", "--q", "3", "--n", "0..3"), 27 + 81),
+        # q^(n+1-h) sequences plus q^r * q^(r-h) pairs per h
+        (
+            ("identity", "bijection", "--q", "3", "--n", "6", "--r", "3", "--h", "0..2"),
+            sum(3 ** (7 - h) + 3 ** (6 - h) for h in range(3)),
+        ),
+        # exact mode: q^(n+1-h) sequences times q^l_m monic + q^(l_a+1) full vectors
+        (
+            ("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "4", "--h", "1",
+             "--charsum"),
+            3**4 * (3**2 + 3**2),
+        ),
+    ],
+    ids=["quadform", "kernel-structure", "reduction", "bijection", "charsum-exact"],
+)
+def test_guard_bounds_the_work(capsys, argv, cap):
+    code, _, _ = run(capsys, *argv, "--guard", str(cap))
+    assert code == EXIT_OK
+    code, _, err = run(capsys, *argv, "--guard", str(cap - 1))
+    assert code == EXIT_GUARD and "guard" in err
+
+
+def test_guard_trips_before_a_huge_identity(capsys):
+    code, _, err = run(capsys, "identity", "kernel-structure", "--q", "3", "--n", "0..30")
+    assert code == EXIT_GUARD and "guard" in err
+    code, _, err = run(capsys, "identity", "quadform", "--q", "3", "--l", "30..30")
+    assert code == EXIT_GUARD and "guard" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("identity", "reduction", "--q", "3", "--n", "0..3", "--W", "0"),
+        ("identity", "quadform", "--q", "3", "--l=-1..0"),
+        ("identity", "kernel-sum", "--q", "3", "--U", "0,1", "--V", "0,1", "--n", "4..6"),
+        ("identity", "w-sum", "--q", "3", "--U", "1", "--V", "1,0,1", "--n", "6"),
+    ],
+    ids=["zero-window", "negative-l", "odd-U", "even-V"],
+)
+def test_identity_bad_input_exits_64(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and "error" in err
+
+
 def test_phisum_csv_rows(capsys):
     code, out, _ = run(
         capsys, "phisum", "--q", "3", "--W2", "1", "--W3", "1", "--kmax", "4"
@@ -329,9 +380,7 @@ def _argv(draw):
     return argv + flags + draw(_GUARD)
 
 
-@settings(max_examples=300)
-@given(_argv())
-def test_exit_codes_property(argv):
+def _assert_not_a_mismatch(argv):
     # No argv here asks for a falsified identity, so 1 would mean bad input
     # was reported as a mathematical mismatch.
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -341,3 +390,40 @@ def test_exit_codes_property(argv):
             code = exc.code
     assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_GUARD, EXIT_USAGE)
     assert code != EXIT_MISMATCH, argv
+
+
+@settings(max_examples=300)
+@given(_argv())
+def test_exit_codes_property(argv):
+    _assert_not_a_mismatch(argv)
+
+
+# identity over the same kinds of values: every kind with its --l, --r and
+# --W flags.  identity runs until its guard trips, so every example carries
+# a small one.
+_IDENTITY_FIELD = st.sampled_from([("3",), ("3",), ("5",), ("9", "--modulus", "2,1,1"), ("4",)])
+_IDENTITY_RANGE = st.sampled_from(["0", "1..2", "0..3", "3..1", "-2..1", "-1..0", "a..b", ""])
+
+
+@st.composite
+def _identity_argv(draw):
+    kind = draw(
+        st.sampled_from(
+            ["quadform", "kernel-structure", "reduction", "bijection", "kernel-sum", "w-sum"]
+        )
+    )
+    argv = ["identity", kind, "--q", *draw(_IDENTITY_FIELD)]
+    for flag in ("--n", "--h", "--l"):
+        argv.append(f"{flag}={draw(_IDENTITY_RANGE)}")
+    argv += [f"--r={draw(_INT)}", f"--W={draw(_POLY)}"]
+    u, v = draw(st.one_of(_VALID_UV, st.tuples(_POLY, _POLY)))
+    argv += ["--U", u, "--V", v]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv + ["--guard", draw(st.sampled_from(["500", "500", "500", "1", "-5"]))]
+
+
+@settings(max_examples=300)
+@given(_identity_argv())
+def test_identity_exit_codes_property(argv):
+    _assert_not_a_mismatch(argv)

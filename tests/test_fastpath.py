@@ -1,33 +1,38 @@
-"""The Berlekamp-Massey profiles (scalar hankel.profile and the batched
-fastpath.batched_profile) against Gaussian elimination on the Hankel
-squares, exhaustively on small envelopes and by property tests beyond."""
+"""The engine in hfq.fastpath against its oracles: the Berlekamp-Massey
+profiles (scalar hankel.profile and the batched fastpath.profile) against
+Gaussian elimination on the Hankel squares, the trace-form character tallies
+against the literal sum, the block enumerator against fq_vectors, and the
+census tally against a scalar-profile tally; exhaustively on small envelopes
+and by property tests beyond."""
 
+import random
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import gauss_profile, value_counts_scalar
 
-from hfq.fastpath import batched_profile
-from hfq.field import ctx_new
-from hfq.hankel import HankelView, Seq, profile, rank
+from hfq import fastpath
+from hfq.field import CHUNK, ctx_new, fq_vectors
+from hfq.hankel import Seq, census_enumerate, profile
 
-
-def gauss_profile(seq: Seq):
-    """(r, rho, strict_rho) by eliminating every leading square."""
-    n1, n2 = seq.n1, seq.n2
-    invertible = [k for k in range(1, n1 + 1) if rank(HankelView(seq, k, k)) == k]
-    r = rank(HankelView(seq, n1, n2))
-    rho = max(invertible, default=0)
-    strict_rho = max((k for k in invertible if k < n2), default=0)
-    return r, rho, strict_rho
+F9A = ctx_new(3, 2, (1, 0, 1))
+F9B = ctx_new(3, 2, (2, 1, 1))
+F25 = ctx_new(5, 2, (2, 0, 1))
+F27 = ctx_new(3, 3, (1, 2, 0, 1))
 
 
 def bm_profile(seq: Seq):
     p = profile(seq)
     assert p.pi == p.r - p.rho and p.strict_pi == p.r - p.strict_rho
     return p.r, p.rho, p.strict_rho
+
+
+def engine_profile(ctx, rows):
+    """fastpath.profile on a block, as one (r, rho, strict_rho) per row."""
+    return list(zip(*(x.tolist() for x in fastpath.profile(ctx, np.array(rows, dtype=np.int64)))))
 
 
 @pytest.mark.parametrize(
@@ -43,44 +48,121 @@ def test_scalar_profile_matches_gauss_exhaustive(ctx, n_max):
             assert bm_profile(seq) == gauss_profile(seq), entries
 
 
-def _scalar_r_srho(p: int, rows: np.ndarray):
-    ctx = ctx_new(p)
-    profs = [profile(Seq(ctx, tuple(int(x) for x in row))) for row in rows]
-    return [pr.r for pr in profs], [pr.strict_rho for pr in profs]
-
-
-@pytest.mark.parametrize("p,len_max", [(3, 10), (5, 7), (7, 5)], ids=["q3", "q5", "q7"])
-def test_batched_profile_matches_scalar_exhaustive(p, len_max):
+@pytest.mark.parametrize(
+    "ctx,len_max",
+    [
+        (ctx_new(3), 10),
+        (ctx_new(5), 7),
+        (ctx_new(7), 5),
+        (F9A, 5),
+        (F9B, 5),
+        (F25, 3),
+        (F27, 3),
+    ],
+    ids=["q3", "q5", "q7", "q9a", "q9b", "q25", "q27"],
+)
+def test_batched_profile_matches_scalar_exhaustive(ctx, len_max):
     for m in range(1, len_max + 1):
-        rows = np.array(list(product(range(p), repeat=m)), dtype=np.int64)
-        r, srho = batched_profile(rows, p)
-        want_r, want_srho = _scalar_r_srho(p, rows)
-        assert r.tolist() == want_r
-        assert srho.tolist() == want_srho
+        rows = list(fq_vectors(ctx, m))
+        want = [bm_profile(Seq(ctx, row)) for row in rows]
+        assert engine_profile(ctx, rows) == want, (ctx, m)
+
+
+_PROPERTY_FIELDS = [
+    ctx_new(7),
+    ctx_new(11),
+    ctx_new(13),
+    F9A,
+    F25,
+    F27,
+    ctx_new(7, 2, (1, 0, 1)),
+    ctx_new(5, 3, (1, 1, 0, 1)),
+    ctx_new(13, 2, (2, 0, 1)),
+]
 
 
 @st.composite
 def sequences(draw):
-    p = draw(st.sampled_from([7, 11, 13]))
+    ctx = draw(st.sampled_from(_PROPERTY_FIELDS))
     length = draw(st.integers(1, 24))
     zeros = draw(st.integers(0, length))
-    tail = draw(st.lists(st.integers(0, p - 1), min_size=length - zeros, max_size=length - zeros))
-    return p, [0] * zeros + tail
+    tail = draw(
+        st.lists(st.integers(0, ctx.q - 1), min_size=length - zeros, max_size=length - zeros)
+    )
+    return ctx, [0] * zeros + tail
 
 
 @settings(max_examples=300)
 @given(sequences())
 def test_profiles_agree_beyond_the_envelopes(case):
-    p, entries = case
-    seq = Seq(ctx_new(p), entries)
-    r, rho, strict_rho = gauss_profile(seq)
-    assert bm_profile(seq) == (r, rho, strict_rho)
-    br, bsrho = batched_profile(np.array([entries], dtype=np.int64), p)
-    assert (br[0], bsrho[0]) == (r, strict_rho)
+    ctx, entries = case
+    seq = Seq(ctx, entries)
+    want = gauss_profile(seq)
+    assert bm_profile(seq) == want
+    assert engine_profile(ctx, [entries]) == [want]
 
 
 def test_batched_profile_fixtures():
-    rows = np.array([[0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0] * 5])
-    r, srho = batched_profile(rows, 3)
+    rows = [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0] * 5]
+    r, rho, strict_rho = fastpath.profile(ctx_new(3), np.array(rows))
     assert r.tolist() == [1, 1, 3, 0]
-    assert srho.tolist() == [0, 1, 0, 0]
+    assert rho.tolist() == [0, 1, 3, 0]
+    assert strict_rho.tolist() == [0, 1, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "ctx,width,zeros,start,stop",
+    [
+        (ctx_new(3), 10, 0, 0, None),
+        (ctx_new(3), 9, 2, 5000, 9000),
+        (ctx_new(5), 1, 3, 0, None),
+        (ctx_new(3), 0, 4, 0, None),
+        (F9B, 4, 1, 17, 6000),
+    ],
+    ids=["q3", "q3-slice", "q5-width1", "width0", "q9"],
+)
+def test_blocks_concatenate_to_fq_vectors(ctx, width, zeros, start, stop):
+    got = list(fastpath.blocks(ctx, width, zeros, start, stop))
+    assert all(len(b) * width <= CHUNK for b in got)
+    rows = [tuple(row) for b in got for row in b.tolist()]
+    assert rows == list(fq_vectors(ctx, width, start, stop, zeros=zeros))
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [ctx_new(3), ctx_new(5), F9A, F9B, F25, F27],
+    ids=["q3", "q5", "q9a", "q9b", "q25", "q27"],
+)
+def test_qform_counts_match_literal_sum(ctx):
+    # every sequence where there are few, a seeded sample where there are many
+    rng = random.Random(ctx.q)
+    for l in range(3):
+        if ctx.q ** (2 * l + 1) <= 3125:
+            rows = list(fq_vectors(ctx, 2 * l + 1))
+        else:
+            rows = [tuple(rng.randrange(ctx.q) for _ in range(2 * l + 1)) for _ in range(4)]
+            rows.append((0,) * 2 * l + (1,))
+        for monic in (False, True):
+            got = fastpath.qform_counts(ctx, np.array(rows), l, monic).tolist()
+            want = [value_counts_scalar(Seq(ctx, row), l, monic) for row in rows]
+            assert got == want, (ctx, l, monic)
+
+
+def _scalar_tally(ctx, n, h):
+    standard, strict = {}, {}
+    for entries in fq_vectors(ctx, n + 1 - h, zeros=h):
+        prof = profile(Seq(ctx, entries))
+        standard[prof.standard] = standard.get(prof.standard, 0) + 1
+        strict[prof.strict] = strict.get(prof.strict, 0) + 1
+    return standard, strict
+
+
+@pytest.mark.parametrize(
+    "ctx,n_max", [(ctx_new(3), 6), (ctx_new(5), 4), (F9A, 2)], ids=["q3", "q5", "q9"]
+)
+def test_census_tally_matches_scalar_profile(ctx, n_max):
+    for n in range(n_max + 1):
+        for h in range(n + 2):
+            tally = census_enumerate(ctx, n, h)
+            assert (tally.standard, tally.strict) == _scalar_tally(ctx, n, h), (n, h)
+            assert all(type(c) is int for c in tally.standard.values())
