@@ -30,7 +30,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import NotCoprimeError, NotMonicError, TooLargeError
+from .errors import NotCoprimeError, NotMonicError, check_guard
 from .field import CHUNK, FieldCtx, from_digits, to_digits
 from .polyring import Poly, coeff_vector, factor, gcd
 
@@ -201,8 +201,7 @@ def convergence_report(
     if k_max < 0:
         raise ValueError("need k_max >= 0")
     ctx = w2.ctx
-    if ctx.q ** (k_max + 1) > guard:
-        raise TooLargeError(f"enumeration space q^{k_max + 1} exceeds the cap {guard}")
+    check_guard(ctx.q ** (k_max + 1), guard, f"phi sum to degree {k_max}", "polynomials")
     nums = _degree_numerators(ctx, w2, w3, k_max)
     q = ctx.q
     increments = [Fraction((q - 1) * nums[d], q ** (2 * d)) for d in range(k_max + 1)]

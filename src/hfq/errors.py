@@ -102,9 +102,9 @@ class TooLargeError(HfqError):
     pass
 
 
-def check_guard(work: int, guard: int, what: str) -> None:
+def check_guard(work: int, guard: int, what: str, unit: str = "steps") -> None:
     if work > guard:
-        raise TooLargeError(f"{what} needs {work} steps, cap {guard}")
+        raise TooLargeError(f"{what} needs {work} {unit}, cap {guard}")
 
 
 class BoundUndefinedError(HfqError):

@@ -126,12 +126,12 @@ def odot(ctx: FieldCtx, block: np.ndarray, wvec) -> np.ndarray:
     return _unpack(ctx, acc, base)
 
 
-@cache
-def _qform_pairs(p: int, k: int, l: int, monic: bool) -> np.ndarray:
-    """e_d e_d' for the residue digits e of every E of degree <= l, or of
-    every monic E of degree l (its last coefficient has code 1)."""
-    free = k * (l + 1 - monic)
-    vecs = to_digits(p, np.arange(p**free) + monic * p**free, k * (l + 1))
+def _qform_pairs(p: int, k: int, l: int, monic: bool, lo: int, hi: int) -> np.ndarray:
+    """e_d e_d' for the residue digits e of the E numbered lo..hi-1 among
+    those of degree <= l, or among the monic E of degree l (its last
+    coefficient has code 1)."""
+    offset = monic * p ** (k * l)
+    vecs = to_digits(p, np.arange(lo, hi) + offset, k * (l + 1))
     return (vecs[:, :, None] * vecs[:, None, :]).reshape(len(vecs), -1)
 
 
@@ -139,20 +139,26 @@ def qform_counts(ctx: FieldCtx, block: np.ndarray, l: int, monic: bool) -> np.nd
     """[N, p] histograms of the psi-exponent Tr(sum_{i,j} x_{i+j} E_i E_j)
     over E of degree <= l (or monic of degree l), one row per row x of an
     [N, 2l+1] block.  In the residue digits e_{i,a} of E the exponent is the
-    F_p-quadratic form with matrix M[(i,a),(j,b)] = Tr(x_{i+j} w^a w^b)."""
+    F_p-quadratic form with matrix M[(i,a),(j,b)] = Tr(x_{i+j} w^a w^b).
+
+    The rows and the family of E are both taken in chunks, so that no
+    temporary holds more than about field.CHUNK entries."""
     p, k = ctx.p, ctx.k
     dim = k * (l + 1)
-    pairs = _qform_pairs(p, k, l, monic)
+    out = np.zeros((len(block), p), dtype=np.int64)
+    n_vecs = p ** (k * (l + 1 - monic))
+    v_step = min(n_vecs, max(1, CHUNK // (dim * dim)))
+    step = max(1, CHUNK // max(dim * dim, v_step))
     idx = np.arange(l + 1)
-    mats = _tables(ctx)[3][block[:, idx[:, None] + idx]]  # [N, i, j, a, b]
-    mats = mats.transpose(0, 1, 3, 2, 4).reshape(len(block), dim * dim)
-    out = np.empty((len(block), p), dtype=np.int64)
-    step = max(1, CHUNK // len(pairs))
     for lo in range(0, len(block), step):
-        vals = mats[lo : lo + step] @ pairs.T % p
-        rows = len(vals)
-        vals += p * np.arange(rows)[:, None]
-        out[lo : lo + rows] = np.bincount(vals.ravel(), minlength=rows * p).reshape(rows, p)
+        mats = _tables(ctx)[3][block[lo : lo + step, idx[:, None] + idx]]  # [N, i, j, a, b]
+        mats = mats.transpose(0, 1, 3, 2, 4).reshape(len(mats), dim * dim)
+        shift = p * np.arange(len(mats))[:, None]
+        for v_lo in range(0, n_vecs, v_step):
+            pairs = _qform_pairs(p, k, l, monic, v_lo, min(v_lo + v_step, n_vecs))
+            vals = mats @ pairs.T % p + shift
+            counts = np.bincount(vals.ravel(), minlength=len(mats) * p)
+            out[lo : lo + len(mats)] += counts.reshape(len(mats), p)
     return out
 
 

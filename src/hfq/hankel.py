@@ -32,10 +32,10 @@ from .errors import (
     NotPiZeroError,
     PreconditionViolatedError,
     ShapeTooSmallError,
-    TooLargeError,
     TooShortError,
     WidthTooSmallError,
     WrongClassError,
+    check_guard,
 )
 from .field import FieldCtx, FqElem
 from .polyring import Poly, coeff_vector, gcd, laurent_expand
@@ -484,8 +484,7 @@ def census_enumerate(
     if n < 0 or not 0 <= h <= n + 1:
         raise ValueError("need n >= 0 and 0 <= h <= n+1")
     total = ctx.q ** (n + 1 - h)
-    if total > cap:
-        raise TooLargeError(f"census space q^{n + 1 - h} exceeds the cap {cap}")
+    check_guard(total, cap, f"census of q^{n + 1 - h}", "sequences")
     side = (n + 2) // 2 + 1  # r, rho and strict rho are at most n1
     if workers <= 1 or total < 4 * workers:
         tallies = _census_chunk((ctx, n, h, 0, total, side))

@@ -28,7 +28,6 @@ from .errors import (
     NotCoprimeError,
     NotMonicError,
     RangeEmptyError,
-    TooLargeError,
     check_guard,
 )
 from .field import CHUNK, from_digits, to_digits
@@ -106,8 +105,7 @@ def s_count(u: Poly, v: Poly, b: Poly, guard: int = 10**8) -> int:
     ctx = u.ctx
     e_max, f_max = _half_degrees(u, v, b.degree)
     work = ctx.q ** (e_max + f_max + 2)
-    if work > guard:
-        raise TooLargeError(f"s_count needs {work} pairs, cap {guard}")
+    check_guard(work, guard, "s_count", "pairs")
     count = 0
     f_squares = [v * f * f for f in polys_upto(ctx, f_max)]
     for e in polys_upto(ctx, e_max):
@@ -135,8 +133,7 @@ def interval_sum(u: Poly, v: Poly, a: Poly, h: int, guard: int = 10**8) -> int:
     validate_pair(u, v)
     e_max, f_max = _half_degrees(u, v, max(a.degree, h - 1))  # the largest deg(A + D)
     work = u.ctx.q ** (h + e_max + f_max + 2)
-    if work > guard:
-        raise TooLargeError(f"interval_sum needs {work} pairs, cap {guard}")
+    check_guard(work, guard, "interval_sum", "pairs")
     total = 0
     for d in polys_upto(u.ctx, h - 1):
         total += s_count(u, v, a + d, guard)
@@ -182,9 +179,7 @@ def variance_bruteforce(u: Poly, v: Poly, n: int, h: int, guard: int = 10**8) ->
     q = u.ctx.q
     pairs = q ** (par.s_prime + par.t_prime + 1)
     classes = q ** (n - h)
-    cap = min(guard, 2**30)
-    if max(pairs, classes) > cap:
-        raise TooLargeError(f"enumeration needs {max(pairs, classes)} steps, cap {cap}")
+    check_guard(max(pairs, classes), min(guard, 2**30), "enumeration")
     counts = _binned_interval_sums(u, v, par)
     s1, s2 = int(counts.sum()), int(counts @ counts)
     mean = mean_formula(u, v, n, h)

@@ -148,6 +148,16 @@ def test_variance_extension_field():
         assert variance_charsum(u, v, 2, h, "fast") == oracle
 
 
+def test_exact_variance_with_every_class_near_zero_sums_nothing(monkeypatch):
+    # at h = n every sequence is near-zero and dropped, so no character sum
+    # is formed, however wide its family of E (here l = 14)
+    def no_pairs(*args):
+        raise AssertionError("a character sum was formed for an empty block")
+
+    monkeypatch.setattr(fastpath, "_qform_pairs", no_pairs)
+    assert variance_charsum(Poly.one(F3), Poly.t(F3), 28, 28, "exact") == 0
+
+
 def test_variance_charsum_validation():
     with pytest.raises(BadParityError):
         variance_charsum(Poly.t(F3), Poly.t(F3), 4, 0)

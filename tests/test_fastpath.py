@@ -123,7 +123,7 @@ def test_batched_profile_fixtures():
 )
 def test_blocks_concatenate_to_fq_vectors(ctx, width, zeros, start, stop):
     got = list(fastpath.blocks(ctx, width, zeros, start, stop))
-    assert all(len(b) * width <= CHUNK for b in got)
+    assert all(len(b) * width <= CHUNK // 2 for b in got)
     rows = [tuple(row) for b in got for row in b.tolist()]
     assert rows == list(fq_vectors(ctx, width, start, stop, zeros=zeros))
 
@@ -146,6 +146,36 @@ def test_qform_counts_match_literal_sum(ctx):
             got = fastpath.qform_counts(ctx, np.array(rows), l, monic).tolist()
             want = [value_counts_scalar(Seq(ctx, row), l, monic) for row in rows]
             assert got == want, (ctx, l, monic)
+
+
+@pytest.mark.parametrize("ctx,l", [(ctx_new(3), 3), (F9B, 2)], ids=["q3", "q9"])
+def test_qform_counts_stream_in_small_chunks(ctx, l, monkeypatch):
+    # a tiny CHUNK splits both the rows and the family of E into many pieces
+    rows = np.array(list(fq_vectors(ctx, 2 * l + 1, 0, 40)))
+    want = {m: fastpath.qform_counts(ctx, rows, l, m) for m in (False, True)}
+    sizes = []
+    make_pairs = fastpath._qform_pairs
+
+    def recording_pairs(*args):
+        pairs = make_pairs(*args)
+        sizes.append(pairs.size)
+        return pairs
+
+    monkeypatch.setattr(fastpath, "CHUNK", 64)
+    monkeypatch.setattr(fastpath, "_qform_pairs", recording_pairs)
+    for monic in (False, True):
+        assert (fastpath.qform_counts(ctx, rows, l, monic) == want[monic]).all()
+    dim_sq = (ctx.k * (l + 1)) ** 2
+    assert len(sizes) > 2 and max(sizes) <= max(64, dim_sq)
+
+
+def test_qform_counts_of_no_rows_builds_nothing(monkeypatch):
+    def no_pairs(*args):
+        raise AssertionError("the family of E was built for an empty block")
+
+    monkeypatch.setattr(fastpath, "_qform_pairs", no_pairs)
+    empty = np.zeros((0, 29), dtype=np.int64)
+    assert fastpath.qform_counts(ctx_new(3), empty, 14, True).shape == (0, 3)
 
 
 def _scalar_tally(ctx, n, h):
