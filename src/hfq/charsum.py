@@ -25,7 +25,7 @@ import numpy as np
 from . import fastpath
 from .errors import LengthMismatchError, check_guard
 from .field import CycInt
-from .hankel import Profile, Seq, profile
+from .hankel import Seq, profile
 from .polyring import Poly, coeff_vector
 from .variance import ThmParams
 
@@ -34,7 +34,6 @@ from .variance import ThmParams
 class QuadSumResult:
     value: CycInt
     mag_sq: int
-    profile_used: Profile
 
 
 def _check_length(seq: Seq, l: int) -> None:
@@ -51,7 +50,7 @@ def _quad_sum(seq: Seq, l: int, monic: bool) -> QuadSumResult:
     ctx = seq.ctx
     counts = fastpath.qform_counts(ctx, np.array([seq.entries]), l, monic)
     value = CycInt(ctx.p, counts[0].tolist())
-    return QuadSumResult(value, int(fastpath.magsq(counts)[0]), profile(seq))
+    return QuadSumResult(value, int(fastpath.magsq(counts)[0]))
 
 
 def quad_sum_all(seq: Seq, l: int) -> QuadSumResult:

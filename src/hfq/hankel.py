@@ -14,10 +14,11 @@ submatrix (capped at n_1 = floor((n+2)/2); the strict variant caps at
 n_2 - 1 with n_2 = floor((n+3)/2)), r is the rank of the n_1 x n_2 matrix,
 and pi = r - rho.
 
-The characteristic comes from one Berlekamp-Massey pass, O(n^2) per
-sequence; the census runs the same pass batched (fastpath.profile).
-Gaussian elimination serves the ranks and kernels of explicit views, and
-is the oracle the profile is tested against.
+The characteristic and the kernel polynomials come from one
+Berlekamp-Massey pass, O(n^2) per sequence; the census runs the same pass
+batched (fastpath.profile).  Gaussian elimination serves only rank and
+kernel_basis, the ranks and kernels of explicit views: it is the
+independent side that the pass is checked against.
 """
 
 from __future__ import annotations
@@ -223,13 +224,12 @@ class Profile:
         }
 
 
-def _hankel_rows(entries, rows: int, cols: int):
-    return [list(entries[i : i + cols]) for i in range(rows)]
-
-
 def _lc_profile(entries, ctx: FieldCtx):
-    """Linear complexities L_0..L_len of the prefixes (Berlekamp-Massey).
-    c and bs = x^shift * B have fixed width len + 1; each step shifts bs."""
+    """One Berlekamp-Massey pass: the linear complexities L_0..L_len of the
+    prefixes, the connection polynomial cs[i] after i entries, and the final
+    bs = x^shift * B.  c and bs have fixed width len + 1; each step shifts bs,
+    and c is rebuilt (never mutated) whenever it changes, so cs[i] is a
+    snapshot."""
     zero = ctx.zero
     width = len(entries) + 1
     c = [ctx.one] + [zero] * (width - 1)
@@ -237,6 +237,7 @@ def _lc_profile(entries, ctx: FieldCtx):
     b_inv = ctx.one
     length = 0
     out = [0]
+    cs = [c]
     for i, d in enumerate(entries):
         for j in range(1, length + 1):
             if c[j] != zero:
@@ -251,7 +252,16 @@ def _lc_profile(entries, ctx: FieldCtx):
                 bs = prev
         bs = [zero] + bs[:-1]
         out.append(length)
-    return out
+        cs.append(c)
+    return out, cs, bs
+
+
+def _profile_of(seq: Seq, lc) -> Profile:
+    r = min(lc[-1], seq.n + 2 - lc[-1])
+    invertible = [k for k in range(1, seq.n1 + 1) if lc[2 * k - 1] == k]
+    rho = max(invertible, default=0)
+    strict_rho = max((k for k in invertible if k < seq.n2), default=0)
+    return Profile(r, rho, r - rho, strict_rho, r - strict_rho)
 
 
 def profile(seq: Seq) -> Profile:
@@ -261,36 +271,45 @@ def profile(seq: Seq) -> Profile:
     rank r = min(L_{n+1}, n + 2 - L_{n+1}), and the leading k x k square is
     invertible iff L_{2k-1} = k.
     """
-    lc = _lc_profile(seq.entries, seq.ctx)
-    r = min(lc[-1], seq.n + 2 - lc[-1])
-    invertible = [k for k in range(1, seq.n1 + 1) if lc[2 * k - 1] == k]
-    rho = max(invertible, default=0)
-    strict_rho = max((k for k in invertible if k < seq.n2), default=0)
-    return Profile(r, rho, r - rho, strict_rho, r - strict_rho)
+    return _profile_of(seq, _lc_profile(seq.entries, seq.ctx)[0])
 
 
-def _solve_recurrence_vector(seq: Seq, rho: int):
-    """x with H_{rho,rho} x = (alpha_rho, ..., alpha_{2 rho - 1})^T."""
-    ctx = seq.ctx
-    e = seq.entries
-    aug = [list(e[i : i + rho]) + [e[i + rho]] for i in range(rho)]
-    pivots = _row_reduce(aug, rho + 1, ctx)
-    if pivots != list(range(rho)):
-        raise AssertionError("leading square expected to be invertible")
-    return tuple(row[rho] for row in aug)
+def _rev(ctx: FieldCtx, c, d: int) -> Poly:
+    """x^d c(1/x) for a coefficient list c of degree <= d."""
+    if any(c[d + 1 :]):
+        raise AssertionError(f"connection polynomial exceeds degree {d}")
+    return Poly(ctx, c[d::-1])
+
+
+def _first_kernel_poly(ctx: FieldCtx, n: int, rho: int, lc, cs) -> Poly:
+    """a1 read off the connection polynomials of the pass (see char_polys)."""
+    if rho == 0:
+        return Poly.one(ctx)
+    if 2 * rho - 1 <= n:
+        return _rev(ctx, cs[2 * rho], rho)
+    # full-rank even case, n = 2 rho - 2: the kernel of the (rho-1) x (rho+1)
+    # view is spanned by A of degree rho and the monic g of the least degree
+    # f0 it admits (its first free column)
+    a = _rev(ctx, cs[n + 1], rho)
+    f0 = min(j for j in range(rho) if lc[j + rho - 1] <= j)
+    g = _rev(ctx, cs[f0 + rho - 1], f0)
+    return a - g.scale(a.coeff(f0))
 
 
 def rhopi_form(view: HankelView):
     """Apply the kernel-preserving row operations that expose the block shape.
 
     Returns (matrix, x) where x is the solution vector defining the row
-    operations (empty when no operations apply).  The result has the
-    invertible rho x rho leading square on top, zeros below it, and a lower
-    skew-triangular Hankel block at bottom right whose first non-zero
-    skew-diagonal is the pi-th from the end.
+    operations (empty when no operations apply): H_{rho,rho} x =
+    (alpha_rho, ..., alpha_{2 rho - 1})^T, read off a1 = T^rho - sum x_j T^j.
+    The result has the invertible rho x rho leading square on top, zeros
+    below it, and a lower skew-triangular Hankel block at bottom right whose
+    first non-zero skew-diagonal is the pi-th from the end.
     """
     seq = view.seq
-    prof = profile(seq)
+    ctx = seq.ctx
+    lc, cs, _ = _lc_profile(seq.entries, ctx)
+    prof = _profile_of(seq, lc)
     if view.rows < prof.r or view.cols < prof.r:
         raise ShapeTooSmallError(
             f"need at least {prof.r} rows and columns, have {view.rows}x{view.cols}"
@@ -299,8 +318,8 @@ def rhopi_form(view: HankelView):
     rho = prof.rho
     if rho == 0 or 2 * rho - 1 > seq.n:
         return mat, ()
-    x = _solve_recurrence_vector(seq, rho)
-    ctx = seq.ctx
+    a1 = _first_kernel_poly(ctx, seq.n, rho, lc, cs)
+    x = tuple(ctx.neg(c) for c in a1.coeffs[:rho])
     for i in range(view.rows - 1, rho - 1, -1):
         new_row = list(mat[i])
         for j, xj in enumerate(x):
@@ -322,72 +341,39 @@ class CharPolys:
     canonical: bool
 
 
-def _is_a1_multiple_in_range(v: Poly, a1: Poly, max_cofactor_deg) -> bool:
-    if v.is_zero:
-        return True
-    q, r = divmod(v, a1)
-    return r.is_zero and q.degree <= max_cofactor_deg
-
-
 def char_polys(seq: Seq) -> CharPolys:
-    """First and second kernel polynomials of the sequence.
+    """First and second kernel polynomials of the sequence, read off the
+    connection polynomials cs[i] of one Berlekamp-Massey pass, with
+    rev_d(c) = x^d c(1/x).
 
-    a1 is monic of degree rho; a2 is monic of degree <= n - r + 2 (zero for
-    the zero sequence) and reduced canonically by the allowed a1-multiple
-    additions.  For the full-rank case with even n the defining linear
-    system has no data column, so a1 is fixed as the canonical kernel vector
-    of the (n1-1) x (n1+1) view with non-zero last entry; that choice is one
-    of several valid ones and downstream code never relies on it being
-    anything more than a valid representative.
+    a1 is monic of degree rho: rev_rho(cs[2 rho]) when 2 rho - 1 <= n.  In
+    the full-rank case with even n (n = 2 rho - 2) no leading square fixes
+    it, and a1 is the kernel vector of the (rho-1) x (rho+1) view with last
+    coefficient 1 and coefficient 0 at the view's first free column f0 =
+    min{j : L_{j+rho-1} <= j}: A - A_f0 g with A = rev_rho(cs[n+1]) and
+    g = rev_f0(cs[f0+rho-1]).
+
+    a2 is monic of degree <= m = n - r + 2 (zero for the zero sequence):
+    rev_m of the final shifted auxiliary polynomial when L_{n+1} = r, and of
+    cs[n+1] otherwise, reduced canonically by the allowed a1-multiple
+    additions.  Any kernel vector of the (r-1) x (m+1) view outside the
+    a1-multiples reduces to the same a2.
     """
     ctx = seq.ctx
     n = seq.n
-    prof = profile(seq)
+    lc, cs, bs = _lc_profile(seq.entries, ctx)
+    prof = _profile_of(seq, lc)
     r, rho = prof.r, prof.rho
-    one = Poly.one(ctx)
     if r == 0:
-        return CharPolys(one, Poly.zero(ctx), True)
-
-    if rho == 0:
-        a1 = one
-    elif 2 * rho - 1 <= n:
-        x = _solve_recurrence_vector(seq, rho)
-        a1 = Poly(ctx, tuple(ctx.neg(c) for c in x) + (ctx.one,))
-    else:
-        # full-rank even case: pick a1 from the first kernel where it appears
-        kb = _kernel_basis_raw(
-            _hankel_rows(seq.entries, rho - 1, n + 3 - rho), n + 3 - rho, ctx
-        )
-        cand = [v for v in kb if v[-1] != ctx.zero]
-        if not cand:
-            raise AssertionError("no monic kernel vector of full degree")
-        a1 = Poly(ctx, cand[0]).monic()
-
-    m = n + 2 - r
-    if r >= 2:
-        kb = _kernel_basis_raw(_hankel_rows(seq.entries, r - 1, m + 1), m + 1, ctx)
-    else:
-        kb = [
-            tuple(ctx.one if i == j else ctx.zero for i in range(m + 1))
-            for j in range(m + 1)
-        ]
-    max_cof = m - r  # degree bound for a1-multiples inside this kernel
-    pick = None
-    for v in kb:
-        pv = Poly(ctx, v)
-        if not _is_a1_multiple_in_range(pv, a1, max_cof):
-            pick = pv
-            break
-    if pick is None:
-        raise AssertionError("kernel lacks a second independent polynomial")
+        return CharPolys(Poly.one(ctx), Poly.zero(ctx), True)
+    a1 = _first_kernel_poly(ctx, n, rho, lc, cs)
+    reduced = _rev(ctx, bs if lc[-1] == r else cs[-1], n + 2 - r)
     # canonical reduction: remove every addable multiple c T^d a1, top down
-    reduced = pick
     for d in range(n - 2 * r + 2, -1, -1):
         c = reduced.coeff(d + rho)
         if c != ctx.zero:
             reduced = reduced - a1.shift(d).scale(c)
-    a2 = reduced.monic()
-    return CharPolys(a1, a2, rho == r)
+    return CharPolys(a1, reduced.monic(), rho == r)
 
 
 def seq_extend(seq: Seq, extra: int) -> Seq:

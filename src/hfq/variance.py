@@ -149,7 +149,8 @@ def _class_digits(ctx, parts, h: int, n: int) -> np.ndarray:
 def _binned_interval_sums(u: Poly, v: Poly, par: ThmParams) -> np.ndarray:
     """Interval sum of every class, indexed by the code of coefficients h..n-1
     of B (the leading one is always 1).  Each pair of a monic and a free part
-    adds 2, for E and -E; the pairs' digits are summed mod p in blocks."""
+    adds 2, for E and -E; the pairs' digits are summed mod p and tallied into
+    the q^(n-h) classes block by block, so no array grows with the pairs."""
     ctx = u.ctx
     n, h = par.n, par.h
     if par.even:
@@ -162,13 +163,13 @@ def _binned_interval_sums(u: Poly, v: Poly, par: ThmParams) -> np.ndarray:
     free_rows = _class_digits(ctx, [free_w * f * f for f in polys_upto(ctx, free_half)], h, n)
     n_free = len(free_rows)
     total = len(monic_rows) * n_free
-    codes = np.empty(total, dtype=np.int64)
+    counts = np.zeros(ctx.q ** (n - h), dtype=np.int64)
     step = max(1, CHUNK // max(monic_rows.shape[1], 1))
     for start in range(0, total, step):
         t = np.arange(start, min(start + step, total))
         digits = (monic_rows[t // n_free] + free_rows[t % n_free]) % ctx.p
-        codes[start : start + t.size] = from_digits(ctx.p, digits)
-    return 2 * np.bincount(codes, minlength=ctx.q ** (n - h))
+        np.add.at(counts, from_digits(ctx.p, digits), 1)
+    return 2 * counts
 
 
 def variance_bruteforce(u: Poly, v: Poly, n: int, h: int, guard: int = 10**8) -> Fraction:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracle import value_counts_scalar
 
-from hfq import fastpath
+from hfq import charsum, fastpath
 from hfq.charsum import (
     magsq_via_profile,
     quad_sum_all,
@@ -46,6 +46,17 @@ def test_quad_sum_length_mismatch():
         quad_sum_all(Seq(F3, (0, 0, 0)), 2)
     with pytest.raises(LengthMismatchError):
         quad_sum_monic(Seq(F3, (0, 0)), 1)
+
+
+def test_quad_sums_run_no_scalar_profile(monkeypatch):
+    # the sums come from the character tally alone
+    def refuse(seq):
+        raise AssertionError("scalar profile reached")
+
+    s = Seq.from_literal(F3, "0,1,2,1,0")
+    want = [magsq_via_profile(s, 2, monic) for monic in (False, True)]
+    monkeypatch.setattr(charsum, "profile", refuse)
+    assert [quad_sum_all(s, 2).mag_sq, quad_sum_monic(s, 2).mag_sq] == want
 
 
 @pytest.mark.parametrize("ctx,lmax", [(F3, 2), (F5, 1)], ids=["q3", "q5"])

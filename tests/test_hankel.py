@@ -1,8 +1,11 @@
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import gauss_char_polys, gauss_rhopi_form
 
-from hfq import checks
+from hfq import checks, hankel
 from hfq.errors import (
     NotPiZeroError,
     PreconditionViolatedError,
@@ -36,6 +39,10 @@ from hfq.hankel import (
 from hfq.polyring import Poly, coeff_vector, gcd, polys_upto
 
 F3 = ctx_new(3)
+F9A = ctx_new(3, 2, (1, 0, 1))
+F9B = ctx_new(3, 2, (2, 1, 1))
+F25 = ctx_new(5, 2, (2, 0, 1))
+F27 = ctx_new(3, 3, (1, 2, 0, 1))
 
 
 def seqs(ctx, n, h=0):
@@ -184,6 +191,87 @@ def test_char_polys_degenerate_fixtures():
     assert cp.a1 == p3(0, 1) and cp.a2 == Poly.one(F3)
     cp = char_polys(Seq.from_literal(F3, "0,0,0,0,1"))
     assert cp.a1 == Poly.one(F3) and cp.a2 == p3(0, 0, 0, 0, 0, 1)
+
+
+def _char_polys_branches(seq):
+    """The a1 branch and the a2 start vector char_polys takes on seq."""
+    p = profile(seq)
+    if p.r == 0:
+        return set()
+    if p.rho == 0:
+        a1 = "rho = 0"
+    elif 2 * p.rho - 1 <= seq.n:
+        a1 = "2 rho - 1 <= n"
+    else:
+        a1 = "full-rank even"
+    lc = hankel._lc_profile(seq.entries, seq.ctx)[0]
+    return {a1, "a2 from bs" if lc[-1] == p.r else "a2 from cs"}
+
+
+@pytest.mark.parametrize(
+    "ctx,n_max",
+    [(F3, 7), (ctx_new(5), 4), (ctx_new(7), 3), (F9A, 3), (F9B, 3), (F25, 2), (F27, 2)],
+    ids=["q3", "q5", "q7", "q9a", "q9b", "q25", "q27"],
+)
+def test_char_polys_match_gauss_exhaustive(ctx, n_max):
+    hit = set()
+    for n in range(n_max + 1):
+        for s in seqs(ctx, n):
+            assert char_polys(s) == gauss_char_polys(s), s
+            view = HankelView(s, s.n1, s.n2)
+            assert rhopi_form(view) == gauss_rhopi_form(view), s
+            hit |= _char_polys_branches(s)
+    assert hit == {
+        "rho = 0",
+        "2 rho - 1 <= n",
+        "full-rank even",
+        "a2 from bs",
+        "a2 from cs",
+    }
+
+
+@st.composite
+def recurrent_sequences(draw):
+    """Leading zeros, then a planted low-order recurrence, then a few
+    overwritten entries: breaking a recurrence late is what makes pi > 0."""
+    ctx = draw(st.sampled_from([ctx_new(7), ctx_new(11), ctx_new(13), F9A, F25]))
+    elem = st.integers(0, ctx.q - 1)
+    length = draw(st.integers(1, 20))
+    zeros = draw(st.integers(0, length))
+    order = draw(st.integers(0, 4))
+    coeffs = draw(st.lists(elem, min_size=order, max_size=order))
+    tail = draw(st.lists(elem, min_size=order, max_size=order))
+    while len(tail) < length - zeros:
+        acc = ctx.zero
+        for c, e in zip(coeffs, tail[-order:]):
+            acc = ctx.add(acc, ctx.mul(c, e))
+        tail.append(ctx.neg(acc))
+    entries = ([0] * zeros + tail)[:length]
+    for i, e in draw(st.lists(st.tuples(st.integers(0, length - 1), elem), max_size=2)):
+        entries[i] = e
+    return Seq(ctx, entries)
+
+
+@settings(max_examples=300)
+@given(recurrent_sequences())
+def test_char_polys_match_gauss_beyond_the_envelopes(s):
+    assert char_polys(s) == gauss_char_polys(s)
+    view = HankelView(s, s.n1, s.n2)
+    assert rhopi_form(view) == gauss_rhopi_form(view)
+
+
+def test_kernel_polys_need_no_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Gaussian elimination reached")
+
+    monkeypatch.setattr(hankel, "_row_reduce", refuse)
+    for n in range(6):
+        for s in seqs(F3, n):
+            char_polys(s)
+            r = profile(s).r
+            for l in range(n + 1):
+                if min(l + 1, n - l + 1) >= r:
+                    rhopi_form(HankelView(s, l + 1, n - l + 1))
 
 
 def test_kernel_structure_law_small():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,18 @@ def test_variance_bruteforce_fixtures():
         assert variance_bruteforce(U1, V1, 4, h) == 0
     with pytest.raises(TooLargeError):
         variance_bruteforce(U1, V1, 8, 0, guard=10)
+
+
+def test_variance_bruteforce_memory_is_bounded_by_the_classes():
+    # 3^12 (monic, free) pairs fall into 3^5 classes; a per-pair code array
+    # alone would be 4 MiB
+    tracemalloc.start()
+    try:
+        assert variance_bruteforce(U1, V1, 12, 7) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_s_count_and_interval_sum_guards(monkeypatch):
