@@ -130,22 +130,22 @@ def variance_charsum(
     m_vec = coeff_vector(mw, m_width)
     a_vec = coeff_vector(aw, a_width)
 
-    tally = np.zeros(2 * l_m + 2 * l_a + 4, dtype=np.int64)  # by exponent of q
-    total = 0
-    for block in fastpath.blocks(ctx, n + 1 - h, zeros=h):
-        block = block[block[:, :-1].any(axis=1)]  # near-zero classes carry the squared mean
-        x = fastpath.odot(ctx, block, m_vec)
-        y = fastpath.odot(ctx, block, a_vec)
-        if mode == "fast":
-            r_x, _, srho_x = fastpath.profile(ctx, x)
-            r_y, _, _ = fastpath.profile(ctx, y)
+    if mode == "fast":  # one sequence per scalar orbit, weighted q - 1 (see fastpath.walk)
+        tally = np.zeros(2 * l_m + 2 * l_a + 4, dtype=np.int64)  # by exponent of q
+        views = (m_vec, a_vec)
+        for (r_x, _, srho_x), (r_y, _, _), near in fastpath.walk(ctx, n + 1 - h, h, views):
             e_x = magsq_exponents(l_m, r_x, r_x - srho_x, True)
             e_y = magsq_exponents(l_a, r_y, None, False)
-            keep = e_x >= 0
+            keep = (e_x >= 0) & ~near  # near-zero classes carry the squared mean
             tally += np.bincount(e_x[keep] + e_y[keep], minlength=len(tally))
-        else:
+        total = (q - 1) * sum(c * q**e for e, c in enumerate(tally.tolist()))
+    else:
+        total = 0
+        for block in fastpath.blocks(ctx, n + 1 - h, zeros=h):
+            block = block[block[:, :-1].any(axis=1)]  # near-zero classes carry the squared mean
+            x = fastpath.odot(ctx, block, m_vec)
+            y = fastpath.odot(ctx, block, a_vec)
             mm = fastpath.magsq(fastpath.qform_counts(ctx, x, l_m, True)).tolist()
             ma = fastpath.magsq(fastpath.qform_counts(ctx, y, l_a, False)).tolist()
             total += sum(a * b for a, b in zip(mm, ma))  # Python ints: may pass 2^63
-    total += sum(c * q**e for e, c in enumerate(tally.tolist()))
     return Fraction(4 * q ** (2 * h), q ** (2 * n + 1)) * total

@@ -23,8 +23,8 @@ from .hankel import (
     census_enumerate,
     census_formula,
     census_formula_total,
-    char_polys,
     HankelView,
+    _profile_and_polys,
     _row_reduce,
     odot,
     profile,
@@ -129,8 +129,7 @@ def check_kernel_structure(ctx: FieldCtx, n_max: int, guard: int = 10**8) -> Che
     check_guard(sum(ctx.q ** (n + 1) for n in range(n_max + 1)), guard, "kernel-structure check")
     for n in range(n_max + 1):
         for seq in _all_seqs(ctx, n):
-            prof = profile(seq)
-            cp = char_polys(seq)
+            prof, cp = _profile_and_polys(seq)
             good_pair = (
                 cp.a1.is_monic
                 and cp.a1.degree == prof.rho
@@ -201,14 +200,13 @@ def check_reduction(ctx: FieldCtx, n_max: int, ws=None, guard: int = 10**8) -> C
                     if n >= 2 * prof.r + s - 1:
                         pred = reduction_profile(seq, w, s)
                         reduced = odot(seq, w, s)
-                        actual = profile(reduced)
-                        actual_a1 = char_polys(reduced).a1
+                        actual, polys = _profile_and_polys(reduced)
                         res.count(
                             (pred.r, pred.rho, pred.pi) == actual.standard
-                            and pred.a1 == actual_a1,
+                            and pred.a1 == polys.a1,
                             f"claim 1 at {seq!r}, W={w!r}, s={s}: "
                             f"predicted {(pred.r, pred.rho, pred.pi)}/{pred.a1!r}, "
-                            f"got {actual.standard}/{actual_a1!r}",
+                            f"got {actual.standard}/{polys.a1!r}",
                         )
                 s = w.degree
                 half = (n - s) // 2 + 1

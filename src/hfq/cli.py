@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import __version__, analytic, charsum, checks, variance
 from .errors import HfqError, TooLargeError
 from .field import MAX_Q, ctx_new
-from .hankel import Seq, char_polys, profile
+from .hankel import Seq, _profile_and_polys
 from .polyring import Poly
 
 EXIT_OK = 0
@@ -296,8 +296,7 @@ def cmd_phisum(args) -> int:
 def cmd_analyze(args) -> int:
     ctx = _build_ctx(args)
     seq = Seq.from_literal(ctx, args.alpha)
-    prof = profile(seq)
-    cp = char_polys(seq)
+    prof, cp = _profile_and_polys(seq)
     print(
         json.dumps(
             {

@@ -224,12 +224,12 @@ class Profile:
         }
 
 
-def _lc_profile(entries, ctx: FieldCtx):
+def _lc_profile(entries, ctx: FieldCtx, snapshots: bool = False):
     """One Berlekamp-Massey pass: the linear complexities L_0..L_len of the
-    prefixes, the connection polynomial cs[i] after i entries, and the final
-    bs = x^shift * B.  c and bs have fixed width len + 1; each step shifts bs,
-    and c is rebuilt (never mutated) whenever it changes, so cs[i] is a
-    snapshot."""
+    prefixes, with ``snapshots`` the connection polynomial cs[i] after i
+    entries (else just cs[0]), and the final bs = x^shift * B.  c and bs have fixed
+    width len + 1; each step shifts bs, and c is rebuilt (never mutated)
+    whenever it changes, so cs[i] is a snapshot."""
     zero = ctx.zero
     width = len(entries) + 1
     c = [ctx.one] + [zero] * (width - 1)
@@ -252,7 +252,8 @@ def _lc_profile(entries, ctx: FieldCtx):
                 bs = prev
         bs = [zero] + bs[:-1]
         out.append(length)
-        cs.append(c)
+        if snapshots:
+            cs.append(c)
     return out, cs, bs
 
 
@@ -308,7 +309,7 @@ def rhopi_form(view: HankelView):
     """
     seq = view.seq
     ctx = seq.ctx
-    lc, cs, _ = _lc_profile(seq.entries, ctx)
+    lc, cs, _ = _lc_profile(seq.entries, ctx, snapshots=True)
     prof = _profile_of(seq, lc)
     if view.rows < prof.r or view.cols < prof.r:
         raise ShapeTooSmallError(
@@ -341,6 +342,24 @@ class CharPolys:
     canonical: bool
 
 
+def _profile_and_polys(seq: Seq):
+    """(profile(seq), char_polys(seq)) from one pass."""
+    ctx, n = seq.ctx, seq.n
+    lc, cs, bs = _lc_profile(seq.entries, ctx, snapshots=True)
+    prof = _profile_of(seq, lc)
+    r, rho = prof.r, prof.rho
+    if r == 0:
+        return prof, CharPolys(Poly.one(ctx), Poly.zero(ctx), True)
+    a1 = _first_kernel_poly(ctx, n, rho, lc, cs)
+    reduced = _rev(ctx, bs if lc[-1] == r else cs[-1], n + 2 - r)
+    # canonical reduction: remove every addable multiple c T^d a1, top down
+    for d in range(n - 2 * r + 2, -1, -1):
+        c = reduced.coeff(d + rho)
+        if c != ctx.zero:
+            reduced = reduced - a1.shift(d).scale(c)
+    return prof, CharPolys(a1, reduced.monic(), rho == r)
+
+
 def char_polys(seq: Seq) -> CharPolys:
     """First and second kernel polynomials of the sequence, read off the
     connection polynomials cs[i] of one Berlekamp-Massey pass, with
@@ -359,33 +378,19 @@ def char_polys(seq: Seq) -> CharPolys:
     additions.  Any kernel vector of the (r-1) x (m+1) view outside the
     a1-multiples reduces to the same a2.
     """
-    ctx = seq.ctx
-    n = seq.n
-    lc, cs, bs = _lc_profile(seq.entries, ctx)
-    prof = _profile_of(seq, lc)
-    r, rho = prof.r, prof.rho
-    if r == 0:
-        return CharPolys(Poly.one(ctx), Poly.zero(ctx), True)
-    a1 = _first_kernel_poly(ctx, n, rho, lc, cs)
-    reduced = _rev(ctx, bs if lc[-1] == r else cs[-1], n + 2 - r)
-    # canonical reduction: remove every addable multiple c T^d a1, top down
-    for d in range(n - 2 * r + 2, -1, -1):
-        c = reduced.coeff(d + rho)
-        if c != ctx.zero:
-            reduced = reduced - a1.shift(d).scale(c)
-    return CharPolys(a1, reduced.monic(), rho == r)
+    return _profile_and_polys(seq)[1]
 
 
 def seq_extend(seq: Seq, extra: int) -> Seq:
     """Append entries following the order-r recurrence; requires pi = 0."""
-    prof = profile(seq)
+    prof, polys = _profile_and_polys(seq)
     if prof.pi != 0:
         raise NotPiZeroError("sequence admits no full-length recurrence (pi > 0)")
     if extra < 0:
         raise ValueError("extension length must be >= 0")
     ctx = seq.ctx
     r = prof.r
-    a1 = char_polys(seq).a1
+    a1 = polys.a1
     entries = list(seq.entries)
     for _ in range(extra):
         if r == 0:
@@ -451,12 +456,12 @@ class CensusTally:
 
 
 def _census_chunk(args):
-    """Class tallies of the sequences with codes start..stop-1, indexed by
+    """Class tallies of one representative per scalar orbit of the nonzero
+    sequences, over the walk's top-prefix groups ``tops``, indexed by
     r * side + rho (row 0) and r * side + strict rho (row 1)."""
-    ctx, n, h, start, stop, side = args
+    ctx, n, h, tops, side = args
     tallies = np.zeros((2, side * side), dtype=np.int64)
-    for block in fastpath.blocks(ctx, n + 1 - h, zeros=h, start=start, stop=stop):
-        r, rho, strict_rho = fastpath.profile(ctx, block)
+    for (r, rho, strict_rho), _ in fastpath.walk(ctx, n + 1 - h, h, ((1,),), tops):
         for tally, key in zip(tallies, (rho, strict_rho)):
             tally += np.bincount(r * side + key, minlength=side * side)
     return tallies
@@ -473,12 +478,13 @@ def census_enumerate(
     check_guard(total, cap, f"census of q^{n + 1 - h}", "sequences")
     side = (n + 2) // 2 + 1  # r, rho and strict rho are at most n1
     if workers <= 1 or total < 4 * workers:
-        tallies = _census_chunk((ctx, n, h, 0, total, side))
+        tallies = _census_chunk((ctx, n, h, slice(None), side))
     else:
-        bounds = [total * i // workers for i in range(workers + 1)]
-        jobs = [(ctx, n, h, bounds[i], bounds[i + 1], side) for i in range(workers)]
+        jobs = [(ctx, n, h, slice(i, None, workers), side) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             tallies = sum(pool.map(_census_chunk, jobs))
+    tallies *= ctx.q - 1  # each c * seq, c != 0, has the class of seq
+    tallies[:, 0] += 1  # the zero sequence, class (0, 0, 0)
     standard, strict = (
         {(c // side, c % side, c // side - c % side): int(t[c]) for c in np.flatnonzero(t).tolist()}
         for t in tallies
@@ -552,13 +558,13 @@ def reduction_profile(seq: Seq, w: Poly, s: int) -> ReductionPrediction:
         raise WidthTooSmallError(f"declared width {s} below deg W = {w.degree}")
     if s > seq.n:
         raise TooShortError("sequence shorter than the sliding window")
-    prof = profile(seq)
+    prof, polys = _profile_and_polys(seq)
     n = seq.n
     if n < 2 or n < 2 * prof.r + s - 1:
         raise PreconditionViolatedError(
             f"need n >= max(2, 2r + s - 1); have n={n}, r={prof.r}, s={s}"
         )
-    a1 = char_polys(seq).a1
+    a1 = polys.a1
     g = gcd(a1, w) if not a1.is_zero else Poly.one(seq.ctx)
     dg = g.degree
     pad = s - w.degree
@@ -607,7 +613,7 @@ def bijection_map(seq: Seq, h: int):
     hold (with the series started at T^0 the image polynomial picks up an
     extra alpha_h T^(r-h) term and the map leaves the coprime-pair set).
     """
-    prof = profile(seq)
+    prof, polys = _profile_and_polys(seq)
     r = prof.r
     if prof.standard != (r, r, 0):
         raise WrongClassError(f"sequence has class {prof.standard}, need (r, r, 0)")
@@ -618,7 +624,7 @@ def bijection_map(seq: Seq, h: int):
     if seq.leading_zeros() < h:
         raise WrongClassError(f"sequence has fewer than {h} leading zeros")
     ctx = seq.ctx
-    a1 = char_polys(seq).a1
+    a1 = polys.a1
     e = seq.entries
     b = []
     for j in range(r):

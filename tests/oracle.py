@@ -2,7 +2,10 @@
 Berlekamp-Massey profile, the kernel polynomials and the engine in
 hfq.fastpath are checked against."""
 
+from fractions import Fraction
 from itertools import product
+
+from hfq import charsum, fastpath
 
 from hfq.hankel import (
     CharPolys,
@@ -13,7 +16,8 @@ from hfq.hankel import (
     profile,
     rank,
 )
-from hfq.polyring import Poly
+from hfq.polyring import Poly, coeff_vector
+from hfq.variance import ThmParams
 
 
 def value_counts_scalar(seq: Seq, l: int, monic: bool):
@@ -149,3 +153,24 @@ def gauss_char_polys(seq: Seq) -> CharPolys:
             reduced = reduced - a1.shift(d).scale(c)
     a2 = reduced.monic()
     return CharPolys(a1, a2, rho == r)
+
+
+def fast_variance_unreduced(u: Poly, v: Poly, n: int, h: int) -> Fraction:
+    """variance_charsum's fast mode as one loop over every sequence with h
+    leading zeros: code blocks, sliding products and the batched profile of
+    each, with no scalar orbits and no prefix sharing."""
+    par = ThmParams.compute(u, v, n, h)
+    q = u.ctx.q
+    (mw, m_width), (aw, a_width) = charsum._windows(u, v, par)
+    l_m, l_a = (n - m_width) // 2, (n - a_width) // 2
+    m_vec, a_vec = coeff_vector(mw, m_width), coeff_vector(aw, a_width)
+    total = 0
+    for block in fastpath.blocks(u.ctx, n + 1 - h, zeros=h):
+        block = block[block[:, :-1].any(axis=1)]  # near-zero classes carry the squared mean
+        r_x, _, srho_x = fastpath.profile(u.ctx, fastpath.odot(u.ctx, block, m_vec))
+        r_y, _, _ = fastpath.profile(u.ctx, fastpath.odot(u.ctx, block, a_vec))
+        e_x = charsum.magsq_exponents(l_m, r_x, r_x - srho_x, True)
+        e_y = charsum.magsq_exponents(l_a, r_y, None, False)
+        keep = e_x >= 0
+        total += sum(q**e for e in (e_x[keep] + e_y[keep]).tolist())
+    return Fraction(4 * q ** (2 * h), q ** (2 * n + 1)) * total

@@ -1,22 +1,27 @@
 """The engine in hfq.fastpath against its oracles: the Berlekamp-Massey
 profiles (scalar hankel.profile and the batched fastpath.profile) against
 Gaussian elimination on the Hankel squares, the trace-form character tallies
-against the literal sum, the block enumerator against fq_vectors, and the
-census tally against a scalar-profile tally; exhaustively on small envelopes
-and by property tests beyond."""
+against the literal sum, the block enumerator against fq_vectors, the
+prefix-trie walk (fast variance_charsum) against the unreduced block loop,
+and the census tally against a scalar-profile tally; exhaustively on small
+envelopes and by property tests beyond."""
 
 import random
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracle import gauss_profile, value_counts_scalar
+from oracle import fast_variance_unreduced, gauss_profile, value_counts_scalar
 
 from hfq import fastpath
+from hfq.charsum import variance_charsum
+from hfq.errors import HfqError
 from hfq.field import CHUNK, ctx_new, fq_vectors
 from hfq.hankel import Seq, census_enumerate, profile
+from hfq.polyring import Poly, gcd
+from hfq.variance import ThmParams
 
 F9A = ctx_new(3, 2, (1, 0, 1))
 F9B = ctx_new(3, 2, (2, 1, 1))
@@ -196,3 +201,87 @@ def test_census_tally_matches_scalar_profile(ctx, n_max):
             tally = census_enumerate(ctx, n, h)
             assert (tally.standard, tally.strict) == _scalar_tally(ctx, n, h), (n, h)
             assert all(type(c) is int for c in tally.standard.values())
+
+
+@pytest.mark.parametrize(
+    "ctx,n_max", [(ctx_new(3), 6), (ctx_new(5), 4), (F9B, 2)], ids=["q3", "q5", "q9"]
+)
+def test_census_workers_agree(ctx, n_max):
+    for n in range(n_max - 1, n_max + 1):
+        for h in range(0, n + 2, 2):
+            one = census_enumerate(ctx, n, h)
+            two = census_enumerate(ctx, n, h, workers=2)
+            assert (one.standard, one.strict) == (two.standard, two.strict)
+            assert (one.standard, one.strict) == _scalar_tally(ctx, n, h), (n, h)
+
+
+def _valid_cases(ctx, n_max):
+    """Every valid (U, V, n, h) with U in {1, T^2 + 1}, V in {T + c} and
+    V = T^3 + T + 1, n <= n_max."""
+    us = [Poly.one(ctx), Poly(ctx, (1, 0, 1))]
+    vs = [Poly(ctx, (c, 1)) for c in range(ctx.q)] + [Poly(ctx, (1, 1, 0, 1))]
+    for u in us:
+        for v in vs:
+            for n in range(n_max + 1):
+                for h in range(n + 1):
+                    try:
+                        ThmParams.compute(u, v, n, h)
+                    except HfqError:
+                        continue
+                    yield u, v, n, h
+
+
+@pytest.mark.parametrize(
+    "ctx,n_max",
+    [(ctx_new(3), 8), (ctx_new(5), 5), (ctx_new(7), 4), (F9A, 3), (F9B, 3), (F25, 2)],
+    ids=["q3", "q5", "q7", "q9a", "q9b", "q25"],
+)
+def test_fast_variance_matches_unreduced_loop(ctx, n_max):
+    cases = list(_valid_cases(ctx, n_max))
+    assert len({(n, h) for _, _, n, h in cases}) == n_max * (n_max + 3) // 2  # n >= 1
+    for u, v, n, h in cases:
+        want = fast_variance_unreduced(u, v, n, h)
+        assert variance_charsum(u, v, n, h, "fast") == want, (u, v, n, h)
+
+
+@pytest.mark.parametrize("chunk", [2, 60, 200, 700, 1296, 8000])
+def test_walk_blocking_leaves_results_unchanged(chunk, monkeypatch):
+    # a small CHUNK puts the top prefixes at depth 8, 7, 6, 5, 4 or (the
+    # deepest level that fits a block) 5
+    f3, width = ctx_new(3), 8
+    u, v = Poly.one(f3), Poly.from_ints(f3, [1, 1])
+    want = variance_charsum(u, v, 9, 2, "fast")
+    census = census_enumerate(f3, 7, 0)
+    monkeypatch.setattr(fastpath, "CHUNK", chunk)
+    sizes = [len(out[-1]) for out in fastpath.walk(f3, width, 0, ((1,),))]
+    assert sum(sizes) == (3**width - 1) // 2
+    assert len(sizes) > 1 and max(sizes) <= max(1, chunk // 2 // width)
+    assert variance_charsum(u, v, 9, 2, "fast") == want
+    again = census_enumerate(f3, 7, 0)
+    assert (again.standard, again.strict) == (census.standard, census.strict)
+
+
+_TALLY_FIELDS = [ctx_new(3), ctx_new(5), ctx_new(7), ctx_new(11), F9A, F9B, F25, F27]
+
+
+@st.composite
+def tally_cases(draw):
+    ctx = draw(st.sampled_from(_TALLY_FIELDS))
+    u, v = (
+        Poly(ctx, tuple(draw(st.lists(st.integers(0, ctx.q - 1), min_size=d, max_size=d))) + (1,))
+        for d in (draw(st.sampled_from([0, 2])), draw(st.sampled_from([1, 3])))
+    )
+    n = draw(st.integers(4, 22))
+    width = 1
+    while ctx.q ** (width + 1) <= 3000 and width <= n:
+        width += 1
+    h = n + 1 - draw(st.integers(1, width))
+    return u, v, n, h
+
+
+@settings(max_examples=60, deadline=None)
+@given(tally_cases())
+def test_fast_variance_matches_unreduced_loop_beyond_the_envelopes(case):
+    u, v, n, h = case
+    assume(gcd(u, v).degree == 0)
+    assert variance_charsum(u, v, n, h, "fast") == fast_variance_unreduced(u, v, n, h)

@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from itertools import product as iter_product
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import gauss_char_polys, gauss_rhopi_form
 
-from hfq import checks, hankel
+from hfq import checks, cli, hankel
 from hfq.errors import (
     NotPiZeroError,
     PreconditionViolatedError,
@@ -17,6 +19,7 @@ from hfq.errors import (
 )
 from hfq.field import ctx_new
 from hfq.hankel import (
+    _profile_and_polys,
     CharPolys,
     HankelView,
     Seq,
@@ -309,15 +312,15 @@ def test_check_kernel_structure_catches_wrong_char_polys(monkeypatch, which):
     # a generator outside the kernel fails containment; a2 = 0 keeps every
     # generator inside it and fails on rank alone
     def broken(seq):
-        cp = char_polys(seq)
+        prof, cp = _profile_and_polys(seq)
         one = Poly.one(seq.ctx)
         if which == "a1+1":
-            return CharPolys(cp.a1 + one, cp.a2, cp.canonical)
+            return prof, CharPolys(cp.a1 + one, cp.a2, cp.canonical)
         if which == "a2+1":
-            return CharPolys(cp.a1, cp.a2 + one, cp.canonical)
-        return CharPolys(cp.a1, Poly.zero(seq.ctx), cp.canonical)
+            return prof, CharPolys(cp.a1, cp.a2 + one, cp.canonical)
+        return prof, CharPolys(cp.a1, Poly.zero(seq.ctx), cp.canonical)
 
-    monkeypatch.setattr(checks, "char_polys", broken)
+    monkeypatch.setattr(checks, "_profile_and_polys", broken)
     res = checks.check_kernel_structure(F3, 4)
     assert not res.ok and any("kernel mismatch" in line for line in res.lines)
 
@@ -573,3 +576,40 @@ def test_bijection_errors():
         bijection_inverse(p3(0, 0, 0, 1), p3(0, 1), 6, 1)  # gcd = T
     with pytest.raises(WrongClassError):
         bijection_inverse(p3(0, 0, 0, 1), p3(1, 1, 1), 6, 1)  # deg B >= r - h
+
+
+def test_profile_keeps_no_connection_polynomial_snapshots():
+    # char_polys reads snapshots of c; profile reads none and must not hold
+    # them (with them, this pass peaks near 6 MB)
+    rng = random.Random(4000)
+    seq = Seq(F3, [rng.randrange(3) for _ in range(1000)])
+    tracemalloc.start()
+    try:
+        profile(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+def test_profile_and_polys_take_one_pass(monkeypatch):
+    calls = []
+    lc_profile = hankel._lc_profile
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return lc_profile(*args, **kwargs)
+
+    monkeypatch.setattr(hankel, "_lc_profile", counting)
+    assert checks.check_kernel_structure(F3, 3).ok
+    assert len(calls) == sum(3 ** (n + 1) for n in range(4))
+    seq = bijection_inverse(Poly.from_ints(F3, [1, 2, 0, 1]), Poly.one(F3), 6, 2)
+    for call in (
+        lambda: seq_extend(Seq.from_literal(F3, "1,1,2,0"), 3),
+        lambda: reduction_profile(Seq.from_literal(F3, "1,0,0,0,0,0,0,0"), Poly.t(F3), 1),
+        lambda: bijection_map(seq, 2),
+        lambda: cli.main(["analyze", "--q", "3", "--alpha", "0,0,1,0,0"]),
+    ):
+        calls.clear()
+        call()
+        assert len(calls) == 1
