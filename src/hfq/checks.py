@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from . import charsum, fastpath, variance
+from . import fastpath
 from .errors import PreconditionViolatedError, RangeEmptyError, check_guard
 from .field import FieldCtx, fq_vectors
 from .hankel import (
@@ -24,13 +24,13 @@ from .hankel import (
     census_formula,
     census_formula_total,
     HankelView,
+    _predict_reduction,
+    _predict_strict_class,
     _profile_and_polys,
     _row_reduce,
     odot,
     profile,
     rank,
-    reduction_profile,
-    reduction_strict_class,
 )
 from .polyring import Poly, coeff_vector, gcd, monics, polys_upto
 
@@ -153,6 +153,8 @@ def check_kernel_structure(ctx: FieldCtx, n_max: int, guard: int = 10**8) -> Che
 def check_quadform(ctx: FieldCtx, l_max: int, l_min: int = 0, guard: int = 10**8) -> CheckResult:
     """Squared magnitudes of both quadratic-form sums against the closed
     forms, exhaustively."""
+    from . import charsum
+
     if l_min < 0:
         raise RangeEmptyError(f"need l >= 0, got {l_min}")
     res = CheckResult(f"quadratic form magnitudes (q={ctx.q})")
@@ -180,7 +182,10 @@ def check_quadform(ctx: FieldCtx, l_max: int, l_min: int = 0, guard: int = 10**8
 
 def check_reduction(ctx: FieldCtx, n_max: int, ws=None, guard: int = 10**8) -> CheckResult:
     """Predicted characteristic and first kernel polynomial of the sliding
-    products, against direct computation, over every valid width."""
+    products, against direct computation, over every valid width.  Each
+    sequence and each reduced sequence gets one Berlekamp-Massey pass: the
+    predictions of reduction_profile and reduction_strict_class are made
+    from the sequence's own pass."""
     res = CheckResult("sliding-product reduction law")
     if ws is None:
         ws = [
@@ -194,24 +199,24 @@ def check_reduction(ctx: FieldCtx, n_max: int, ws=None, guard: int = 10**8) -> C
     check_guard(sum(ctx.q ** (n + 1) for n in range(2, n_max + 1)), guard, "reduction check")
     for n in range(2, n_max + 1):
         for seq in _all_seqs(ctx, n):
-            prof = profile(seq)
+            prof, polys = _profile_and_polys(seq)
             for w in ws:
                 for s in range(w.degree, n + 1):
                     if n >= 2 * prof.r + s - 1:
-                        pred = reduction_profile(seq, w, s)
+                        pred = _predict_reduction(prof, polys, w, s)
                         reduced = odot(seq, w, s)
-                        actual, polys = _profile_and_polys(reduced)
+                        actual, actual_polys = _profile_and_polys(reduced)
                         res.count(
                             (pred.r, pred.rho, pred.pi) == actual.standard
-                            and pred.a1 == polys.a1,
+                            and pred.a1 == actual_polys.a1,
                             f"claim 1 at {seq!r}, W={w!r}, s={s}: "
                             f"predicted {(pred.r, pred.rho, pred.pi)}/{pred.a1!r}, "
-                            f"got {actual.standard}/{polys.a1!r}",
+                            f"got {actual.standard}/{actual_polys.a1!r}",
                         )
                 s = w.degree
                 half = (n - s) // 2 + 1
                 if n - s >= 2 and (n - s) % 2 == 0 and prof.strict == (half, 0, half):
-                    pred_class = reduction_strict_class(seq, w, s)
+                    pred_class = _predict_strict_class(prof, n, w, s)
                     actual = profile(odot(seq, w, s))
                     res.count(
                         actual.strict == pred_class,
@@ -264,6 +269,8 @@ def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = 10**8) -> Ch
 
 def check_kernel_sum(u: Poly, v: Poly, n: int, h: int, guard: int = 10**8) -> CheckResult:
     """kernel_sum_identity at every feasible rank for one (n, h)."""
+    from . import variance
+
     res = CheckResult(f"kernel-sum identity (n={n}, h={h})")
     par = variance.ThmParams.compute(u, v, n, h)
     if h < par.n2 - 1:
@@ -277,6 +284,8 @@ def check_kernel_sum(u: Poly, v: Poly, n: int, h: int, guard: int = 10**8) -> Ch
 
 def check_w_sum(u: Poly, v: Poly, n: int, h: int, guard: int = 10**8) -> CheckResult:
     """w_sum_identity at every feasible rank for one (n, h)."""
+    from . import variance
+
     res = CheckResult(f"w-sum identity (n={n}, h={h})")
     par = variance.ThmParams.compute(u, v, n, h)
     mn = min(par.s_prime, par.t_prime)

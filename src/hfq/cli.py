@@ -13,16 +13,12 @@ HFQ_GUARD environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 
-from . import __version__, analytic, charsum, checks, variance
+from . import __version__
 from .errors import HfqError, TooLargeError
 from .field import MAX_Q, ctx_new
-from .hankel import Seq, _profile_and_polys
-from .polyring import Poly
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -76,6 +72,8 @@ def _parse_range(text: str):
 
 
 def _rat(x):
+    from fractions import Fraction
+
     if x is None:
         return None
     f = Fraction(x)
@@ -90,18 +88,16 @@ def _guard_default() -> int:
         raise HfqError(f"HFQ_GUARD must be an integer, got {env!r}") from None
 
 
+def _print_json(payload) -> None:
+    import json
+
+    print(json.dumps(payload, sort_keys=True))
+
+
 def _print_result(res, as_json: bool) -> int:
     if as_json:
-        print(
-            json.dumps(
-                {
-                    "name": res.name,
-                    "checked": res.checked,
-                    "failed": res.failed,
-                    "details": res.lines,
-                },
-                sort_keys=True,
-            )
+        _print_json(
+            {"name": res.name, "checked": res.checked, "failed": res.failed, "details": res.lines}
         )
     else:
         print(res.summary())
@@ -111,6 +107,8 @@ def _print_result(res, as_json: bool) -> int:
 
 
 def cmd_census(args) -> int:
+    from . import checks
+
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
         raise HfqError(f"--workers must be in 1..{cpus}, got {args.workers}")
@@ -127,27 +125,24 @@ def cmd_census(args) -> int:
             ctx, [n], hs, cap=args.guard, workers=args.workers, rows=rows
         )
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "n": n,
-                        "rows": [
-                            {
-                                "n": rn,
-                                "h": rh,
-                                "kind": kind,
-                                "key": list(key) if isinstance(key, tuple) else key,
-                                "formula": want,
-                                "enumerated": got,
-                                "match": want == got,
-                            }
-                            for rn, rh, kind, key, want, got in rows
-                        ],
-                        "checked": res.checked,
-                        "failed": res.failed,
-                    },
-                    sort_keys=True,
-                )
+            _print_json(
+                {
+                    "n": n,
+                    "rows": [
+                        {
+                            "n": rn,
+                            "h": rh,
+                            "kind": kind,
+                            "key": list(key) if isinstance(key, tuple) else key,
+                            "formula": want,
+                            "enumerated": got,
+                            "match": want == got,
+                        }
+                        for rn, rh, kind, key, want, got in rows
+                    ],
+                    "checked": res.checked,
+                    "failed": res.failed,
+                }
             )
             worst = max(worst, EXIT_OK if res.ok else EXIT_MISMATCH)
         else:
@@ -160,11 +155,16 @@ def cmd_census(args) -> int:
 
 
 def _fast_envelope_ok(q: int, l_m: int, l_a: int) -> bool:
+    from . import checks
+
     lim = checks.QUADFORM_VERIFIED_L.get(q)
     return lim is not None and l_m <= lim and l_a <= lim
 
 
 def cmd_variance(args) -> int:
+    from . import charsum, variance
+    from .polyring import Poly
+
     ctx = _build_ctx(args)
     u = Poly.from_literal(ctx, args.U)
     v = Poly.from_literal(ctx, args.V)
@@ -206,7 +206,7 @@ def cmd_variance(args) -> int:
         else None,
         "residual": _rat(report.residual),
     }
-    print(json.dumps(payload, sort_keys=True))
+    _print_json(payload)
     ok = True
     if report.oracle is not None and report.charsum_value is not None:
         ok &= report.oracle == report.charsum_value
@@ -218,6 +218,9 @@ def cmd_variance(args) -> int:
 
 
 def cmd_identity(args) -> int:
+    from . import checks
+    from .polyring import Poly
+
     ctx = _build_ctx(args)
     kind = args.kind
     results = []
@@ -239,6 +242,8 @@ def cmd_identity(args) -> int:
             if 2 < args.r <= n2 - 1:
                 results.append(checks.check_bijection(ctx, n, args.r, hs, guard))
     elif kind in ("kernel-sum", "w-sum"):
+        from . import variance
+
         u = Poly.from_literal(ctx, args.U)
         v = Poly.from_literal(ctx, args.V)
         variance.validate_pair(u, v)  # a bad pair is bad input, not an empty range
@@ -266,6 +271,9 @@ def cmd_identity(args) -> int:
 
 
 def cmd_phisum(args) -> int:
+    from . import analytic
+    from .polyring import Poly
+
     ctx = _build_ctx(args)
     w2 = Poly.from_literal(ctx, args.W2)
     w3 = Poly.from_literal(ctx, args.W3)
@@ -273,18 +281,15 @@ def cmd_phisum(args) -> int:
         raise HfqError(f"--kmax must be >= 0, got {args.kmax}")
     report = analytic.convergence_report(w2, w3, args.kmax, guard=args.guard)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "W2": w2.literal(),
-                    "W3": w3.literal(),
-                    "k_max": report.k_max,
-                    "slope": _rat(report.slope),
-                    "partial_sums": [_rat(s) for s in report.partial_sums],
-                    "increments": [_rat(s) for s in report.increments],
-                },
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "W2": w2.literal(),
+                "W3": w3.literal(),
+                "k_max": report.k_max,
+                "slope": _rat(report.slope),
+                "partial_sums": [_rat(s) for s in report.partial_sums],
+                "increments": [_rat(s) for s in report.increments],
+            }
         )
     else:
         print("k,S_num,S_den,inc_num,inc_den,slope_num,slope_den")
@@ -294,23 +299,22 @@ def cmd_phisum(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .hankel import Seq, _profile_and_polys
+
     ctx = _build_ctx(args)
     seq = Seq.from_literal(ctx, args.alpha)
     prof, cp = _profile_and_polys(seq)
-    print(
-        json.dumps(
-            {
-                "q": ctx.q,
-                "alpha": [ctx.format_elem(e) for e in seq.entries],
-                "n": seq.n,
-                "profile": prof.as_dict(),
-                "a1": cp.a1.literal(),
-                "a2": cp.a2.literal(),
-                "a2_canonical": cp.canonical,
-                "leading_zeros": seq.leading_zeros(),
-            },
-            sort_keys=True,
-        )
+    _print_json(
+        {
+            "q": ctx.q,
+            "alpha": [ctx.format_elem(e) for e in seq.entries],
+            "n": seq.n,
+            "profile": prof.as_dict(),
+            "a1": cp.a1.literal(),
+            "a2": cp.a2.literal(),
+            "a2_canonical": cp.canonical,
+            "leading_zeros": seq.leading_zeros(),
+        }
     )
     return EXIT_OK
 

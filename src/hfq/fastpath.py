@@ -58,15 +58,14 @@ def _unpack(ctx: FieldCtx, sums: np.ndarray, base: int) -> np.ndarray:
     return code
 
 
-def blocks(ctx: FieldCtx, width: int, zeros: int = 0, start: int = 0, stop=None):
-    """The vectors of F_q^width with codes start..stop-1, in the order of
-    field.fq_vectors, as [N, zeros + width] code blocks with N * width at
-    most field.CHUNK / 2 (a profile keeps a few arrays of a block's size
-    live); each vector comes behind ``zeros`` zero entries."""
-    if stop is None:
-        stop = ctx.q**width
+def blocks(ctx: FieldCtx, width: int, zeros: int = 0):
+    """The vectors of F_q^width, in the order of field.fq_vectors, as
+    [N, zeros + width] code blocks with N * width at most field.CHUNK / 2 (a
+    profile keeps a few arrays of a block's size live); each vector comes
+    behind ``zeros`` zero entries."""
+    stop = ctx.q**width
     step = max(1, CHUNK // 2 // max(width, 1))
-    for lo in range(start, stop, step):
+    for lo in range(0, stop, step):
         codes = np.arange(lo, min(lo + step, stop))
         block = np.zeros((len(codes), zeros + width), dtype=np.int64)
         block[:, zeros:] = to_digits(ctx.q, codes, width)

@@ -23,7 +23,6 @@ independent side that the pass is checked against.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -480,6 +479,8 @@ def census_enumerate(
     if workers <= 1 or total < 4 * workers:
         tallies = _census_chunk((ctx, n, h, slice(None), side))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         jobs = [(ctx, n, h, slice(i, None, workers), side) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             tallies = sum(pool.map(_census_chunk, jobs))
@@ -564,8 +565,13 @@ def reduction_profile(seq: Seq, w: Poly, s: int) -> ReductionPrediction:
         raise PreconditionViolatedError(
             f"need n >= max(2, 2r + s - 1); have n={n}, r={prof.r}, s={s}"
         )
+    return _predict_reduction(prof, polys, w, s)
+
+
+def _predict_reduction(prof: Profile, polys: CharPolys, w: Poly, s: int) -> ReductionPrediction:
+    """reduction_profile from the sequence's (profile, char_polys) pair."""
     a1 = polys.a1
-    g = gcd(a1, w) if not a1.is_zero else Poly.one(seq.ctx)
+    g = gcd(a1, w) if not a1.is_zero else Poly.one(w.ctx)
     dg = g.degree
     pad = s - w.degree
     drop = min(pad, prof.pi)
@@ -585,15 +591,18 @@ def reduction_strict_class(seq: Seq, w: Poly, s: int):
     class.  Returns the predicted strict class of alpha odot [W]_s, which
     equals the input class.
     """
+    return _predict_strict_class(profile(seq), seq.n, w, s)
+
+
+def _predict_strict_class(prof: Profile, n: int, w: Poly, s: int):
+    """reduction_strict_class from the sequence's profile and n."""
     if w.is_zero or w.degree != s:
         raise PreconditionViolatedError("need deg W = s exactly")
-    n = seq.n
     if s > n:
         raise TooShortError("sequence shorter than the sliding window")
     if (n - s) % 2 != 0 or n - s < 2:
         raise PreconditionViolatedError("need n - s even and >= 2")
     half = (n - s) // 2 + 1
-    prof = profile(seq)
     if prof.strict != (half, 0, half):
         raise WrongClassError(
             f"sequence has strict class {prof.strict}, need {(half, 0, half)}"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfq import cli, hankel
+from hfq import cli
 from hfq.cli import EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -35,6 +36,24 @@ def test_census_workers_byte_identical(capsys, monkeypatch):
     args = ("census", "--q", "3", "--n", "3", "--h", "0..2", "--json")
     code1, out1, _ = run(capsys, *args, "--workers", "1")
     code2, out2, _ = run(capsys, *args, "--workers", "2")
+    assert code1 == code2 == EXIT_OK
+    assert out1 == out2
+
+
+def test_census_workers_start_the_pool(capsys, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    pool, started = concurrent.futures.ProcessPoolExecutor, []
+
+    def recording_pool(*args, **kwargs):
+        started.append(kwargs)
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    args = ("census", "--q", "3", "--n", "4", "--h", "0")
+    code1, out1, _ = run(capsys, *args, "--workers", "1")
+    assert started == []  # one process runs the census in-process
+    code2, out2, _ = run(capsys, *args, "--workers", "2")
+    assert started == [{"max_workers": 2}]
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
 
@@ -325,7 +344,7 @@ def test_census_workers_bounded(capsys, monkeypatch, workers):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(hankel, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     code, out, err = run(
         capsys, "census", "--q", "3", "--n", "3", "--h", "0", "--workers", str(workers)
     )

@@ -552,6 +552,21 @@ def test_reduction_strict_class():
         reduction_strict_class(s, Poly.one(F3), 1)  # deg W != s
 
 
+def test_check_reduction_one_pass_per_sequence(monkeypatch):
+    # one Berlekamp-Massey pass per sequence and one per reduced sequence
+    # checked: the predictions reuse the sequence's own pass
+    lc_profile, passes = hankel._lc_profile, []
+
+    def counting(*args, **kwargs):
+        passes.append(args)
+        return lc_profile(*args, **kwargs)
+
+    monkeypatch.setattr(hankel, "_lc_profile", counting)
+    res = checks.check_reduction(F3, 5)
+    assert res.ok
+    assert len(passes) == sum(3 ** (n + 1) for n in range(2, 6)) + res.checked
+
+
 def test_bijection_roundtrip_class_n6():
     count = 0
     image = set()
