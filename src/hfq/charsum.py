@@ -87,18 +87,6 @@ def magsq_via_profile(seq: Seq, l: int, monic: bool) -> int:
     return seq.ctx.q**e if e >= 0 else 0
 
 
-def _windows(u: Poly, v: Poly, par: ThmParams):
-    """(monic-side polynomial and width, full-side polynomial and width).
-
-    The monic sum attaches to U for even n and to V for odd n; the width is
-    the parity-table value, so one side always carries a zero pad and that
-    pad is load-bearing.
-    """
-    if par.even:
-        return (u, par.s), (v, par.t)
-    return (v, par.t), (u, par.s)
-
-
 def variance_charsum(
     u: Poly,
     v: Poly,
@@ -120,9 +108,8 @@ def variance_charsum(
     par = ThmParams.compute(u, v, n, h)
     ctx = u.ctx
     q = ctx.q
-    (mw, m_width), (aw, a_width) = _windows(u, v, par)
-    l_m = (n - m_width) // 2
-    l_a = (n - a_width) // 2
+    mw, m_width, l_m = par.side(u, v, True)
+    aw, a_width, l_a = par.side(u, v, False)
     work = q ** (n + 1 - h)
     if mode == "exact":
         work *= q**l_m + q ** (l_a + 1)

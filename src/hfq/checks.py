@@ -267,30 +267,28 @@ def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = 10**8) -> Ch
     return res
 
 
+def _check_ranks(title: str, label: str, identity, ranks, u, v, n, h, guard) -> CheckResult:
+    """One identity at every rank of its range for one (n, h)."""
+    res = CheckResult(f"{title} identity (n={n}, h={h})")
+    for r in ranks:
+        lhs, rhs = identity(u, v, n, h, r, guard=guard)
+        res.count(lhs == rhs, f"{label}={r}: lhs {lhs} != rhs {rhs}")
+    return res
+
+
 def check_kernel_sum(u: Poly, v: Poly, n: int, h: int, guard: int = 10**8) -> CheckResult:
     """kernel_sum_identity at every feasible rank for one (n, h)."""
     from . import variance
 
-    res = CheckResult(f"kernel-sum identity (n={n}, h={h})")
     par = variance.ThmParams.compute(u, v, n, h)
-    if h < par.n2 - 1:
-        return res  # below the identity's domain: nothing to check
-    lo, hi = variance._r1_range(par)
-    for r1 in range(lo, hi + 1):
-        lhs, rhs = variance.kernel_sum_identity(u, v, n, h, r1, guard=guard)
-        res.count(lhs == rhs, f"r1={r1}: lhs {lhs} != rhs {rhs}")
-    return res
+    # below h = n2 - 1 the identity has no domain: nothing to check
+    ranks = par.r1_ranks() if h >= par.n2 - 1 else ()
+    return _check_ranks("kernel-sum", "r1", variance.kernel_sum_identity, ranks, u, v, n, h, guard)
 
 
 def check_w_sum(u: Poly, v: Poly, n: int, h: int, guard: int = 10**8) -> CheckResult:
     """w_sum_identity at every feasible rank for one (n, h)."""
     from . import variance
 
-    res = CheckResult(f"w-sum identity (n={n}, h={h})")
-    par = variance.ThmParams.compute(u, v, n, h)
-    mn = min(par.s_prime, par.t_prime)
-    n2_seq = ((n - 1) + 3) // 2
-    for r in range(max(h + 1, 3), min(mn, n2_seq - 1) + 1):
-        lhs, rhs = variance.w_sum_identity(u, v, n, h, r, guard=guard)
-        res.count(lhs == rhs, f"r={r}: lhs {lhs} != rhs {rhs}")
-    return res
+    ranks = variance.ThmParams.compute(u, v, n, h).w_ranks()
+    return _check_ranks("w-sum", "r", variance.w_sum_identity, ranks, u, v, n, h, guard)

@@ -154,11 +154,12 @@ def cmd_census(args) -> int:
     return worst
 
 
-def _fast_envelope_ok(q: int, l_m: int, l_a: int) -> bool:
+def _fast_envelope_ok(q: int, s_prime: int, t_prime: int) -> bool:
+    """Both quadratic-form lengths, s' and t', inside the verified envelope."""
     from . import checks
 
     lim = checks.QUADFORM_VERIFIED_L.get(q)
-    return lim is not None and l_m <= lim and l_a <= lim
+    return lim is not None and max(s_prime, t_prime) <= lim
 
 
 def cmd_variance(args) -> int:
@@ -178,9 +179,7 @@ def cmd_variance(args) -> int:
         mode = "fast" if args.fast else "exact"
         if args.fast:
             par = report.params
-            l_m = par.s_prime if par.even else par.t_prime
-            l_a = par.t_prime if par.even else par.s_prime
-            if not _fast_envelope_ok(ctx.q, l_m, l_a) and not args.trust_lemmas:
+            if not _fast_envelope_ok(ctx.q, par.s_prime, par.t_prime) and not args.trust_lemmas:
                 raise HfqError(
                     "--fast outside the exhaustively verified envelope; "
                     "pass --trust-lemmas to proceed"
@@ -236,10 +235,11 @@ def cmd_identity(args) -> int:
             ws = [Poly.from_literal(ctx, w) for w in args.W]
         results.append(checks.check_reduction(ctx, max(_parse_range(args.n)), ws, guard))
     elif kind == "bijection":
+        from .hankel import bijection_ranks
+
         hs = [x for x in _parse_range(args.h) if x < args.r]
         for n in _parse_range(args.n):
-            n2 = (n + 3) // 2
-            if 2 < args.r <= n2 - 1:
+            if args.r in bijection_ranks(n):
                 results.append(checks.check_bijection(ctx, n, args.r, hs, guard))
     elif kind in ("kernel-sum", "w-sum"):
         from . import variance

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from typing import Iterator, Optional
 
 import numpy as np
@@ -191,17 +191,15 @@ class FieldCtx:
         return tuple(self.parse_elem(x) for x in split_literal(text))
 
 
-def fq_vectors(
-    ctx: FieldCtx, width: int, start: int = 0, stop: Optional[int] = None, zeros: int = 0
-) -> Iterator[tuple]:
-    """The vectors of F_q^width with codes start..stop-1, in code order.
+def fq_vectors(ctx: FieldCtx, width: int, zeros: int = 0) -> Iterator[tuple]:
+    """The vectors of F_q^width, in code order.
 
     A vector's code has its entries as base-q digits, first entry least
     significant, so the first entry varies fastest.  Each vector comes with
     ``zeros`` zero entries in front.
     """
     prefix = (0,) * zeros
-    for v in islice(product(range(ctx.q), repeat=width), start, stop):
+    for v in product(range(ctx.q), repeat=width):
         yield prefix + v[::-1]
 
 

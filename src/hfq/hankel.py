@@ -16,9 +16,9 @@ and pi = r - rho.
 
 The characteristic and the kernel polynomials come from one
 Berlekamp-Massey pass, O(n^2) per sequence; the census runs the same pass
-batched (fastpath.profile).  Gaussian elimination serves only rank and
-kernel_basis, the ranks and kernels of explicit views: it is the
-independent side that the pass is checked against.
+batched over the prefix trie (fastpath.walk).  Gaussian elimination serves
+only rank and kernel_basis, the ranks and kernels of explicit views: it is
+the independent side that the pass is checked against.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from . import fastpath
 from .errors import (
     NotPiZeroError,
     PreconditionViolatedError,
+    RangeEmptyError,
     ShapeTooSmallError,
     TooShortError,
     WidthTooSmallError,
@@ -409,7 +410,7 @@ def census_formula(n: int, h: int, r: int, rho: int, pi: int, q: int) -> int:
     """Number of sequences in F_q^{n+1} with h leading zeros and the given
     standard characteristic; 0 for parameter combinations no class attains."""
     if n < 0 or not 0 <= h <= n + 1:
-        raise ValueError("need n >= 0 and 0 <= h <= n+1")
+        raise RangeEmptyError("need n >= 0 and 0 <= h <= n+1")
     if min(r, rho, pi) < 0 or r != rho + pi:
         return 0
     n1 = (n + 2) // 2
@@ -432,7 +433,7 @@ def census_formula(n: int, h: int, r: int, rho: int, pi: int, q: int) -> int:
 def census_formula_total(n: int, h: int, r: int, q: int) -> int:
     """Number of sequences with h leading zeros and rank invariant r."""
     if n < 0 or not 0 <= h <= n + 1:
-        raise ValueError("need n >= 0 and 0 <= h <= n+1")
+        raise RangeEmptyError("need n >= 0 and 0 <= h <= n+1")
     if r < 0:
         return 0
     n1 = (n + 2) // 2
@@ -472,7 +473,7 @@ def census_enumerate(
     """Exhaustive tallies of the standard and strict classes over all
     sequences in F_q^{n+1} with h leading zeros."""
     if n < 0 or not 0 <= h <= n + 1:
-        raise ValueError("need n >= 0 and 0 <= h <= n+1")
+        raise RangeEmptyError("need n >= 0 and 0 <= h <= n+1")
     total = ctx.q ** (n + 1 - h)
     check_guard(total, cap, f"census of q^{n + 1 - h}", "sequences")
     side = (n + 2) // 2 + 1  # r, rho and strict rho are at most n1
@@ -613,6 +614,12 @@ def _predict_strict_class(prof: Profile, n: int, w: Poly, s: int):
 # the class <-> coprime pair bijection
 
 
+def bijection_ranks(n: int) -> range:
+    """Ranks r with 2 < r <= n2 - 1, where the bijection applies to the
+    length-(n+1) sequences."""
+    return range(3, (n + 3) // 2)
+
+
 def bijection_map(seq: Seq, h: int):
     """Map a class-(r, r, 0) sequence with h leading zeros to the coprime
     pair (a1, B) with B in A_{< r - h}.
@@ -626,7 +633,7 @@ def bijection_map(seq: Seq, h: int):
     r = prof.r
     if prof.standard != (r, r, 0):
         raise WrongClassError(f"sequence has class {prof.standard}, need (r, r, 0)")
-    if not 2 < r <= seq.n2 - 1:
+    if r not in bijection_ranks(seq.n):
         raise WrongClassError(f"rank {r} outside the bijection range (2, {seq.n2 - 1}]")
     if not 0 <= h < r:
         raise WrongClassError(f"need 0 <= h < r = {r}")
@@ -656,9 +663,9 @@ def bijection_inverse(a: Poly, b: Poly, n: int, h: int) -> Seq:
     r = a.degree
     if a.is_zero or not a.is_monic:
         raise WrongClassError("first component must be monic")
-    n2 = (n + 3) // 2
-    if not 2 < r <= n2 - 1:
-        raise WrongClassError(f"degree {r} outside the bijection range (2, {n2 - 1}]")
+    ranks = bijection_ranks(n)
+    if r not in ranks:
+        raise WrongClassError(f"degree {r} outside the bijection range (2, {ranks.stop - 1}]")
     if not 0 <= h < r:
         raise WrongClassError(f"need 0 <= h < r = {r}")
     if b.degree >= r - h:

@@ -31,7 +31,7 @@ from .errors import (
     check_guard,
 )
 from .field import CHUNK, from_digits, to_digits
-from .hankel import Seq, char_polys
+from .hankel import Seq, bijection_ranks, char_polys
 from .polyring import (
     Poly,
     coeff_vector,
@@ -58,7 +58,8 @@ def validate_pair(u: Poly, v: Poly) -> None:
 @dataclass(frozen=True)
 class ThmParams:
     """Derived parameters: the parity table for (s, t), the half-gaps
-    (s', t'), and the square-matrix sizes n1, n2."""
+    (s', t'), and the square-matrix sizes n1, n2.  The one reader of the
+    parity of n: side() and the rank ranges are decided here."""
 
     n: int
     h: int
@@ -72,6 +73,27 @@ class ThmParams:
     @property
     def even(self) -> bool:
         return self.n % 2 == 0
+
+    def side(self, u: Poly, v: Poly, monic: bool) -> tuple:
+        """(W, width, half) of the monic or the full character-sum side: the
+        polynomial, its parity-table width (s or t) and half-gap (s' or t').
+        The monic sum attaches to U for even n and to V for odd n."""
+        if monic == self.even:
+            return u, self.s, self.s_prime
+        return v, self.t, self.t_prime
+
+    def r1_ranks(self) -> range:
+        """Ranks of the f-sum and the kernel-sum identity: past the monic
+        side's half-gap, up to n - h."""
+        _, _, half = self.side(None, None, True)
+        return range(half + 1, self.n - self.h + 1)
+
+    def w_ranks(self) -> range:
+        """Ranks of the w-sum identity: h < r <= min(s', t'), inside the
+        bijection range of the length-n sequences it counts."""
+        ranks = bijection_ranks(self.n - 1)
+        stop = min(self.s_prime + 1, self.t_prime + 1, ranks.stop)
+        return range(max(self.h + 1, ranks.start), stop)
 
     @classmethod
     def compute(cls, u: Poly, v: Poly, n: int, h: int) -> "ThmParams":
@@ -153,12 +175,8 @@ def _binned_interval_sums(u: Poly, v: Poly, par: ThmParams) -> np.ndarray:
     the q^(n-h) classes block by block, so no array grows with the pairs."""
     ctx = u.ctx
     n, h = par.n, par.h
-    if par.even:
-        monic_w, monic_half = u, par.s_prime
-        free_w, free_half = v, par.t_prime
-    else:
-        monic_w, monic_half = v, par.t_prime
-        free_w, free_half = u, par.s_prime
+    monic_w, _, monic_half = par.side(u, v, True)
+    free_w, _, free_half = par.side(u, v, False)
     monic_rows = _class_digits(ctx, [monic_w * e * e for e in monics(ctx, monic_half)], h, n)
     free_rows = _class_digits(ctx, [free_w * f * f for f in polys_upto(ctx, free_half)], h, n)
     n_free = len(free_rows)
@@ -211,20 +229,14 @@ def gcd_divisibility_sum(w: Poly, d1: int, d2: int, monic2: bool) -> int:
     return total
 
 
-def _f_ranges(par: ThmParams, r1: int):
-    """Degree boxes for the two gcd-divisibility sums at a given rank."""
-    if par.even:
-        b_args = (par.s_prime + par.s - r1, r1 - par.s_prime - 1, True)
-        c_args = (par.t_prime + par.t - r1 - 1, r1 - par.t_prime - 2, False)
-    else:
-        b_args = (par.s_prime + par.s - r1 - 1, r1 - par.s_prime - 2, False)
-        c_args = (par.t_prime + par.t - r1, r1 - par.t_prime - 1, True)
-    return b_args, c_args
-
-
-def _r1_range(par: ThmParams):
-    lo = (par.s_prime if par.even else par.t_prime) + 1
-    return lo, par.n - par.h
+def _boxes(u: Poly, v: Poly, par: ThmParams, r1: int):
+    """Per side, monic first: the polynomial, its half-gap, and the degree
+    box (d1, d2, monic) of its gcd-divisibility sum at rank r1.  The full
+    side's box is one degree lower at both ends."""
+    for monic in (True, False):
+        w, width, half = par.side(u, v, monic)
+        low = 0 if monic else 1
+        yield w, half, (half + width - r1 - low, r1 - half - 1 - low, monic)
 
 
 def f_formula(u: Poly, v: Poly, n: int, h: int) -> Fraction:
@@ -234,13 +246,12 @@ def f_formula(u: Poly, v: Poly, n: int, h: int) -> Fraction:
     q = u.ctx.q
     duv = u.degree + v.degree
     pref = Fraction(4 * (q - 1), q ** ((1 + duv) // 2))
-    lo, hi = _r1_range(par)
     acc = Fraction(0)
-    for r1 in range(lo, hi + 1):
-        b_args, c_args = _f_ranges(par, r1)
-        bsum = gcd_divisibility_sum(u, *b_args)
-        csum = gcd_divisibility_sum(v, *c_args)
-        acc += Fraction(q) ** (r1 - (n - h)) * bsum * csum
+    for r1 in par.r1_ranks():
+        term = Fraction(q) ** (r1 - (n - h))
+        for w, _, box in _boxes(u, v, par, r1):
+            term *= gcd_divisibility_sum(w, *box)
+        acc += term
     return pref * acc
 
 
@@ -280,8 +291,8 @@ def case_classify(u: Poly, v: Poly, n: int, h: int) -> str:
     them is reported honestly as uncovered.
     """
     par = ThmParams.compute(u, v, n, h)
-    vanish_at = (par.s_prime + par.s) if par.even else (par.t_prime + par.t)
-    if h >= vanish_at:
+    _, width, half = par.side(u, v, True)
+    if h >= half + width:
         return "case1"
     if par.n2 - 1 <= h:
         return "case2"
@@ -380,51 +391,39 @@ def kernel_sum_identity(
         raise RangeEmptyError(
             f"identity needs h >= n2 - 1 = {par.n2 - 1}; h = {h} is below it"
         )
-    lo, hi = _r1_range(par)
-    if not lo <= r1 <= hi:
-        raise RangeEmptyError(f"r1 = {r1} outside [{lo}, {hi}]")
+    ranks = par.r1_ranks()
+    if r1 not in ranks:
+        raise RangeEmptyError(f"r1 = {r1} outside [{ranks.start}, {ranks.stop - 1}]")
     ctx = u.ctx
     q = ctx.q
     da = n - r1 + 1
-    b_args, c_args = _f_ranges(par, r1)
-
-    if par.even:
-        b_outer = list(monics(ctx, par.s_prime))
-        b_inner = list(monics_upto(ctx, r1 - par.s_prime - 1))
-        c_outer = list(polys_upto(ctx, par.t_prime))
-        c_inner = list(polys_upto(ctx, r1 - par.t_prime - 2))
-    else:
-        b_outer = list(polys_upto(ctx, par.s_prime))
-        b_inner = list(polys_upto(ctx, r1 - par.s_prime - 2))
-        c_outer = list(monics(ctx, par.t_prime))
-        c_inner = list(monics_upto(ctx, r1 - par.t_prime - 1))
-    work = q**da * (len(b_outer) * len(b_inner) + len(c_outer) * len(c_inner))
+    sides = []
+    for w, half, box in _boxes(u, v, par, r1):
+        _, d2, monic = box
+        outer = list(monics(ctx, half) if monic else polys_upto(ctx, half))
+        inner = list(monics_upto(ctx, d2) if monic else polys_upto(ctx, d2))
+        sides.append((w, outer, inner, box))
+    work = q**da * sum(len(outer) * len(inner) for _, outer, inner, _ in sides)
     check_guard(work, guard, "identity enumeration")
 
-    b_bound, c_bound = b_args[0], c_args[0]
     lhs = 0
     for a in monics(ctx, da):
-        nb = 0
-        for b in b_outer:
-            ub = u * b
-            for b2 in b_inner:
-                if (ub - b2 * a).degree <= b_bound:
-                    nb += 1
-        if nb == 0:
-            continue
-        nc = 0
-        for c in c_outer:
-            vc = v * c
-            for c2 in c_inner:
-                if (vc - c2 * a).degree <= c_bound:
-                    nc += 1
-        lhs += nb * nc
+        term = 1
+        for w, outer, inner, (bound, _, _) in sides:
+            hits = 0
+            for b in outer:
+                wb = w * b
+                for b2 in inner:
+                    if (wb - b2 * a).degree <= bound:
+                        hits += 1
+            term *= hits
+            if term == 0:
+                break
+        lhs += term
 
-    rhs = (
-        Fraction(q**da, (u * v).abs_value())
-        * gcd_divisibility_sum(u, *b_args)
-        * gcd_divisibility_sum(v, *c_args)
-    )
+    rhs = Fraction(q**da, (u * v).abs_value())
+    for w, _, _, box in sides:
+        rhs *= gcd_divisibility_sum(w, *box)
     return Fraction(lhs), rhs
 
 
@@ -433,14 +432,11 @@ def w_sum_identity(u: Poly, v: Poly, n: int, h: int, r: int, guard: int = 10**8)
     length-n sequences: sum of |gcd(a1, U)| |gcd(a1, V)| against the
     divisor-stratified coprime-pair count with W = UV."""
     par = ThmParams.compute(u, v, n, h)
-    mn = min(par.s_prime, par.t_prime)
     ctx = u.ctx
     q = ctx.q
-    n2_seq = ((n - 1) + 3) // 2  # sequences below have top index n - 1
-    if not (h + 1 <= r <= mn and 2 < r <= n2_seq - 1):
-        raise RangeEmptyError(
-            f"r = {r} outside [{h + 1}, {min(mn, n2_seq - 1)}] (and r > 2)"
-        )
+    ranks = par.w_ranks()
+    if r not in ranks:
+        raise RangeEmptyError(f"r = {r} outside [{h + 1}, {ranks.stop - 1}] (and r > 2)")
     check_guard(q ** (n - h), guard, "identity enumeration")
 
     lhs = 0

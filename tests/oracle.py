@@ -161,8 +161,8 @@ def fast_variance_unreduced(u: Poly, v: Poly, n: int, h: int) -> Fraction:
     each, with no scalar orbits and no prefix sharing."""
     par = ThmParams.compute(u, v, n, h)
     q = u.ctx.q
-    (mw, m_width), (aw, a_width) = charsum._windows(u, v, par)
-    l_m, l_a = (n - m_width) // 2, (n - a_width) // 2
+    mw, m_width, l_m = par.side(u, v, True)
+    aw, a_width, l_a = par.side(u, v, False)
     m_vec, a_vec = coeff_vector(mw, m_width), coeff_vector(aw, a_width)
     total = 0
     for block in fastpath.blocks(u.ctx, n + 1 - h, zeros=h):

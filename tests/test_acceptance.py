@@ -152,16 +152,13 @@ def test_criterion_09_internal_identities():
             for h in range(n + 1):
                 par = ThmParams.compute(u, v, n, h)
                 if h >= par.n2 - 1:
-                    lo, hi = variance._r1_range(par)
-                    for r1 in range(lo, hi + 1):
+                    for r1 in par.r1_ranks():
                         lhs, rhs = variance.kernel_sum_identity(u, v, n, h, r1)
                         res.count(
                             lhs == rhs,
                             f"kernel-sum U={u!r} V={v!r} n={n} h={h} r1={r1}: {lhs} != {rhs}",
                         )
-                mn = min(par.s_prime, par.t_prime)
-                n2_seq = ((n - 1) + 3) // 2
-                for r in range(max(h + 1, 3), min(mn, n2_seq - 1) + 1):
+                for r in par.w_ranks():
                     lhs, rhs = variance.w_sum_identity(u, v, n, h, r)
                     res.count(
                         lhs == rhs,

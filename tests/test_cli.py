@@ -288,6 +288,14 @@ def test_census_empty_range_exits_64(capsys):
     assert code == EXIT_USAGE and out == "" and "empty range" in err
 
 
+@pytest.mark.parametrize(
+    "ranges", [("--n", "2", "--h=-1..0"), ("--n=-2..1", "--h", "0")], ids=["h", "n"]
+)
+def test_census_negative_range_exits_64(capsys, ranges):
+    code, out, err = run(capsys, "census", "--q", "3", *ranges)
+    assert code == EXIT_USAGE and out == "" and "need n >= 0" in err
+
+
 def test_census_guard_bounds_free_entries(capsys):
     # n=6, h=3 enumerates 3^4 = 81 sequences, far below q^(n+1) = 2187
     base = ("census", "--q", "3", "--n", "6", "--h", "3")
@@ -387,7 +395,7 @@ def _argv(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [command, "--q", *draw(_FIELD)]
     if command == "census":
-        argv += ["--n", draw(_RANGE), "--h", draw(_RANGE)]
+        argv += [f"--n={draw(_RANGE)}", f"--h={draw(_RANGE)}"]
     elif command == "variance":
         u, v = draw(st.one_of(_VALID_UV, st.tuples(_POLY, _POLY)))
         argv += ["--U", u, "--V", v, "--n", draw(_INT), "--h", draw(_INT)]

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hfq.errors import (
     TooLargeError,
 )
 from hfq.field import ctx_new
+from hfq.hankel import bijection_ranks
 from hfq.polyring import Poly, monics, polys_upto
 from hfq.variance import (
     ThmParams,
@@ -50,6 +52,41 @@ def test_thm_params_parity_table():
     par = ThmParams.compute(U2, V1, 7, 0)
     assert (par.s, par.t, par.s_prime, par.t_prime) == (3, 1, 2, 3)
     assert (par.n1, par.n2) == (4, 5)
+
+
+def test_sides_and_rank_ranges_match_the_parity_table():
+    # the inline formulas they replace, written out: the monic side is U for
+    # even n and V for odd n; each range's two ends are pinned, not just its
+    # members, so an empty range cannot hide a moved end
+    checked = 0
+    for u in (U1, U2):
+        for v in (V1, p3(1, 1), V3):
+            for n in range(2, 13):
+                for h in range(n + 1):
+                    try:
+                        par = ThmParams.compute(u, v, n, h)
+                    except HfqError:
+                        continue
+                    s, t, sp, tp = par.s, par.t, par.s_prime, par.t_prime
+                    if n % 2 == 0:
+                        monic, full, lo = (u, s, sp), (v, t, tp), sp + 1
+                    else:
+                        monic, full, lo = (v, t, tp), (u, s, sp), tp + 1
+                    assert par.side(u, v, True) == monic and par.side(u, v, False) == full
+                    r1 = par.r1_ranks()
+                    assert (r1.start, r1.stop) == (lo, n - h + 1)
+                    n2_seq = ((n - 1) + 3) // 2
+                    w = par.w_ranks()
+                    assert (w.start, w.stop) == (max(h + 1, 3), min(sp, tp, n2_seq - 1) + 1)
+                    # min(s', t') never exceeds the bijection bound of a valid
+                    # pair; lifting it exposes that bound
+                    lifted = dataclasses.replace(par, s_prime=n, t_prime=n).w_ranks()
+                    assert lifted.stop == n2_seq
+                    checked += 1
+    assert checked > 100
+    for n in range(14):
+        ranks = bijection_ranks(n)
+        assert (ranks.start, ranks.stop) == (3, (n + 3) // 2)
 
 
 def test_hypothesis_validation():
