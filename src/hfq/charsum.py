@@ -19,15 +19,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import fastpath
 from .errors import LengthMismatchError, check_guard
 from .field import CycInt
-from .hankel import Seq, profile
 from .polyring import Poly, coeff_vector
 from .variance import ThmParams
+
+if TYPE_CHECKING:
+    from .hankel import Seq
+
+# q -> the largest l that the acceptance suite runs check_quadform to; the
+# CLI trusts --fast (closed-form magnitudes) only inside this envelope.
+QUADFORM_VERIFIED_L = {3: 3, 5: 2}
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,8 @@ def magsq_via_profile(seq: Seq, l: int, monic: bool) -> int:
     establish exhaustively before anything downstream is allowed to trust
     this path.
     """
+    from .hankel import profile
+
     _check_length(seq, l)
     prof = profile(seq)
     e = int(magsq_exponents(l, prof.r, prof.strict_pi, monic))

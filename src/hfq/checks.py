@@ -36,10 +36,6 @@ from .polyring import Poly, coeff_vector, gcd, monics, polys_upto
 
 _MAX_DETAIL = 8
 
-# q -> the largest l that the acceptance suite runs check_quadform to; the
-# CLI trusts --fast (closed-form magnitudes) only inside this envelope.
-QUADFORM_VERIFIED_L = {3: 3, 5: 2}
-
 
 @dataclass
 class CheckResult:
@@ -52,12 +48,16 @@ class CheckResult:
     def ok(self) -> bool:
         return self.failed == 0 and self.checked > 0
 
-    def count(self, good: bool, detail: str = "") -> None:
+    def count(self, good: bool, detail="") -> None:
+        """Tally one instance.  ``detail`` is the failure's line, or a function
+        that builds it; a per-sequence check passes a function, so that a
+        pass formats nothing."""
         self.checked += 1
         if not good:
             self.failed += 1
             if len(self.lines) < _MAX_DETAIL:
-                self.lines.append(detail or "unspecified failure")
+                line = detail() if callable(detail) else detail
+                self.lines.append(line or "unspecified failure")
 
     def summary(self) -> str:
         state = "PASS" if self.ok else "FAIL"
@@ -137,7 +137,7 @@ def check_kernel_structure(ctx: FieldCtx, n_max: int, guard: int = 10**8) -> Che
             )
             if not cp.a2.is_zero and cp.a2.degree > n - prof.r + 2:
                 good_pair = False
-            res.count(good_pair, f"pair contract broken at {seq!r}")
+            res.count(good_pair, lambda: f"pair contract broken at {seq!r}")
             for m in range(n + 1):
                 gens = [cp.a1.shift(i) for i in range(m - prof.r + 1)]
                 gens += [cp.a2.shift(j) for j in range(m - (n - prof.r + 2) + 1)]
@@ -146,7 +146,7 @@ def check_kernel_structure(ctx: FieldCtx, n_max: int, guard: int = 10**8) -> Che
                     vecs = [list(coeff_vector(g, m)) for g in gens]
                     kernel_dim = m + 1 - rank(HankelView(seq, n - m + 1, m + 1))
                     good = len(_row_reduce(vecs, m + 1, ctx)) == kernel_dim
-                res.count(good, f"kernel mismatch at {seq!r} split {n - m + 1}x{m + 1}")
+                res.count(good, lambda: f"kernel mismatch at {seq!r} split {n - m + 1}x{m + 1}")
     return res
 
 
@@ -209,7 +209,7 @@ def check_reduction(ctx: FieldCtx, n_max: int, ws=None, guard: int = 10**8) -> C
                         res.count(
                             (pred.r, pred.rho, pred.pi) == actual.standard
                             and pred.a1 == actual_polys.a1,
-                            f"claim 1 at {seq!r}, W={w!r}, s={s}: "
+                            lambda: f"claim 1 at {seq!r}, W={w!r}, s={s}: "
                             f"predicted {(pred.r, pred.rho, pred.pi)}/{pred.a1!r}, "
                             f"got {actual.standard}/{actual_polys.a1!r}",
                         )
@@ -220,7 +220,7 @@ def check_reduction(ctx: FieldCtx, n_max: int, ws=None, guard: int = 10**8) -> C
                     actual = profile(odot(seq, w, s))
                     res.count(
                         actual.strict == pred_class,
-                        f"claim 2 at {seq!r}, W={w!r}: got {actual.strict}",
+                        lambda: f"claim 2 at {seq!r}, W={w!r}: got {actual.strict}",
                     )
     return res
 
@@ -250,7 +250,7 @@ def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = 10**8) -> Ch
             back = bijection_inverse(a, b, n, h)
             res.count(
                 ok and back == seq,
-                f"roundtrip failed at {seq!r} (h={h}) -> ({a!r}, {b!r})",
+                lambda: f"roundtrip failed at {seq!r} (h={h}) -> ({a!r}, {b!r})",
             )
             image.add((a, b))
         want = (q - 1) * q ** (2 * r - h - 1)

@@ -156,16 +156,18 @@ def cmd_census(args) -> int:
 
 def _fast_envelope_ok(q: int, s_prime: int, t_prime: int) -> bool:
     """Both quadratic-form lengths, s' and t', inside the verified envelope."""
-    from . import checks
+    from . import charsum
 
-    lim = checks.QUADFORM_VERIFIED_L.get(q)
+    lim = charsum.QUADFORM_VERIFIED_L.get(q)
     return lim is not None and max(s_prime, t_prime) <= lim
 
 
 def cmd_variance(args) -> int:
-    from . import charsum, variance
+    from . import variance
     from .polyring import Poly
 
+    if (args.fast or args.trust_lemmas) and not args.charsum:
+        raise HfqError("--fast and --trust-lemmas apply only with --charsum")
     ctx = _build_ctx(args)
     u = Poly.from_literal(ctx, args.U)
     v = Poly.from_literal(ctx, args.V)
@@ -173,19 +175,20 @@ def cmd_variance(args) -> int:
     if not 0 <= h <= n:
         raise HfqError(f"need 0 <= h <= n, got n={n} h={h}")
     report = variance.theorem_predict(u, v, n, h)
+    par = report.params
+    if args.fast and not args.trust_lemmas and not _fast_envelope_ok(
+        ctx.q, par.s_prime, par.t_prime
+    ):  # refused before the oracle runs
+        raise HfqError(
+            "--fast outside the exhaustively verified envelope; pass --trust-lemmas to proceed"
+        )
     if args.oracle:
         report.oracle = variance.variance_bruteforce(u, v, n, h, guard=args.guard)
     if args.charsum:
-        mode = "fast" if args.fast else "exact"
-        if args.fast:
-            par = report.params
-            if not _fast_envelope_ok(ctx.q, par.s_prime, par.t_prime) and not args.trust_lemmas:
-                raise HfqError(
-                    "--fast outside the exhaustively verified envelope; "
-                    "pass --trust-lemmas to proceed"
-                )
+        from . import charsum
+
         report.charsum_value = charsum.variance_charsum(
-            u, v, n, h, mode=mode, guard=args.guard
+            u, v, n, h, mode="fast" if args.fast else "exact", guard=args.guard
         )
     report.finish()
     payload = {

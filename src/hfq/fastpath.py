@@ -11,10 +11,11 @@ F_q sum.  Over a prime field pack is the identity: this is sum(c * s) mod p.
 The functions work on [N, m] blocks of codes: blocks enumerates them in
 fq_vectors order, profile and odot batch hankel.profile and hankel.odot,
 walk profiles all of F_q^width up to scalars with one Berlekamp-Massey step
-per trie prefix, qform_counts tallies the character sums of Hankel
-quadratic forms, and magsq takes their squared magnitudes.  The scalar
-hankel routines, the unreduced block loop and the literal character sum in
-the test suite are the oracles these are checked against.
+per trie prefix (depth first, each step on about half a block of prefixes),
+qform_counts tallies the character sums of Hankel quadratic forms, and
+magsq takes their squared magnitudes.  The scalar hankel routines, the
+unreduced block loop and the literal character sum in the test suite are
+the oracles these are checked against.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ def _packed(ctx: FieldCtx, terms: int):
 
 def _unpack(ctx: FieldCtx, sums: np.ndarray, base: int) -> np.ndarray:
     """The F_q code of each packed sum: base-W digit j, mod p, is residue j."""
-    code = np.zeros_like(sums)
-    for j in range(ctx.k):
-        sums, digit = np.divmod(sums, base)
-        code += digit % ctx.p * ctx.p**j
+    code = sums % base % ctx.p
+    for j in range(1, ctx.k):
+        sums = sums // base
+        code += sums % base % ctx.p * ctx.p**j
     return code
 
 
@@ -119,19 +120,36 @@ def _step(ctx: FieldCtx, state: list, i: int, entry: np.ndarray) -> None:
     state[3:] = b, length, rho, strict_rho
 
 
-def _result(state: list):
-    """(r, rho, strict_rho) of a state that has seen all m entries."""
-    m, length = len(state[2]), state[4]
-    return np.minimum(length, m + 1 - length), state[5], state[6]
+def _last(ctx: FieldCtx, state: list, cols, entry: np.ndarray):
+    """(r, rho, strict_rho) after the last step, m - 1, of the columns
+    ``cols`` of a state that has seen the first m - 1 entries, on their last
+    entries x_{m-1}.
+
+    Only L and rho can change at that step (strict rho stopped at step
+    2 (m // 2) - 2), and the discrepancy is the sum over the earlier
+    entries, one per state column, plus c_0 x_{m-1}: the columns' children
+    share it and copy no polynomial."""
+    c, _, rev, _, length, rho, strict_rho = state
+    m = len(rev)
+    base, pack_mul = _packed(ctx, m)
+    top = length.max(initial=0) + 1
+    earlier = pack_mul[c[1:top] + rev[1:top]].sum(axis=0)
+    d = _unpack(ctx, earlier[cols] + pack_mul[c[0, cols] + entry], base)
+    length, rho = length[cols], rho[cols]
+    length = np.where((d != 0) & (2 * length < m), m - length, length)
+    if m % 2:  # step m - 1 is even: k = (m + 1) / 2, as in _step
+        rho = np.where(length == (m + 1) // 2, (m + 1) // 2, rho)
+    return np.minimum(length, m + 1 - length), rho, strict_rho[cols]
 
 
 def profile(ctx: FieldCtx, block: np.ndarray):
-    """(r, rho, strict_rho) of each row of an [N, m] block, read off the
-    linear-complexity profile L_0..L_m exactly as hankel.profile does."""
-    state = _start(ctx, block.shape[1], len(block))
-    for i in range(block.shape[1]):
+    """(r, rho, strict_rho) of each row of an [N, m] block, m >= 1, read off
+    the linear-complexity profile L_0..L_m exactly as hankel.profile does."""
+    m = block.shape[1]
+    state = _start(ctx, m, len(block))
+    for i in range(m - 1):
         _step(ctx, state, i, block[:, i])
-    return _result(state)
+    return _last(ctx, state, slice(None), block[:, m - 1])
 
 
 def _take(level, cols):
@@ -142,17 +160,28 @@ def _take(level, cols):
 def _expand(ctx: FieldCtx, level, zeros: int, vecs, j: int):
     """The children of every node of a trie level: free entry j appended,
     where the all-zero prefix has only the children 0 and 1 (1 alone at the
-    last level).  A view steps once its next entry x_i is known."""
+    last level).  A view steps once its next entry x_i is known; at the
+    last entry it takes its last step, and each leaf holds the view's
+    (r, rho, strict_rho) in place of a state."""
     (width, n_cols), q = level[0].shape, ctx.q
     idx, new = np.repeat(np.arange(n_cols), q), np.tile(np.arange(q), n_cols)
     keep = level[0][:j].any(axis=0)[idx] | (new == 1) | (new == 0) & (j < width - 1)
-    ents, views = _take(level, idx[keep])
+    idx = idx[keep]
+    ents = level[0][:, idx]
     ents[j] = new[keep]
-    for vec, state in zip(vecs, views):
+    views = []
+    for vec, state in zip(vecs, level[1]):
         lo = j + 1 - len(vec)  # x_i = sum_t vec_t seq_{i+t}, seq_{i+t} = ents[lo + t]
-        if lo + zeros >= 0:
-            win = ents[max(lo, 0) : j + 1]
-            _step(ctx, state, lo + zeros, odot(ctx, win.T, vec[len(vec) - len(win) :])[:, 0])
+        if lo + zeros < 0:  # x_i is still a known zero
+            views.append([a[..., idx] for a in state])
+            continue
+        win = ents[max(lo, 0) : j + 1]
+        entry = odot(ctx, win.T, vec[len(vec) - len(win) :])[:, 0]
+        if j == width - 1:
+            views.append(_last(ctx, state, idx, entry))
+        else:
+            views.append([a[..., idx] for a in state])
+            _step(ctx, views[-1], lo + zeros, entry)
     return ents, views
 
 
@@ -164,30 +193,45 @@ def walk(ctx: FieldCtx, width: int, zeros: int, vecs, tops=slice(None)):
     whose first nonzero free entry is 1.  Profiles and near-zero status are
     constant on an orbit, so each leaf stands for q - 1 sequences.
 
-    A level-order walk of the prefix trie: Berlekamp-Massey is online, so
-    each prefix is stepped once and its children repeat its state.  The
-    root holds the state after each view's known-zero entries, so those are
-    never stepped.  The top prefixes are the nodes of the deepest level that
-    fits a leaf block of field.CHUNK / 2 / width rows, or of the first whose
-    subtrees do; the walk yields one leaf block per group of them, over the
-    groups selected by ``tops``.
+    A depth-first walk of the prefix trie: Berlekamp-Massey is online, so
+    each prefix is stepped once and its children repeat its state, except
+    the leaves, which take the last step without a copy (_last).  The root
+    holds the state after each view's known-zero entries, so those are
+    never stepped.  Leaf blocks hold at most field.CHUNK / 2 / width rows
+    (at least one).  The walk expands whole levels while they hold at most
+    take = block / 2q nodes; the first level past that is the top level,
+    whose nodes ``tops`` selects.  From there on it expands ``take`` nodes
+    of the current level at a time, so each step runs on about half a
+    block.  The path it descends holds one level per depth, each with every
+    view's full state per node: a whole block per level would raise the
+    peak memory of small walks for little speed.
     """
     if width == 0:
         return
     bound = max(1, CHUNK // 2 // width)
-    depth = 0  # until a subtree fits a block, and while the next level does
-    while depth < width and (ctx.q ** (width - depth) > bound or ctx.q ** (depth + 1) <= bound):
-        depth += 1
-    views = [_start(ctx, zeros + width + 1 - len(v), 1) for v in vecs]
-    level = np.zeros((width, 1), dtype=np.int64), views
-    for j in range(depth):
-        level = _expand(ctx, level, zeros, vecs, j)
-    group = bound // ctx.q ** (width - depth)
-    for lo in range(0, level[0].shape[1], group)[tops]:
-        leaves = _take(level, slice(lo, lo + group))  # views: _expand copies before stepping
-        for j in range(depth, width):
-            leaves = _expand(ctx, leaves, zeros, vecs, j)
-        yield (*map(_result, leaves[1]), ~leaves[0][:-1].any(axis=0))
+    take = max(1, bound // (2 * ctx.q))
+    level = np.zeros((width, 1), dtype=np.int64), [
+        _start(ctx, zeros + width + 1 - len(v), 1) for v in vecs
+    ]
+    j = 0
+    while j < width and level[0].shape[1] <= take:
+        level, j = _expand(ctx, level, zeros, vecs, j), j + 1
+    yield from _descend(ctx, _take(level, tops), j, zeros, vecs, bound, take)
+
+
+def _descend(ctx: FieldCtx, level, j: int, zeros: int, vecs, bound: int, take: int):
+    """The leaf blocks below a trie level whose next free entry is j, each
+    of at most ``bound`` rows, as walk yields them, expanding ``take`` nodes
+    at a time."""
+    n_cols, width = level[0].shape[1], len(level[0])
+    if j == width:
+        for lo in range(0, n_cols, bound):
+            leaves = _take(level, slice(lo, lo + bound))
+            yield (*leaves[1], ~leaves[0][:-1].any(axis=0))
+        return
+    for lo in range(0, n_cols, take):  # _expand copies before stepping
+        children = _expand(ctx, _take(level, slice(lo, lo + take)), zeros, vecs, j)
+        yield from _descend(ctx, children, j + 1, zeros, vecs, bound, take)
 
 
 def odot(ctx: FieldCtx, block: np.ndarray, wvec) -> np.ndarray:

@@ -457,7 +457,7 @@ class CensusTally:
 
 def _census_chunk(args):
     """Class tallies of one representative per scalar orbit of the nonzero
-    sequences, over the walk's top-prefix groups ``tops``, indexed by
+    sequences, below the walk's top-level nodes ``tops``, indexed by
     r * side + rho (row 0) and r * side + strict rho (row 1)."""
     ctx, n, h, tops, side = args
     tallies = np.zeros((2, side * side), dtype=np.int64)

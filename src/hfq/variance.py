@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import fastpath
 from .errors import (
     BadParityError,
     BoundUndefinedError,
@@ -31,7 +30,6 @@ from .errors import (
     check_guard,
 )
 from .field import CHUNK, from_digits, to_digits
-from .hankel import Seq, bijection_ranks, char_polys
 from .polyring import (
     Poly,
     coeff_vector,
@@ -91,6 +89,8 @@ class ThmParams:
     def w_ranks(self) -> range:
         """Ranks of the w-sum identity: h < r <= min(s', t'), inside the
         bijection range of the length-n sequences it counts."""
+        from .hankel import bijection_ranks
+
         ranks = bijection_ranks(self.n - 1)
         stop = min(self.s_prime + 1, self.t_prime + 1, ranks.stop)
         return range(max(self.h + 1, ranks.start), stop)
@@ -431,6 +431,9 @@ def w_sum_identity(u: Poly, v: Poly, n: int, h: int, r: int, guard: int = 10**8)
     """Both sides of the stratified count over the full-recurrence class of
     length-n sequences: sum of |gcd(a1, U)| |gcd(a1, V)| against the
     divisor-stratified coprime-pair count with W = UV."""
+    from . import fastpath
+    from .hankel import Seq, char_polys
+
     par = ThmParams.compute(u, v, n, h)
     ctx = u.ctx
     q = ctx.q

@@ -46,7 +46,7 @@ def test_criterion_02_kernel_structure():
 
 
 def test_criterion_03_quadratic_form_magnitudes():
-    for q, l_max in checks.QUADFORM_VERIFIED_L.items():
+    for q, l_max in charsum.QUADFORM_VERIFIED_L.items():
         _record(f"quadform-q{q}", checks.check_quadform(ctx_new(q), l_max))
 
 

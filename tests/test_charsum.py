@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracle import value_counts_scalar
 
-from hfq import charsum, fastpath
+from hfq import fastpath, hankel
 from hfq.charsum import (
     magsq_via_profile,
     quad_sum_all,
@@ -55,7 +55,7 @@ def test_quad_sums_run_no_scalar_profile(monkeypatch):
 
     s = Seq.from_literal(F3, "0,1,2,1,0")
     want = [magsq_via_profile(s, 2, monic) for monic in (False, True)]
-    monkeypatch.setattr(charsum, "profile", refuse)
+    monkeypatch.setattr(hankel, "profile", refuse)
     assert [quad_sum_all(s, 2).mag_sq, quad_sum_monic(s, 2).mag_sq] == want
 
 

@@ -121,6 +121,28 @@ def test_variance_fast_needs_trust_outside_envelope(capsys):
     assert payload["charsum"] == {"num": "0", "den": "1"}  # case-1 range
 
 
+@pytest.mark.parametrize("flags", [("--fast",), ("--trust-lemmas",), ("--fast", "--trust-lemmas")])
+def test_variance_fast_without_charsum_exits_64(capsys, flags):
+    code, out, err = run(
+        capsys, "variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "4", "--h", "1", *flags
+    )
+    assert code == EXIT_USAGE and out == "" and "--charsum" in err
+
+
+def test_variance_fast_refused_before_the_oracle_runs(capsys, monkeypatch):
+    from hfq import variance
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle ran")
+
+    monkeypatch.setattr(variance, "variance_bruteforce", refuse)
+    code, out, err = run(
+        capsys, "variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "10", "--h", "8",
+        "--oracle", "--charsum", "--fast",
+    )
+    assert code == EXIT_USAGE and out == "" and "trust-lemmas" in err
+
+
 def test_identity_quadform(capsys):
     code, out, _ = run(capsys, "identity", "quadform", "--q", "3", "--l", "0..1")
     assert code == EXIT_OK and "PASS" in out

@@ -244,10 +244,11 @@ def test_fast_variance_matches_unreduced_loop(ctx, n_max):
         assert variance_charsum(u, v, n, h, "fast") == want, (u, v, n, h)
 
 
-@pytest.mark.parametrize("chunk", [2, 60, 200, 700, 1296, 8000])
+@pytest.mark.parametrize("chunk", [2, 60, 200, 400, 700, 1296, 3000, 8000, 20000, 40000])
 def test_walk_blocking_leaves_results_unchanged(chunk, monkeypatch):
-    # a small CHUNK puts the top prefixes at depth 8, 7, 6, 5, 4 or (the
-    # deepest level that fits a block) 5
+    # the top level is the first with more than take = leaf block / 6
+    # nodes: level 1, 1, 2, 2, 3, 3, 4, 5, 6 or 7 of the 8; the descent
+    # splits every level below it
     f3, width = ctx_new(3), 8
     u, v = Poly.one(f3), Poly.from_ints(f3, [1, 1])
     want = variance_charsum(u, v, 9, 2, "fast")
@@ -259,6 +260,32 @@ def test_walk_blocking_leaves_results_unchanged(chunk, monkeypatch):
     assert variance_charsum(u, v, 9, 2, "fast") == want
     again = census_enumerate(f3, 7, 0)
     assert (again.standard, again.strict) == (census.standard, census.strict)
+
+
+@pytest.mark.parametrize(
+    "ctx,width,zeros,chunk",
+    [(ctx_new(3), 9, 2, 1000), (ctx_new(3), 7, 0, 2), (ctx_new(5), 5, 1, 400), (F9A, 4, 0, 300)],
+    ids=["q3", "q3-bound1", "q5", "q9"],
+)
+def test_walk_levels_stay_within_a_block(ctx, width, zeros, chunk, monkeypatch):
+    # every trie level the walk builds holds at most half a leaf block of
+    # nodes (q when that is narrower than q), and each prefix is built once
+    built = []
+
+    def expand(*args):
+        level = real(*args)
+        built.append(level[0].shape[1])
+        return level
+
+    real = fastpath._expand
+    monkeypatch.setattr(fastpath, "CHUNK", chunk)
+    monkeypatch.setattr(fastpath, "_expand", expand)
+    vecs = ((1,), (0, 1, 0))
+    leaves = sum(len(out[-1]) for out in fastpath.walk(ctx, width, zeros, vecs))
+    bound = max(1, chunk // 2 // width)
+    assert max(built) <= max(bound // 2, ctx.q)
+    nodes = [1 + (ctx.q**j - 1) // (ctx.q - 1) for j in range(1, width)]  # 0 or first entry 1
+    assert sum(built) == sum(nodes) + leaves and leaves == (ctx.q**width - 1) // (ctx.q - 1)
 
 
 _TALLY_FIELDS = [ctx_new(3), ctx_new(5), ctx_new(7), ctx_new(11), F9A, F9B, F25, F27]

@@ -49,6 +49,22 @@ def test_phisum_loads_no_hankel_layers():
     assert not mods & {"hfq.hankel", "hfq.fastpath", "hfq.charsum", "hfq.variance", "hfq.checks"}
 
 
+def test_fast_variance_loads_no_scalar_hankel_or_checks():
+    mods = run_cli(
+        "variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "7", "--h", "2",
+        "--charsum", "--fast", "--trust-lemmas",
+    )
+    assert "hfq.fastpath" in mods  # the command ran
+    assert not mods & {"hfq.hankel", "hfq.checks"}
+
+
+def test_oracle_variance_loads_no_character_sum_layers():
+    mods = run_cli("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "5", "--h", "0",
+                   "--oracle")
+    assert "hfq.variance" in mods  # the command ran
+    assert not mods & {"hfq.charsum", "hfq.fastpath", "hfq.hankel"}
+
+
 def test_lazy_names_are_the_home_modules_objects():
     homes = {m.__name__: m for m in (analytic, charsum, field, hankel, polyring, variance)}
     table = hfq._HOME  # public name -> home submodule
