@@ -1,6 +1,6 @@
 """Layer and end-to-end timings of hfq, recorded in a BENCH_<n>.json.
 
-    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label after --out BENCH_9.json
+    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label after --out BENCH_11.json
 
 imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
 (merged with the labels already there):
@@ -11,23 +11,32 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
 - the fast variance tally, variance_charsum(1, T, n, h, "fast") over F_3,
   at (n, h) = (12, 4) and (16, 6);
 - acceptance criterion 11, the same tally at (18, 6);
-- ``hfq census --q 3 --n 10 --h 0..11`` with --workers 1 and 2, as a
-  subprocess;
 - cold start: the wall time of a fresh interpreter that runs
   ``import hfq; hfq.ctx_new(3)``, and of three CLI commands (the phi sieve
   at kmax 9, a one-process census, and the benchmark's fast_tally
-  variance command), each timed from process start to exit.
+  variance command), each timed from process start to exit;
+- the wall time and peak resident set size of the walk-bound CLI
+  commands, each in one fresh interpreter: ``hfq variance --q 3 --U 1
+  --V 0,1 --n N --h H --charsum --fast --trust-lemmas`` at (N, H) =
+  (18, 6) (criterion 11), (20, 7) and (20, 6), case-3 points where the
+  prefix-trie walk does nearly all the work; ``hfq census --q 3 --n 10
+  --h 0..11`` and ``hfq census --q 3 --n N --h 0`` for N = 12, 13, 14,
+  each with --workers 1 and 2 (the peak RSS is the main process's, without
+  its pool workers);
+- the benchmark's fast_tally workload (``perfbench/run.py --seconds 30
+  --trace 0`` of the checkout that holds the imported hfq, seeds 1 and
+  2): its ``wall_s``, ``peak_rss_mib`` and ``setup_s``.
 
 Subprocesses inherit the environment, PYTHONPATH included.  With
 PYTHONDONTWRITEBYTECODE=1 and no hfq bytecode cached, a cold start also
 compiles hfq from source, as the benchmark's fresh interpreters do;
 ``cold_hfq_bytecode_cached`` records whether any was cached.
 
-Each figure is the median of --repeats wall-clock runs (of five times as
-many for the profile throughput, and three times as many for a cold
-start).  Run it once per
-checkout, with the same --out, to put a before and an after side by side.
-It is not part of the test suite.
+Each figure is the median of --repeats runs (of five times as many for
+the profile throughput, and three times as many for a cold start); the
+fast_tally figures are perfbench's own, from one run per seed.  Run it
+once per checkout, with the same --out, to put a before and an after side
+by side.  It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -70,8 +80,67 @@ COLD_STARTS = {
 }
 
 
+VARIANCE = ("variance", "--q", "3", "--U", "1", "--V", "0,1", "--charsum", "--fast",
+            "--trust-lemmas")
+CENSUS = ("census", "--q", "3")
+# label -> an hfq command line, run for its wall time and peak RSS
+COMMANDS = {
+    **{f"variance_fast_q3_n{n}_h{h}": (*VARIANCE, "--n", str(n), "--h", str(h))
+       for n, h in ((18, 6), (20, 7), (20, 6))},
+    **{f"census_q3_n10_workers{w}": (*CENSUS, "--n", "10", "--h", "0..11", "--workers", str(w))
+       for w in (1, 2)},
+    **{f"census_q3_n{n}_workers{w}": (*CENSUS, "--n", str(n), "--h", "0", "--workers", str(w))
+       for n in (12, 13, 14) for w in (1, 2)},
+}
+FAST_TALLY_SEEDS = (1, 2)
+FAST_TALLY_SECONDS = 30
+
+
 def _run(argv):
     return lambda: subprocess.run(argv, check=True, capture_output=True)
+
+
+# runs the hfq command in argv, then prints this interpreter's own peak
+# RSS (VmHWM, KiB) to stderr: ru_maxrss would also count the resident set
+# of the process that started it, at the fork
+_PEAK_RSS = """import sys, hfq.cli
+code = hfq.cli.main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(l.split()[1] for l in status if l.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)"""
+
+
+def _run_once(argv) -> tuple:
+    """(wall seconds, peak RSS in MiB) of one hfq command in a fresh interpreter."""
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], check=True,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    return time.perf_counter() - t0, int(proc.stderr.split()[-1]) / 1024
+
+
+def commands(repeats: int) -> dict:
+    out = {}
+    for label, argv in COMMANDS.items():
+        runs = [_run_once(argv) for _ in range(repeats)]
+        walls, rss = zip(*runs)
+        out[f"{label}_s"] = round(statistics.median(walls), 3)
+        out[f"{label}_peak_rss_mib"] = round(statistics.median(rss), 2)
+    return out
+
+
+def fast_tally() -> dict:
+    run_py = Path(hfq.__file__).resolve().parents[2] / "perfbench" / "run.py"
+    out = {}
+    for seed in FAST_TALLY_SEEDS:
+        line = subprocess.run(
+            [sys.executable, str(run_py), "--workload", "fast_tally", "--seed", str(seed),
+             "--seconds", str(FAST_TALLY_SECONDS), "--trace", "0"],
+            check=True, capture_output=True, text=True,
+        ).stdout.splitlines()[-1]
+        metrics = json.loads(line)["metrics"]
+        for key in ("wall_s", "peak_rss_mib", "setup_s"):
+            out[f"fast_tally_seed{seed}_{key}"] = round(metrics[key]["value"], 4)
+    return out
 
 
 def cold_start(repeats: int) -> dict:
@@ -92,10 +161,6 @@ def measure(repeats: int) -> dict:
     def tally(n, h):
         return lambda: charsum.variance_charsum(one, t, n, h, mode="fast")
 
-    def census(workers):
-        return _run([sys.executable, "-m", "hfq.cli", "census", "--q", "3", "--n", "10",
-                     "--h", "0..11", "--workers", str(workers)])
-
     return {
         "machine": platform.machine(),
         "processor": platform.processor() or platform.machine(),
@@ -108,16 +173,16 @@ def measure(repeats: int) -> dict:
         "walk_tally_s_n16_h6": _median_s(tally(16, 6), repeats),
         "criterion_11_s": _median_s(tally(18, 6), repeats),
         "criterion_11_value": str(tally(18, 6)()),
-        "census_q3_n10_workers1_s": _median_s(census(1), repeats),
-        "census_q3_n10_workers2_s": _median_s(census(2), repeats),
         **cold_start(repeats),
+        **commands(repeats),
+        **fast_tally(),
     }
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True, help="key to store this run under")
-    ap.add_argument("--out", default="BENCH_9.json")
+    ap.add_argument("--out", default="BENCH_11.json")
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     data = {}
