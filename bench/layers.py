@@ -1,13 +1,13 @@
 """Layer and end-to-end timings of hfq, recorded in a BENCH_<n>.json.
 
-    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label after --out BENCH_11.json
+    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label after --out BENCH_12.json
 
 imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
 (merged with the labels already there):
 
 - the machine, its CPU count and the numpy version;
-- fastpath.profile throughput, in sequences/s, on a seeded random block of
-  F_3 sequences of length 13;
+- fastpath.walk throughput, in sequences/s (leaves times q - 1), over all
+  of F_3^12 with the one view (1,);
 - the fast variance tally, variance_charsum(1, T, n, h, "fast") over F_3,
   at (n, h) = (12, 4) and (16, 6);
 - acceptance criterion 11, the same tally at (18, 6);
@@ -22,7 +22,11 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   prefix-trie walk does nearly all the work; ``hfq census --q 3 --n 10
   --h 0..11`` and ``hfq census --q 3 --n N --h 0`` for N = 12, 13, 14,
   each with --workers 1 and 2 (the peak RSS is the main process's, without
-  its pool workers);
+  its pool workers); the exact character sum ``hfq variance --charsum``
+  at q=5 (U = 1, V = T + 1, n = 7, h = 2) and q=3 (U = 1, V = T, n = 10,
+  h = 2); ``hfq identity quadform`` at one level each of q=3 (l = 4), q=5
+  (l = 3) and q=7 (l = 2); and ``hfq identity w-sum --q 5 --U 1 --V 0,1
+  --n 8 --h 0``, every rank of one F_5 point;
 - the benchmark's fast_tally workload (``perfbench/run.py --seconds 30
   --trace 0`` of the checkout that holds the imported hfq, seeds 1 and
   2): its ``wall_s``, ``peak_rss_mib`` and ``setup_s``.
@@ -33,7 +37,7 @@ compiles hfq from source, as the benchmark's fresh interpreters do;
 ``cold_hfq_bytecode_cached`` records whether any was cached.
 
 Each figure is the median of --repeats runs (of five times as many for
-the profile throughput, and three times as many for a cold start); the
+the walk throughput, and three times as many for a cold start); the
 fast_tally figures are perfbench's own, from one run per seed.  Run it
 once per checkout, with the same --out, to put a before and an after side
 by side.  It is not part of the test suite.
@@ -83,6 +87,7 @@ COLD_STARTS = {
 VARIANCE = ("variance", "--q", "3", "--U", "1", "--V", "0,1", "--charsum", "--fast",
             "--trust-lemmas")
 CENSUS = ("census", "--q", "3")
+EXACT = ("variance", "--U", "1", "--h", "2", "--charsum")
 # label -> an hfq command line, run for its wall time and peak RSS
 COMMANDS = {
     **{f"variance_fast_q3_n{n}_h{h}": (*VARIANCE, "--n", str(n), "--h", str(h))
@@ -91,6 +96,12 @@ COMMANDS = {
        for w in (1, 2)},
     **{f"census_q3_n{n}_workers{w}": (*CENSUS, "--n", str(n), "--h", "0", "--workers", str(w))
        for n in (12, 13, 14) for w in (1, 2)},
+    "variance_exact_q5_n7_h2": (*EXACT, "--q", "5", "--V", "1,1", "--n", "7"),
+    "variance_exact_q3_n10_h2": (*EXACT, "--q", "3", "--V", "0,1", "--n", "10"),
+    **{f"quadform_q{q}_l{l}": ("identity", "quadform", "--q", str(q), "--l", f"{l}..{l}")
+       for q, l in ((3, 4), (5, 3), (7, 2))},
+    "w_sum_q5_n8_h0": ("identity", "w-sum", "--q", "5", "--U", "1", "--V", "0,1",
+                       "--n", "8", "--h", "0"),
 }
 FAST_TALLY_SEEDS = (1, 2)
 FAST_TALLY_SECONDS = 30
@@ -154,9 +165,12 @@ def cold_start(repeats: int) -> dict:
 def measure(repeats: int) -> dict:
     f3 = ctx_new(3)
     one, t = Poly.one(f3), Poly.t(f3)
-    block = np.random.default_rng(8).integers(0, 3, size=(20000, 13))
-    # a 50 ms call on a shared machine: five times the repeats
-    profile_s = _median_s(lambda: fastpath.profile(f3, block), 5 * repeats)
+
+    def walk():
+        return sum(len(ents) for _, ents in fastpath.walk(f3, 12, 0, ((1,),)))
+
+    # a short call on a shared machine: five times the repeats
+    walk_s = _median_s(walk, 5 * repeats)
 
     def tally(n, h):
         return lambda: charsum.variance_charsum(one, t, n, h, mode="fast")
@@ -168,7 +182,7 @@ def measure(repeats: int) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "repeats": repeats,
-        "fastpath.profile_seq_per_s": round(len(block) / profile_s),
+        "fastpath.walk_seq_per_s": round(walk() * (f3.q - 1) / walk_s),
         "walk_tally_s_n12_h4": _median_s(tally(12, 4), repeats),
         "walk_tally_s_n16_h6": _median_s(tally(16, 6), repeats),
         "criterion_11_s": _median_s(tally(18, 6), repeats),
@@ -182,7 +196,7 @@ def measure(repeats: int) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True, help="key to store this run under")
-    ap.add_argument("--out", default="BENCH_11.json")
+    ap.add_argument("--out", default="BENCH_12.json")
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     data = {}

@@ -10,9 +10,9 @@ that law, and every caller reads it from there.
 variance_charsum assembles the short-interval variance as the weighted sum
 of products of two such magnitudes over all sequences with h leading zeros,
 using the parity-dependent window widths; exact mode sums the characters,
-fast mode trusts the closed-form magnitudes.  Both run on the fastpath
-engine, over every F_q.  Everything is integer or Fraction arithmetic
-throughout.
+fast mode trusts the closed-form magnitudes.  Both enumerate with the
+fastpath walk, over every F_q.  Everything is integer or Fraction
+arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 
 # q -> the largest l that the acceptance suite runs check_quadform to; the
 # CLI trusts --fast (closed-form magnitudes) only inside this envelope.
-QUADFORM_VERIFIED_L = {3: 3, 5: 2}
+QUADFORM_VERIFIED_L = {3: 4, 5: 3, 7: 2}
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,12 @@ def variance_charsum(
 ) -> Fraction:
     """The variance as a character sum over sequences with h leading zeros.
 
-    Exact mode sums both quadratic-form characters per sequence; fast mode
-    reads the magnitudes off the closed forms.  The two agree by the
-    quadratic-form law, and the test suite enforces it.  The guard bounds
-    the sequences, times the monic and full vectors summed over in exact
-    mode.
+    Exact mode sums both quadratic-form characters for one sequence per
+    F_p^* orbit and weights it p - 1, which is exact (fastpath.scalings);
+    fast mode reads the magnitudes off the closed forms for one sequence per
+    F_q^* orbit, weighted q - 1.  The two agree by the quadratic-form law,
+    and the test suite enforces it.  The guard bounds all q^(n+1-h)
+    sequences, times the monic and full vectors summed over in exact mode.
     """
     if mode not in ("exact", "fast"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -129,19 +130,21 @@ def variance_charsum(
     if mode == "fast":  # one sequence per scalar orbit, weighted q - 1 (see fastpath.walk)
         tally = np.zeros(2 * l_m + 2 * l_a + 4, dtype=np.int64)  # by exponent of q
         views = (m_vec, a_vec)
-        for (r_x, _, srho_x), (r_y, _, _), near in fastpath.walk(ctx, n + 1 - h, h, views):
+        for (r_x, _, srho_x), (r_y, _, _), ents in fastpath.walk(ctx, n + 1 - h, h, views):
             e_x = magsq_exponents(l_m, r_x, r_x - srho_x, True)
             e_y = magsq_exponents(l_a, r_y, None, False)
-            keep = (e_x >= 0) & ~near  # near-zero classes carry the squared mean
+            keep = (e_x >= 0) & ents[:, :-1].any(axis=1)  # near-zero classes carry the squared mean
             tally += np.bincount(e_x[keep] + e_y[keep], minlength=len(tally))
         total = (q - 1) * sum(c * q**e for e, c in enumerate(tally.tolist()))
-    else:
+    else:  # one sequence per F_p^* orbit, weighted p - 1 (see fastpath.scalings)
         total = 0
-        for block in fastpath.blocks(ctx, n + 1 - h, zeros=h):
-            block = block[block[:, :-1].any(axis=1)]  # near-zero classes carry the squared mean
-            x = fastpath.odot(ctx, block, m_vec)
-            y = fastpath.odot(ctx, block, a_vec)
-            mm = fastpath.magsq(fastpath.qform_counts(ctx, x, l_m, True)).tolist()
-            ma = fastpath.magsq(fastpath.qform_counts(ctx, y, l_a, False)).tolist()
-            total += sum(a * b for a, b in zip(mm, ma))  # Python ints: may pass 2^63
+        for (ents,) in fastpath.walk(ctx, n + 1 - h, h, ()):
+            block = np.pad(ents[ents[:, :-1].any(axis=1)], ((0, 0), (h, 0)))  # not near-zero
+            for seqs in fastpath.scalings(ctx, block):
+                x = fastpath.odot(ctx, seqs, m_vec)
+                y = fastpath.odot(ctx, seqs, a_vec)
+                mm = fastpath.magsq(fastpath.qform_counts(ctx, x, l_m, True)).tolist()
+                ma = fastpath.magsq(fastpath.qform_counts(ctx, y, l_a, False)).tolist()
+                total += sum(a * b for a, b in zip(mm, ma))  # Python ints: may pass 2^63
+        total *= ctx.p - 1
     return Fraction(4 * q ** (2 * h), q ** (2 * n + 1)) * total

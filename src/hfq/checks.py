@@ -9,6 +9,7 @@ offending instances are kept verbatim in the lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List
 
 import numpy as np
@@ -48,13 +49,13 @@ class CheckResult:
     def ok(self) -> bool:
         return self.failed == 0 and self.checked > 0
 
-    def count(self, good: bool, detail="") -> None:
-        """Tally one instance.  ``detail`` is the failure's line, or a function
-        that builds it; a per-sequence check passes a function, so that a
-        pass formats nothing."""
-        self.checked += 1
+    def count(self, good: bool, detail="", weight: int = 1) -> None:
+        """Tally one instance that stands for ``weight`` alike.  ``detail``
+        is the failure's line, or a function that builds it; a per-sequence
+        check passes a function, so that a pass formats nothing."""
+        self.checked += weight
         if not good:
-            self.failed += 1
+            self.failed += weight
             if len(self.lines) < _MAX_DETAIL:
                 line = detail() if callable(detail) else detail
                 self.lines.append(line or "unspecified failure")
@@ -152,7 +153,10 @@ def check_kernel_structure(ctx: FieldCtx, n_max: int, guard: int = 10**8) -> Che
 
 def check_quadform(ctx: FieldCtx, l_max: int, l_min: int = 0, guard: int = 10**8) -> CheckResult:
     """Squared magnitudes of both quadratic-form sums against the closed
-    forms, exhaustively."""
+    forms, exhaustively: the zero sequence on its own row, and every other
+    sequence through one multiple per F_p^* orbit, which has the profile
+    and the squared magnitudes of the whole orbit (fastpath.scalings) and
+    so counts p - 1 times, passed or failed."""
     from . import charsum
 
     if l_min < 0:
@@ -162,21 +166,21 @@ def check_quadform(ctx: FieldCtx, l_max: int, l_min: int = 0, guard: int = 10**8
     ls = range(l_min, l_max + 1)
     check_guard(sum(q ** (2 * l + 1) * (q**l + q ** (l + 1)) for l in ls), guard, "quadform check")
     for l in ls:
-        for block in fastpath.blocks(ctx, 2 * l + 1):
-            r, _, strict_rho = fastpath.profile(ctx, block)
-            sides = (False, True)  # the all-sum, then the monic sum, per sequence
-            got = np.stack(
-                [fastpath.magsq(fastpath.qform_counts(ctx, block, l, m)) for m in sides], axis=1
-            ).ravel()
-            exps = np.stack(
-                [charsum.magsq_exponents(l, r, r - strict_rho, m) for m in sides], axis=1
-            ).ravel()
-            want = np.where(exps >= 0, q ** np.maximum(exps, 0), 0)
-            res.checked += int((got == want).sum())
-            for i in np.flatnonzero(got != want).tolist():
-                seq = Seq(ctx, block[i // 2].tolist())
-                side = ("all", "monic")[i % 2]
-                res.count(False, f"{side}-sum magnitude at {seq!r}: {got[i]} != {want[i]}")
+        zero = np.zeros((1, 2 * l + 1), dtype=np.int64)
+        leaves = fastpath.walk(ctx, 2 * l + 1, 0, ((1,),))
+        # the zero sequence first, alone: its r, rho and strict rho are 0
+        for (r, _, strict_rho), ents in chain([((zero[:, 0],) * 3, zero)], leaves):
+            weight = 1 if ents is zero else ctx.p - 1
+            for seqs in [zero] if ents is zero else fastpath.scalings(ctx, ents):
+                for monic, side in ((False, "all"), (True, "monic")):
+                    e = charsum.magsq_exponents(l, r, r - strict_rho, monic)
+                    want = np.where(e >= 0, q ** np.maximum(e, 0), 0)
+                    got = fastpath.magsq(fastpath.qform_counts(ctx, seqs, l, monic))
+                    res.checked += weight * int((got == want).sum())
+                    for i in np.flatnonzero(got != want).tolist():
+                        seq = Seq(ctx, seqs[i].tolist())
+                        line = f"{side}-sum magnitude at {seq!r}: {got[i]} != {want[i]}"
+                        res.count(False, line, weight)
     return res
 
 

@@ -8,14 +8,14 @@ at base W = terms * (p - 1) + 1; an integer sum of at most ``terms`` entries
 carries no digit into the next, so it unpacks digit by digit (mod p) to the
 F_q sum.  Over a prime field pack is the identity: this is sum(c * s) mod p.
 
-The functions work on [N, m] blocks of codes: blocks enumerates them in
-fq_vectors order, profile and odot batch hankel.profile and hankel.odot,
-walk profiles all of F_q^width up to scalars with one Berlekamp-Massey step
-per trie prefix (depth first, each step on about half a block of prefixes),
+The functions work on [N, m] blocks of codes: walk profiles all of
+F_q^width up to scalars with one Berlekamp-Massey step per trie prefix
+(depth first, each step on about half a block of prefixes), scalings
+reaches each F_p^* orbit inside an F_q^* orbit, odot batches hankel.odot,
 qform_counts tallies the character sums of Hankel quadratic forms, and
-magsq takes their squared magnitudes.  The scalar hankel routines, the
-unreduced block loop and the literal character sum in the test suite are
-the oracles these are checked against.
+magsq takes their squared magnitudes.  The scalar hankel routines and the
+block enumerator, unreduced batched profile and literal character sum in
+the test suite are the oracles these are checked against.
 """
 
 from __future__ import annotations
@@ -57,20 +57,6 @@ def _unpack(ctx: FieldCtx, sums: np.ndarray, base: int) -> np.ndarray:
         sums = sums // base
         code += sums % base % ctx.p * ctx.p**j
     return code
-
-
-def blocks(ctx: FieldCtx, width: int, zeros: int = 0):
-    """The vectors of F_q^width, in the order of field.fq_vectors, as
-    [N, zeros + width] code blocks with N * width at most field.CHUNK / 2 (a
-    profile keeps a few arrays of a block's size live); each vector comes
-    behind ``zeros`` zero entries."""
-    stop = ctx.q**width
-    step = max(1, CHUNK // 2 // max(width, 1))
-    for lo in range(0, stop, step):
-        codes = np.arange(lo, min(lo + step, stop))
-        block = np.zeros((len(codes), zeros + width), dtype=np.int64)
-        block[:, zeros:] = to_digits(ctx.q, codes, width)
-        yield block
 
 
 def _start(ctx: FieldCtx, m: int, n_cols: int) -> list:
@@ -142,16 +128,6 @@ def _last(ctx: FieldCtx, state: list, cols, entry: np.ndarray):
     return np.minimum(length, m + 1 - length), rho, strict_rho[cols]
 
 
-def profile(ctx: FieldCtx, block: np.ndarray):
-    """(r, rho, strict_rho) of each row of an [N, m] block, m >= 1, read off
-    the linear-complexity profile L_0..L_m exactly as hankel.profile does."""
-    m = block.shape[1]
-    state = _start(ctx, m, len(block))
-    for i in range(m - 1):
-        _step(ctx, state, i, block[:, i])
-    return _last(ctx, state, slice(None), block[:, m - 1])
-
-
 def _take(level, cols):
     """The trie nodes ``cols`` of a level (entries, one state per view)."""
     return level[0][:, cols], [[a[..., cols] for a in state] for state in level[1]]
@@ -187,11 +163,12 @@ def _expand(ctx: FieldCtx, level, zeros: int, vecs, j: int):
 
 def walk(ctx: FieldCtx, width: int, zeros: int, vecs, tops=slice(None)):
     """(r, rho, strict_rho) of odot(seq, vec) for each vec of ``vecs``, and
-    the near-zero mask (the free entries before the last are all 0), over
-    one representative seq of each scalar orbit {c * seq : c != 0} of the
-    nonzero vectors of F_q^width behind ``zeros`` zero entries: the one
-    whose first nonzero free entry is 1.  Profiles and near-zero status are
-    constant on an orbit, so each leaf stands for q - 1 sequences.
+    the free entries of seq ([N, width]), over one representative seq of
+    each scalar orbit {c * seq : c != 0} of the nonzero vectors of F_q^width
+    behind ``zeros`` zero entries: the one whose first nonzero free entry
+    is 1.  Profiles are constant on an orbit, so each leaf stands for q - 1
+    sequences; where a caller needs more than the profiles, scalings takes
+    a leaf to one multiple per F_p^* orbit inside its own.
 
     A depth-first walk of the prefix trie: Berlekamp-Massey is online, so
     each prefix is stepped once and its children repeat its state, except
@@ -227,11 +204,26 @@ def _descend(ctx: FieldCtx, level, j: int, zeros: int, vecs, bound: int, take: i
     if j == width:
         for lo in range(0, n_cols, bound):
             leaves = _take(level, slice(lo, lo + bound))
-            yield (*leaves[1], ~leaves[0][:-1].any(axis=0))
+            yield (*leaves[1], leaves[0].T)
         return
     for lo in range(0, n_cols, take):  # _expand copies before stepping
         children = _expand(ctx, _take(level, slice(lo, lo + take)), zeros, vecs, j)
         yield from _descend(ctx, children, j + 1, zeros, vecs, bound, take)
+
+
+def scalings(ctx: FieldCtx, block: np.ndarray):
+    """c * block for one c per coset of F_p^* in F_q^*: the c whose lowest
+    nonzero residue digit is 1, (q - 1) / (p - 1) of them (c = 1 alone over
+    a prime field).  For a in F_p^*, the psi-exponent histogram of a * x is
+    that of x permuted by j -> a j mod p, so the sums of a * x are Galois
+    conjugates of those of x and have the same squared magnitude, a
+    rational integer (magsq asserts it): an F_q^* orbit sums as p - 1 times
+    its scalings."""
+    p, mul = ctx.p, _tables(ctx)[0]
+    for j in range(ctx.k):
+        for t in range(p ** (ctx.k - 1 - j)):  # c = p^j (1 + p t): lowest nonzero digit j
+            c = p**j * (1 + p * t)
+            yield block if c == 1 else mul[c * ctx.q + block]
 
 
 def odot(ctx: FieldCtx, block: np.ndarray, wvec) -> np.ndarray:

@@ -442,12 +442,11 @@ def w_sum_identity(u: Poly, v: Poly, n: int, h: int, r: int, guard: int = 10**8)
         raise RangeEmptyError(f"r = {r} outside [{h + 1}, {ranks.stop - 1}] (and r > 2)")
     check_guard(q ** (n - h), guard, "identity enumeration")
 
-    lhs = 0
-    for block in fastpath.blocks(ctx, n - h, zeros=h):
-        rank, _, strict_rho = fastpath.profile(ctx, block)
-        for entries in block[(rank == r) & (strict_rho == r)].tolist():  # strict (r, r, 0)
-            a1 = char_polys(Seq(ctx, entries)).a1
-            lhs += gcd(a1, u).abs_value() * gcd(a1, v).abs_value()
+    lhs = 0  # one sequence per scalar orbit, weighted q - 1: a1 is monic, so c * seq shares it
+    for (rank, _, strict_rho), ents in fastpath.walk(ctx, n - h, h, ((1,),)):
+        for entries in ents[(rank == r) & (strict_rho == r)].tolist():  # strict (r, r, 0)
+            a1 = char_polys(Seq(ctx, [0] * h + entries)).a1
+            lhs += (q - 1) * gcd(a1, u).abs_value() * gcd(a1, v).abs_value()
 
     w = u * v
     counts: dict = {}

@@ -1,11 +1,17 @@
 """Independent oracles, by Gaussian elimination and literal sums, that the
 Berlekamp-Massey profile, the kernel polynomials and the engine in
-hfq.fastpath are checked against."""
+hfq.fastpath are checked against, and the unreduced references for the
+walk: a block enumerator in fq_vectors order, the batched profile of a
+block with no prefix sharing, and the variance loops over every
+sequence."""
 
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from hfq import charsum, fastpath
+from hfq.field import CHUNK, to_digits
 
 from hfq.hankel import (
     CharPolys,
@@ -155,22 +161,72 @@ def gauss_char_polys(seq: Seq) -> CharPolys:
     return CharPolys(a1, a2, rho == r)
 
 
+def blocks(ctx, width: int, zeros: int = 0):
+    """The vectors of F_q^width, in the order of field.fq_vectors, as
+    [N, zeros + width] code blocks with N * width at most field.CHUNK / 2;
+    each vector comes behind ``zeros`` zero entries."""
+    stop = ctx.q**width
+    step = max(1, CHUNK // 2 // max(width, 1))
+    for lo in range(0, stop, step):
+        codes = np.arange(lo, min(lo + step, stop))
+        block = np.zeros((len(codes), zeros + width), dtype=np.int64)
+        block[:, zeros:] = to_digits(ctx.q, codes, width)
+        yield block
+
+
+def batched_profile(ctx, block):
+    """(r, rho, strict_rho) of each row of an [N, m] block, m >= 1: the
+    walk's step functions run on the whole block, one row per column, with
+    no prefix sharing."""
+    m = block.shape[1]
+    state = fastpath._start(ctx, m, len(block))
+    for i in range(m - 1):
+        fastpath._step(ctx, state, i, block[:, i])
+    return fastpath._last(ctx, state, slice(None), block[:, m - 1])
+
+
+def _windows(u: Poly, v: Poly, n: int, h: int):
+    """(m_vec, l_m, a_vec, l_a): the monic and full sides' coefficient
+    vectors and quadratic-form levels."""
+    par = ThmParams.compute(u, v, n, h)
+    mw, m_width, l_m = par.side(u, v, True)
+    aw, a_width, l_a = par.side(u, v, False)
+    return coeff_vector(mw, m_width), l_m, coeff_vector(aw, a_width), l_a
+
+
+def _not_near_zero(block):
+    return block[block[:, :-1].any(axis=1)]  # near-zero classes carry the squared mean
+
+
 def fast_variance_unreduced(u: Poly, v: Poly, n: int, h: int) -> Fraction:
     """variance_charsum's fast mode as one loop over every sequence with h
     leading zeros: code blocks, sliding products and the batched profile of
     each, with no scalar orbits and no prefix sharing."""
-    par = ThmParams.compute(u, v, n, h)
-    q = u.ctx.q
-    mw, m_width, l_m = par.side(u, v, True)
-    aw, a_width, l_a = par.side(u, v, False)
-    m_vec, a_vec = coeff_vector(mw, m_width), coeff_vector(aw, a_width)
+    ctx, q = u.ctx, u.ctx.q
+    m_vec, l_m, a_vec, l_a = _windows(u, v, n, h)
     total = 0
-    for block in fastpath.blocks(u.ctx, n + 1 - h, zeros=h):
-        block = block[block[:, :-1].any(axis=1)]  # near-zero classes carry the squared mean
-        r_x, _, srho_x = fastpath.profile(u.ctx, fastpath.odot(u.ctx, block, m_vec))
-        r_y, _, _ = fastpath.profile(u.ctx, fastpath.odot(u.ctx, block, a_vec))
+    for block in blocks(ctx, n + 1 - h, zeros=h):
+        block = _not_near_zero(block)
+        r_x, _, srho_x = batched_profile(ctx, fastpath.odot(ctx, block, m_vec))
+        r_y, _, _ = batched_profile(ctx, fastpath.odot(ctx, block, a_vec))
         e_x = charsum.magsq_exponents(l_m, r_x, r_x - srho_x, True)
         e_y = charsum.magsq_exponents(l_a, r_y, None, False)
         keep = e_x >= 0
         total += sum(q**e for e in (e_x[keep] + e_y[keep]).tolist())
+    return Fraction(4 * q ** (2 * h), q ** (2 * n + 1)) * total
+
+
+def exact_variance_unreduced(u: Poly, v: Poly, n: int, h: int) -> Fraction:
+    """variance_charsum's exact mode as one loop over every sequence with h
+    leading zeros: both character sums of each, with no orbits."""
+    ctx, q = u.ctx, u.ctx.q
+    m_vec, l_m, a_vec, l_a = _windows(u, v, n, h)
+    total = 0
+    for block in blocks(ctx, n + 1 - h, zeros=h):
+        block = _not_near_zero(block)
+        x = fastpath.odot(ctx, block, m_vec)
+        y = fastpath.odot(ctx, block, a_vec)
+        mm = fastpath.magsq(fastpath.qform_counts(ctx, x, l_m, True)).tolist()
+        ma = fastpath.magsq(fastpath.qform_counts(ctx, y, l_a, False)).tolist()
+        total += sum(a * b for a, b in zip(mm, ma))
     return Fraction(4 * q ** (2 * h), q ** (2 * n + 1)) * total

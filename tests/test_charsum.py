@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from oracle import value_counts_scalar
 
-from hfq import fastpath, hankel
+from hfq import charsum, fastpath, hankel
 from hfq.charsum import (
     magsq_via_profile,
     quad_sum_all,
     quad_sum_monic,
     variance_charsum,
 )
+from hfq.checks import check_quadform
 from hfq.errors import BadParityError, LengthMismatchError, NotCoprimeError, TooLargeError
 from hfq.field import CycInt, ctx_new
 from hfq.hankel import Seq, odot, profile
@@ -211,3 +212,14 @@ def test_variance_invariant_under_character_choice():
                 totals[g] = Fraction(4 * 3 ** (2 * h), 3 ** (2 * n + 1)) * total
             assert totals[1] == totals[2]
             assert totals[1] == variance_charsum(u, v, n, h, "exact")
+
+
+def test_check_quadform_counts_a_failure_as_it_counts_a_pass(monkeypatch):
+    # a law off by one fails every row: each scaled row stands for p - 1
+    # sequences, failed or passed, and the zero sequence for itself alone
+    law = charsum.magsq_exponents
+    monkeypatch.setattr(charsum, "magsq_exponents", lambda *args: law(*args) + 1)
+    res = check_quadform(ctx_new(3, 2, (1, 0, 1)), 0)
+    assert res.failed == res.checked == 18
+    res = check_quadform(F3, 2)
+    assert res.failed == res.checked == 2 * sum(3 ** (2 * l + 1) for l in range(3))

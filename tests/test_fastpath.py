@@ -1,10 +1,11 @@
 """The engine in hfq.fastpath against its oracles: the Berlekamp-Massey
-profiles (scalar hankel.profile and the batched fastpath.profile) against
-Gaussian elimination on the Hankel squares, the trace-form character tallies
-against the literal sum, the block enumerator against fq_vectors, the
-prefix-trie walk (fast variance_charsum) against the unreduced block loop,
-and the census tally against a scalar-profile tally; exhaustively on small
-envelopes and by property tests beyond."""
+profiles (scalar hankel.profile and the unreduced batched profile of
+oracle.py) against Gaussian elimination on the Hankel squares, the
+trace-form character tallies against the literal sum, the oracle's block
+enumerator against fq_vectors, the prefix-trie walk against the unreduced
+block loops (fast and exact variance_charsum), the orbit law behind
+fastpath.scalings, and the census tally against a scalar-profile tally;
+exhaustively on small envelopes and by property tests beyond."""
 
 import random
 from itertools import islice, product
@@ -13,7 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracle import fast_variance_unreduced, gauss_profile, value_counts_scalar
+from oracle import (
+    batched_profile,
+    blocks,
+    exact_variance_unreduced,
+    fast_variance_unreduced,
+    gauss_profile,
+    value_counts_scalar,
+)
 
 from hfq import fastpath
 from hfq.charsum import variance_charsum
@@ -36,8 +44,8 @@ def bm_profile(seq: Seq):
 
 
 def engine_profile(ctx, rows):
-    """fastpath.profile on a block, as one (r, rho, strict_rho) per row."""
-    return list(zip(*(x.tolist() for x in fastpath.profile(ctx, np.array(rows, dtype=np.int64)))))
+    """The batched profile of a block, as one (r, rho, strict_rho) per row."""
+    return list(zip(*(x.tolist() for x in batched_profile(ctx, np.array(rows, dtype=np.int64)))))
 
 
 @pytest.mark.parametrize(
@@ -109,7 +117,7 @@ def test_profiles_agree_beyond_the_envelopes(case):
 
 def test_batched_profile_fixtures():
     rows = [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0] * 5]
-    r, rho, strict_rho = fastpath.profile(ctx_new(3), np.array(rows))
+    r, rho, strict_rho = batched_profile(ctx_new(3), np.array(rows))
     assert r.tolist() == [1, 1, 3, 0]
     assert rho.tolist() == [0, 1, 3, 0]
     assert strict_rho.tolist() == [0, 1, 0, 0]
@@ -127,7 +135,7 @@ def test_batched_profile_fixtures():
     ids=["q3", "q3-zeros", "q5-width1", "width0", "q9"],
 )
 def test_blocks_concatenate_to_fq_vectors(ctx, width, zeros):
-    got = list(fastpath.blocks(ctx, width, zeros))
+    got = list(blocks(ctx, width, zeros))
     assert all(len(b) * width <= CHUNK // 2 for b in got)
     rows = [tuple(row) for b in got for row in b.tolist()]
     assert rows == list(fq_vectors(ctx, width, zeros=zeros))
@@ -244,6 +252,42 @@ def test_fast_variance_matches_unreduced_loop(ctx, n_max):
         assert variance_charsum(u, v, n, h, "fast") == want, (u, v, n, h)
 
 
+@pytest.mark.parametrize(
+    "ctx,n_max",
+    [(ctx_new(3), 7), (ctx_new(5), 4), (ctx_new(7), 3), (F9A, 3), (F9B, 2), (F25, 1), (F27, 1)],
+    ids=["q3", "q5", "q7", "q9a", "q9b", "q25", "q27"],
+)
+def test_exact_variance_matches_unreduced_loop(ctx, n_max):
+    for u, v, n, h in _valid_cases(ctx, n_max):
+        want = exact_variance_unreduced(u, v, n, h)
+        assert variance_charsum(u, v, n, h, "exact") == want, (u, v, n, h)
+
+
+@pytest.mark.parametrize("ctx", [ctx_new(7), F9A, F25, F27], ids=["q7", "q9", "q25", "q27"])
+def test_qform_counts_permute_under_prime_field_scalars(ctx):
+    # the psi-exponent histogram of a * x is that of x moved by j -> a j mod p
+    rng = np.random.default_rng(ctx.q)
+    mul = np.array(ctx.mul_table)
+    for l in range(3):
+        block = rng.integers(0, ctx.q, size=(12, 2 * l + 1))
+        for monic in (False, True):
+            counts = fastpath.qform_counts(ctx, block, l, monic)
+            for a in range(1, ctx.p):
+                moved = fastpath.qform_counts(ctx, mul[a][block], l, monic)
+                assert (moved[:, a * np.arange(ctx.p) % ctx.p] == counts).all(), (l, monic, a)
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [ctx_new(3), ctx_new(7), F9A, F9B, F25, F27, ctx_new(5, 3, (1, 1, 0, 1))],
+    ids=["q3", "q7", "q9a", "q9b", "q25", "q27", "q125"],
+)
+def test_scalings_meet_each_prime_field_coset_once(ctx):
+    cs = [int(b[0, 0]) for b in fastpath.scalings(ctx, np.ones((1, 1), dtype=np.int64))]
+    assert len(cs) == (ctx.q - 1) // (ctx.p - 1)
+    assert sorted(ctx.mul(a, c) for c in cs for a in range(1, ctx.p)) == list(range(1, ctx.q))
+
+
 @pytest.mark.parametrize("chunk", [2, 60, 200, 400, 700, 1296, 3000, 8000, 20000, 40000])
 def test_walk_blocking_leaves_results_unchanged(chunk, monkeypatch):
     # the top level is the first with more than take = leaf block / 6
@@ -254,7 +298,9 @@ def test_walk_blocking_leaves_results_unchanged(chunk, monkeypatch):
     want = variance_charsum(u, v, 9, 2, "fast")
     census = census_enumerate(f3, 7, 0)
     monkeypatch.setattr(fastpath, "CHUNK", chunk)
-    sizes = [len(out[-1]) for out in fastpath.walk(f3, width, 0, ((1,),))]
+    ents = [out[-1] for out in fastpath.walk(f3, width, 0, ((1,),))]
+    sizes = [len(e) for e in ents]
+    assert all(e.shape == (len(e), width) for e in ents)
     assert sum(sizes) == (3**width - 1) // 2
     assert len(sizes) > 1 and max(sizes) <= max(1, chunk // 2 // width)
     assert variance_charsum(u, v, 9, 2, "fast") == want
@@ -281,11 +327,21 @@ def test_walk_levels_stay_within_a_block(ctx, width, zeros, chunk, monkeypatch):
     monkeypatch.setattr(fastpath, "CHUNK", chunk)
     monkeypatch.setattr(fastpath, "_expand", expand)
     vecs = ((1,), (0, 1, 0))
-    leaves = sum(len(out[-1]) for out in fastpath.walk(ctx, width, zeros, vecs))
+    rows = []
+    for prof, prof_mid, ents in fastpath.walk(ctx, width, zeros, vecs):
+        # each leaf's profiles are those of its free entries behind the zeros
+        seqs = np.pad(ents, ((0, 0), (zeros, 0)))
+        for got, want in zip((prof, prof_mid), (seqs, fastpath.odot(ctx, seqs, (0, 1, 0)))):
+            assert all((g == w).all() for g, w in zip(got, batched_profile(ctx, want)))
+        rows += map(tuple, ents.tolist())
+    leaves = len(rows)
     bound = max(1, chunk // 2 // width)
     assert max(built) <= max(bound // 2, ctx.q)
     nodes = [1 + (ctx.q**j - 1) // (ctx.q - 1) for j in range(1, width)]  # 0 or first entry 1
     assert sum(built) == sum(nodes) + leaves and leaves == (ctx.q**width - 1) // (ctx.q - 1)
+    # the leaves are the nonzero vectors whose first nonzero entry is 1, each once
+    reps = [vec for vec in fq_vectors(ctx, width) if any(vec) and next(x for x in vec if x) == 1]
+    assert sorted(rows) == sorted(reps)
 
 
 _TALLY_FIELDS = [ctx_new(3), ctx_new(5), ctx_new(7), ctx_new(11), F9A, F9B, F25, F27]
