@@ -1,6 +1,6 @@
 """Layer and end-to-end timings of hfq, recorded in a BENCH_<n>.json.
 
-    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label after --out BENCH_12.json
+    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label after --out BENCH_13.json
 
 imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
 (merged with the labels already there):
@@ -11,10 +11,14 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
 - the fast variance tally, variance_charsum(1, T, n, h, "fast") over F_3,
   at (n, h) = (12, 4) and (16, 6);
 - acceptance criterion 11, the same tally at (18, 6);
-- cold start: the wall time of a fresh interpreter that runs
-  ``import hfq; hfq.ctx_new(3)``, and of three CLI commands (the phi sieve
-  at kmax 9, a one-process census, and the benchmark's fast_tally
-  variance command), each timed from process start to exit;
+- cold start: the wall time and peak resident set size of a fresh
+  interpreter that runs the benchmark's set-up, ``import hfq, hfq.cli;
+  hfq.ctx_new(3)``, and of CLI commands run after that import, each timed
+  from process start to exit: ``--help``, the exit-64 refusal of
+  ``census --q 4``, the scalar ``analyze`` and ``identity
+  kernel-structure`` (F_3, n <= 3), ``identity quadform`` at level 0 over
+  F_9, the phi sieve at kmax 9, a one-process census, and the benchmark's
+  fast_tally variance command;
 - the wall time and peak resident set size of the walk-bound CLI
   commands, each in one fresh interpreter: ``hfq variance --q 3 --U 1
   --V 0,1 --n N --h H --charsum --fast --trust-lemmas`` at (N, H) =
@@ -27,9 +31,10 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   h = 2); ``hfq identity quadform`` at one level each of q=3 (l = 4), q=5
   (l = 3) and q=7 (l = 2); and ``hfq identity w-sum --q 5 --U 1 --V 0,1
   --n 8 --h 0``, every rank of one F_5 point;
-- the benchmark's fast_tally workload (``perfbench/run.py --seconds 30
-  --trace 0`` of the checkout that holds the imported hfq, seeds 1 and
-  2): its ``wall_s``, ``peak_rss_mib`` and ``setup_s``.
+- the benchmark's fast_tally and scalar_census workloads
+  (``perfbench/run.py --seconds 30 --trace 0`` of the checkout that holds
+  the imported hfq, seeds 1 and 2): their ``wall_s``, ``peak_rss_mib``
+  and ``setup_s``.
 
 Subprocesses inherit the environment, PYTHONPATH included.  With
 PYTHONDONTWRITEBYTECODE=1 and no hfq bytecode cached, a cold start also
@@ -38,7 +43,7 @@ compiles hfq from source, as the benchmark's fresh interpreters do;
 
 Each figure is the median of --repeats runs (of five times as many for
 the walk throughput, and three times as many for a cold start); the
-fast_tally figures are perfbench's own, from one run per seed.  Run it
+perfbench figures are its own, from one run per workload and seed.  Run it
 once per checkout, with the same --out, to put a before and an after side
 by side.  It is not part of the test suite.
 """
@@ -73,14 +78,20 @@ def _median_s(fn, repeats: int) -> float:
     return round(statistics.median(times), 4)
 
 
-# label -> the arguments after ``python``, each run in a fresh interpreter
+# label -> (an hfq command line, its exit code), each run in a fresh
+# interpreter; the empty command line runs the benchmark's set-up alone
 COLD_STARTS = {
-    "import_ctx_new": ("-c", "import hfq; hfq.ctx_new(3)"),
-    "phisum_q3_kmax9": ("-m", "hfq.cli", "phisum", "--q", "3", "--W2", "1", "--W3", "0,1",
-                        "--kmax", "9"),
-    "census_q3_n7": ("-m", "hfq.cli", "census", "--q", "3", "--n", "7", "--h", "0"),
-    "fast_tally_q3_n12_h4": ("-m", "hfq.cli", "variance", "--q", "3", "--U", "1", "--V", "0,1",
-                             "--n", "12", "--h", "4", "--charsum", "--fast", "--trust-lemmas"),
+    "setup": ((), 0),
+    "help": (("--help",), 0),
+    "refusal_census_q4": (("census", "--q", "4", "--n", "2", "--h", "0"), 64),
+    "analyze_q3": (("analyze", "--q", "3", "--alpha", "0,0,1,0,0"), 0),
+    "kernel_structure_q3_n3": (("identity", "kernel-structure", "--q", "3", "--n", "0..3"), 0),
+    "quadform_q9_l0": (("identity", "quadform", "--q", "9", "--modulus", "1,0,1", "--l", "0..0"),
+                       0),
+    "phisum_q3_kmax9": (("phisum", "--q", "3", "--W2", "1", "--W3", "0,1", "--kmax", "9"), 0),
+    "census_q3_n7": (("census", "--q", "3", "--n", "7", "--h", "0"), 0),
+    "fast_tally_q3_n12_h4": (("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "12",
+                              "--h", "4", "--charsum", "--fast", "--trust-lemmas"), 0),
 }
 
 
@@ -103,62 +114,74 @@ COMMANDS = {
     "w_sum_q5_n8_h0": ("identity", "w-sum", "--q", "5", "--U", "1", "--V", "0,1",
                        "--n", "8", "--h", "0"),
 }
-FAST_TALLY_SEEDS = (1, 2)
-FAST_TALLY_SECONDS = 30
+PERFBENCH_WORKLOADS = ("fast_tally", "scalar_census")
+PERFBENCH_SEEDS = (1, 2)
+PERFBENCH_SECONDS = 30
 
 
-def _run(argv):
-    return lambda: subprocess.run(argv, check=True, capture_output=True)
-
-
-# runs the hfq command in argv, then prints this interpreter's own peak
-# RSS (VmHWM, KiB) to stderr: ru_maxrss would also count the resident set
-# of the process that started it, at the fork
-_PEAK_RSS = """import sys, hfq.cli
-code = hfq.cli.main(sys.argv[1:])
+# runs the benchmark's set-up and then the hfq command in argv, if any, and
+# prints this interpreter's own peak RSS (VmHWM, KiB) to stderr: ru_maxrss
+# would also count the resident set of the process that started it, at the
+# fork
+_PEAK_RSS = """import sys, hfq, hfq.cli
+hfq.ctx_new(3)
+code = 0
+if sys.argv[1:]:
+    try:
+        code = hfq.cli.main(sys.argv[1:])
+    except SystemExit as exc:  # argparse exits after --help
+        code = exc.code
 with open("/proc/self/status") as status:
     print(next(l.split()[1] for l in status if l.startswith("VmHWM:")), file=sys.stderr)
 sys.exit(code)"""
 
 
-def _run_once(argv) -> tuple:
+def _run_once(argv, code: int = 0) -> tuple:
     """(wall seconds, peak RSS in MiB) of one hfq command in a fresh interpreter."""
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], check=True,
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv],
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    return time.perf_counter() - t0, int(proc.stderr.split()[-1]) / 1024
+    wall = time.perf_counter() - t0
+    if proc.returncode != code:
+        raise SystemExit(f"hfq {' '.join(argv)} exited {proc.returncode}, not {code}")
+    return wall, int(proc.stderr.split()[-1]) / 1024
+
+
+def _medians(label: str, runs: list) -> dict:
+    walls, rss = zip(*runs)
+    return {f"{label}_s": round(statistics.median(walls), 3),
+            f"{label}_peak_rss_mib": round(statistics.median(rss), 2)}
 
 
 def commands(repeats: int) -> dict:
     out = {}
     for label, argv in COMMANDS.items():
-        runs = [_run_once(argv) for _ in range(repeats)]
-        walls, rss = zip(*runs)
-        out[f"{label}_s"] = round(statistics.median(walls), 3)
-        out[f"{label}_peak_rss_mib"] = round(statistics.median(rss), 2)
+        out.update(_medians(label, [_run_once(argv) for _ in range(repeats)]))
     return out
 
 
-def fast_tally() -> dict:
+def perfbench() -> dict:
     run_py = Path(hfq.__file__).resolve().parents[2] / "perfbench" / "run.py"
     out = {}
-    for seed in FAST_TALLY_SEEDS:
-        line = subprocess.run(
-            [sys.executable, str(run_py), "--workload", "fast_tally", "--seed", str(seed),
-             "--seconds", str(FAST_TALLY_SECONDS), "--trace", "0"],
-            check=True, capture_output=True, text=True,
-        ).stdout.splitlines()[-1]
-        metrics = json.loads(line)["metrics"]
-        for key in ("wall_s", "peak_rss_mib", "setup_s"):
-            out[f"fast_tally_seed{seed}_{key}"] = round(metrics[key]["value"], 4)
+    for workload in PERFBENCH_WORKLOADS:
+        for seed in PERFBENCH_SEEDS:
+            line = subprocess.run(
+                [sys.executable, str(run_py), "--workload", workload, "--seed", str(seed),
+                 "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"],
+                check=True, capture_output=True, text=True,
+            ).stdout.splitlines()[-1]
+            metrics = json.loads(line)["metrics"]
+            for key in ("wall_s", "peak_rss_mib", "setup_s"):
+                out[f"{workload}_seed{seed}_{key}"] = round(metrics[key]["value"], 4)
     return out
 
 
 def cold_start(repeats: int) -> dict:
     pycache = os.path.join(os.path.dirname(hfq.__file__), "__pycache__")
     out = {"cold_hfq_bytecode_cached": bool(glob.glob(os.path.join(pycache, "*.pyc")))}
-    for label, args in COLD_STARTS.items():
-        out[f"cold_{label}_s"] = _median_s(_run([sys.executable, *args]), 3 * repeats)
+    for label, (argv, code) in COLD_STARTS.items():
+        runs = [_run_once(argv, code) for _ in range(3 * repeats)]
+        out.update(_medians(f"cold_{label}", runs))
     return out
 
 
@@ -189,14 +212,14 @@ def measure(repeats: int) -> dict:
         "criterion_11_value": str(tally(18, 6)()),
         **cold_start(repeats),
         **commands(repeats),
-        **fast_tally(),
+        **perfbench(),
     }
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True, help="key to store this run under")
-    ap.add_argument("--out", default="BENCH_12.json")
+    ap.add_argument("--out", default="BENCH_13.json")
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     data = {}

@@ -12,10 +12,10 @@ _EXPORTS = {  # home submodule -> the public names it defines
     "field": ("CycInt", "FieldCtx", "ctx_new"),
     "hankel": (
         "CharPolys", "HankelView", "Profile", "Seq", "bijection_inverse", "bijection_map",
-        "census_enumerate", "census_formula", "census_formula_total", "char_polys",
-        "kernel_basis", "odot", "profile", "rank", "reduction_profile",
+        "char_polys", "kernel_basis", "odot", "profile", "rank", "reduction_profile",
         "reduction_strict_class", "rhopi_form", "seq_extend", "toeplitz_mat",
     ),
+    "census": ("census_enumerate", "census_formula", "census_formula_total"),
     "polyring": ("NEG_INF", "Poly", "gcd", "phi", "rad", "factor", "xgcd"),
     "charsum": (
         "QuadSumResult", "magsq_via_profile", "quad_sum_all", "quad_sum_monic",

@@ -26,39 +26,68 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from .errors import NotCoprimeError, NotMonicError, check_guard
 from .field import CHUNK, FieldCtx, from_digits, to_digits
 from .polyring import Poly, coeff_vector, factor, gcd
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _SIEVE_CACHE: dict = {}
 
 
+def _outer_sums(acc: np.ndarray, rows: np.ndarray, j: int):
+    """The digit sums ``acc`` extended by every choice of the coefficients
+    j..0 of B, in blocks of at most CHUNK digits.
+
+    acc[b, a] holds the residue digits summed so far for the prefix b of B's
+    coefficients and the a-th A, and rows[c, a] those of c * A.  Coefficient
+    j adds rows[c] at digit j for every c: an outer sum, taken depth first."""
+    import numpy as np
+
+    if j < 0:
+        yield acc
+        return
+    q, n_a, width_a, k = rows.shape
+    step = max(1, CHUNK // (q * n_a * acc.shape[2] * k))
+    for start in range(0, len(acc), step):
+        block = acc[start : start + step]
+        out = np.empty((len(block), q, *block.shape[1:]), dtype=np.int64)
+        out[:] = block[:, None]
+        out[:, :, :, j : j + width_a] += rows
+        yield from _outer_sums(out.reshape(-1, *block.shape[1:]), rows, j - 1)
+
+
 def _monic_products(ctx: FieldCtx, left: np.ndarray, emax: int) -> np.ndarray:
-    """Codes of A * B for every row A of ``left`` (coefficient codes, constant
-    first) and every monic B of degree <= emax, as a convolution of residue
-    digits summed mod p, built in blocks of CHUNK digits."""
+    """Codes of A * B for every row A of ``left`` (the coefficient codes of a
+    monic A, constant first) and every monic B of degree <= emax.
+
+    For B of degree e, A * B = T^e A + sum_{j<e} b_j T^j A: from the residue
+    digits of T^e A, each coefficient j = e-1..0 of B adds the q rows c T^j A
+    as an outer sum (_outer_sums), as ``tails`` is built in
+    _degree_numerators.  The digit sums mod p are the product's residues;
+    products below degree deg A + emax carry zero digits on top, which leave
+    their codes unchanged."""
+    import numpy as np
+
     q, p, k = ctx.q, ctx.p, ctx.k
-    prod_digits = to_digits(p, ctx.mul_table, k)  # [a, b] -> residues of a * b
+    prod_digits = to_digits(p, ctx.mul_table, k)  # [c, a] -> residues of c * a
     n_left, width_a = left.shape
+    width = width_a + emax
     codes = np.empty(n_left * ((q ** (emax + 1) - 1) // (q - 1)), dtype=np.int64)
     pos = 0
-    for e in range(emax + 1):
-        width = width_a + e
-        total = n_left * q**e
-        step = max(1, CHUNK // (width * k))
-        for start in range(0, total, step):
-            t = np.arange(start, min(start + step, total))
-            a = left[t // q**e]
-            b = to_digits(q, q**e + t % q**e, e + 1)
-            acc = np.zeros((t.size, width, k), dtype=np.int64)
-            for i in range(width_a):
-                acc[:, i : i + e + 1] += prod_digits[a[:, i, None], b]
-            codes[pos : pos + t.size] = from_digits(p, (acc % p).reshape(t.size, -1))
-            pos += t.size
+    step = max(1, CHUNK // (q * width * k))
+    for start in range(0, n_left, step):
+        rows = prod_digits[:, left[start : start + step]]  # [c, a] -> digits of c * A
+        for e in range(emax + 1):
+            acc = np.zeros((1, rows.shape[1], width, k), dtype=np.int64)
+            acc[0, :, e : e + width_a] = rows[1]
+            for block in _outer_sums(acc, rows, e - 1):
+                flat = block.reshape(-1, width * k)
+                codes[pos : pos + len(flat)] = from_digits(p, flat % p)
+                pos += len(flat)
     return codes
 
 
@@ -72,6 +101,8 @@ def _phi_array(ctx: FieldCtx, kmax: int) -> np.ndarray:
     Each product P * B, B monic of degree <= kmax - d, hits M once per degree-d
     prime P | M; c hits make phi[M] // q^(d c) * (q^d - 1)^c, an exact step.
     """
+    import numpy as np
+
     cached = _SIEVE_CACHE.get(ctx)
     if cached is not None and cached[0] >= kmax:
         return cached[1]
@@ -112,6 +143,8 @@ def _support_flags(ctx: FieldCtx, w2: Poly, w3: Poly):
 def _residue_table(ctx: FieldCtx, flags, kmax: int) -> np.ndarray:
     """lut[j, c]: the base-p residue digits of c * (T^j mod P) for every
     flagged prime P, side by side; shape (kmax + 1, q, sum of k deg P)."""
+    import numpy as np
+
     prod_digits = to_digits(ctx.p, ctx.mul_table, ctx.k)
     one = Poly.one(ctx)
     blocks = [np.zeros((ctx.q, kmax + 1, 0), dtype=np.int64)]
@@ -130,6 +163,8 @@ def _degree_numerators(ctx: FieldCtx, w2: Poly, w3: Poly, kmax: int) -> List[int
     order, and the monic B of degree d add the row of b_d = 1.  P divides B
     iff all of its residue digits vanish mod p.
     """
+    import numpy as np
+
     phi = _phi_array(ctx, kmax)
     flags = _support_flags(ctx, w2, w3)
     q = ctx.q

@@ -21,16 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import fastpath
 from .errors import LengthMismatchError, check_guard
 from .field import CycInt
-from .polyring import Poly, coeff_vector
-from .variance import ThmParams
 
 if TYPE_CHECKING:
     from .hankel import Seq
+    from .polyring import Poly
 
 # q -> the largest l that the acceptance suite runs check_quadform to; the
 # CLI trusts --fast (closed-form magnitudes) only inside this envelope.
@@ -53,6 +49,10 @@ def _check_length(seq: Seq, l: int) -> None:
 
 
 def _quad_sum(seq: Seq, l: int, monic: bool) -> QuadSumResult:
+    import numpy as np
+
+    from . import fastpath
+
     _check_length(seq, l)
     ctx = seq.ctx
     counts = fastpath.qform_counts(ctx, np.array([seq.entries]), l, monic)
@@ -78,6 +78,8 @@ def magsq_exponents(l: int, r, strict_pi, monic: bool):
     """
     if not monic:
         return 2 * l + 2 - r
+    import numpy as np
+
     return np.where(strict_pi <= 1, 2 * l + strict_pi - r, -1)
 
 
@@ -113,6 +115,9 @@ def variance_charsum(
     and the test suite enforces it.  The guard bounds all q^(n+1-h)
     sequences, times the monic and full vectors summed over in exact mode.
     """
+    from .polyring import coeff_vector
+    from .variance import ThmParams
+
     if mode not in ("exact", "fast"):
         raise ValueError(f"unknown mode {mode!r}")
     par = ThmParams.compute(u, v, n, h)
@@ -124,6 +129,10 @@ def variance_charsum(
     if mode == "exact":
         work *= q**l_m + q ** (l_a + 1)
     check_guard(work, guard, "character sum")
+    import numpy as np
+
+    from . import fastpath
+
     m_vec = coeff_vector(mw, m_width)
     a_vec = coeff_vector(aw, a_width)
 

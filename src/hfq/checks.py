@@ -10,30 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import List
+from typing import TYPE_CHECKING, List
 
-import numpy as np
-
-from . import fastpath
 from .errors import PreconditionViolatedError, RangeEmptyError, check_guard
 from .field import FieldCtx, fq_vectors
-from .hankel import (
-    Seq,
-    bijection_inverse,
-    bijection_map,
-    census_enumerate,
-    census_formula,
-    census_formula_total,
-    HankelView,
-    _predict_reduction,
-    _predict_strict_class,
-    _profile_and_polys,
-    _row_reduce,
-    odot,
-    profile,
-    rank,
-)
-from .polyring import Poly, coeff_vector, gcd, monics, polys_upto
+
+if TYPE_CHECKING:
+    from .polyring import Poly
 
 _MAX_DETAIL = 8
 
@@ -66,6 +49,8 @@ class CheckResult:
 
 
 def _all_seqs(ctx: FieldCtx, n: int, h: int = 0):
+    from .hankel import Seq
+
     return (Seq(ctx, e) for e in fq_vectors(ctx, n + 1 - h, zeros=h))
 
 
@@ -78,6 +63,8 @@ def check_census(
     When a list is passed as ``rows`` it collects one entry per attained
     class and per rank aggregate: (n, h, kind, key, formula, enumerated).
     """
+    from .census import census_enumerate, census_formula, census_formula_total
+
     res = CheckResult("census formulas vs enumeration")
     q = ctx.q
     for n in ns:
@@ -126,6 +113,9 @@ def check_kernel_structure(ctx: FieldCtx, n_max: int, guard: int = 10**8) -> Che
     generators' coefficient vectors have rank m + 1 - rank(view), the
     kernel's dimension.
     """
+    from .hankel import HankelView, _profile_and_polys, _row_reduce, odot, rank
+    from .polyring import coeff_vector, gcd
+
     res = CheckResult("kernel structure law")
     check_guard(sum(ctx.q ** (n + 1) for n in range(n_max + 1)), guard, "kernel-structure check")
     for n in range(n_max + 1):
@@ -157,14 +147,16 @@ def check_quadform(ctx: FieldCtx, l_max: int, l_min: int = 0, guard: int = 10**8
     sequence through one multiple per F_p^* orbit, which has the profile
     and the squared magnitudes of the whole orbit (fastpath.scalings) and
     so counts p - 1 times, passed or failed."""
-    from . import charsum
-
     if l_min < 0:
         raise RangeEmptyError(f"need l >= 0, got {l_min}")
     res = CheckResult(f"quadratic form magnitudes (q={ctx.q})")
     q = ctx.q
     ls = range(l_min, l_max + 1)
     check_guard(sum(q ** (2 * l + 1) * (q**l + q ** (l + 1)) for l in ls), guard, "quadform check")
+    import numpy as np
+
+    from . import charsum, fastpath
+
     for l in ls:
         zero = np.zeros((1, 2 * l + 1), dtype=np.int64)
         leaves = fastpath.walk(ctx, 2 * l + 1, 0, ((1,),))
@@ -178,6 +170,8 @@ def check_quadform(ctx: FieldCtx, l_max: int, l_min: int = 0, guard: int = 10**8
                     got = fastpath.magsq(fastpath.qform_counts(ctx, seqs, l, monic))
                     res.checked += weight * int((got == want).sum())
                     for i in np.flatnonzero(got != want).tolist():
+                        from .hankel import Seq
+
                         seq = Seq(ctx, seqs[i].tolist())
                         line = f"{side}-sum magnitude at {seq!r}: {got[i]} != {want[i]}"
                         res.count(False, line, weight)
@@ -190,6 +184,10 @@ def check_reduction(ctx: FieldCtx, n_max: int, ws=None, guard: int = 10**8) -> C
     sequence and each reduced sequence gets one Berlekamp-Massey pass: the
     predictions of reduction_profile and reduction_strict_class are made
     from the sequence's own pass."""
+    from .hankel import _predict_reduction, _predict_strict_class, _profile_and_polys
+    from .hankel import odot, profile
+    from .polyring import Poly
+
     res = CheckResult("sliding-product reduction law")
     if ws is None:
         ws = [
@@ -232,6 +230,9 @@ def check_reduction(ctx: FieldCtx, n_max: int, ws=None, guard: int = 10**8) -> C
 def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = 10**8) -> CheckResult:
     """Forward map into the coprime pairs, the inverse roundtrip, injectivity,
     and both cardinalities."""
+    from .hankel import bijection_inverse, bijection_map, profile
+    from .polyring import gcd, monics, polys_upto
+
     res = CheckResult(f"class/pair bijection (n={n}, r={r})")
     q = ctx.q
     # sequences, then the monic-by-bounded pairs, at each h

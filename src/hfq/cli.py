@@ -54,6 +54,8 @@ def _factor_prime_power(q: int):
 def _build_ctx(args):
     p, k = _factor_prime_power(args.q)
     if k == 1:
+        if args.modulus:
+            raise HfqError(f"--modulus applies only when q = p^k, k > 1; q = {args.q} is prime")
         return ctx_new(p)
     if not args.modulus:
         raise HfqError(f"q = {args.q} needs --modulus (degree-{k} literal over F_{p})")
@@ -83,9 +85,12 @@ def _rat(x):
 def _guard_default() -> int:
     env = os.environ.get("HFQ_GUARD")
     try:
-        return int(env) if env else 10**8
+        guard = int(env) if env else 10**8
     except ValueError:
         raise HfqError(f"HFQ_GUARD must be an integer, got {env!r}") from None
+    if guard < 1:
+        raise HfqError(f"HFQ_GUARD must be >= 1, got {guard}")
+    return guard
 
 
 def _print_json(payload) -> None:
@@ -221,7 +226,6 @@ def cmd_variance(args) -> int:
 
 def cmd_identity(args) -> int:
     from . import checks
-    from .polyring import Poly
 
     ctx = _build_ctx(args)
     kind = args.kind
@@ -233,6 +237,8 @@ def cmd_identity(args) -> int:
     elif kind == "kernel-structure":
         results.append(checks.check_kernel_structure(ctx, max(_parse_range(args.n)), guard))
     elif kind == "reduction":
+        from .polyring import Poly
+
         ws = None
         if args.W:
             ws = [Poly.from_literal(ctx, w) for w in args.W]
@@ -246,6 +252,7 @@ def cmd_identity(args) -> int:
                 results.append(checks.check_bijection(ctx, n, args.r, hs, guard))
     elif kind in ("kernel-sum", "w-sum"):
         from . import variance
+        from .polyring import Poly
 
         u = Poly.from_literal(ctx, args.U)
         v = Poly.from_literal(ctx, args.V)
@@ -397,6 +404,8 @@ def main(argv=None) -> int:
     try:
         if args.guard is None:
             args.guard = _guard_default()
+        elif args.guard < 1:
+            raise HfqError(f"--guard must be >= 1, got {args.guard}")
         return args.fn(args)
     except TooLargeError as exc:
         print(f"hfq: guard: {exc}", file=sys.stderr)

@@ -21,9 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import (
     EvenCharacteristicError,
@@ -33,6 +31,9 @@ from .errors import (
     ReducibleModulusError,
     TooLargeError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FqElem = int
 
@@ -206,6 +207,8 @@ def fq_vectors(ctx: FieldCtx, width: int, zeros: int = 0) -> Iterator[tuple]:
 def to_digits(base: int, codes, width: int) -> np.ndarray:
     """Base-``base`` digits of each code, least significant first, on a new last
     axis: an element's residues (base p) or a polynomial's coefficients (base q)."""
+    import numpy as np
+
     codes = np.asarray(codes, dtype=np.int64)
     out = np.empty(codes.shape + (width,), dtype=np.int64)
     for j in range(width):
@@ -215,6 +218,8 @@ def to_digits(base: int, codes, width: int) -> np.ndarray:
 
 def from_digits(base: int, digits: np.ndarray) -> np.ndarray:
     """The inverse of to_digits over the last axis."""
+    import numpy as np
+
     return digits @ base ** np.arange(digits.shape[-1])
 
 

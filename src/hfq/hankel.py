@@ -5,9 +5,9 @@ Hankel matrix with entry (i, j) = alpha_{i+j} whenever l + m <= n (shorter
 views use the truncated sequence).  This module computes ranks and kernels,
 the (r, rho, pi) characteristic and its strict variant, the block form
 reached by kernel-preserving row operations, the pair of coprime kernel
-polynomials, class-size formulas with their exhaustive census oracle, the
-sliding dot product against a padded coefficient vector, and the bijection
-between full-recurrence classes and coprime polynomial pairs.
+polynomials, the sliding dot product against a padded coefficient vector,
+and the bijection between full-recurrence classes and coprime polynomial
+pairs.  The class-size formulas and their census are in hfq.census.
 
 Conventions: rho is the size of the largest invertible leading square
 submatrix (capped at n_1 = floor((n+2)/2); the strict variant caps at
@@ -15,7 +15,7 @@ n_2 - 1 with n_2 = floor((n+3)/2)), r is the rank of the n_1 x n_2 matrix,
 and pi = r - rho.
 
 The characteristic and the kernel polynomials come from one
-Berlekamp-Massey pass, O(n^2) per sequence; the census runs the same pass
+Berlekamp-Massey pass, O(n^2) per sequence; hfq.census runs the same pass
 batched over the prefix trie (fastpath.walk).  Gaussian elimination serves
 only rank and kernel_basis, the ranks and kernels of explicit views: it is
 the independent side that the pass is checked against.
@@ -25,18 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import fastpath
 from .errors import (
     NotPiZeroError,
     PreconditionViolatedError,
-    RangeEmptyError,
     ShapeTooSmallError,
     TooShortError,
     WidthTooSmallError,
     WrongClassError,
-    check_guard,
 )
 from .field import FieldCtx, FqElem
 from .polyring import Poly, coeff_vector, gcd, laurent_expand
@@ -401,97 +396,6 @@ def seq_extend(seq: Seq, extra: int) -> Seq:
             acc = ctx.add(acc, ctx.mul(a1.coeff(i), entries[len(entries) - r + i]))
         entries.append(ctx.neg(acc))
     return Seq(ctx, entries)
-
-
-# class sizes
-
-
-def census_formula(n: int, h: int, r: int, rho: int, pi: int, q: int) -> int:
-    """Number of sequences in F_q^{n+1} with h leading zeros and the given
-    standard characteristic; 0 for parameter combinations no class attains."""
-    if n < 0 or not 0 <= h <= n + 1:
-        raise RangeEmptyError("need n >= 0 and 0 <= h <= n+1")
-    if min(r, rho, pi) < 0 or r != rho + pi:
-        return 0
-    n1 = (n + 2) // 2
-    even_ind = 1 if n % 2 == 0 else 0
-    if rho == 0:
-        if r <= min(n1 - even_ind, n - h + 1):
-            return 1 if r == 0 else (q - 1) * q ** (r - 1)
-        return 0
-    if rho == n1:
-        if pi == 0 and h + 1 <= n1:
-            return (q - 1) * q ** (n - h)
-        return 0
-    if h + 1 <= rho <= n1 - 1 and 0 <= pi <= n1 - rho - even_ind:
-        if pi == 0:
-            return (q - 1) * q ** (2 * rho - h - 1)
-        return (q - 1) ** 2 * q ** (2 * rho + pi - h - 2)
-    return 0
-
-
-def census_formula_total(n: int, h: int, r: int, q: int) -> int:
-    """Number of sequences with h leading zeros and rank invariant r."""
-    if n < 0 or not 0 <= h <= n + 1:
-        raise RangeEmptyError("need n >= 0 and 0 <= h <= n+1")
-    if r < 0:
-        return 0
-    n1 = (n + 2) // 2
-    if r == 0:
-        return 1
-    if 1 <= r <= min(h, n - h + 1):
-        return (q - 1) * q ** (r - 1)
-    if h + 1 <= r <= n1 - 1:
-        return (q * q - 1) * q ** (2 * r - h - 2)
-    if r == n1 and h + 1 <= n1:
-        return q ** (n - h + 1) - q ** (2 * n1 - h - 2)
-    return 0
-
-
-@dataclass
-class CensusTally:
-    standard: dict
-    strict: dict
-    total: int
-
-
-def _census_chunk(args):
-    """Class tallies of one representative per scalar orbit of the nonzero
-    sequences, below the walk's top-level nodes ``tops``, indexed by
-    r * side + rho (row 0) and r * side + strict rho (row 1)."""
-    ctx, n, h, tops, side = args
-    tallies = np.zeros((2, side * side), dtype=np.int64)
-    for (r, rho, strict_rho), _ in fastpath.walk(ctx, n + 1 - h, h, ((1,),), tops):
-        for tally, key in zip(tallies, (rho, strict_rho)):
-            tally += np.bincount(r * side + key, minlength=side * side)
-    return tallies
-
-
-def census_enumerate(
-    ctx: FieldCtx, n: int, h: int, cap: int = 10**8, workers: int = 1
-) -> CensusTally:
-    """Exhaustive tallies of the standard and strict classes over all
-    sequences in F_q^{n+1} with h leading zeros."""
-    if n < 0 or not 0 <= h <= n + 1:
-        raise RangeEmptyError("need n >= 0 and 0 <= h <= n+1")
-    total = ctx.q ** (n + 1 - h)
-    check_guard(total, cap, f"census of q^{n + 1 - h}", "sequences")
-    side = (n + 2) // 2 + 1  # r, rho and strict rho are at most n1
-    if workers <= 1 or total < 4 * workers:
-        tallies = _census_chunk((ctx, n, h, slice(None), side))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(ctx, n, h, slice(i, None, workers), side) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            tallies = sum(pool.map(_census_chunk, jobs))
-    tallies *= ctx.q - 1  # each c * seq, c != 0, has the class of seq
-    tallies[:, 0] += 1  # the zero sequence, class (0, 0, 0)
-    standard, strict = (
-        {(c // side, c % side, c // side - c % side): int(t[c]) for c in np.flatnonzero(t).tolist()}
-        for t in tallies
-    )
-    return CensusTally(standard, strict, total)
 
 
 # sliding products and the circulant Toeplitz picture

@@ -15,9 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import (
     BadParityError,
@@ -40,6 +38,9 @@ from .polyring import (
     monics_upto,
     polys_upto,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def validate_pair(u: Poly, v: Poly) -> None:
@@ -164,7 +165,7 @@ def interval_sum(u: Poly, v: Poly, a: Poly, h: int, guard: int = 10**8) -> int:
 
 def _class_digits(ctx, parts, h: int, n: int) -> np.ndarray:
     """Residue digits of coefficients h..n-1 of each part, one row per part."""
-    coeffs = np.array([coeff_vector(b, n)[h:n] for b in parts], dtype=np.int64)
+    coeffs = [coeff_vector(b, n)[h:n] for b in parts]
     return to_digits(ctx.p, coeffs, ctx.k).reshape(len(parts), -1)
 
 
@@ -173,6 +174,8 @@ def _binned_interval_sums(u: Poly, v: Poly, par: ThmParams) -> np.ndarray:
     of B (the leading one is always 1).  Each pair of a monic and a free part
     adds 2, for E and -E; the pairs' digits are summed mod p and tallied into
     the q^(n-h) classes block by block, so no array grows with the pairs."""
+    import numpy as np
+
     ctx = u.ctx
     n, h = par.n, par.h
     monic_w, _, monic_half = par.side(u, v, True)
@@ -431,9 +434,6 @@ def w_sum_identity(u: Poly, v: Poly, n: int, h: int, r: int, guard: int = 10**8)
     """Both sides of the stratified count over the full-recurrence class of
     length-n sequences: sum of |gcd(a1, U)| |gcd(a1, V)| against the
     divisor-stratified coprime-pair count with W = UV."""
-    from . import fastpath
-    from .hankel import Seq, char_polys
-
     par = ThmParams.compute(u, v, n, h)
     ctx = u.ctx
     q = ctx.q
@@ -441,6 +441,8 @@ def w_sum_identity(u: Poly, v: Poly, n: int, h: int, r: int, guard: int = 10**8)
     if r not in ranks:
         raise RangeEmptyError(f"r = {r} outside [{h + 1}, {ranks.stop - 1}] (and r > 2)")
     check_guard(q ** (n - h), guard, "identity enumeration")
+    from . import fastpath
+    from .hankel import Seq, char_polys
 
     lhs = 0  # one sequence per scalar orbit, weighted q - 1: a1 is monic, so c * seq shares it
     for (rank, _, strict_rho), ents in fastpath.walk(ctx, n - h, h, ((1,),)):

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from hfq import analytic
-from hfq.analytic import _phi_array, convergence_report, phi_ratio_sum, phi_slope
+from hfq.analytic import (
+    _monic_products,
+    _phi_array,
+    convergence_report,
+    phi_ratio_sum,
+    phi_slope,
+)
 from hfq.errors import NotCoprimeError, NotMonicError, TooLargeError
-from hfq.field import CHUNK, ctx_new
-from hfq.polyring import Poly, gcd, monics_upto, phi, polys_upto, rad
+from hfq.field import CHUNK, ctx_new, to_digits
+from hfq.polyring import Poly, gcd, monics, monics_upto, phi, polys_upto, rad
 
 F3 = ctx_new(3)
 F5 = ctx_new(5)
@@ -125,3 +131,29 @@ def test_sieve_matches_factored_phi(monkeypatch, ctx, kmax):
         monic[code] = True
         assert sieve[code] == phi(a), a
     assert not sieve[~monic].any()
+
+
+@pytest.mark.parametrize("ctx,d,emax", [(F3, 1, 5), (F3, 2, 3), (F9, 1, 2)], ids=["q3", "q3d2", "q9"])
+def test_monic_products_in_any_blocks_are_the_products(monkeypatch, ctx, d, emax):
+    # the products of every monic A of degree d (prime or not) and every
+    # monic B of degree <= emax, against Poly multiplication; a CHUNK of 1
+    # expands one prefix per block, and each block stays within CHUNK
+    # digits once one A's q rows fit
+    code = lambda a: sum(c * ctx.q**i for i, c in enumerate(a.coeffs))  # noqa: E731
+    lefts = list(monics(ctx, d))
+    want = sorted(code(a * b) for a in lefts for b in monics_upto(ctx, emax))
+    left = to_digits(ctx.q, [code(a) for a in lefts], d + 1)
+    outer_sums, sizes = analytic._outer_sums, []
+
+    def recording(acc, rows, j):
+        for block in outer_sums(acc, rows, j):
+            sizes.append(block.size)
+            yield block
+
+    monkeypatch.setattr(analytic, "_outer_sums", recording)
+    for chunk in (1, 64, CHUNK):
+        monkeypatch.setattr(analytic, "CHUNK", chunk)
+        sizes.clear()
+        assert sorted(_monic_products(ctx, left, emax).tolist()) == want
+        one_row = ctx.q * (d + 1 + emax) * ctx.k
+        assert max(sizes) <= max(chunk, one_row)

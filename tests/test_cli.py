@@ -298,6 +298,22 @@ def test_bad_guard_env_exits_64(capsys, monkeypatch):
     assert code == EXIT_USAGE and out == "" and "HFQ_GUARD" in err
 
 
+def test_modulus_with_a_prime_q_exits_64(capsys):
+    argv = ("census", "--q", "7", "--modulus", "1,0,1", "--n", "2", "--h", "0")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == "" and "--modulus" in err and "q = 7" in err
+
+
+@pytest.mark.parametrize("guard", ["0", "-1"])
+def test_guard_below_one_exits_64(capsys, monkeypatch, guard):
+    argv = ("census", "--q", "3", "--n", "2", "--h", "0")
+    code, out, err = run(capsys, *argv, "--guard", guard)
+    assert code == EXIT_USAGE and out == "" and f"--guard must be >= 1, got {guard}" in err
+    monkeypatch.setenv("HFQ_GUARD", guard)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == "" and f"HFQ_GUARD must be >= 1, got {guard}" in err
+
+
 def test_census_h_above_every_n_is_not_a_failure(capsys):
     code, out, _ = run(capsys, "census", "--q", "3", "--n", "0", "--h", "2")
     assert code == EXIT_OK and "nothing to check" in out

@@ -24,10 +24,11 @@ from oracle import (
 )
 
 from hfq import fastpath
+from hfq.census import census_enumerate
 from hfq.charsum import variance_charsum
 from hfq.errors import HfqError
 from hfq.field import CHUNK, ctx_new, fq_vectors
-from hfq.hankel import Seq, census_enumerate, profile
+from hfq.hankel import Seq, profile
 from hfq.polyring import Poly, gcd
 from hfq.variance import ThmParams
 

@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: ``import hfq`` alone loads no submodule,
-and each CLI command loads only the modules it runs."""
+each CLI command loads only the modules it runs, and numpy and the array
+engine load only with a command that builds an array."""
 
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import hfq
-from hfq import analytic, charsum, field, hankel, polyring, variance
+from hfq import analytic, census, charsum, field, hankel, polyring, variance
+from hfq.cli import EXIT_OK, EXIT_USAGE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -25,8 +27,20 @@ def loaded_after(code: str) -> set:
     return set(out.splitlines()[-1].split()[1:])
 
 
-def run_cli(*argv) -> set:
-    return loaded_after(f"from hfq.cli import main\nmain({list(argv)!r})")
+def run_cli(*argv, code: int = EXIT_OK) -> set:
+    """The modules one CLI command loads; it must exit with ``code``."""
+    script = (
+        "from hfq.cli import main\n"
+        "try:\n"
+        f"    code = main({list(argv)!r})\n"
+        "except SystemExit as exc:  # argparse exits after --help and --version\n"
+        "    code = exc.code\n"
+        f"assert code == {code}, code"
+    )
+    return loaded_after(script)
+
+
+ARRAYS = {"numpy", "hfq.fastpath"}
 
 
 def test_import_hfq_loads_no_submodule():
@@ -36,11 +50,79 @@ def test_import_hfq_loads_no_submodule():
     assert "numpy" not in mods and "concurrent.futures" not in mods
 
 
+def test_benchmark_setup_loads_no_numpy():
+    mods = loaded_after("import hfq, hfq.cli\nhfq.ctx_new(3)\nhfq.ctx_new(3, 2, (1, 0, 1))")
+    assert "hfq.cli" in mods and "hfq.field" in mods
+    assert not mods & ARRAYS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--help",),
+        ("--version",),
+        ("analyze", "--q", "3", "--alpha", "0,0,1,0,0"),
+        ("analyze", "--q", "9", "--modulus", "1,0,1", "--alpha", "[1,2],[0,1]"),
+        ("identity", "kernel-structure", "--q", "3", "--n", "0..3"),
+        ("identity", "reduction", "--q", "3", "--n", "0..4"),
+        ("identity", "reduction", "--q", "3", "--n", "0..3", "--W", "1,1"),
+        ("identity", "bijection", "--q", "3", "--n", "6", "--r", "3", "--h", "0..1"),
+        ("identity", "kernel-sum", "--q", "3", "--n", "2..5"),
+        ("variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "6", "--h", "3",
+         "--theorem"),
+    ],
+    ids=[
+        "help", "version", "analyze", "analyze-q9", "kernel-structure", "reduction",
+        "reduction-W", "bijection", "kernel-sum", "variance-theorem",
+    ],
+)
+def test_scalar_commands_load_no_arrays(argv):
+    mods = run_cli(*argv)
+    assert "hfq.cli" in mods
+    assert not mods & ARRAYS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--q", "4", "--n", "2", "--h", "0"),
+        ("census", "--q", "7", "--modulus", "1,0,1", "--n", "2", "--h", "0"),
+        ("census", "--q", "3", "--n", "2", "--h=-1..0"),
+        ("census", "--q", "3", "--n", "2", "--h", "0", "--guard", "0"),
+        ("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "7", "--h", "2", "--fast"),
+        ("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "18", "--h", "6",
+         "--charsum", "--fast"),
+        ("variance", "--q", "3", "--U", "0,1", "--V", "0,1", "--n", "6", "--h", "2",
+         "--oracle", "--charsum"),
+        ("identity", "quadform", "--q", "3", "--l=-1..0"),
+        ("identity", "w-sum", "--q", "3", "--U", "1", "--V", "1,0,1", "--n", "6"),
+        ("phisum", "--q", "3", "--W2", "0,1", "--W3", "0,1", "--kmax", "3"),
+        ("analyze", "--q", "3", "--alpha", "1,x"),
+    ],
+    ids=[
+        "census-q4", "census-prime-modulus", "census-negative-h", "census-guard-0",
+        "variance-fast-alone", "variance-fast-envelope", "variance-odd-U",
+        "quadform-negative-l", "w-sum-even-V", "phisum-common-factor", "analyze-literal",
+    ],
+)
+def test_refusals_load_no_arrays(argv):
+    assert not run_cli(*argv, code=EXIT_USAGE) & ARRAYS
+
+
+@pytest.mark.parametrize("field", [("--q", "3"), ("--q", "9", "--modulus", "1,0,1")],
+                         ids=["q3", "q9"])
+def test_quadform_loads_no_hankel_polyring_or_variance(field):
+    mods = run_cli("identity", "quadform", *field, "--l", "0..1")
+    assert {"hfq.charsum", "hfq.fastpath"} <= mods  # the command ran
+    assert not mods & {"hfq.hankel", "hfq.polyring", "hfq.variance"}
+
+
 def test_census_loads_no_pool_and_no_variance_layers():
     mods = run_cli("census", "--q", "3", "--n", "4", "--h", "0")
-    assert "hfq.hankel" in mods  # the command ran
+    assert "hfq.census" in mods  # the command ran
     assert not mods & {"concurrent.futures.process", "multiprocessing"}
     assert not mods & {"hfq.charsum", "hfq.variance", "hfq.analytic"}
+    assert not mods & {"hfq.hankel", "hfq.polyring"}
 
 
 def test_phisum_loads_no_hankel_layers():
@@ -66,7 +148,7 @@ def test_oracle_variance_loads_no_character_sum_layers():
 
 
 def test_lazy_names_are_the_home_modules_objects():
-    homes = {m.__name__: m for m in (analytic, charsum, field, hankel, polyring, variance)}
+    homes = {m.__name__: m for m in (analytic, census, charsum, field, hankel, polyring, variance)}
     table = hfq._HOME  # public name -> home submodule
     assert sorted(table) == sorted(hfq.__all__)
     for name in hfq.__all__:

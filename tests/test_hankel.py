@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracle import gauss_char_polys, gauss_rhopi_form
 
 from hfq import checks, cli, hankel
+from hfq.census import census_enumerate, census_formula, census_formula_total
 from hfq.errors import (
     NotPiZeroError,
     PreconditionViolatedError,
@@ -25,9 +26,6 @@ from hfq.hankel import (
     Seq,
     bijection_inverse,
     bijection_map,
-    census_enumerate,
-    census_formula,
-    census_formula_total,
     char_polys,
     kernel_basis,
     odot,
@@ -320,7 +318,7 @@ def test_check_kernel_structure_catches_wrong_char_polys(monkeypatch, which):
             return prof, CharPolys(cp.a1, cp.a2 + one, cp.canonical)
         return prof, CharPolys(cp.a1, Poly.zero(seq.ctx), cp.canonical)
 
-    monkeypatch.setattr(checks, "_profile_and_polys", broken)
+    monkeypatch.setattr(hankel, "_profile_and_polys", broken)
     res = checks.check_kernel_structure(F3, 4)
     assert not res.ok and any("kernel mismatch" in line for line in res.lines)
 
