@@ -1,6 +1,6 @@
 """Layer and end-to-end timings of hfq, recorded in a BENCH_<n>.json.
 
-    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label after --out BENCH_13.json
+    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label after --out BENCH_14.json
 
 imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
 (merged with the labels already there):
@@ -29,8 +29,9 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   its pool workers); the exact character sum ``hfq variance --charsum``
   at q=5 (U = 1, V = T + 1, n = 7, h = 2) and q=3 (U = 1, V = T, n = 10,
   h = 2); ``hfq identity quadform`` at one level each of q=3 (l = 4), q=5
-  (l = 3) and q=7 (l = 2); and ``hfq identity w-sum --q 5 --U 1 --V 0,1
-  --n 8 --h 0``, every rank of one F_5 point;
+  (l = 3) and q=7 (l = 2); ``hfq identity w-sum --q 5 --U 1 --V 0,1
+  --n 8 --h 0``, every rank of one F_5 point; and ``hfq phisum --q 3 --W2 1
+  --W3 0,1 --kmax 12``, the depth of acceptance criterion 10;
 - the benchmark's fast_tally and scalar_census workloads
   (``perfbench/run.py --seconds 30 --trace 0`` of the checkout that holds
   the imported hfq, seeds 1 and 2): their ``wall_s``, ``peak_rss_mib``
@@ -113,6 +114,7 @@ COMMANDS = {
        for q, l in ((3, 4), (5, 3), (7, 2))},
     "w_sum_q5_n8_h0": ("identity", "w-sum", "--q", "5", "--U", "1", "--V", "0,1",
                        "--n", "8", "--h", "0"),
+    "phisum_q3_kmax12": ("phisum", "--q", "3", "--W2", "1", "--W3", "0,1", "--kmax", "12"),
 }
 PERFBENCH_WORKLOADS = ("fast_tally", "scalar_census")
 PERFBENCH_SEEDS = (1, 2)
@@ -219,7 +221,7 @@ def measure(repeats: int) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True, help="key to store this run under")
-    ap.add_argument("--out", default="BENCH_13.json")
+    ap.add_argument("--out", required=True, help="JSON file to merge this run into")
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     data = {}

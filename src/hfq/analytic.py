@@ -11,14 +11,12 @@ an unspecified constant.
 phi is computed for every monic polynomial up to the cutoff with a sieve
 of Eratosthenes by degree, keyed by the base-q digit code of the coefficient
 vector: the primes of each degree, the codes no smaller prime has touched,
-multiply every monic cofactor at once in numpy.  Unit multiples share phi,
-absolute value, and the support condition, so the sum over all B is (q-1)
-times the sum over monic B; that equivalence is enforced against the
-literal all-B enumeration in the tests.
-
-The support condition is linear: B mod P is the sum of b_j (T^j mod P), so
-one table row per coefficient gives the residues of every B at once, for
-primes of any degree over prime and extension fields alike.
+multiply every monic cofactor at once in numpy.  The same products decide
+the support condition: the monic multiples of a prime P of W are the codes
+of P * C for monic C.  Unit multiples share phi, absolute value, and the
+support condition, so the sum over all B is (q-1) times the sum over monic
+B; that equivalence is enforced against the literal all-B enumeration in
+the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from typing import TYPE_CHECKING, List
 
 from .errors import NotCoprimeError, NotMonicError, check_guard
 from .field import CHUNK, FieldCtx, from_digits, to_digits
-from .polyring import Poly, coeff_vector, factor, gcd
+from .polyring import Poly, factor, gcd
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,10 +64,9 @@ def _monic_products(ctx: FieldCtx, left: np.ndarray, emax: int) -> np.ndarray:
 
     For B of degree e, A * B = T^e A + sum_{j<e} b_j T^j A: from the residue
     digits of T^e A, each coefficient j = e-1..0 of B adds the q rows c T^j A
-    as an outer sum (_outer_sums), as ``tails`` is built in
-    _degree_numerators.  The digit sums mod p are the product's residues;
-    products below degree deg A + emax carry zero digits on top, which leave
-    their codes unchanged."""
+    as an outer sum (_outer_sums).  The digit sums mod p are the product's
+    residues; products below degree deg A + emax carry zero digits on top,
+    which leave their codes unchanged."""
     import numpy as np
 
     q, p, k = ctx.q, ctx.p, ctx.k
@@ -129,60 +126,32 @@ def _validate(w2: Poly, w3: Poly) -> None:
         raise NotCoprimeError("W2 and W3 must be coprime")
 
 
-def _support_flags(ctx: FieldCtx, w2: Poly, w3: Poly):
-    """The primes of W = W2 W3 with a flag: must they divide B or must they not."""
-    w3_primes = {p for p, _ in factor(w3)} if w3.degree > 0 else set()
-    w = w2 * w3
-    out = []
-    if w.degree > 0:
-        for p, _ in factor(w):
-            out.append((p, p in w3_primes))
-    return out
-
-
-def _residue_table(ctx: FieldCtx, flags, kmax: int) -> np.ndarray:
-    """lut[j, c]: the base-p residue digits of c * (T^j mod P) for every
-    flagged prime P, side by side; shape (kmax + 1, q, sum of k deg P)."""
-    import numpy as np
-
-    prod_digits = to_digits(ctx.p, ctx.mul_table, ctx.k)
-    one = Poly.one(ctx)
-    blocks = [np.zeros((ctx.q, kmax + 1, 0), dtype=np.int64)]
-    for prime, _ in flags:
-        powers = [coeff_vector(one.shift(j) % prime, prime.degree - 1) for j in range(kmax + 1)]
-        blocks.append(prod_digits[:, powers].reshape(ctx.q, kmax + 1, -1))
-    return np.concatenate(blocks, axis=2).transpose(1, 0, 2)
+def _support_flags(w2: Poly, w3: Poly):
+    """The primes of W = W2 W3, each flagged True iff it divides W3, that is,
+    iff it must divide B."""
+    return [(p, False) for p, _ in factor(w2)] + [(p, True) for p, _ in factor(w3)]
 
 
 def _degree_numerators(ctx: FieldCtx, w2: Poly, w3: Poly, kmax: int) -> List[int]:
     """num[d] = sum of phi(B) over qualifying monic B of degree d.
 
-    B mod P is the sum of b_j (T^j mod P) over B's coefficients b_j, so the
-    residues of every B come from one table row per coefficient: ``tails``
-    holds the summed rows of each coefficient vector of length d, in code
-    order, and the monic B of degree d add the row of b_d = 1.  P divides B
-    iff all of its residue digits vanish mod p.
+    The monic multiples of degree <= kmax of a prime P are the codes of
+    P * C, C monic of degree <= kmax - deg P (none when deg P > kmax): a
+    monic B qualifies iff each prime's mark on its code equals the prime's
+    flag.  phi is 0 on the codes of non-monic vectors.
     """
     import numpy as np
 
-    phi = _phi_array(ctx, kmax)
-    flags = _support_flags(ctx, w2, w3)
     q = ctx.q
-    lut = _residue_table(ctx, flags, kmax)
-    tails = np.zeros((1, lut.shape[2]), dtype=np.int64)
-    nums = []
-    for d in range(kmax + 1):
-        vanish = (tails + lut[d, 1]) % ctx.p == 0
-        mask = np.ones(q**d, dtype=bool)
-        start = 0
-        for prime, need in flags:
-            stop = start + prime.degree * ctx.k
-            mask &= vanish[:, start:stop].all(axis=1) == need
-            start = stop
-        nums.append(int(phi[q**d : 2 * q**d][mask].sum()))
-        if d < kmax:
-            tails = (lut[d][:, None, :] + tails[None, :, :]).reshape(q ** (d + 1), -1)
-    return nums
+    phi = _phi_array(ctx, kmax)[: q ** (kmax + 1)]
+    keep = np.ones(phi.size, dtype=bool)
+    for prime, need in _support_flags(w2, w3):
+        divides = np.zeros(phi.size, dtype=bool)
+        if prime.degree <= kmax:
+            divides[_monic_products(ctx, np.array([prime.coeffs]), kmax - prime.degree)] = True
+        keep &= divides == need
+    kept = phi * keep
+    return [int(kept[q**d : 2 * q**d].sum()) for d in range(kmax + 1)]
 
 
 def phi_ratio_sum(w2: Poly, w3: Poly, k: int, guard: int = 10**8) -> Fraction:
@@ -194,17 +163,11 @@ def phi_ratio_sum(w2: Poly, w3: Poly, k: int, guard: int = 10**8) -> Fraction:
 def phi_slope(w2: Poly, w3: Poly) -> Fraction:
     """Per-degree limit rate of the restricted sum, as an exact rational."""
     _validate(w2, w3)
-    ctx = w2.ctx
-    q = ctx.q
+    q = w2.ctx.q
     out = Fraction((q - 1) ** 2, q)
-    w = w2 * w3
-    if w.degree > 0:
-        for p, _ in factor(w):
-            ap = q**p.degree
-            out *= Fraction(ap, ap + 1)
-    if w3.degree > 0:
-        for p, _ in factor(w3):
-            out *= Fraction(1, q**p.degree)
+    for p, in_w3 in _support_flags(w2, w3):
+        ap = q**p.degree
+        out *= Fraction(1 if in_w3 else ap, ap + 1)
     return out
 
 

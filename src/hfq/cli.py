@@ -217,10 +217,8 @@ def cmd_variance(args) -> int:
     ok = True
     if report.oracle is not None and report.charsum_value is not None:
         ok &= report.oracle == report.charsum_value
-    if args.theorem:
-        reference = report.oracle if report.oracle is not None else report.charsum_value
-        if reference is not None and report.case in ("case1", "case2"):
-            ok &= reference == report.theorem_value
+    if args.theorem and report.residual is not None and report.case in ("case1", "case2"):
+        ok &= report.residual == 0
     return EXIT_OK if ok else EXIT_MISMATCH
 
 

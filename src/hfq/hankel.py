@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    NotCoprimeError,
     NotPiZeroError,
     PreconditionViolatedError,
     ShapeTooSmallError,
@@ -561,8 +562,6 @@ def bijection_map(seq: Seq, h: int):
 def bijection_inverse(a: Poly, b: Poly, n: int, h: int) -> Seq:
     """Rebuild the sequence from the pair: alpha_i is the T^(-i-1) Laurent
     coefficient of B/A, read off as the expansion of (T*B)/A."""
-    from .errors import NotCoprimeError
-
     ctx = a.ctx
     r = a.degree
     if a.is_zero or not a.is_monic:

@@ -16,9 +16,11 @@ from typing import Iterator
 
 from .errors import (
     BothZeroError,
+    DegreeMismatchError,
     DegreeTooLargeError,
     DivideByZeroError,
     NotMonicError,
+    NotPrimeError,
     ZeroDenominatorError,
     ZeroPolynomialError,
 )
@@ -306,8 +308,6 @@ def laurent_expand(b: Poly, a: Poly, depth: int):
     if not a.is_monic:
         raise NotMonicError("expansion denominator must be monic")
     if b.degree > a.degree:
-        from .errors import DegreeMismatchError
-
         raise DegreeMismatchError("numerator degree exceeds denominator degree")
     ctx = b.ctx
     da = a.degree
@@ -371,8 +371,6 @@ def prime_multiplicity(a: Poly, prime: Poly) -> int:
     if a.is_zero:
         raise ZeroPolynomialError("multiplicity in 0 is undefined")
     if not prime.is_monic or not irreducible(prime):
-        from .errors import NotPrimeError
-
         raise NotPrimeError(f"{prime!r} is not a monic irreducible")
     e = 0
     while True:

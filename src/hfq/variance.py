@@ -31,7 +31,6 @@ from .field import CHUNK, from_digits, to_digits
 from .polyring import (
     Poly,
     coeff_vector,
-    divisors,
     factor,
     gcd,
     monics,
@@ -451,15 +450,11 @@ def w_sum_identity(u: Poly, v: Poly, n: int, h: int, r: int, guard: int = 10**8)
             lhs += (q - 1) * gcd(a1, u).abs_value() * gcd(a1, v).abs_value()
 
     w = u * v
-    counts: dict = {}
+    rhs = 0
     for a in monics(ctx, r):
-        g = gcd(a, w)
         cnt = 0
         for b in polys_upto(ctx, r - h - 1):
             if not b.is_zero and gcd(a, b).degree == 0:
                 cnt += 1
-        counts[g] = counts.get(g, 0) + cnt
-    rhs = 0
-    for w1 in divisors(w):
-        rhs += w1.abs_value() * counts.get(w1, 0)
+        rhs += gcd(a, w).abs_value() * cnt
     return Fraction(lhs), Fraction(rhs)

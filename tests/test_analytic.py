@@ -32,6 +32,11 @@ def test_slope_fixtures():
     assert phi_slope(ONE, ONE) == Fraction(4, 3)
     assert phi_slope(T * T1, ONE) == Fraction(3, 4)
     assert phi_slope(ONE, T) == Fraction(4, 3) * Fraction(3, 4) * Fraction(1, 3)
+    # a degree-2 prime on the W2 side, T on the W3 side
+    assert phi_slope(T * T + ONE, T) == Fraction(3, 10)
+    # a repeated prime counts once
+    assert phi_slope(T * T, T1) == phi_slope(T, T1) == Fraction(1, 4)
+    assert phi_slope(Poly(F9, (1, 1)) ** 2, Poly(F9, (5, 0, 1))) == Fraction(8, 125)
 
 
 def test_validation():
