@@ -1,6 +1,8 @@
 """Layer and end-to-end timings of hfq, recorded in a BENCH_<n>.json.
 
     PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label after --out BENCH_14.json
+    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label pair \
+        --parent ../parent-checkout --out BENCH_15.json
 
 imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
 (merged with the labels already there):
@@ -30,8 +32,12 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   at q=5 (U = 1, V = T + 1, n = 7, h = 2) and q=3 (U = 1, V = T, n = 10,
   h = 2); ``hfq identity quadform`` at one level each of q=3 (l = 4), q=5
   (l = 3) and q=7 (l = 2); ``hfq identity w-sum --q 5 --U 1 --V 0,1
-  --n 8 --h 0``, every rank of one F_5 point; and ``hfq phisum --q 3 --W2 1
-  --W3 0,1 --kmax 12``, the depth of acceptance criterion 10;
+  --n 8 --h 0``, every rank of one F_5 point; ``hfq phisum --q 3 --W2 1
+  --W3 0,1 --kmax 12``, the depth of acceptance criterion 10; ``hfq identity
+  bijection`` at q=3 (n = 8, r = 4, h = 0..3) and q=5 (n = 6, r = 3,
+  h = 0..2), the class/pair bijection and its pair set; and ``hfq identity
+  kernel-structure --q 3 --n 0..6``, the scalar pass and Gaussian
+  elimination of acceptance criterion 02;
 - the benchmark's fast_tally and scalar_census workloads
   (``perfbench/run.py --seconds 30 --trace 0`` of the checkout that holds
   the imported hfq, seeds 1 and 2): their ``wall_s``, ``peak_rss_mib``
@@ -43,10 +49,17 @@ compiles hfq from source, as the benchmark's fresh interpreters do;
 ``cold_hfq_bytecode_cached`` records whether any was cached.
 
 Each figure is the median of --repeats runs (of five times as many for
-the walk throughput, and three times as many for a cold start); the
-perfbench figures are its own, from one run per workload and seed.  Run it
-once per checkout, with the same --out, to put a before and an after side
-by side.  It is not part of the test suite.
+the walk throughput, and three times as many for a cold start), and each
+fresh-interpreter wall time also keeps the range of its runs (``_s_range``);
+the perfbench figures are its own, from one run per workload and seed.
+
+With ``--parent DIR``, every cold start and command also runs under
+``DIR/src``, alternating with the imported hfq's src run by run, the side
+that goes first switching each repeat, so that a slowdown of a shared
+machine falls on both sides alike; the parent's figures are stored in the
+same record under the prefix ``parent_``.  Without it, run the tool once
+per checkout, with the same --out, to put a before and an after side by
+side.  It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -115,6 +128,11 @@ COMMANDS = {
     "w_sum_q5_n8_h0": ("identity", "w-sum", "--q", "5", "--U", "1", "--V", "0,1",
                        "--n", "8", "--h", "0"),
     "phisum_q3_kmax12": ("phisum", "--q", "3", "--W2", "1", "--W3", "0,1", "--kmax", "12"),
+    "bijection_q3_n8_r4": ("identity", "bijection", "--q", "3", "--n", "8", "--r", "4",
+                           "--h", "0..3"),
+    "bijection_q5_n6_r3": ("identity", "bijection", "--q", "5", "--n", "6", "--r", "3",
+                           "--h", "0..2"),
+    "kernel_structure_q3_n6": ("identity", "kernel-structure", "--q", "3", "--n", "0..6"),
 }
 PERFBENCH_WORKLOADS = ("fast_tally", "scalar_census")
 PERFBENCH_SEEDS = (1, 2)
@@ -138,10 +156,13 @@ with open("/proc/self/status") as status:
 sys.exit(code)"""
 
 
-def _run_once(argv, code: int = 0) -> tuple:
-    """(wall seconds, peak RSS in MiB) of one hfq command in a fresh interpreter."""
+def _run_once(argv, code: int, src: str) -> tuple:
+    """(wall seconds, peak RSS in MiB) of one hfq command in a fresh
+    interpreter that imports hfq from ``src``."""
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv],
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     wall = time.perf_counter() - t0
     if proc.returncode != code:
@@ -149,16 +170,30 @@ def _run_once(argv, code: int = 0) -> tuple:
     return wall, int(proc.stderr.split()[-1]) / 1024
 
 
-def _medians(label: str, runs: list) -> dict:
-    walls, rss = zip(*runs)
-    return {f"{label}_s": round(statistics.median(walls), 3),
-            f"{label}_peak_rss_mib": round(statistics.median(rss), 2)}
+def _sides(label: str, argv, code: int, runs: int, parent) -> dict:
+    """The medians of ``runs`` fresh runs of one command under the imported
+    hfq's src and, with ``parent``, as many under ``parent/src`` (keys
+    prefixed ``parent_``), alternating, the first side switching each run."""
+    sides = [("", str(Path(hfq.__file__).resolve().parents[1]))]
+    if parent:
+        sides.append(("parent_", str(Path(parent).resolve() / "src")))
+    times = {prefix: [] for prefix, _ in sides}
+    for i in range(runs):
+        for prefix, src in sides[:: -1 if i % 2 else 1]:
+            times[prefix].append(_run_once(argv, code, src))
+    out = {}
+    for prefix, results in times.items():
+        walls, rss = zip(*results)
+        out[f"{prefix}{label}_s"] = round(statistics.median(walls), 3)
+        out[f"{prefix}{label}_s_range"] = [round(min(walls), 3), round(max(walls), 3)]
+        out[f"{prefix}{label}_peak_rss_mib"] = round(statistics.median(rss), 2)
+    return out
 
 
-def commands(repeats: int) -> dict:
+def commands(repeats: int, parent) -> dict:
     out = {}
     for label, argv in COMMANDS.items():
-        out.update(_medians(label, [_run_once(argv) for _ in range(repeats)]))
+        out.update(_sides(label, argv, 0, repeats, parent))
     return out
 
 
@@ -178,16 +213,18 @@ def perfbench() -> dict:
     return out
 
 
-def cold_start(repeats: int) -> dict:
+def cold_start(repeats: int, parent) -> dict:
     pycache = os.path.join(os.path.dirname(hfq.__file__), "__pycache__")
     out = {"cold_hfq_bytecode_cached": bool(glob.glob(os.path.join(pycache, "*.pyc")))}
+    if parent:
+        pycache = os.path.join(parent, "src", "hfq", "__pycache__")
+        out["parent_cold_hfq_bytecode_cached"] = bool(glob.glob(os.path.join(pycache, "*.pyc")))
     for label, (argv, code) in COLD_STARTS.items():
-        runs = [_run_once(argv, code) for _ in range(3 * repeats)]
-        out.update(_medians(f"cold_{label}", runs))
+        out.update(_sides(f"cold_{label}", argv, code, 3 * repeats, parent))
     return out
 
 
-def measure(repeats: int) -> dict:
+def measure(repeats: int, parent=None) -> dict:
     f3 = ctx_new(3)
     one, t = Poly.one(f3), Poly.t(f3)
 
@@ -212,8 +249,8 @@ def measure(repeats: int) -> dict:
         "walk_tally_s_n16_h6": _median_s(tally(16, 6), repeats),
         "criterion_11_s": _median_s(tally(18, 6), repeats),
         "criterion_11_value": str(tally(18, 6)()),
-        **cold_start(repeats),
-        **commands(repeats),
+        **cold_start(repeats, parent),
+        **commands(repeats, parent),
         **perfbench(),
     }
 
@@ -223,12 +260,14 @@ def main() -> None:
     ap.add_argument("--label", required=True, help="key to store this run under")
     ap.add_argument("--out", required=True, help="JSON file to merge this run into")
     ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--parent", metavar="DIR",
+                    help="a second checkout whose src each cold start and command alternates with")
     args = ap.parse_args()
     data = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             data = json.load(fh)
-    data[args.label] = measure(args.repeats)
+    data[args.label] = measure(args.repeats, args.parent)
     with open(args.out, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

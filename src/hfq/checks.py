@@ -103,10 +103,10 @@ def check_census(
     return res
 
 
-def check_kernel_structure(ctx: FieldCtx, n_max: int, guard: int = 10**8) -> CheckResult:
-    """Kernel law (Heinig-Rost): for every sequence and split (l+1) x (m+1),
-    the kernel is spanned by T^i a1 for i <= m - r and T^j a2 for
-    j <= m - (n - r + 2).
+def check_kernel_structure(ctx: FieldCtx, ns, guard: int = 10**8) -> CheckResult:
+    """Kernel law (Heinig-Rost): for every sequence alpha_0..alpha_n with n
+    in ``ns`` and every split (l+1) x (m+1), the kernel is spanned by T^i a1
+    for i <= m - r and T^j a2 for j <= m - (n - r + 2).
 
     Decided by containment and rank: every generator lies in the kernel (the
     view times [g]_m is the sliding product odot(alpha, g, m)), and the
@@ -116,9 +116,11 @@ def check_kernel_structure(ctx: FieldCtx, n_max: int, guard: int = 10**8) -> Che
     from .hankel import HankelView, _profile_and_polys, _row_reduce, odot, rank
     from .polyring import coeff_vector, gcd
 
+    if min(ns, default=0) < 0:
+        raise RangeEmptyError(f"need n >= 0, got {min(ns)}")
     res = CheckResult("kernel structure law")
-    check_guard(sum(ctx.q ** (n + 1) for n in range(n_max + 1)), guard, "kernel-structure check")
-    for n in range(n_max + 1):
+    check_guard(sum(ctx.q ** (n + 1) for n in ns), guard, "kernel-structure check")
+    for n in ns:
         for seq in _all_seqs(ctx, n):
             prof, cp = _profile_and_polys(seq)
             good_pair = (
@@ -141,17 +143,16 @@ def check_kernel_structure(ctx: FieldCtx, n_max: int, guard: int = 10**8) -> Che
     return res
 
 
-def check_quadform(ctx: FieldCtx, l_max: int, l_min: int = 0, guard: int = 10**8) -> CheckResult:
+def check_quadform(ctx: FieldCtx, ls, guard: int = 10**8) -> CheckResult:
     """Squared magnitudes of both quadratic-form sums against the closed
-    forms, exhaustively: the zero sequence on its own row, and every other
-    sequence through one multiple per F_p^* orbit, which has the profile
-    and the squared magnitudes of the whole orbit (fastpath.scalings) and
-    so counts p - 1 times, passed or failed."""
-    if l_min < 0:
-        raise RangeEmptyError(f"need l >= 0, got {l_min}")
+    forms, exhaustively at each level l in ``ls``: the zero sequence on its
+    own row, and every other sequence through one multiple per F_p^* orbit,
+    which has the profile and the squared magnitudes of the whole orbit
+    (fastpath.scalings) and so counts p - 1 times, passed or failed."""
+    if min(ls, default=0) < 0:
+        raise RangeEmptyError(f"need l >= 0, got {min(ls)}")
     res = CheckResult(f"quadratic form magnitudes (q={ctx.q})")
     q = ctx.q
-    ls = range(l_min, l_max + 1)
     check_guard(sum(q ** (2 * l + 1) * (q**l + q ** (l + 1)) for l in ls), guard, "quadform check")
     import numpy as np
 
@@ -178,12 +179,12 @@ def check_quadform(ctx: FieldCtx, l_max: int, l_min: int = 0, guard: int = 10**8
     return res
 
 
-def check_reduction(ctx: FieldCtx, n_max: int, ws=None, guard: int = 10**8) -> CheckResult:
+def check_reduction(ctx: FieldCtx, ns, ws=None, guard: int = 10**8) -> CheckResult:
     """Predicted characteristic and first kernel polynomial of the sliding
-    products, against direct computation, over every valid width.  Each
-    sequence and each reduced sequence gets one Berlekamp-Massey pass: the
-    predictions of reduction_profile and reduction_strict_class are made
-    from the sequence's own pass."""
+    products, against direct computation, over every valid width and every
+    n >= 2 in ``ns``.  Each sequence and each reduced sequence gets one
+    Berlekamp-Massey pass: the predictions of reduction_profile and
+    reduction_strict_class are made from the sequence's own pass."""
     from .hankel import _predict_reduction, _predict_strict_class, _profile_and_polys
     from .hankel import odot, profile
     from .polyring import Poly
@@ -198,8 +199,9 @@ def check_reduction(ctx: FieldCtx, n_max: int, ws=None, guard: int = 10**8) -> C
         ]
     if any(w.is_zero for w in ws):
         raise PreconditionViolatedError("reduction windows must be non-zero")
-    check_guard(sum(ctx.q ** (n + 1) for n in range(2, n_max + 1)), guard, "reduction check")
-    for n in range(2, n_max + 1):
+    ns = [n for n in ns if n >= 2]
+    check_guard(sum(ctx.q ** (n + 1) for n in ns), guard, "reduction check")
+    for n in ns:
         for seq in _all_seqs(ctx, n):
             prof, polys = _profile_and_polys(seq)
             for w in ws:
@@ -230,14 +232,14 @@ def check_reduction(ctx: FieldCtx, n_max: int, ws=None, guard: int = 10**8) -> C
 def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = 10**8) -> CheckResult:
     """Forward map into the coprime pairs, the inverse roundtrip, injectivity,
     and both cardinalities."""
-    from .hankel import bijection_inverse, bijection_map, profile
-    from .polyring import gcd, monics, polys_upto
+    from .hankel import _bijection_pairs, bijection_inverse, bijection_map, profile
 
     res = CheckResult(f"class/pair bijection (n={n}, r={r})")
     q = ctx.q
     # sequences, then the monic-by-bounded pairs, at each h
     check_guard(sum(q ** (n + 1 - h) + q ** (2 * r - h) for h in hs), guard, "bijection check")
     for h in hs:
+        pairs = _bijection_pairs(ctx, r, h)
         image = set()
         members = 0
         for seq in _all_seqs(ctx, n, h):
@@ -245,29 +247,18 @@ def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = 10**8) -> Ch
                 continue
             members += 1
             a, b = bijection_map(seq, h)
-            ok = (
-                a.is_monic
-                and a.degree == r
-                and b.degree < r - h
-                and not b.is_zero
-                and gcd(a, b).degree == 0
-            )
             back = bijection_inverse(a, b, n, h)
             res.count(
-                ok and back == seq,
+                b in pairs.get(a, ()) and back == seq,
                 lambda: f"roundtrip failed at {seq!r} (h={h}) -> ({a!r}, {b!r})",
             )
             image.add((a, b))
         want = (q - 1) * q ** (2 * r - h - 1)
-        pairs = set()
-        for a in monics(ctx, r):
-            for b in polys_upto(ctx, r - h - 1):
-                if not b.is_zero and gcd(a, b).degree == 0:
-                    pairs.add((a, b))
+        pair_set = {(a, b) for a, bs in pairs.items() for b in bs}
         res.count(
-            members == want and len(image) == members and image == pairs,
+            members == want and len(image) == members and image == pair_set,
             f"counts at h={h}: class {members}, image {len(image)}, "
-            f"pairs {len(pairs)}, formula {want}",
+            f"pairs {len(pair_set)}, formula {want}",
         )
     return res
 

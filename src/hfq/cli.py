@@ -230,17 +230,16 @@ def cmd_identity(args) -> int:
     results = []
     guard = args.guard
     if kind == "quadform":
-        ls = _parse_range(args.l)
-        results.append(checks.check_quadform(ctx, max(ls), l_min=min(ls), guard=guard))
+        results.append(checks.check_quadform(ctx, _parse_range(args.l), guard))
     elif kind == "kernel-structure":
-        results.append(checks.check_kernel_structure(ctx, max(_parse_range(args.n)), guard))
+        results.append(checks.check_kernel_structure(ctx, _parse_range(args.n), guard))
     elif kind == "reduction":
         from .polyring import Poly
 
         ws = None
         if args.W:
             ws = [Poly.from_literal(ctx, w) for w in args.W]
-        results.append(checks.check_reduction(ctx, max(_parse_range(args.n)), ws, guard))
+        results.append(checks.check_reduction(ctx, _parse_range(args.n), ws, guard))
     elif kind == "bijection":
         from .hankel import bijection_ranks
 

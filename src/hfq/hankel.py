@@ -35,7 +35,7 @@ from .errors import (
     WrongClassError,
 )
 from .field import FieldCtx, FqElem
-from .polyring import Poly, coeff_vector, gcd, laurent_expand
+from .polyring import Poly, coeff_vector, gcd, laurent_expand, monics, polys_upto
 
 
 class Seq:
@@ -304,9 +304,7 @@ def rhopi_form(view: HankelView):
     first non-zero skew-diagonal is the pi-th from the end.
     """
     seq = view.seq
-    ctx = seq.ctx
-    lc, cs, _ = _lc_profile(seq.entries, ctx, snapshots=True)
-    prof = _profile_of(seq, lc)
+    prof, polys = _profile_and_polys(seq)
     if view.rows < prof.r or view.cols < prof.r:
         raise ShapeTooSmallError(
             f"need at least {prof.r} rows and columns, have {view.rows}x{view.cols}"
@@ -315,16 +313,11 @@ def rhopi_form(view: HankelView):
     rho = prof.rho
     if rho == 0 or 2 * rho - 1 > seq.n:
         return mat, ()
-    a1 = _first_kernel_poly(ctx, seq.n, rho, lc, cs)
-    x = tuple(ctx.neg(c) for c in a1.coeffs[:rho])
-    for i in range(view.rows - 1, rho - 1, -1):
-        new_row = list(mat[i])
-        for j, xj in enumerate(x):
-            if xj != ctx.zero:
-                prev = mat[i - rho + j]
-                new_row = [ctx.sub(a, ctx.mul(xj, b)) for a, b in zip(new_row, prev)]
-        mat[i] = new_row
-    return mat, x
+    # row i minus sum_j x_j row (i - rho + j) is the row of alpha odot [a1]_rho
+    reduced = odot(seq, polys.a1, rho).entries
+    for i in range(rho, view.rows):
+        mat[i] = list(reduced[i - rho : i - rho + view.cols])
+    return mat, tuple(seq.ctx.neg(c) for c in polys.a1.coeffs[:rho])
 
 
 @dataclass(frozen=True)
@@ -377,26 +370,25 @@ def char_polys(seq: Seq) -> CharPolys:
     return _profile_and_polys(seq)[1]
 
 
+def _numerator(seq: Seq, a1: Poly) -> Poly:
+    """B, the polynomial part of a1 * sum alpha_i T^(-i-1): with r = deg a1,
+    B_j is the T^(j+r) coefficient of a1 * (alpha_{r-1}, ..., alpha_0)."""
+    r = a1.degree
+    return Poly(seq.ctx, (a1 * Poly(seq.ctx, seq.entries[:r][::-1])).coeffs[r:])
+
+
 def seq_extend(seq: Seq, extra: int) -> Seq:
-    """Append entries following the order-r recurrence; requires pi = 0."""
+    """Append entries following the order-r recurrence; requires pi = 0.
+
+    With pi = 0 the a1 recurrence holds on the whole sequence, so the
+    extension is the Laurent expansion of B/a1 (B = _numerator), the
+    expansion bijection_inverse reads."""
     prof, polys = _profile_and_polys(seq)
     if prof.pi != 0:
         raise NotPiZeroError("sequence admits no full-length recurrence (pi > 0)")
     if extra < 0:
         raise ValueError("extension length must be >= 0")
-    ctx = seq.ctx
-    r = prof.r
-    a1 = polys.a1
-    entries = list(seq.entries)
-    for _ in range(extra):
-        if r == 0:
-            entries.append(ctx.zero)
-            continue
-        acc = ctx.zero
-        for i in range(r):
-            acc = ctx.add(acc, ctx.mul(a1.coeff(i), entries[len(entries) - r + i]))
-        entries.append(ctx.neg(acc))
-    return Seq(ctx, entries)
+    return Seq(seq.ctx, laurent_expand(_numerator(seq, polys.a1).shift(1), polys.a1, seq.n + extra))
 
 
 # sliding products and the circulant Toeplitz picture
@@ -544,19 +536,10 @@ def bijection_map(seq: Seq, h: int):
         raise WrongClassError(f"need 0 <= h < r = {r}")
     if seq.leading_zeros() < h:
         raise WrongClassError(f"sequence has fewer than {h} leading zeros")
-    ctx = seq.ctx
-    a1 = polys.a1
-    e = seq.entries
-    b = []
-    for j in range(r):
-        acc = ctx.zero
-        for m in range(j + 1, r + 1):
-            acc = ctx.add(acc, ctx.mul(a1.coeff(m), e[m - j - 1]))
-        b.append(acc)
-    bp = Poly(ctx, b)
+    bp = _numerator(seq, polys.a1)
     if bp.degree >= r - h:
         raise AssertionError("image polynomial exceeds its degree bound")
-    return a1, bp
+    return polys.a1, bp
 
 
 def bijection_inverse(a: Poly, b: Poly, n: int, h: int) -> Seq:
@@ -576,3 +559,10 @@ def bijection_inverse(a: Poly, b: Poly, n: int, h: int) -> Seq:
     if b.is_zero or gcd(a, b).degree != 0:
         raise NotCoprimeError("components must be coprime (and B non-zero)")
     return Seq(ctx, laurent_expand(b.shift(1), a, n))
+
+
+def _bijection_pairs(ctx: FieldCtx, r: int, h: int) -> dict:
+    """The bijection's image at rank r with h leading zeros: each monic A of
+    degree r mapped to the set of non-zero B of degree < r - h coprime to A."""
+    bs = [b for b in polys_upto(ctx, r - h - 1) if not b.is_zero]
+    return {a: {b for b in bs if gcd(a, b).degree == 0} for a in monics(ctx, r)}

@@ -300,8 +300,9 @@ def coeff_vector(b: Poly, k: int) -> tuple:
 def laurent_expand(b: Poly, a: Poly, depth: int):
     """Coefficients alpha_0..alpha_depth of B/A = sum alpha_i T^(-i) + O(T^(-depth-1)).
 
-    Synthetic long division; requires A monic nonzero and deg B <= deg A so
-    the series starts at T^0 or later.
+    Requires A monic nonzero and deg B <= deg A, so the series starts at
+    T^0 or later; alpha_i is the T^(depth-i) coefficient of the polynomial
+    part (B T^depth) // A.
     """
     if a.is_zero:
         raise ZeroDenominatorError("expansion denominator is zero")
@@ -309,18 +310,8 @@ def laurent_expand(b: Poly, a: Poly, depth: int):
         raise NotMonicError("expansion denominator must be monic")
     if b.degree > a.degree:
         raise DegreeMismatchError("numerator degree exceeds denominator degree")
-    ctx = b.ctx
-    da = a.degree
-    rem = list(coeff_vector(b, da))
-    out = []
-    for _ in range(depth + 1):
-        c = rem[da]
-        out.append(c)
-        if c != ctx.zero:
-            for j in range(da + 1):
-                rem[j] = ctx.sub(rem[j], ctx.mul(c, a.coeffs[j]))
-        rem = [ctx.zero] + rem[:da]
-    return out
+    quot = b.shift(depth) // a
+    return [quot.coeff(depth - i) for i in range(depth + 1)]
 
 
 # factorization and arithmetic functions

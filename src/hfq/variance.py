@@ -221,13 +221,7 @@ def gcd_divisibility_sum(w: Poly, d1: int, d2: int, monic2: bool) -> int:
     for b2 in b2_range:
         g = w.monic() if b2.is_zero else gcd(b2, w)
         dg = g.degree
-        if d1 < 0:
-            mult_count = 1  # only B1 = 0
-        elif dg <= d1:
-            mult_count = q ** (d1 - dg + 1)
-        else:
-            mult_count = 1
-        total += q**dg * mult_count
+        total += q**dg * q ** max(d1 - dg + 1, 0)  # multiples of g in A_{<= d1}, 0 included
     return total
 
 
@@ -441,7 +435,7 @@ def w_sum_identity(u: Poly, v: Poly, n: int, h: int, r: int, guard: int = 10**8)
         raise RangeEmptyError(f"r = {r} outside [{h + 1}, {ranks.stop - 1}] (and r > 2)")
     check_guard(q ** (n - h), guard, "identity enumeration")
     from . import fastpath
-    from .hankel import Seq, char_polys
+    from .hankel import Seq, _bijection_pairs, char_polys
 
     lhs = 0  # one sequence per scalar orbit, weighted q - 1: a1 is monic, so c * seq shares it
     for (rank, _, strict_rho), ents in fastpath.walk(ctx, n - h, h, ((1,),)):
@@ -450,11 +444,5 @@ def w_sum_identity(u: Poly, v: Poly, n: int, h: int, r: int, guard: int = 10**8)
             lhs += (q - 1) * gcd(a1, u).abs_value() * gcd(a1, v).abs_value()
 
     w = u * v
-    rhs = 0
-    for a in monics(ctx, r):
-        cnt = 0
-        for b in polys_upto(ctx, r - h - 1):
-            if not b.is_zero and gcd(a, b).degree == 0:
-                cnt += 1
-        rhs += gcd(a, w).abs_value() * cnt
+    rhs = sum(gcd(a, w).abs_value() * len(bs) for a, bs in _bijection_pairs(ctx, r, h).items())
     return Fraction(lhs), Fraction(rhs)

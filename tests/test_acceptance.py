@@ -41,17 +41,17 @@ def test_criterion_01_census():
 
 
 def test_criterion_02_kernel_structure():
-    res = checks.check_kernel_structure(F3, 6)
+    res = checks.check_kernel_structure(F3, range(7))
     _record("kernel-structure", res)
 
 
 def test_criterion_03_quadratic_form_magnitudes():
     for q, l_max in charsum.QUADFORM_VERIFIED_L.items():
-        _record(f"quadform-q{q}", checks.check_quadform(ctx_new(q), l_max))
+        _record(f"quadform-q{q}", checks.check_quadform(ctx_new(q), range(l_max + 1)))
 
 
 def test_criterion_04_reduction_lemma():
-    res = checks.check_reduction(F3, 6)
+    res = checks.check_reduction(F3, range(7))
     _record("reduction", res)
 
 

@@ -219,7 +219,7 @@ def test_check_quadform_counts_a_failure_as_it_counts_a_pass(monkeypatch):
     # sequences, failed or passed, and the zero sequence for itself alone
     law = charsum.magsq_exponents
     monkeypatch.setattr(charsum, "magsq_exponents", lambda *args: law(*args) + 1)
-    res = check_quadform(ctx_new(3, 2, (1, 0, 1)), 0)
+    res = check_quadform(ctx_new(3, 2, (1, 0, 1)), range(1))
     assert res.failed == res.checked == 18
-    res = check_quadform(F3, 2)
+    res = check_quadform(F3, range(3))
     assert res.failed == res.checked == 2 * sum(3 ** (2 * l + 1) for l in range(3))

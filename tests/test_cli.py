@@ -148,6 +148,16 @@ def test_identity_quadform(capsys):
     assert code == EXIT_OK and "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "kind,n,want",
+    [("kernel-structure", "3..3", "405/405"), ("reduction", "4..4", "424/424")],
+)
+def test_identity_checks_only_the_requested_n(capsys, kind, n, want):
+    # the low end of --n counts: these are the n = 3 and n = 4 terms alone
+    code, out, _ = run(capsys, "identity", kind, "--q", "3", "--n", n)
+    assert code == EXIT_OK and want in out
+
+
 def test_identity_bijection(capsys):
     code, out, _ = run(
         capsys,
@@ -215,10 +225,11 @@ def test_guard_trips_before_a_huge_identity(capsys):
     [
         ("identity", "reduction", "--q", "3", "--n", "0..3", "--W", "0"),
         ("identity", "quadform", "--q", "3", "--l=-1..0"),
+        ("identity", "kernel-structure", "--q", "3", "--n=-1..2"),
         ("identity", "kernel-sum", "--q", "3", "--U", "0,1", "--V", "0,1", "--n", "4..6"),
         ("identity", "w-sum", "--q", "3", "--U", "1", "--V", "1,0,1", "--n", "6"),
     ],
-    ids=["zero-window", "negative-l", "odd-U", "even-V"],
+    ids=["zero-window", "negative-l", "negative-n", "odd-U", "even-V"],
 )
 def test_identity_bad_input_exits_64(capsys, argv):
     code, _, err = run(capsys, *argv)

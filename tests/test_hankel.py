@@ -301,7 +301,7 @@ def test_kernel_structure_law_small():
     ids=["q3", "q5", "q9"],
 )
 def test_check_kernel_structure_passes(ctx, n_max):
-    res = checks.check_kernel_structure(ctx, n_max)
+    res = checks.check_kernel_structure(ctx, range(n_max + 1))
     assert res.ok, res.lines
 
 
@@ -319,7 +319,7 @@ def test_check_kernel_structure_catches_wrong_char_polys(monkeypatch, which):
         return prof, CharPolys(cp.a1, Poly.zero(seq.ctx), cp.canonical)
 
     monkeypatch.setattr(hankel, "_profile_and_polys", broken)
-    res = checks.check_kernel_structure(F3, 4)
+    res = checks.check_kernel_structure(F3, range(5))
     assert not res.ok and any("kernel mismatch" in line for line in res.lines)
 
 
@@ -378,14 +378,19 @@ def test_seq_extend_fixtures():
 
 
 def test_seq_extend_satisfies_recurrence():
-    for s in seqs(F3, 4):
-        p = profile(s)
-        if p.pi != 0:
-            continue
-        ext = seq_extend(s, 3)
-        a1 = char_polys(s).a1
-        out = odot(ext, a1, max(p.r, a1.degree))
-        assert all(e == 0 for e in out.entries)
+    # the extension is the expansion of B/a1, which rewrites every entry: it
+    # must keep the sequence as its prefix
+    for ctx, n_max in ((F3, 5), (F9A, 3)):
+        for n in range(n_max + 1):
+            for s in seqs(ctx, n):
+                p = profile(s)
+                if p.pi != 0:
+                    continue
+                ext = seq_extend(s, 3)
+                assert ext.truncate(s.n) == s
+                a1 = char_polys(s).a1
+                out = odot(ext, a1, max(p.r, a1.degree))
+                assert all(e == 0 for e in out.entries)
 
 
 def test_census_fixture_n2():
@@ -560,7 +565,7 @@ def test_check_reduction_one_pass_per_sequence(monkeypatch):
         return lc_profile(*args, **kwargs)
 
     monkeypatch.setattr(hankel, "_lc_profile", counting)
-    res = checks.check_reduction(F3, 5)
+    res = checks.check_reduction(F3, range(6))
     assert res.ok
     assert len(passes) == sum(3 ** (n + 1) for n in range(2, 6)) + res.checked
 
@@ -614,7 +619,7 @@ def test_profile_and_polys_take_one_pass(monkeypatch):
         return lc_profile(*args, **kwargs)
 
     monkeypatch.setattr(hankel, "_lc_profile", counting)
-    assert checks.check_kernel_structure(F3, 3).ok
+    assert checks.check_kernel_structure(F3, range(4)).ok
     assert len(calls) == sum(3 ** (n + 1) for n in range(4))
     seq = bijection_inverse(Poly.from_ints(F3, [1, 2, 0, 1]), Poly.one(F3), 6, 2)
     for call in (
