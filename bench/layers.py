@@ -2,7 +2,7 @@
 
     PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label after --out BENCH_14.json
     PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label pair \
-        --parent ../parent-checkout --out BENCH_15.json
+        --parent ../parent-checkout --out BENCH_16.json
 
 imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
 (merged with the labels already there):
@@ -38,10 +38,10 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   h = 0..2), the class/pair bijection and its pair set; and ``hfq identity
   kernel-structure --q 3 --n 0..6``, the scalar pass and Gaussian
   elimination of acceptance criterion 02;
-- the benchmark's fast_tally and scalar_census workloads
-  (``perfbench/run.py --seconds 30 --trace 0`` of the checkout that holds
-  the imported hfq, seeds 1 and 2): their ``wall_s``, ``peak_rss_mib``
-  and ``setup_s``.
+- the benchmark's four workloads, fast_tally, scalar_census, ext_field and
+  oracle_sieve (``perfbench/run.py --seconds 30 --trace 0`` of the
+  checkout that holds the imported hfq, seeds 1 and 2): their ``wall_s``,
+  ``peak_rss_mib`` and ``setup_s``.
 
 Subprocesses inherit the environment, PYTHONPATH included.  With
 PYTHONDONTWRITEBYTECODE=1 and no hfq bytecode cached, a cold start also
@@ -54,8 +54,9 @@ fresh-interpreter wall time also keeps the range of its runs (``_s_range``);
 the perfbench figures are its own, from one run per workload and seed.
 
 With ``--parent DIR``, every cold start and command also runs under
-``DIR/src``, alternating with the imported hfq's src run by run, the side
-that goes first switching each repeat, so that a slowdown of a shared
+``DIR/src``, and every workload and seed also under ``DIR/perfbench/run.py``
+(which measures ``DIR/src``), alternating with this checkout's runs, the
+side that goes first switching each repeat, so that a slowdown of a shared
 machine falls on both sides alike; the parent's figures are stored in the
 same record under the prefix ``parent_``.  Without it, run the tool once
 per checkout, with the same --out, to put a before and an after side by
@@ -134,7 +135,7 @@ COMMANDS = {
                            "--h", "0..2"),
     "kernel_structure_q3_n6": ("identity", "kernel-structure", "--q", "3", "--n", "0..6"),
 }
-PERFBENCH_WORKLOADS = ("fast_tally", "scalar_census")
+PERFBENCH_WORKLOADS = ("fast_tally", "scalar_census", "ext_field", "oracle_sieve")
 PERFBENCH_SEEDS = (1, 2)
 PERFBENCH_SECONDS = 30
 
@@ -197,19 +198,26 @@ def commands(repeats: int, parent) -> dict:
     return out
 
 
-def perfbench() -> dict:
-    run_py = Path(hfq.__file__).resolve().parents[2] / "perfbench" / "run.py"
+def perfbench(parent) -> dict:
+    """One run of each workload and seed under this checkout's
+    perfbench/run.py and, with ``parent``, under ``parent/perfbench/run.py``
+    (keys prefixed ``parent_``), alternating, the first side switching each
+    run."""
+    sides = [("", Path(hfq.__file__).resolve().parents[2])]
+    if parent:
+        sides.append(("parent_", Path(parent).resolve()))
+    runs = [(w, s) for w in PERFBENCH_WORKLOADS for s in PERFBENCH_SEEDS]
     out = {}
-    for workload in PERFBENCH_WORKLOADS:
-        for seed in PERFBENCH_SEEDS:
+    for i, (workload, seed) in enumerate(runs):
+        for prefix, root in sides[:: -1 if i % 2 else 1]:
             line = subprocess.run(
-                [sys.executable, str(run_py), "--workload", workload, "--seed", str(seed),
-                 "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"],
+                [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+                 "--seed", str(seed), "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"],
                 check=True, capture_output=True, text=True,
             ).stdout.splitlines()[-1]
             metrics = json.loads(line)["metrics"]
             for key in ("wall_s", "peak_rss_mib", "setup_s"):
-                out[f"{workload}_seed{seed}_{key}"] = round(metrics[key]["value"], 4)
+                out[f"{prefix}{workload}_seed{seed}_{key}"] = round(metrics[key]["value"], 4)
     return out
 
 
@@ -251,7 +259,7 @@ def measure(repeats: int, parent=None) -> dict:
         "criterion_11_value": str(tally(18, 6)()),
         **cold_start(repeats, parent),
         **commands(repeats, parent),
-        **perfbench(),
+        **perfbench(parent),
     }
 
 

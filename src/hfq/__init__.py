@@ -13,20 +13,17 @@ _EXPORTS = {  # home submodule -> the public names it defines
     "hankel": (
         "CharPolys", "HankelView", "Profile", "Seq", "bijection_inverse", "bijection_map",
         "char_polys", "kernel_basis", "odot", "profile", "rank", "reduction_profile",
-        "reduction_strict_class", "rhopi_form", "seq_extend", "toeplitz_mat",
+        "reduction_strict_class", "toeplitz_mat",
     ),
     "census": ("census_enumerate", "census_formula", "census_formula_total"),
-    "polyring": ("NEG_INF", "Poly", "gcd", "phi", "rad", "factor", "xgcd"),
-    "charsum": (
-        "QuadSumResult", "magsq_via_profile", "quad_sum_all", "quad_sum_monic",
-        "variance_charsum",
-    ),
+    "polyring": ("NEG_INF", "Poly", "gcd", "phi", "rad", "factor"),
+    "charsum": ("variance_charsum",),
     "variance": (
-        "ThmParams", "VarianceReport", "case_classify", "f_bound", "f_formula",
+        "ThmParams", "VarianceReport", "case_classify", "f_formula",
         "interval_sum", "kernel_sum_identity", "m_factor", "mean_formula", "s_count",
         "theorem_predict", "variance_bruteforce", "w_sum_identity",
     ),
-    "analytic": ("PhiSumReport", "convergence_report", "phi_ratio_sum", "phi_slope"),
+    "analytic": ("PhiSumReport", "convergence_report", "phi_slope"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {*_EXPORTS, "checks", "cli", "errors", "fastpath"}

@@ -154,12 +154,6 @@ def _degree_numerators(ctx: FieldCtx, w2: Poly, w3: Poly, kmax: int) -> List[int
     return [int(kept[q**d : 2 * q**d].sum()) for d in range(kmax + 1)]
 
 
-def phi_ratio_sum(w2: Poly, w3: Poly, k: int, guard: int = 10**8) -> Fraction:
-    """Exact sum of phi(B)/|B|^2 over non-zero B of degree <= k whose prime
-    support inside W = W2 W3 is exactly the primes of W3."""
-    return convergence_report(w2, w3, k, guard).partial_sums[-1]
-
-
 def phi_slope(w2: Poly, w3: Poly) -> Fraction:
     """Per-degree limit rate of the restricted sum, as an exact rational."""
     _validate(w2, w3)

@@ -2,10 +2,11 @@
 
 The two base sums attach the square Hankel matrix of a length-(2l+1)
 sequence to the quadratic form [E]^T H [E] and sum psi over all E of degree
-<= l, or over the monic E of degree l.  Their squared magnitudes are powers
-of q determined by the sequence's characteristic alone (rank for the full
-sum; rank and strict pi for the monic sum).  magsq_exponents evaluates
-that law, and every caller reads it from there.
+<= l, or over the monic E of degree l; fastpath.qform_counts tallies them
+and fastpath.magsq squares their magnitudes.  Those are powers of q
+determined by the sequence's characteristic alone (rank for the full sum;
+rank and strict pi for the monic sum).  magsq_exponents evaluates that
+law, and every caller reads it from there.
 
 variance_charsum assembles the short-interval variance as the weighted sum
 of products of two such magnitudes over all sequences with h leading zeros,
@@ -17,58 +18,17 @@ arithmetic throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import LengthMismatchError, check_guard
-from .field import CycInt
+from .errors import check_guard
 
 if TYPE_CHECKING:
-    from .hankel import Seq
     from .polyring import Poly
 
 # q -> the largest l that the acceptance suite runs check_quadform to; the
 # CLI trusts --fast (closed-form magnitudes) only inside this envelope.
 QUADFORM_VERIFIED_L = {3: 4, 5: 3, 7: 2}
-
-
-@dataclass(frozen=True)
-class QuadSumResult:
-    value: CycInt
-    mag_sq: int
-
-
-def _check_length(seq: Seq, l: int) -> None:
-    if l < 0:
-        raise LengthMismatchError("need l >= 0")
-    if len(seq.entries) != 2 * l + 1:
-        raise LengthMismatchError(
-            f"sequence length {len(seq.entries)} does not match 2l+1 = {2 * l + 1}"
-        )
-
-
-def _quad_sum(seq: Seq, l: int, monic: bool) -> QuadSumResult:
-    import numpy as np
-
-    from . import fastpath
-
-    _check_length(seq, l)
-    ctx = seq.ctx
-    counts = fastpath.qform_counts(ctx, np.array([seq.entries]), l, monic)
-    value = CycInt(ctx.p, counts[0].tolist())
-    return QuadSumResult(value, int(fastpath.magsq(counts)[0]))
-
-
-def quad_sum_all(seq: Seq, l: int) -> QuadSumResult:
-    """Exact character sum over all E of degree <= l; |sum|^2 = q^(2l+2-r)."""
-    return _quad_sum(seq, l, monic=False)
-
-
-def quad_sum_monic(seq: Seq, l: int) -> QuadSumResult:
-    """Exact character sum over monic E of degree l; |sum|^2 follows the
-    three-branch law in the strict pi of the sequence."""
-    return _quad_sum(seq, l, monic=True)
 
 
 def magsq_exponents(l: int, r, strict_pi, monic: bool):
@@ -81,21 +41,6 @@ def magsq_exponents(l: int, r, strict_pi, monic: bool):
     import numpy as np
 
     return np.where(strict_pi <= 1, 2 * l + strict_pi - r, -1)
-
-
-def magsq_via_profile(seq: Seq, l: int, monic: bool) -> int:
-    """Closed-form |sum|^2 from the sequence characteristic, without summing.
-
-    The agreement with the direct sums is what the quadratic-form checks
-    establish exhaustively before anything downstream is allowed to trust
-    this path.
-    """
-    from .hankel import profile
-
-    _check_length(seq, l)
-    prof = profile(seq)
-    e = int(magsq_exponents(l, prof.r, prof.strict_pi, monic))
-    return seq.ctx.q**e if e >= 0 else 0
 
 
 def variance_charsum(

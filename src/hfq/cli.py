@@ -173,6 +173,8 @@ def cmd_variance(args) -> int:
 
     if (args.fast or args.trust_lemmas) and not args.charsum:
         raise HfqError("--fast and --trust-lemmas apply only with --charsum")
+    if args.trust_lemmas and not args.fast:
+        raise HfqError("--trust-lemmas applies only with --fast")
     ctx = _build_ctx(args)
     u = Poly.from_literal(ctx, args.U)
     v = Poly.from_literal(ctx, args.V)

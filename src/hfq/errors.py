@@ -54,19 +54,11 @@ class ZeroDenominatorError(HfqError):
     pass
 
 
-class NotPiZeroError(HfqError):
-    pass
-
-
 class WidthTooSmallError(HfqError):
     pass
 
 
 class TooShortError(HfqError):
-    pass
-
-
-class ShapeTooSmallError(HfqError):
     pass
 
 
@@ -90,10 +82,6 @@ class ExponentNotIntegerError(HfqError):
     pass
 
 
-class LengthMismatchError(HfqError):
-    pass
-
-
 class RangeEmptyError(HfqError):
     pass
 
@@ -105,10 +93,6 @@ class TooLargeError(HfqError):
 def check_guard(work: int, guard: int, what: str, unit: str = "steps") -> None:
     if work > guard:
         raise TooLargeError(f"{what} needs {work} {unit}, cap {guard}")
-
-
-class BoundUndefinedError(HfqError):
-    pass
 
 
 class LiteralError(HfqError):

@@ -164,12 +164,8 @@ class FieldCtx:
         """Absolute trace Tr(a) = sum of a^(p^i) for i < k, an element of F_p."""
         return self.trace_table[a]
 
-    def psi_exponent(self, a: FqElem) -> int:
-        """Exponent e with psi(a) = zeta_p^e for the canonical character."""
-        return self.trace(a)
-
     def psi(self, a: FqElem) -> "CycInt":
-        return CycInt.zeta_pow(self.p, self.psi_exponent(a))
+        return CycInt.zeta_pow(self.p, self.trace(a))
 
     def format_elem(self, a: FqElem) -> str:
         if self.k == 1:

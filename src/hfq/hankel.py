@@ -3,11 +3,10 @@
 A sequence alpha = (alpha_0, ..., alpha_n) determines the (l+1) x (m+1)
 Hankel matrix with entry (i, j) = alpha_{i+j} whenever l + m <= n (shorter
 views use the truncated sequence).  This module computes ranks and kernels,
-the (r, rho, pi) characteristic and its strict variant, the block form
-reached by kernel-preserving row operations, the pair of coprime kernel
-polynomials, the sliding dot product against a padded coefficient vector,
-and the bijection between full-recurrence classes and coprime polynomial
-pairs.  The class-size formulas and their census are in hfq.census.
+the (r, rho, pi) characteristic and its strict variant, the pair of coprime
+kernel polynomials, the sliding dot product against a padded coefficient
+vector, and the bijection between full-recurrence classes and coprime
+polynomial pairs.  The class-size formulas and their census are in hfq.census.
 
 Conventions: rho is the size of the largest invertible leading square
 submatrix (capped at n_1 = floor((n+2)/2); the strict variant caps at
@@ -27,9 +26,7 @@ from dataclasses import dataclass
 
 from .errors import (
     NotCoprimeError,
-    NotPiZeroError,
     PreconditionViolatedError,
-    ShapeTooSmallError,
     TooShortError,
     WidthTooSmallError,
     WrongClassError,
@@ -293,33 +290,6 @@ def _first_kernel_poly(ctx: FieldCtx, n: int, rho: int, lc, cs) -> Poly:
     return a - g.scale(a.coeff(f0))
 
 
-def rhopi_form(view: HankelView):
-    """Apply the kernel-preserving row operations that expose the block shape.
-
-    Returns (matrix, x) where x is the solution vector defining the row
-    operations (empty when no operations apply): H_{rho,rho} x =
-    (alpha_rho, ..., alpha_{2 rho - 1})^T, read off a1 = T^rho - sum x_j T^j.
-    The result has the invertible rho x rho leading square on top, zeros
-    below it, and a lower skew-triangular Hankel block at bottom right whose
-    first non-zero skew-diagonal is the pi-th from the end.
-    """
-    seq = view.seq
-    prof, polys = _profile_and_polys(seq)
-    if view.rows < prof.r or view.cols < prof.r:
-        raise ShapeTooSmallError(
-            f"need at least {prof.r} rows and columns, have {view.rows}x{view.cols}"
-        )
-    mat = view.matrix()
-    rho = prof.rho
-    if rho == 0 or 2 * rho - 1 > seq.n:
-        return mat, ()
-    # row i minus sum_j x_j row (i - rho + j) is the row of alpha odot [a1]_rho
-    reduced = odot(seq, polys.a1, rho).entries
-    for i in range(rho, view.rows):
-        mat[i] = list(reduced[i - rho : i - rho + view.cols])
-    return mat, tuple(seq.ctx.neg(c) for c in polys.a1.coeffs[:rho])
-
-
 @dataclass(frozen=True)
 class CharPolys:
     """The coprime pair (a1, a2) whose bounded-degree multiples span every
@@ -375,20 +345,6 @@ def _numerator(seq: Seq, a1: Poly) -> Poly:
     B_j is the T^(j+r) coefficient of a1 * (alpha_{r-1}, ..., alpha_0)."""
     r = a1.degree
     return Poly(seq.ctx, (a1 * Poly(seq.ctx, seq.entries[:r][::-1])).coeffs[r:])
-
-
-def seq_extend(seq: Seq, extra: int) -> Seq:
-    """Append entries following the order-r recurrence; requires pi = 0.
-
-    With pi = 0 the a1 recurrence holds on the whole sequence, so the
-    extension is the Laurent expansion of B/a1 (B = _numerator), the
-    expansion bijection_inverse reads."""
-    prof, polys = _profile_and_polys(seq)
-    if prof.pi != 0:
-        raise NotPiZeroError("sequence admits no full-length recurrence (pi > 0)")
-    if extra < 0:
-        raise ValueError("extension length must be >= 0")
-    return Seq(seq.ctx, laurent_expand(_numerator(seq, polys.a1).shift(1), polys.a1, seq.n + extra))
 
 
 # sliding products and the circulant Toeplitz picture

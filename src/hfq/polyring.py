@@ -20,7 +20,6 @@ from .errors import (
     DegreeTooLargeError,
     DivideByZeroError,
     NotMonicError,
-    NotPrimeError,
     ZeroDenominatorError,
     ZeroPolynomialError,
 )
@@ -232,23 +231,6 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def xgcd(a: Poly, b: Poly):
-    """(g, s, t) with s*a + t*b = g = gcd(a, b), g monic."""
-    if a.is_zero and b.is_zero:
-        raise BothZeroError("gcd(0, 0) is undefined")
-    ctx = a.ctx
-    r0, r1 = a, b
-    s0, s1 = Poly.one(ctx), Poly.zero(ctx)
-    t0, t1 = Poly.zero(ctx), Poly.one(ctx)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lead_inv = ctx.inv(r0.leading)
-    return r0.monic(), s0.scale(lead_inv), t0.scale(lead_inv)
-
-
 # enumeration
 
 
@@ -280,13 +262,6 @@ def monics_upto(ctx: FieldCtx, n: int) -> Iterator[Poly]:
     """All monic polynomials of degree <= n; empty for n < 0."""
     for d in range(max(n + 1, 0)):
         yield from monics(ctx, d)
-
-
-def in_interval(b: Poly, a: Poly, h: int) -> bool:
-    """True iff deg(B - A) < h; the interval around A has exactly q^h members."""
-    if h < 0:
-        raise ValueError("interval radius must be >= 0")
-    return (b - a).degree < h
 
 
 def coeff_vector(b: Poly, k: int) -> tuple:
@@ -357,21 +332,6 @@ def factor(a: Poly):
     return out
 
 
-def prime_multiplicity(a: Poly, prime: Poly) -> int:
-    """Largest e with prime^e dividing A; A nonzero, prime monic irreducible."""
-    if a.is_zero:
-        raise ZeroPolynomialError("multiplicity in 0 is undefined")
-    if not prime.is_monic or not irreducible(prime):
-        raise NotPrimeError(f"{prime!r} is not a monic irreducible")
-    e = 0
-    while True:
-        q, r = divmod(a, prime)
-        if not r.is_zero:
-            return e
-        a = q
-        e += 1
-
-
 def rad(a: Poly) -> Poly:
     """Product of the distinct monic prime divisors of A (rad of a unit is 1)."""
     out = Poly.one(a.ctx)
@@ -398,15 +358,3 @@ def phi(a: Poly) -> int:
         out = out // pd * (pd - 1)
     return out
 
-
-def divisors(a: Poly):
-    """All monic divisors of A != 0, from the factorization."""
-    if a.is_zero:
-        raise ZeroPolynomialError("0 has no divisor lattice")
-    out = [Poly.one(a.ctx)]
-    for prime, mult in factor(a):
-        powers = [Poly.one(a.ctx)]
-        for _ in range(mult):
-            powers.append(powers[-1] * prime)
-        out = [d * pw for d in out for pw in powers]
-    return out

@@ -12,14 +12,12 @@ parity table in ThmParams encodes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from .errors import (
     BadParityError,
-    BoundUndefinedError,
     DegreeTooLargeError,
     ExponentNotIntegerError,
     NotCoprimeError,
@@ -249,21 +247,6 @@ def f_formula(u: Poly, v: Poly, n: int, h: int) -> Fraction:
             term *= gcd_divisibility_sum(w, *box)
         acc += term
     return pref * acc
-
-
-def f_bound(u: Poly, v: Poly) -> Fraction:
-    """Upper bound 4 q^((deg UV + 1)/2) log_q(deg U) log_q(deg V).
-
-    The log factors are irrational, so they are carried in double precision
-    and frozen into an exact fraction; the bound has ample slack and is used
-    for smoke inequalities, not identities.
-    """
-    if u.degree < 2 or v.degree < 2:
-        raise BoundUndefinedError("bound needs deg U >= 2 and deg V >= 2")
-    q = u.ctx.q
-    duv = u.degree + v.degree
-    logs = Fraction(math.log(u.degree, q)) * Fraction(math.log(v.degree, q))
-    return 4 * Fraction(q) ** ((1 + duv) // 2) * logs
 
 
 def m_factor(u: Poly, v: Poly) -> Fraction:

@@ -49,7 +49,7 @@ def value_counts_scalar(seq: Seq, l: int, monic: bool):
                 if vj != ctx.zero:
                     dot = ctx.add(dot, ctx.mul(row[j], vj))
             acc = ctx.add(acc, ctx.mul(vi, dot))
-        counts[ctx.psi_exponent(acc)] += 1
+        counts[ctx.trace(acc)] += 1
     return counts
 
 
@@ -79,7 +79,16 @@ def gauss_recurrence_vector(seq: Seq, rho: int):
 
 
 def gauss_rhopi_form(view: HankelView):
-    """rhopi_form with x from eliminating the leading rho x rho square."""
+    """The kernel-preserving row operations that expose the block shape.
+
+    Returns (matrix, x): x solves H_{rho,rho} x = (alpha_rho, ...,
+    alpha_{2 rho - 1})^T, by eliminating the leading square, and each row
+    i >= rho of the matrix loses sum_j x_j times row i - rho + j; x is empty
+    when no operations apply.  The result has the invertible rho x rho
+    leading square on top, zeros below it, and a lower skew-triangular
+    Hankel block at bottom right whose first non-zero skew-diagonal is the
+    pi-th from the end.
+    """
     seq = view.seq
     prof = profile(seq)
     mat = view.matrix()

@@ -8,7 +8,6 @@ from hfq.analytic import (
     _monic_products,
     _phi_array,
     convergence_report,
-    phi_ratio_sum,
     phi_slope,
 )
 from hfq.errors import NotCoprimeError, NotMonicError, TooLargeError
@@ -25,7 +24,7 @@ T1 = Poly.from_ints(F3, [1, 1])
 
 def test_sum_fixture_trivial_support():
     # W = 1: every non-zero B qualifies; at k = 0 that is the two units
-    assert phi_ratio_sum(ONE, ONE, 0) == 2
+    assert convergence_report(ONE, ONE, 0).partial_sums == [2]
 
 
 def test_slope_fixtures():
@@ -41,11 +40,11 @@ def test_slope_fixtures():
 
 def test_validation():
     with pytest.raises(NotCoprimeError):
-        phi_ratio_sum(T, T, 3)
+        convergence_report(T, T, 3)
     with pytest.raises(NotMonicError):
-        phi_ratio_sum(Poly.from_ints(F3, [2]), ONE, 3)
+        convergence_report(Poly.from_ints(F3, [2]), ONE, 3)
     with pytest.raises(TooLargeError):
-        phi_ratio_sum(ONE, ONE, 30, guard=100)
+        convergence_report(ONE, ONE, 30, guard=100)
 
 
 def _direct_all_b(ctx, w2, w3, k):
@@ -79,8 +78,8 @@ def _direct_all_b(ctx, w2, w3, k):
          "q9-T^2+alpha,T+1+alpha", "q9-(T+1)^2,T^2+2+alpha"],
 )
 def test_matches_literal_enumeration(ctx, w2, w3, k_max):
-    for k in range(k_max + 1):
-        assert phi_ratio_sum(w2, w3, k) == _direct_all_b(ctx, w2, w3, k)
+    sums = convergence_report(w2, w3, k_max).partial_sums
+    assert sums == [_direct_all_b(ctx, w2, w3, k) for k in range(k_max + 1)]
 
 
 def test_partial_sums_monotone_and_prefix_stable():

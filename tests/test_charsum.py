@@ -6,18 +6,13 @@ import numpy as np
 import pytest
 from oracle import value_counts_scalar
 
-from hfq import charsum, fastpath, hankel
-from hfq.charsum import (
-    magsq_via_profile,
-    quad_sum_all,
-    quad_sum_monic,
-    variance_charsum,
-)
+from hfq import charsum, fastpath
+from hfq.charsum import magsq_exponents, variance_charsum
 from hfq.checks import check_quadform
-from hfq.errors import BadParityError, LengthMismatchError, NotCoprimeError, TooLargeError
+from hfq.errors import BadParityError, NotCoprimeError, TooLargeError
 from hfq.field import CycInt, ctx_new
-from hfq.hankel import Seq, odot, profile
-from hfq.polyring import Poly
+from hfq.hankel import Seq, bijection_inverse, bijection_ranks, odot, profile
+from hfq.polyring import Poly, gcd
 from hfq.variance import ThmParams, variance_bruteforce
 
 F3 = ctx_new(3)
@@ -29,35 +24,24 @@ def seqs(ctx, n):
         yield Seq(ctx, tail)
 
 
+def quad_sum(seq, l, monic):
+    """The exact character sum over E of degree <= l (or monic of degree l)
+    of one length-(2l+1) sequence, and its squared magnitude."""
+    counts = fastpath.qform_counts(seq.ctx, np.array([seq.entries]), l, monic)
+    return CycInt(seq.ctx.p, counts[0].tolist()), int(fastpath.magsq(counts)[0])
+
+
 def test_quad_sum_zero_sequence():
-    res = quad_sum_all(Seq(F3, (0, 0, 0)), 1)
-    assert res.value == CycInt.from_int(3, 9)
-    assert res.mag_sq == 81
-    assert quad_sum_monic(Seq(F3, (0, 0, 0)), 1).mag_sq == 9  # q^(2l), pi = 0 branch
+    value, mag_sq = quad_sum(Seq(F3, (0, 0, 0)), 1, False)
+    assert value == CycInt.from_int(3, 9)
+    assert mag_sq == 81
+    assert quad_sum(Seq(F3, (0, 0, 0)), 1, True)[1] == 9  # q^(2l), pi = 0 branch
 
 
 def test_quad_sum_fixture_001():
     s = Seq.from_literal(F3, "0,0,1")
-    assert quad_sum_all(s, 1).mag_sq == 27  # q^(2l+2-r) with r = 1
-    assert quad_sum_monic(s, 1).mag_sq == 9  # strict pi = 1 branch
-
-
-def test_quad_sum_length_mismatch():
-    with pytest.raises(LengthMismatchError):
-        quad_sum_all(Seq(F3, (0, 0, 0)), 2)
-    with pytest.raises(LengthMismatchError):
-        quad_sum_monic(Seq(F3, (0, 0)), 1)
-
-
-def test_quad_sums_run_no_scalar_profile(monkeypatch):
-    # the sums come from the character tally alone
-    def refuse(seq):
-        raise AssertionError("scalar profile reached")
-
-    s = Seq.from_literal(F3, "0,1,2,1,0")
-    want = [magsq_via_profile(s, 2, monic) for monic in (False, True)]
-    monkeypatch.setattr(hankel, "profile", refuse)
-    assert [quad_sum_all(s, 2).mag_sq, quad_sum_monic(s, 2).mag_sq] == want
+    assert quad_sum(s, 1, False)[1] == 27  # q^(2l+2-r) with r = 1
+    assert quad_sum(s, 1, True)[1] == 9  # strict pi = 1 branch
 
 
 @pytest.mark.parametrize("ctx,lmax", [(F3, 2), (F5, 1)], ids=["q3", "q5"])
@@ -66,16 +50,50 @@ def test_quad_magnitude_laws_small(ctx, lmax):
     for l in range(lmax + 1):
         for s in seqs(ctx, 2 * l):
             p = profile(s)
-            assert quad_sum_all(s, l).mag_sq == q ** (2 * l + 2 - p.r)
-            got = quad_sum_monic(s, l).mag_sq
+            full = quad_sum(s, l, False)[1]
+            assert full == q ** (2 * l + 2 - p.r)
+            got = quad_sum(s, l, True)[1]
             if p.strict_pi == 0:
                 assert got == q ** (2 * l - p.r)
             elif p.strict_pi == 1:
                 assert got == q ** (2 * l + 1 - p.r)
             else:
                 assert got == 0
-            assert got == magsq_via_profile(s, l, True)
-            assert quad_sum_all(s, l).mag_sq == magsq_via_profile(s, l, False)
+            e = magsq_exponents(l, p.r, p.strict_pi, True)
+            assert got == (q**e if e >= 0 else 0)
+            assert full == q ** magsq_exponents(l, p.r, None, False)
+
+
+@pytest.mark.parametrize("l", [8, 9])
+def test_magnitude_law_beyond_the_envelope_by_class(l):
+    # q=3 past QUADFORM_VERIFIED_L, at the lengths the fast case-3 variance
+    # trusts through --trust-lemmas: members of every bijection class
+    # (r, r, 0) with h = 0 and 1 leading zeros, each beside a copy whose
+    # recurrence is broken in one of its last three entries (pi > 0)
+    rng = random.Random(l)
+    n = 2 * l
+    rows = []
+    for r in bijection_ranks(n):
+        for h in (0, 1):
+            for _ in range(3):
+                a = Poly(F3, (*(rng.randrange(3) for _ in range(r)), 1))
+                b = Poly.zero(F3)
+                while b.is_zero or gcd(a, b).degree != 0:
+                    b = Poly(F3, (rng.randrange(3) for _ in range(r - h)))
+                s = bijection_inverse(a, b, n, h)
+                assert profile(s).standard == (r, r, 0)
+                broken = list(s.entries)
+                i = n - rng.randrange(3)
+                broken[i] = (broken[i] + rng.randrange(1, 3)) % 3
+                rows += [s.entries, broken]
+    profs = [profile(Seq(F3, row)) for row in rows]
+    rank = np.array([p.r for p in profs])
+    strict_pi = np.array([p.strict_pi for p in profs])
+    for monic in (True, False):
+        got = fastpath.magsq(fastpath.qform_counts(F3, np.array(rows), l, monic))
+        e = magsq_exponents(l, rank, strict_pi, monic)
+        assert got.tolist() == [3**x if x >= 0 else 0 for x in e.tolist()]
+    assert set(np.minimum(strict_pi, 2).tolist()) == {0, 1, 2}
 
 
 @pytest.mark.parametrize("ctx", [F3, F5], ids=["q3", "q5"])
@@ -95,8 +113,8 @@ def test_joint_sum_factorizes():
     for _ in range(20):
         x = Seq(F3, tuple(rng.randrange(3) for _ in range(5)))
         y = Seq(F3, tuple(rng.randrange(3) for _ in range(3)))
-        vx = quad_sum_monic(x, 2).value
-        vy = quad_sum_all(y, 1).value
+        vx = quad_sum(x, 2, True)[0]
+        vy = quad_sum(y, 1, False)[0]
         cx = value_counts_scalar(x, 2, True)
         cy = value_counts_scalar(y, 1, False)
         joint = [0, 0, 0]

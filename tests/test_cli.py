@@ -121,12 +121,17 @@ def test_variance_fast_needs_trust_outside_envelope(capsys):
     assert payload["charsum"] == {"num": "0", "den": "1"}  # case-1 range
 
 
-@pytest.mark.parametrize("flags", [("--fast",), ("--trust-lemmas",), ("--fast", "--trust-lemmas")])
+@pytest.mark.parametrize(
+    "flags",
+    [("--fast",), ("--trust-lemmas",), ("--fast", "--trust-lemmas"), ("--charsum", "--trust-lemmas")],
+)
 def test_variance_fast_without_charsum_exits_64(capsys, flags):
+    # each flag names, in stderr, the flag it is missing
+    needed = "--fast" if "--charsum" in flags else "--charsum"
     code, out, err = run(
         capsys, "variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "4", "--h", "1", *flags
     )
-    assert code == EXIT_USAGE and out == "" and "--charsum" in err
+    assert code == EXIT_USAGE and out == "" and needed in err
 
 
 def test_variance_fast_refused_before_the_oracle_runs(capsys, monkeypatch):

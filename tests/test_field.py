@@ -76,8 +76,8 @@ def test_trace_is_additive():
 
 def test_psi_exponent_prime_field():
     ctx = ctx_new(3)
-    assert ctx.psi_exponent(1) == 1
-    assert ctx.psi_exponent(0) == 0
+    assert ctx.psi(1) == CycInt.zeta_pow(3, 1)
+    assert ctx.psi(0) == CycInt.from_int(3, 1)
 
 
 @pytest.mark.parametrize(

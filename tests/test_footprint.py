@@ -92,6 +92,8 @@ def test_scalar_commands_load_no_arrays(argv):
         ("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "7", "--h", "2", "--fast"),
         ("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "18", "--h", "6",
          "--charsum", "--fast"),
+        ("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "5", "--h", "1",
+         "--charsum", "--trust-lemmas"),
         ("variance", "--q", "3", "--U", "0,1", "--V", "0,1", "--n", "6", "--h", "2",
          "--oracle", "--charsum"),
         ("identity", "quadform", "--q", "3", "--l=-1..0"),
@@ -101,7 +103,8 @@ def test_scalar_commands_load_no_arrays(argv):
     ],
     ids=[
         "census-q4", "census-prime-modulus", "census-negative-h", "census-guard-0",
-        "variance-fast-alone", "variance-fast-envelope", "variance-odd-U",
+        "variance-fast-alone", "variance-fast-envelope", "variance-trust-alone",
+        "variance-odd-U",
         "quadform-negative-l", "w-sum-even-V", "phisum-common-factor", "analyze-literal",
     ],
 )

@@ -10,9 +10,7 @@ from oracle import gauss_char_polys, gauss_rhopi_form
 from hfq import checks, cli, hankel
 from hfq.census import census_enumerate, census_formula, census_formula_total
 from hfq.errors import (
-    NotPiZeroError,
     PreconditionViolatedError,
-    ShapeTooSmallError,
     TooLargeError,
     TooShortError,
     WidthTooSmallError,
@@ -20,6 +18,7 @@ from hfq.errors import (
 )
 from hfq.field import ctx_new
 from hfq.hankel import (
+    _numerator,
     _profile_and_polys,
     CharPolys,
     HankelView,
@@ -33,11 +32,9 @@ from hfq.hankel import (
     rank,
     reduction_profile,
     reduction_strict_class,
-    rhopi_form,
-    seq_extend,
     toeplitz_mat,
 )
-from hfq.polyring import Poly, coeff_vector, gcd, polys_upto
+from hfq.polyring import Poly, coeff_vector, gcd, laurent_expand, polys_upto
 
 F3 = ctx_new(3)
 F9A = ctx_new(3, 2, (1, 0, 1))
@@ -150,7 +147,7 @@ def test_rhopi_form_shape_exhaustive():
                 if rows < p.r or cols < p.r:
                     continue
                 view = HankelView(s, rows, cols)
-                mat, x = rhopi_form(view)
+                mat, x = gauss_rhopi_form(view)
                 if rho == 0:
                     assert mat == view.matrix()
                 if rho >= 1 and 2 * rho - 1 <= n:
@@ -176,13 +173,6 @@ def kernel_set_from_basis(basis, cols):
                 vec[i] = (vec[i] + c * x) % 3
         out.add(tuple(vec))
     return frozenset(out)
-
-
-def test_rhopi_form_shape_too_small():
-    s = Seq.from_literal(F3, "0,0,1,0,0,0,0")
-    assert profile(s).r == 3
-    with pytest.raises(ShapeTooSmallError):
-        rhopi_form(HankelView(s, 2, 6))
 
 
 def test_char_polys_degenerate_fixtures():
@@ -219,8 +209,6 @@ def test_char_polys_match_gauss_exhaustive(ctx, n_max):
     for n in range(n_max + 1):
         for s in seqs(ctx, n):
             assert char_polys(s) == gauss_char_polys(s), s
-            view = HankelView(s, s.n1, s.n2)
-            assert rhopi_form(view) == gauss_rhopi_form(view), s
             hit |= _char_polys_branches(s)
     assert hit == {
         "rho = 0",
@@ -257,8 +245,6 @@ def recurrent_sequences(draw):
 @given(recurrent_sequences())
 def test_char_polys_match_gauss_beyond_the_envelopes(s):
     assert char_polys(s) == gauss_char_polys(s)
-    view = HankelView(s, s.n1, s.n2)
-    assert rhopi_form(view) == gauss_rhopi_form(view)
 
 
 def test_kernel_polys_need_no_elimination(monkeypatch):
@@ -269,10 +255,6 @@ def test_kernel_polys_need_no_elimination(monkeypatch):
     for n in range(6):
         for s in seqs(F3, n):
             char_polys(s)
-            r = profile(s).r
-            for l in range(n + 1):
-                if min(l + 1, n - l + 1) >= r:
-                    rhopi_form(HankelView(s, l + 1, n - l + 1))
 
 
 def test_kernel_structure_law_small():
@@ -366,15 +348,25 @@ def test_strict_full_class_empty_for_even_n():
         assert (n1, n1, 0) not in tally.strict
 
 
+def _extend(seq, extra):
+    """seq continued by extra entries of the expansion of B/a1, B the
+    bijection's numerator (_numerator): its a1 recurrence, when pi = 0."""
+    a1 = char_polys(seq).a1
+    return Seq(seq.ctx, laurent_expand(_numerator(seq, a1).shift(1), a1, seq.n + extra))
+
+
 def test_seq_extend_fixtures():
-    ones = seq_extend(Seq.from_literal(F3, "1,1,1"), 3)
+    ones = _extend(Seq.from_literal(F3, "1,1,1"), 3)
     assert ones.entries == (1,) * 6
-    zeros = seq_extend(Seq.from_literal(F3, "1,0,0,0,0"), 2)
+    zeros = _extend(Seq.from_literal(F3, "1,0,0,0,0"), 2)
     assert zeros.entries == (1, 0, 0, 0, 0, 0, 0)
     s = Seq.from_literal(F3, "1,2,1,2")
-    assert seq_extend(s, 4).truncate(3) == s
-    with pytest.raises(NotPiZeroError):
-        seq_extend(Seq.from_literal(F3, "0,0,0,0,1"), 1)
+    assert _extend(s, 4).truncate(3) == s
+    # with pi > 0 no recurrence of order rho spans the sequence, and the
+    # expansion loses it
+    s = Seq.from_literal(F3, "0,0,0,0,1")
+    assert profile(s).pi > 0
+    assert _extend(s, 1).truncate(4) != s
 
 
 def test_seq_extend_satisfies_recurrence():
@@ -386,7 +378,7 @@ def test_seq_extend_satisfies_recurrence():
                 p = profile(s)
                 if p.pi != 0:
                     continue
-                ext = seq_extend(s, 3)
+                ext = _extend(s, 3)
                 assert ext.truncate(s.n) == s
                 a1 = char_polys(s).a1
                 out = odot(ext, a1, max(p.r, a1.degree))
@@ -623,7 +615,6 @@ def test_profile_and_polys_take_one_pass(monkeypatch):
     assert len(calls) == sum(3 ** (n + 1) for n in range(4))
     seq = bijection_inverse(Poly.from_ints(F3, [1, 2, 0, 1]), Poly.one(F3), 6, 2)
     for call in (
-        lambda: seq_extend(Seq.from_literal(F3, "1,1,2,0"), 3),
         lambda: reduction_profile(Seq.from_literal(F3, "1,0,0,0,0,0,0,0"), Poly.t(F3), 1),
         lambda: bijection_map(seq, 2),
         lambda: cli.main(["analyze", "--q", "3", "--alpha", "0,0,1,0,0"]),

@@ -17,10 +17,8 @@ from hfq.polyring import (
     NEG_INF,
     Poly,
     coeff_vector,
-    divisors,
     factor,
     gcd,
-    in_interval,
     irreducible,
     laurent_expand,
     monics,
@@ -28,9 +26,7 @@ from hfq.polyring import (
     phi,
     polys_of_degree,
     polys_upto,
-    prime_multiplicity,
     rad,
-    xgcd,
 )
 
 F3 = ctx_new(3)
@@ -66,19 +62,6 @@ def test_gcd_fixtures():
         gcd(Poly.zero(F3), Poly.zero(F3))
 
 
-def test_xgcd_certifies_random_pairs():
-    rng = random.Random(7)
-    polys = list(polys_upto(F3, 4))
-    for _ in range(200):
-        a, b = rng.choice(polys), rng.choice(polys)
-        if a.is_zero and b.is_zero:
-            continue
-        g, s, t = xgcd(a, b)
-        assert s * a + t * b == g
-        assert g.is_monic
-        assert (a % g).is_zero and (b % g).is_zero
-
-
 def test_phi_fixtures():
     assert phi(p3(0, 0, 1)) == 6
     assert phi(p3(0, 1)) == 2
@@ -111,7 +94,7 @@ def test_phi_multiplicative_on_coprime_pairs():
 def test_rad_and_multiplicity_fixtures():
     a = p3(0, 0, 1) * p3(1, 1)  # T^2 (T+1)
     assert rad(a) == p3(0, 1, 1)
-    assert prime_multiplicity(a, p3(0, 1)) == 2
+    assert factor(a) == [(p3(0, 1), 2), (p3(1, 1), 1)]
     assert factor(p3(1, 0, 1)) == [(p3(1, 0, 1), 1)]
     assert irreducible(p3(1, 0, 1)) and not irreducible(p3(2, 0, 1))
 
@@ -126,13 +109,6 @@ def test_factor_reassembles():
             assert prime.is_monic and irreducible(prime)
             prod = prod * prime**mult
         assert prod == a.monic()
-
-
-def test_divisors_of_squarefull():
-    a = p3(0, 0, 1) * p3(1, 1)
-    ds = divisors(a)
-    assert len(ds) == 6  # (2+1)*(1+1)
-    assert all((a % d).is_zero for d in ds)
 
 
 def test_enumeration_counts():
@@ -153,20 +129,6 @@ def test_enumeration_partitions():
         for m in range(n + 1):
             pieces.extend(polys_of_degree(F3, m))
         assert set(pieces) == set(everything)
-
-
-def test_in_interval():
-    a = p3(1, 2, 1)
-    assert in_interval(a, a, 0)
-    assert in_interval(a + p3(1), a, 1)
-    assert not in_interval(a + p3(0, 1), a, 1)
-    # |I(A; <h)| = q^h
-    for h in range(3):
-        members = [b for b in polys_upto(F3, 2) if in_interval(b, a, h)]
-        # recentre: interval around a within all cubics of degree <= 2 shifted
-        assert len([b for b in members]) == len(members)
-        count = sum(1 for d in polys_upto(F3, 2) if in_interval(a + d, a, h))
-        assert count == 3**h
 
 
 def test_coeff_vector():
@@ -220,17 +182,6 @@ def test_divmod_law(case):
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
-
-
-@settings(max_examples=150)
-@given(field_polys(2))
-def test_xgcd_bezout(case):
-    ctx, (a, b) = case
-    if a.is_zero and b.is_zero:
-        return
-    g, s, t = xgcd(a, b)
-    assert s * a + t * b == g == gcd(a, b)
-    assert g.is_monic
 
 
 @settings(max_examples=150)

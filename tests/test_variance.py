@@ -7,7 +7,6 @@ import pytest
 from hfq import variance
 from hfq.errors import (
     BadParityError,
-    BoundUndefinedError,
     HfqError,
     NotCoprimeError,
     NotMonicError,
@@ -20,7 +19,6 @@ from hfq.polyring import Poly, monics, polys_upto
 from hfq.variance import (
     ThmParams,
     case_classify,
-    f_bound,
     f_formula,
     interval_sum,
     kernel_sum_identity,
@@ -206,22 +204,16 @@ def test_f_formula_fixture_and_empty_range():
     assert f_formula(U1, V1, 18, 9) == 0
 
 
-def test_f_bound_undefined_for_small_degrees():
-    with pytest.raises(BoundUndefinedError):
-        f_bound(U1, V1)
-    with pytest.raises(BoundUndefinedError):
-        f_bound(U2, V1)
-
-
 def test_f_bound_fails_on_zero_cofactor_stratum():
-    # The stated bound misses the B2 = 0 / C2 = 0 strata, whose gcd is the
-    # full modulus: here the C2 = 0 stratum alone pushes the inner sum to 45
-    # against the bound's assumed |V| log_q(deg V) = 27, and f = 120 exceeds
-    # the bound's ~68.14.  Frozen as a falsification witness.
-    bound = f_bound(U2, V3)
-    assert Fraction(68) < bound < Fraction(69)
+    # The printed bound f <= 4 q^((deg UV + 1)/2) log_q(deg U) log_q(deg V)
+    # misses the B2 = 0 / C2 = 0 strata, whose gcd is the full modulus: here
+    # the C2 = 0 stratum alone pushes the inner sum to 45 against the bound's
+    # assumed |V| log_q(deg V) = 27, and f = 120 exceeds the bound, about
+    # 68.14.  With q = 3, deg U = 2 and deg V = 3, log_3 2 < 2/3 (as
+    # 2^3 < 3^2) and log_3 3 = 1 put the bound below 4 * 27 * 2/3 = 72,
+    # exactly.  Frozen as a falsification witness.
     assert f_formula(U2, V3, 6, 3) == 120
-    assert f_formula(U2, V3, 6, 3) > bound
+    assert f_formula(U2, V3, 6, 3) > 4 * 3 ** ((1 + U2.degree + V3.degree) // 2) * Fraction(2, 3)
     # the exact variance identity is untouched by the bound's failure
     assert theorem_predict(U2, V3, 6, 3).theorem_value == variance_bruteforce(
         U2, V3, 6, 3
