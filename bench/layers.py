@@ -12,6 +12,9 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   of F_3^12 with the one view (1,);
 - the fast variance tally, variance_charsum(1, T, n, h, "fast") over F_3,
   at (n, h) = (12, 4) and (16, 6);
+- the class/pair bijection in-process, where Poly division does the work:
+  bijection_map plus bijection_inverse over 2,000 class-(4, 4, 0) F_3
+  sequences (n = 8), the best of 7 passes in each fresh interpreter;
 - acceptance criterion 11, the same tally at (18, 6);
 - cold start: the wall time and peak resident set size of a fresh
   interpreter that runs the benchmark's set-up, ``import hfq, hfq.cli;
@@ -49,13 +52,15 @@ compiles hfq from source, as the benchmark's fresh interpreters do;
 ``cold_hfq_bytecode_cached`` records whether any was cached.
 
 Each figure is the median of --repeats runs (of five times as many for
-the walk throughput, and three times as many for a cold start), and each
-fresh-interpreter wall time also keeps the range of its runs (``_s_range``);
-the perfbench figures are its own, from one run per workload and seed.
+the walk throughput, and three times as many for a cold start or a
+bijection pass), and each fresh-interpreter figure also keeps the range
+of its runs (``_s_range``); the perfbench figures are its own, from one
+run per workload and seed.
 
-With ``--parent DIR``, every cold start and command also runs under
-``DIR/src``, and every workload and seed also under ``DIR/perfbench/run.py``
-(which measures ``DIR/src``), alternating with this checkout's runs, the
+With ``--parent DIR``, every cold start, bijection pass and command also
+runs under ``DIR/src``, and every workload and seed also under
+``DIR/perfbench/run.py`` (which measures ``DIR/src``), alternating with
+this checkout's runs, the
 side that goes first switching each repeat, so that a slowdown of a shared
 machine falls on both sides alike; the parent's figures are stored in the
 same record under the prefix ``parent_``.  Without it, run the tool once
@@ -157,13 +162,43 @@ with open("/proc/self/status") as status:
 sys.exit(code)"""
 
 
+# prints the best of 7 timed passes of bijection_map plus bijection_inverse
+# over 2,000 class-(4, 4, 0) F_3 sequences of length 9 (n = 8, h = 0)
+_ROUNDTRIP = """import time
+from itertools import islice
+from hfq.field import ctx_new, fq_vectors
+from hfq.hankel import Seq, bijection_inverse, bijection_map, profile
+f3 = ctx_new(3)
+seqs = (Seq(f3, e) for e in fq_vectors(f3, 9))
+seqs = list(islice((s for s in seqs if profile(s).standard == (4, 4, 0)), 2000))
+best = float("inf")
+for _ in range(7):
+    t0 = time.perf_counter()
+    for s in seqs:
+        bijection_inverse(*bijection_map(s, 0), 8, 0)
+    best = min(best, time.perf_counter() - t0)
+print(best)"""
+
+
+def _src_dirs(parent) -> list:
+    """(key prefix, src directory) of the imported hfq and, with ``parent``,
+    of ``parent/src``."""
+    sides = [("", str(Path(hfq.__file__).resolve().parents[1]))]
+    if parent:
+        sides.append(("parent_", str(Path(parent).resolve() / "src")))
+    return sides
+
+
+def _env(src: str) -> dict:
+    paths = (src, os.environ.get("PYTHONPATH"))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
 def _run_once(argv, code: int, src: str) -> tuple:
     """(wall seconds, peak RSS in MiB) of one hfq command in a fresh
     interpreter that imports hfq from ``src``."""
-    paths = (src, os.environ.get("PYTHONPATH"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=_env(src),
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     wall = time.perf_counter() - t0
     if proc.returncode != code:
@@ -175,9 +210,7 @@ def _sides(label: str, argv, code: int, runs: int, parent) -> dict:
     """The medians of ``runs`` fresh runs of one command under the imported
     hfq's src and, with ``parent``, as many under ``parent/src`` (keys
     prefixed ``parent_``), alternating, the first side switching each run."""
-    sides = [("", str(Path(hfq.__file__).resolve().parents[1]))]
-    if parent:
-        sides.append(("parent_", str(Path(parent).resolve() / "src")))
+    sides = _src_dirs(parent)
     times = {prefix: [] for prefix, _ in sides}
     for i in range(runs):
         for prefix, src in sides[:: -1 if i % 2 else 1]:
@@ -188,6 +221,25 @@ def _sides(label: str, argv, code: int, runs: int, parent) -> dict:
         out[f"{prefix}{label}_s"] = round(statistics.median(walls), 3)
         out[f"{prefix}{label}_s_range"] = [round(min(walls), 3), round(max(walls), 3)]
         out[f"{prefix}{label}_peak_rss_mib"] = round(statistics.median(rss), 2)
+    return out
+
+
+def roundtrip(repeats: int, parent) -> dict:
+    """The median, over 3 * ``repeats`` fresh interpreters per side
+    (alternating, the first side switching each run), of the best
+    bijection map-plus-inverse pass, with the range of those bests."""
+    sides = _src_dirs(parent)
+    best = {prefix: [] for prefix, _ in sides}
+    for i in range(3 * repeats):
+        for prefix, src in sides[:: -1 if i % 2 else 1]:
+            proc = subprocess.run([sys.executable, "-c", _ROUNDTRIP], env=_env(src),
+                                  check=True, capture_output=True, text=True)
+            best[prefix].append(float(proc.stdout))
+    out = {}
+    for prefix, runs in best.items():
+        out[f"{prefix}bijection_roundtrip_q3_n8_s"] = round(statistics.median(runs), 4)
+        out[f"{prefix}bijection_roundtrip_q3_n8_s_range"] = [round(min(runs), 4),
+                                                               round(max(runs), 4)]
     return out
 
 
@@ -257,6 +309,7 @@ def measure(repeats: int, parent=None) -> dict:
         "walk_tally_s_n16_h6": _median_s(tally(16, 6), repeats),
         "criterion_11_s": _median_s(tally(18, 6), repeats),
         "criterion_11_value": str(tally(18, 6)()),
+        **roundtrip(repeats, parent),
         **cold_start(repeats, parent),
         **commands(repeats, parent),
         **perfbench(parent),

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, List
 
-from .errors import NotCoprimeError, NotMonicError, check_guard
+from .errors import HfqError, check_guard
 from .field import CHUNK, FieldCtx, from_digits, to_digits
 from .polyring import Poly, factor, gcd
 
@@ -121,9 +121,9 @@ def _phi_array(ctx: FieldCtx, kmax: int) -> np.ndarray:
 
 def _validate(w2: Poly, w3: Poly) -> None:
     if w2.is_zero or not w2.is_monic or w3.is_zero or not w3.is_monic:
-        raise NotMonicError("W2 and W3 must be monic and non-zero")
+        raise HfqError("W2 and W3 must be monic and non-zero")
     if gcd(w2, w3).degree != 0:
-        raise NotCoprimeError("W2 and W3 must be coprime")
+        raise HfqError("W2 and W3 must be coprime")
 
 
 def _support_flags(w2: Poly, w3: Poly):
@@ -191,7 +191,7 @@ def convergence_report(
     """Partial sums with increments; increment(0) is S(0) itself."""
     _validate(w2, w3)
     if k_max < 0:
-        raise ValueError("need k_max >= 0")
+        raise HfqError("need k_max >= 0")
     ctx = w2.ctx
     check_guard(ctx.q ** (k_max + 1), guard, f"phi sum to degree {k_max}", "polynomials")
     nums = _degree_numerators(ctx, w2, w3, k_max)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import RangeEmptyError, check_guard
+from .errors import HfqError, check_guard
 
 if TYPE_CHECKING:
     from .field import FieldCtx
@@ -24,7 +24,7 @@ def census_formula(n: int, h: int, r: int, rho: int, pi: int, q: int) -> int:
     """Number of sequences in F_q^{n+1} with h leading zeros and the given
     standard characteristic; 0 for parameter combinations no class attains."""
     if n < 0 or not 0 <= h <= n + 1:
-        raise RangeEmptyError("need n >= 0 and 0 <= h <= n+1")
+        raise HfqError("need n >= 0 and 0 <= h <= n+1")
     if min(r, rho, pi) < 0 or r != rho + pi:
         return 0
     n1 = (n + 2) // 2
@@ -47,7 +47,7 @@ def census_formula(n: int, h: int, r: int, rho: int, pi: int, q: int) -> int:
 def census_formula_total(n: int, h: int, r: int, q: int) -> int:
     """Number of sequences with h leading zeros and rank invariant r."""
     if n < 0 or not 0 <= h <= n + 1:
-        raise RangeEmptyError("need n >= 0 and 0 <= h <= n+1")
+        raise HfqError("need n >= 0 and 0 <= h <= n+1")
     if r < 0:
         return 0
     n1 = (n + 2) // 2
@@ -91,7 +91,7 @@ def census_enumerate(
     """Exhaustive tallies of the standard and strict classes over all
     sequences in F_q^{n+1} with h leading zeros."""
     if n < 0 or not 0 <= h <= n + 1:
-        raise RangeEmptyError("need n >= 0 and 0 <= h <= n+1")
+        raise HfqError("need n >= 0 and 0 <= h <= n+1")
     total = ctx.q ** (n + 1 - h)
     check_guard(total, cap, f"census of q^{n + 1 - h}", "sequences")
     side = (n + 2) // 2 + 1  # r, rho and strict rho are at most n1

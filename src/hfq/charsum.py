@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import check_guard
+from .errors import HfqError, check_guard
 
 if TYPE_CHECKING:
     from .polyring import Poly
@@ -64,7 +64,7 @@ def variance_charsum(
     from .variance import ThmParams
 
     if mode not in ("exact", "fast"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise HfqError(f"unknown mode {mode!r}")
     par = ThmParams.compute(u, v, n, h)
     ctx = u.ctx
     q = ctx.q

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, List
 
-from .errors import PreconditionViolatedError, RangeEmptyError, check_guard
+from .errors import HfqError, check_guard
 from .field import FieldCtx, fq_vectors
 
 if TYPE_CHECKING:
@@ -117,7 +117,7 @@ def check_kernel_structure(ctx: FieldCtx, ns, guard: int = 10**8) -> CheckResult
     from .polyring import coeff_vector, gcd
 
     if min(ns, default=0) < 0:
-        raise RangeEmptyError(f"need n >= 0, got {min(ns)}")
+        raise HfqError(f"need n >= 0, got {min(ns)}")
     res = CheckResult("kernel structure law")
     check_guard(sum(ctx.q ** (n + 1) for n in ns), guard, "kernel-structure check")
     for n in ns:
@@ -150,7 +150,7 @@ def check_quadform(ctx: FieldCtx, ls, guard: int = 10**8) -> CheckResult:
     which has the profile and the squared magnitudes of the whole orbit
     (fastpath.scalings) and so counts p - 1 times, passed or failed."""
     if min(ls, default=0) < 0:
-        raise RangeEmptyError(f"need l >= 0, got {min(ls)}")
+        raise HfqError(f"need l >= 0, got {min(ls)}")
     res = CheckResult(f"quadratic form magnitudes (q={ctx.q})")
     q = ctx.q
     check_guard(sum(q ** (2 * l + 1) * (q**l + q ** (l + 1)) for l in ls), guard, "quadform check")
@@ -198,7 +198,7 @@ def check_reduction(ctx: FieldCtx, ns, ws=None, guard: int = 10**8) -> CheckResu
             Poly(ctx, (ctx.one, ctx.zero, ctx.one)),
         ]
     if any(w.is_zero for w in ws):
-        raise PreconditionViolatedError("reduction windows must be non-zero")
+        raise HfqError("reduction windows must be non-zero")
     ns = [n for n in ns if n >= 2]
     check_guard(sum(ctx.q ** (n + 1) for n in ns), guard, "reduction check")
     for n in ns:

@@ -62,7 +62,9 @@ def _build_ctx(args):
     return ctx_new(p, k, ctx_new(p).parse_literal(args.modulus))
 
 
-def _parse_range(text: str):
+def _parse_range(text: str, name: str):
+    """The range N or LO..HI of the flag --name.  Every range flag counts
+    a size, so an empty range or a negative bound is bad input."""
     lo, sep, hi = text.partition("..")
     try:
         lo, hi = int(lo), int(hi if sep else lo)
@@ -70,6 +72,8 @@ def _parse_range(text: str):
         raise HfqError(f"bad range {text!r}; expected N or LO..HI") from None
     if lo > hi:
         raise HfqError(f"empty range {text!r}")
+    if lo < 0:
+        raise HfqError(f"need {name} >= 0, got {lo}")
     return range(lo, hi + 1)
 
 
@@ -119,7 +123,8 @@ def cmd_census(args) -> int:
         raise HfqError(f"--workers must be in 1..{cpus}, got {args.workers}")
     ctx = _build_ctx(args)
     worst = EXIT_OK
-    ranges = [(n, [h for h in _parse_range(args.h) if h <= n + 1]) for n in _parse_range(args.n)]
+    ns, h_range = _parse_range(args.n, "n"), _parse_range(args.h, "h")
+    ranges = [(n, [h for h in h_range if h <= n + 1]) for n in ns]
     if not any(hs for _, hs in ranges):
         print("nothing to check in the requested ranges")
     for n, hs in ranges:
@@ -227,26 +232,28 @@ def cmd_variance(args) -> int:
 def cmd_identity(args) -> int:
     from . import checks
 
+    if args.r < 0:
+        raise HfqError(f"--r must be >= 0, got {args.r}")
     ctx = _build_ctx(args)
     kind = args.kind
     results = []
     guard = args.guard
     if kind == "quadform":
-        results.append(checks.check_quadform(ctx, _parse_range(args.l), guard))
+        results.append(checks.check_quadform(ctx, _parse_range(args.l, "l"), guard))
     elif kind == "kernel-structure":
-        results.append(checks.check_kernel_structure(ctx, _parse_range(args.n), guard))
+        results.append(checks.check_kernel_structure(ctx, _parse_range(args.n, "n"), guard))
     elif kind == "reduction":
         from .polyring import Poly
 
         ws = None
         if args.W:
             ws = [Poly.from_literal(ctx, w) for w in args.W]
-        results.append(checks.check_reduction(ctx, _parse_range(args.n), ws, guard))
+        results.append(checks.check_reduction(ctx, _parse_range(args.n, "n"), ws, guard))
     elif kind == "bijection":
         from .hankel import bijection_ranks
 
-        hs = [x for x in _parse_range(args.h) if x < args.r]
-        for n in _parse_range(args.n):
+        hs = [x for x in _parse_range(args.h, "h") if x < args.r]
+        for n in _parse_range(args.n, "n"):
             if args.r in bijection_ranks(n):
                 results.append(checks.check_bijection(ctx, n, args.r, hs, guard))
     elif kind in ("kernel-sum", "w-sum"):
@@ -257,16 +264,10 @@ def cmd_identity(args) -> int:
         v = Poly.from_literal(ctx, args.V)
         variance.validate_pair(u, v)  # a bad pair is bad input, not an empty range
         fn = checks.check_kernel_sum if kind == "kernel-sum" else checks.check_w_sum
-        for n in _parse_range(args.n):
-            for h in _parse_range(args.h):
-                if h > n:
-                    continue
-                try:
+        for n in _parse_range(args.n, "n"):
+            for h in _parse_range(args.h, "h"):
+                if variance.ThmParams.domain_error(u, v, n, h) is None:
                     results.append(fn(u, v, n, h, guard=guard))
-                except TooLargeError:
-                    raise
-                except HfqError:
-                    continue  # infeasible (n, h): nothing to check
     else:
         raise HfqError(f"unknown identity kind {kind!r}")
     results = [res for res in results if res.checked > 0]

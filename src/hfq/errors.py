@@ -1,99 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per exit code.
 
-Everything derives from HfqError (a ValueError) so callers can catch the
-package's failures with one except clause while still getting sensible
-behaviour from code that only knows about ValueError.
+HfqError (a ValueError) is bad input or a violated hypothesis, exit 64;
+TooLargeError, its subclass, is an enumeration guard that tripped, exit 2.
+Callers catch the package's failures with one except clause, and code that
+only knows about ValueError still behaves sensibly.
 """
 
 
 class HfqError(ValueError):
-    """Base class for all errors raised by this package."""
-
-
-class NotPrimeError(HfqError):
-    pass
-
-
-class EvenCharacteristicError(HfqError):
-    pass
-
-
-class ReducibleModulusError(HfqError):
-    pass
-
-
-class MixedCharacteristicError(HfqError):
-    pass
-
-
-class DivideByZeroError(HfqError):
-    pass
-
-
-class BothZeroError(HfqError):
-    pass
-
-
-class NotMonicError(HfqError):
-    pass
-
-
-class ZeroPolynomialError(HfqError):
-    pass
-
-
-class DegreeTooLargeError(HfqError):
-    pass
-
-
-class DegreeMismatchError(HfqError):
-    pass
-
-
-class ZeroDenominatorError(HfqError):
-    pass
-
-
-class WidthTooSmallError(HfqError):
-    pass
-
-
-class TooShortError(HfqError):
-    pass
-
-
-class PreconditionViolatedError(HfqError):
-    pass
-
-
-class WrongClassError(HfqError):
-    pass
-
-
-class NotCoprimeError(HfqError):
-    pass
-
-
-class BadParityError(HfqError):
-    pass
-
-
-class ExponentNotIntegerError(HfqError):
-    pass
-
-
-class RangeEmptyError(HfqError):
-    pass
+    """Bad input or a violated hypothesis."""
 
 
 class TooLargeError(HfqError):
-    pass
+    """A guard refused work that would exceed its cap."""
 
 
 def check_guard(work: int, guard: int, what: str, unit: str = "steps") -> None:
     if work > guard:
         raise TooLargeError(f"{what} needs {work} {unit}, cap {guard}")
-
-
-class LiteralError(HfqError):
-    pass

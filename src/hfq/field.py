@@ -23,14 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .errors import (
-    EvenCharacteristicError,
-    LiteralError,
-    MixedCharacteristicError,
-    NotPrimeError,
-    ReducibleModulusError,
-    TooLargeError,
-)
+from .errors import HfqError, TooLargeError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,7 +66,7 @@ def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise LiteralError(f"not an integer: {text!r}") from None
+        raise HfqError(f"not an integer: {text!r}") from None
 
 
 def split_literal(text: str) -> list:
@@ -87,7 +80,7 @@ class FieldCtx:
 
     Equality, hashing and repr use (p, k, modulus) alone; the operation
     tables are derived from them on construction, which raises
-    ReducibleModulusError unless every nonzero element has an inverse
+    HfqError unless every nonzero element has an inverse
     (exactly when the modulus is irreducible).
     """
 
@@ -112,9 +105,7 @@ class FieldCtx:
         mul = tuple(_mul_row(a, residues, low, p, code) for a in residues)
         units = [row.index(1) for row in mul[1:] if 1 in row]
         if len(units) != q - 1:
-            raise ReducibleModulusError(
-                "modulus is reducible: a nonzero residue has no inverse"
-            )
+            raise HfqError("modulus is reducible: a nonzero residue has no inverse")
         trace = []
         for a in range(q):
             conj = total = a  # the sum of a^(p^i) for i < k
@@ -177,10 +168,10 @@ class FieldCtx:
         if self.k == 1:
             return _parse_int(text) % self.p
         if not (text.startswith("[") and text.endswith("]")):
-            raise LiteralError(f"extension-field element must be bracketed: {text!r}")
+            raise HfqError(f"extension-field element must be bracketed: {text!r}")
         parts = text[1:-1].split(",")
         if len(parts) != self.k:
-            raise LiteralError(f"expected {self.k} residues, got {len(parts)}: {text!r}")
+            raise HfqError(f"expected {self.k} residues, got {len(parts)}: {text!r}")
         return sum(_parse_int(x) % self.p * self.p**i for i, x in enumerate(parts))
 
     def parse_literal(self, text: str) -> tuple:
@@ -222,22 +213,22 @@ def from_digits(base: int, digits: np.ndarray) -> np.ndarray:
 def ctx_new(p: int, k: int = 1, modulus=None) -> FieldCtx:
     """Validated context for F_{p^k}; k > 1 requires an irreducible modulus."""
     if not _is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise HfqError(f"{p} is not prime")
     if p == 2:
-        raise EvenCharacteristicError("characteristic 2 is not supported")
+        raise HfqError("characteristic 2 is not supported")
     if k < 1:
-        raise ValueError("extension degree must be >= 1")
+        raise HfqError("extension degree must be >= 1")
     if p**k > MAX_Q:
         raise TooLargeError(f"q = {p}^{k} exceeds {MAX_Q}; the field tables hold q^2 entries")
     if k == 1:
         if modulus is not None:
-            raise ValueError("prime field takes no modulus")
+            raise HfqError("prime field takes no modulus")
         return FieldCtx(p, 1, None)
     if modulus is None:
-        raise ReducibleModulusError("extension field requires an explicit modulus")
+        raise HfqError("extension field requires an explicit modulus")
     modulus = tuple(int(c) % p for c in modulus)
     if len(modulus) != k + 1 or modulus[-1] != 1:
-        raise ReducibleModulusError(f"modulus must be monic of degree {k}")
+        raise HfqError(f"modulus must be monic of degree {k}")
     return FieldCtx(p, k, modulus)
 
 
@@ -253,7 +244,7 @@ class CycInt:
     def __init__(self, p: int, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != p:
-            raise ValueError(f"need {p} coefficients, got {len(coeffs)}")
+            raise HfqError(f"need {p} coefficients, got {len(coeffs)}")
         last = coeffs[-1]
         if last:
             coeffs = tuple(c - last for c in coeffs)
@@ -279,9 +270,7 @@ class CycInt:
 
     def _check(self, other: "CycInt") -> None:
         if self.p != other.p:
-            raise MixedCharacteristicError(
-                f"cannot combine Z[zeta_{self.p}] with Z[zeta_{other.p}]"
-            )
+            raise HfqError(f"cannot combine Z[zeta_{self.p}] with Z[zeta_{other.p}]")
 
     def __add__(self, other: "CycInt") -> "CycInt":
         self._check(other)

@@ -24,13 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    NotCoprimeError,
-    PreconditionViolatedError,
-    TooShortError,
-    WidthTooSmallError,
-    WrongClassError,
-)
+from .errors import HfqError
 from .field import FieldCtx, FqElem
 from .polyring import Poly, coeff_vector, gcd, laurent_expand, monics, polys_upto
 
@@ -43,7 +37,7 @@ class Seq:
     def __init__(self, ctx: FieldCtx, entries):
         entries = tuple(entries)
         if not entries:
-            raise ValueError("sequence needs at least one entry")
+            raise HfqError("sequence needs at least one entry")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "entries", entries)
 
@@ -68,7 +62,7 @@ class Seq:
 
     def truncate(self, n_prime: int) -> "Seq":
         if not 0 <= n_prime <= self.n:
-            raise ValueError("truncation index out of range")
+            raise HfqError("truncation index out of range")
         return Seq(self.ctx, self.entries[: n_prime + 1])
 
     def leading_zeros(self) -> int:
@@ -108,10 +102,10 @@ class HankelView:
 
     def __init__(self, seq: Seq, rows: int, cols: int):
         if rows < 1 or cols < 1:
-            raise ValueError("views need at least one row and one column")
+            raise HfqError("views need at least one row and one column")
         n_prime = rows + cols - 2
         if n_prime > seq.n:
-            raise ValueError("view exceeds the sequence")
+            raise HfqError("view exceeds the sequence")
         if n_prime < seq.n:
             seq = seq.truncate(n_prime)
         object.__setattr__(self, "seq", seq)
@@ -354,9 +348,9 @@ def odot(seq: Seq, w: Poly, s: int) -> Seq:
     """Sliding dot product of the sequence against [W]_s (W padded to width
     s+1); output entry i is sum_j W_j alpha_{i+j}."""
     if w.degree > s:
-        raise WidthTooSmallError(f"declared width {s} below deg W = {w.degree}")
+        raise HfqError(f"declared width {s} below deg W = {w.degree}")
     if s > seq.n:
-        raise TooShortError("sequence shorter than the sliding window")
+        raise HfqError("sequence shorter than the sliding window")
     ctx = seq.ctx
     wv = coeff_vector(w, s)
     e = seq.entries
@@ -378,9 +372,9 @@ def toeplitz_mat(w: Poly, s: int, k: int):
     and H_{l,k+s}(alpha) times this matrix is H_{l,k}(alpha odot [W]_s).
     """
     if w.degree > s:
-        raise WidthTooSmallError(f"declared width {s} below deg W = {w.degree}")
+        raise HfqError(f"declared width {s} below deg W = {w.degree}")
     if k < 1:
-        raise ValueError("need at least one column")
+        raise HfqError("need at least one column")
     ctx = w.ctx
     wv = coeff_vector(w, s)
     return [
@@ -408,17 +402,15 @@ def reduction_profile(seq: Seq, w: Poly, s: int) -> ReductionPrediction:
     deg gcd(a1, W), and the new a1 is a1 / gcd(a1, W).
     """
     if w.is_zero:
-        raise PreconditionViolatedError("W must be non-zero")
+        raise HfqError("W must be non-zero")
     if w.degree > s:
-        raise WidthTooSmallError(f"declared width {s} below deg W = {w.degree}")
+        raise HfqError(f"declared width {s} below deg W = {w.degree}")
     if s > seq.n:
-        raise TooShortError("sequence shorter than the sliding window")
+        raise HfqError("sequence shorter than the sliding window")
     prof, polys = _profile_and_polys(seq)
     n = seq.n
     if n < 2 or n < 2 * prof.r + s - 1:
-        raise PreconditionViolatedError(
-            f"need n >= max(2, 2r + s - 1); have n={n}, r={prof.r}, s={s}"
-        )
+        raise HfqError(f"need n >= max(2, 2r + s - 1); have n={n}, r={prof.r}, s={s}")
     return _predict_reduction(prof, polys, w, s)
 
 
@@ -451,16 +443,14 @@ def reduction_strict_class(seq: Seq, w: Poly, s: int):
 def _predict_strict_class(prof: Profile, n: int, w: Poly, s: int):
     """reduction_strict_class from the sequence's profile and n."""
     if w.is_zero or w.degree != s:
-        raise PreconditionViolatedError("need deg W = s exactly")
+        raise HfqError("need deg W = s exactly")
     if s > n:
-        raise TooShortError("sequence shorter than the sliding window")
+        raise HfqError("sequence shorter than the sliding window")
     if (n - s) % 2 != 0 or n - s < 2:
-        raise PreconditionViolatedError("need n - s even and >= 2")
+        raise HfqError("need n - s even and >= 2")
     half = (n - s) // 2 + 1
     if prof.strict != (half, 0, half):
-        raise WrongClassError(
-            f"sequence has strict class {prof.strict}, need {(half, 0, half)}"
-        )
+        raise HfqError(f"sequence has strict class {prof.strict}, need {(half, 0, half)}")
     return (half, 0, half)
 
 
@@ -485,13 +475,13 @@ def bijection_map(seq: Seq, h: int):
     prof, polys = _profile_and_polys(seq)
     r = prof.r
     if prof.standard != (r, r, 0):
-        raise WrongClassError(f"sequence has class {prof.standard}, need (r, r, 0)")
+        raise HfqError(f"sequence has class {prof.standard}, need (r, r, 0)")
     if r not in bijection_ranks(seq.n):
-        raise WrongClassError(f"rank {r} outside the bijection range (2, {seq.n2 - 1}]")
+        raise HfqError(f"rank {r} outside the bijection range (2, {seq.n2 - 1}]")
     if not 0 <= h < r:
-        raise WrongClassError(f"need 0 <= h < r = {r}")
+        raise HfqError(f"need 0 <= h < r = {r}")
     if seq.leading_zeros() < h:
-        raise WrongClassError(f"sequence has fewer than {h} leading zeros")
+        raise HfqError(f"sequence has fewer than {h} leading zeros")
     bp = _numerator(seq, polys.a1)
     if bp.degree >= r - h:
         raise AssertionError("image polynomial exceeds its degree bound")
@@ -504,16 +494,16 @@ def bijection_inverse(a: Poly, b: Poly, n: int, h: int) -> Seq:
     ctx = a.ctx
     r = a.degree
     if a.is_zero or not a.is_monic:
-        raise WrongClassError("first component must be monic")
+        raise HfqError("first component must be monic")
     ranks = bijection_ranks(n)
     if r not in ranks:
-        raise WrongClassError(f"degree {r} outside the bijection range (2, {ranks.stop - 1}]")
+        raise HfqError(f"degree {r} outside the bijection range (2, {ranks.stop - 1}]")
     if not 0 <= h < r:
-        raise WrongClassError(f"need 0 <= h < r = {r}")
+        raise HfqError(f"need 0 <= h < r = {r}")
     if b.degree >= r - h:
-        raise WrongClassError(f"second component must have degree < {r - h}")
+        raise HfqError(f"second component must have degree < {r - h}")
     if b.is_zero or gcd(a, b).degree != 0:
-        raise NotCoprimeError("components must be coprime (and B non-zero)")
+        raise HfqError("components must be coprime (and B non-zero)")
     return Seq(ctx, laurent_expand(b.shift(1), a, n))
 
 

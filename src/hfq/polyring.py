@@ -14,15 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import (
-    BothZeroError,
-    DegreeMismatchError,
-    DegreeTooLargeError,
-    DivideByZeroError,
-    NotMonicError,
-    ZeroDenominatorError,
-    ZeroPolynomialError,
-)
+from .errors import HfqError
 from .field import FieldCtx, FqElem, fq_vectors
 
 NEG_INF = float("-inf")
@@ -62,7 +54,7 @@ class Poly:
     def from_ints(cls, ctx: FieldCtx, ints) -> "Poly":
         """Coefficients given as plain ints, valid for prime fields only."""
         if ctx.k != 1:
-            raise ValueError("from_ints needs a prime field")
+            raise HfqError("from_ints needs a prime field")
         return cls(ctx, tuple(c % ctx.p for c in ints))
 
     @classmethod
@@ -88,7 +80,7 @@ class Poly:
     @property
     def leading(self) -> FqElem:
         if not self.coeffs:
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
+            raise HfqError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def abs_value(self) -> int:
@@ -180,22 +172,25 @@ class Poly:
 
     def __divmod__(self, other: "Poly"):
         ctx = self.ctx
-        if other.is_zero:
-            raise DivideByZeroError("polynomial division by zero")
-        if self.is_zero or len(self.coeffs) < len(other.coeffs):
+        b = other.coeffs
+        if not b:
+            raise HfqError("polynomial division by zero")
+        if len(self.coeffs) < len(b):
             return Poly.zero(ctx), self
+        mul, sub = ctx.mul_table, ctx.sub_table
+        inv_lead = None if other.is_monic else ctx.inv(b[-1])
         rem = list(self.coeffs)
-        dd = len(other.coeffs) - 1
-        inv_lead = ctx.inv(other.coeffs[-1])
-        quot = [ctx.zero] * (len(rem) - dd)
+        dd = len(b) - 1
+        quot = [0] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
-            if c == ctx.zero:
-                continue
-            f = ctx.mul(c, inv_lead)
-            quot[i - dd] = f
-            for j in range(dd + 1):
-                rem[i - dd + j] = ctx.sub(rem[i - dd + j], ctx.mul(f, other.coeffs[j]))
+            if c:
+                f = c if inv_lead is None else mul[c][inv_lead]
+                quot[i - dd] = f
+                row = mul[f]
+                # rem[i] cancels and is read no more
+                for j in range(dd):
+                    rem[i - dd + j] = sub[rem[i - dd + j]][row[b[j]]]
         return Poly(ctx, quot), Poly(ctx, rem[:dd])
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -216,7 +211,7 @@ class Poly:
 
     def monic(self) -> "Poly":
         if self.is_zero:
-            raise ZeroPolynomialError("cannot normalize the zero polynomial")
+            raise HfqError("cannot normalize the zero polynomial")
         if self.is_monic:
             return self
         return self.scale(self.ctx.inv(self.coeffs[-1]))
@@ -225,7 +220,7 @@ class Poly:
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, V) is monic-normalized V."""
     if a.is_zero and b.is_zero:
-        raise BothZeroError("gcd(0, 0) is undefined")
+        raise HfqError("gcd(0, 0) is undefined")
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
@@ -267,7 +262,7 @@ def monics_upto(ctx: FieldCtx, n: int) -> Iterator[Poly]:
 def coeff_vector(b: Poly, k: int) -> tuple:
     """Width-(k+1) coefficient vector of B, requiring deg B <= k."""
     if b.degree > k:
-        raise DegreeTooLargeError(f"deg {b.degree} exceeds vector width {k}")
+        raise HfqError(f"deg {b.degree} exceeds vector width {k}")
     ctx = b.ctx
     return b.coeffs + (ctx.zero,) * (k + 1 - len(b.coeffs))
 
@@ -280,11 +275,11 @@ def laurent_expand(b: Poly, a: Poly, depth: int):
     part (B T^depth) // A.
     """
     if a.is_zero:
-        raise ZeroDenominatorError("expansion denominator is zero")
+        raise HfqError("expansion denominator is zero")
     if not a.is_monic:
-        raise NotMonicError("expansion denominator must be monic")
+        raise HfqError("expansion denominator must be monic")
     if b.degree > a.degree:
-        raise DegreeMismatchError("numerator degree exceeds denominator degree")
+        raise HfqError("numerator degree exceeds denominator degree")
     quot = b.shift(depth) // a
     return [quot.coeff(depth - i) for i in range(depth + 1)]
 
@@ -311,7 +306,7 @@ def factor(a: Poly):
     is discarded (factors multiply to the monic normalization of A).
     """
     if a.is_zero:
-        raise ZeroPolynomialError("cannot factor 0")
+        raise HfqError("cannot factor 0")
     ctx = a.ctx
     rem = a.monic()
     out = []
@@ -348,9 +343,9 @@ def phi(a: Poly) -> int:
     empty-product convention so that phi is multiplicative.
     """
     if a.is_zero:
-        raise ZeroPolynomialError("phi(0) is undefined")
+        raise HfqError("phi(0) is undefined")
     if not a.is_monic:
-        raise NotMonicError("phi is defined for monic polynomials")
+        raise HfqError("phi is defined for monic polynomials")
     q = a.ctx.q
     out = q**a.degree
     for prime, _ in factor(a):

@@ -16,15 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .errors import (
-    BadParityError,
-    DegreeTooLargeError,
-    ExponentNotIntegerError,
-    NotCoprimeError,
-    NotMonicError,
-    RangeEmptyError,
-    check_guard,
-)
+from .errors import HfqError, check_guard
 from .field import CHUNK, from_digits, to_digits
 from .polyring import (
     Poly,
@@ -42,13 +34,13 @@ if TYPE_CHECKING:
 
 def validate_pair(u: Poly, v: Poly) -> None:
     if u.is_zero or not u.is_monic or v.is_zero or not v.is_monic:
-        raise NotMonicError("U and V must be monic and non-zero")
+        raise HfqError("U and V must be monic and non-zero")
     if u.degree % 2 != 0:
-        raise BadParityError(f"deg U = {u.degree} must be even")
+        raise HfqError(f"deg U = {u.degree} must be even")
     if v.degree % 2 != 1:
-        raise BadParityError(f"deg V = {v.degree} must be odd")
+        raise HfqError(f"deg V = {v.degree} must be odd")
     if gcd(u, v).degree != 0:
-        raise NotCoprimeError("U and V must be coprime")
+        raise HfqError("U and V must be coprime")
 
 
 @dataclass(frozen=True)
@@ -93,21 +85,31 @@ class ThmParams:
         stop = min(self.s_prime + 1, self.t_prime + 1, ranks.stop)
         return range(max(self.h + 1, ranks.start), stop)
 
+    @staticmethod
+    def widths(u: Poly, v: Poly, n: int) -> tuple:
+        """The parity table (s, t): (deg U, deg V + 1) for even n, (deg U + 1,
+        deg V) for odd n.  For a valid pair n - s and n - t are both even."""
+        if n % 2 == 0:
+            return u.degree, v.degree + 1
+        return u.degree + 1, v.degree
+
+    @classmethod
+    def domain_error(cls, u: Poly, v: Poly, n: int, h: int) -> Optional[str]:
+        """Why (n, h) lies outside the theorem's domain, or None inside it.
+        The domain is 0 <= h <= n with n at least max(s, t)."""
+        if not 0 <= h <= n:
+            return "need n >= 0 and 0 <= h <= n"
+        if n < max(cls.widths(u, v, n)):
+            return f"n = {n} is too small for deg U = {u.degree}, deg V = {v.degree}"
+        return None
+
     @classmethod
     def compute(cls, u: Poly, v: Poly, n: int, h: int) -> "ThmParams":
         validate_pair(u, v)
-        if n < 0 or not 0 <= h <= n:
-            raise RangeEmptyError("need n >= 0 and 0 <= h <= n")
-        if n % 2 == 0:
-            s, t = u.degree, v.degree + 1
-        else:
-            s, t = u.degree + 1, v.degree
-        if (n - s) % 2 or (n - t) % 2:
-            raise ExponentNotIntegerError("parity bookkeeping failed for (n, s, t)")
-        if n < max(s, t):
-            raise DegreeTooLargeError(
-                f"n = {n} is too small for deg U = {u.degree}, deg V = {v.degree}"
-            )
+        reason = cls.domain_error(u, v, n, h)
+        if reason:
+            raise HfqError(reason)
+        s, t = cls.widths(u, v, n)
         return cls(n, h, s, t, (n - s) // 2, (n - t) // 2, (n + 2) // 2, (n + 3) // 2)
 
 
@@ -142,14 +144,14 @@ def mean_formula(u: Poly, v: Poly, n: int, h: int) -> Fraction:
     validate_pair(u, v)
     num = 1 - u.degree - v.degree
     if num % 2:
-        raise ExponentNotIntegerError("mean exponent is not an integer")
+        raise HfqError("mean exponent is not an integer")
     return 2 * Fraction(u.ctx.q) ** (h + num // 2)
 
 
 def interval_sum(u: Poly, v: Poly, a: Poly, h: int, guard: int = 10**8) -> int:
     """Sum of s_count over the q^h polynomials within distance < h of A."""
     if h < 0:
-        raise ValueError("interval radius must be >= 0")
+        raise HfqError("interval radius must be >= 0")
     validate_pair(u, v)
     e_max, f_max = _half_degrees(u, v, max(a.degree, h - 1))  # the largest deg(A + D)
     work = u.ctx.q ** (h + e_max + f_max + 2)
@@ -254,7 +256,7 @@ def m_factor(u: Poly, v: Poly) -> Fraction:
     validate_pair(u, v)
     w = u * v
     if w.degree == 0:
-        raise ValueError("UV must be non-constant")
+        raise HfqError("UV must be non-constant")
     q = u.ctx.q
     out = Fraction(1, w.abs_value())
     for prime, mult in factor(w):
@@ -367,12 +369,10 @@ def kernel_sum_identity(
     """
     par = ThmParams.compute(u, v, n, h)
     if h < par.n2 - 1:
-        raise RangeEmptyError(
-            f"identity needs h >= n2 - 1 = {par.n2 - 1}; h = {h} is below it"
-        )
+        raise HfqError(f"identity needs h >= n2 - 1 = {par.n2 - 1}; h = {h} is below it")
     ranks = par.r1_ranks()
     if r1 not in ranks:
-        raise RangeEmptyError(f"r1 = {r1} outside [{ranks.start}, {ranks.stop - 1}]")
+        raise HfqError(f"r1 = {r1} outside [{ranks.start}, {ranks.stop - 1}]")
     ctx = u.ctx
     q = ctx.q
     da = n - r1 + 1
@@ -415,7 +415,7 @@ def w_sum_identity(u: Poly, v: Poly, n: int, h: int, r: int, guard: int = 10**8)
     q = ctx.q
     ranks = par.w_ranks()
     if r not in ranks:
-        raise RangeEmptyError(f"r = {r} outside [{h + 1}, {ranks.stop - 1}] (and r > 2)")
+        raise HfqError(f"r = {r} outside [{h + 1}, {ranks.stop - 1}] (and r > 2)")
     check_guard(q ** (n - h), guard, "identity enumeration")
     from . import fastpath
     from .hankel import Seq, _bijection_pairs, char_polys

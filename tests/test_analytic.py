@@ -10,7 +10,7 @@ from hfq.analytic import (
     convergence_report,
     phi_slope,
 )
-from hfq.errors import NotCoprimeError, NotMonicError, TooLargeError
+from hfq.errors import HfqError, TooLargeError
 from hfq.field import CHUNK, ctx_new, to_digits
 from hfq.polyring import Poly, gcd, monics, monics_upto, phi, polys_upto, rad
 
@@ -39,9 +39,9 @@ def test_slope_fixtures():
 
 
 def test_validation():
-    with pytest.raises(NotCoprimeError):
+    with pytest.raises(HfqError, match="W2 and W3 must be coprime"):
         convergence_report(T, T, 3)
-    with pytest.raises(NotMonicError):
+    with pytest.raises(HfqError, match="W2 and W3 must be monic"):
         convergence_report(Poly.from_ints(F3, [2]), ONE, 3)
     with pytest.raises(TooLargeError):
         convergence_report(ONE, ONE, 30, guard=100)

@@ -9,7 +9,7 @@ from oracle import value_counts_scalar
 from hfq import charsum, fastpath
 from hfq.charsum import magsq_exponents, variance_charsum
 from hfq.checks import check_quadform
-from hfq.errors import BadParityError, NotCoprimeError, TooLargeError
+from hfq.errors import HfqError, TooLargeError
 from hfq.field import CycInt, ctx_new
 from hfq.hankel import Seq, bijection_inverse, bijection_ranks, odot, profile
 from hfq.polyring import Poly, gcd
@@ -189,9 +189,9 @@ def test_exact_variance_with_every_class_near_zero_sums_nothing(monkeypatch):
 
 
 def test_variance_charsum_validation():
-    with pytest.raises(BadParityError):
+    with pytest.raises(HfqError, match="deg U = 1 must be even"):
         variance_charsum(Poly.t(F3), Poly.t(F3), 4, 0)
-    with pytest.raises(NotCoprimeError):
+    with pytest.raises(HfqError, match="U and V must be coprime"):
         variance_charsum(Poly.from_ints(F3, [0, 0, 1]), Poly.t(F3), 4, 0)
     with pytest.raises(TooLargeError):
         variance_charsum(Poly.one(F3), Poly.t(F3), 6, 0, guard=10)

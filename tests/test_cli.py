@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfq import cli
+from hfq import checks, cli
 from hfq.cli import EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from hfq.errors import HfqError
 
 
 def run(capsys, *argv):
@@ -233,12 +234,43 @@ def test_guard_trips_before_a_huge_identity(capsys):
         ("identity", "kernel-structure", "--q", "3", "--n=-1..2"),
         ("identity", "kernel-sum", "--q", "3", "--U", "0,1", "--V", "0,1", "--n", "4..6"),
         ("identity", "w-sum", "--q", "3", "--U", "1", "--V", "1,0,1", "--n", "6"),
+        # negative sizes, each of which an identity once ran or skipped
+        ("identity", "reduction", "--q", "3", "--n=-1..3"),
+        ("identity", "bijection", "--q", "3", "--n=-3..6"),
+        ("identity", "bijection", "--q", "3", "--n", "6", "--r=-2"),
+        ("identity", "kernel-sum", "--q", "3", "--n=-2..3"),
+        ("identity", "kernel-sum", "--q", "3", "--h=-1..3"),
+        ("identity", "w-sum", "--q", "3", "--h=-1..1"),
     ],
-    ids=["zero-window", "negative-l", "negative-n", "odd-U", "even-V"],
+    ids=[
+        "zero-window", "negative-l", "negative-n", "odd-U", "even-V", "reduction-negative-n",
+        "bijection-negative-n", "bijection-negative-r", "kernel-sum-negative-n",
+        "kernel-sum-negative-h", "w-sum-negative-h",
+    ],
 )
 def test_identity_bad_input_exits_64(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == EXIT_USAGE and "error" in err
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == "" and "error" in err
+
+
+@pytest.mark.parametrize(
+    "kind,check", [("kernel-sum", "check_kernel_sum"), ("w-sum", "check_w_sum")]
+)
+def test_identity_error_at_a_feasible_point_exits_64(capsys, monkeypatch, kind, check):
+    # an error inside a check is reported, not taken for an empty range
+    real = getattr(checks, check)
+
+    def planted(u, v, n, h, guard):
+        if (u.literal(), v.literal(), n, h) == ("1,0,1", "0,1", 6, 3):
+            raise HfqError("planted failure at n=6 h=3")
+        return real(u, v, n, h, guard=guard)
+
+    monkeypatch.setattr(checks, check, planted)
+    code, out, err = run(
+        capsys, "identity", kind, "--q", "3", "--U", "1,0,1", "--V", "0,1",
+        "--n", "6", "--h", "3",
+    )
+    assert code == EXIT_USAGE and out == "" and err == "hfq: error: planted failure at n=6 h=3\n"
 
 
 def test_phisum_csv_rows(capsys):
@@ -343,11 +375,13 @@ def test_census_empty_range_exits_64(capsys):
 
 
 @pytest.mark.parametrize(
-    "ranges", [("--n", "2", "--h=-1..0"), ("--n=-2..1", "--h", "0")], ids=["h", "n"]
+    "ranges,want",
+    [(("--n", "2", "--h=-1..0"), "need h >= 0"), (("--n=-2..1", "--h", "0"), "need n >= 0")],
+    ids=["h", "n"],
 )
-def test_census_negative_range_exits_64(capsys, ranges):
+def test_census_negative_range_exits_64(capsys, ranges, want):
     code, out, err = run(capsys, "census", "--q", "3", *ranges)
-    assert code == EXIT_USAGE and out == "" and "need n >= 0" in err
+    assert code == EXIT_USAGE and out == "" and want in err
 
 
 def test_census_guard_bounds_free_entries(capsys):

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfq.errors import (
-    BothZeroError,
-    DegreeTooLargeError,
-    DivideByZeroError,
-    NotMonicError,
-    ZeroPolynomialError,
-)
+from hfq.errors import HfqError
 from hfq.field import ctx_new
 from hfq.hankel import Seq
 from hfq.polyring import (
@@ -50,7 +44,7 @@ def test_zero_handling():
     assert (p3(1, 2, 1) * z).is_zero
     assert z.degree == NEG_INF and z.degree < -(10**9)
     assert z.abs_value() == 0 and p3(1, 1).abs_value() == 3
-    with pytest.raises(DivideByZeroError):
+    with pytest.raises(HfqError, match="polynomial division by zero"):
         divmod(p3(1), z)
 
 
@@ -58,7 +52,7 @@ def test_gcd_fixtures():
     assert gcd(p3(1, 0, 1), p3(0, 1)) == p3(1)
     assert gcd(Poly.zero(F3), p3(0, 1)) == p3(0, 1)
     assert gcd(p3(0, 2), p3(0, 1)) == p3(0, 1)
-    with pytest.raises(BothZeroError):
+    with pytest.raises(HfqError, match=r"gcd\(0, 0\) is undefined"):
         gcd(Poly.zero(F3), Poly.zero(F3))
 
 
@@ -66,9 +60,9 @@ def test_phi_fixtures():
     assert phi(p3(0, 0, 1)) == 6
     assert phi(p3(0, 1)) == 2
     assert phi(Poly.one(F3)) == 1
-    with pytest.raises(NotMonicError):
+    with pytest.raises(HfqError, match="phi is defined for monic polynomials"):
         phi(p3(0, 2))
-    with pytest.raises(ZeroPolynomialError):
+    with pytest.raises(HfqError, match=r"phi\(0\) is undefined"):
         phi(Poly.zero(F3))
 
 
@@ -135,7 +129,7 @@ def test_coeff_vector():
     assert coeff_vector(p3(2, 1), 3) == (2, 1, 0, 0)
     assert coeff_vector(Poly.zero(F3), 2) == (0, 0, 0)
     assert coeff_vector(p3(0, 0, 1), 2) == (0, 0, 1)
-    with pytest.raises(DegreeTooLargeError):
+    with pytest.raises(HfqError, match="deg 2 exceeds vector width 1"):
         coeff_vector(p3(0, 0, 1), 1)
 
 

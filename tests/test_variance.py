@@ -5,14 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hfq import variance
-from hfq.errors import (
-    BadParityError,
-    HfqError,
-    NotCoprimeError,
-    NotMonicError,
-    RangeEmptyError,
-    TooLargeError,
-)
+from hfq.errors import HfqError, TooLargeError
 from hfq.field import ctx_new
 from hfq.hankel import bijection_ranks
 from hfq.polyring import Poly, monics, polys_upto
@@ -52,6 +45,20 @@ def test_thm_params_parity_table():
     assert (par.n1, par.n2) == (4, 5)
 
 
+def test_domain_error_is_the_rule_compute_applies():
+    # identity kernel-sum|w-sum skip exactly the (n, h) that compute refuses
+    for u, v in ((U1, V1), (U2, V1), (U2, V3)):
+        for n in range(-1, 9):
+            for h in range(-1, n + 2):
+                reason = ThmParams.domain_error(u, v, n, h)
+                if reason is None:
+                    assert ThmParams.compute(u, v, n, h).s_prime >= 0
+                else:
+                    with pytest.raises(HfqError) as exc:
+                        ThmParams.compute(u, v, n, h)
+                    assert str(exc.value) == reason
+
+
 def test_sides_and_rank_ranges_match_the_parity_table():
     # the inline formulas they replace, written out: the monic side is U for
     # even n and V for odd n; each range's two ends are pinned, not just its
@@ -61,10 +68,9 @@ def test_sides_and_rank_ranges_match_the_parity_table():
         for v in (V1, p3(1, 1), V3):
             for n in range(2, 13):
                 for h in range(n + 1):
-                    try:
-                        par = ThmParams.compute(u, v, n, h)
-                    except HfqError:
+                    if ThmParams.domain_error(u, v, n, h):
                         continue
+                    par = ThmParams.compute(u, v, n, h)
                     s, t, sp, tp = par.s, par.t, par.s_prime, par.t_prime
                     if n % 2 == 0:
                         monic, full, lo = (u, s, sp), (v, t, tp), sp + 1
@@ -88,13 +94,13 @@ def test_sides_and_rank_ranges_match_the_parity_table():
 
 
 def test_hypothesis_validation():
-    with pytest.raises(BadParityError):
+    with pytest.raises(HfqError, match="deg U = 1 must be even"):
         ThmParams.compute(Poly.t(F3), V1, 4, 0)
-    with pytest.raises(BadParityError):
+    with pytest.raises(HfqError, match="deg V = 2 must be odd"):
         ThmParams.compute(U1, p3(1, 0, 1), 4, 0)
-    with pytest.raises(NotCoprimeError):
+    with pytest.raises(HfqError, match="U and V must be coprime"):
         ThmParams.compute(p3(0, 0, 1), V1, 4, 0)
-    with pytest.raises(NotMonicError):
+    with pytest.raises(HfqError, match="U and V must be monic and non-zero"):
         ThmParams.compute(p3(2), V1, 4, 0)
     with pytest.raises(ValueError):
         ThmParams.compute(U1, V1, 4, 5)
@@ -184,9 +190,7 @@ def test_variance_bruteforce_matches_definition(monkeypatch, ctx, n_max):
     for u in (Poly.one(ctx), Poly(ctx, (ctx.one, ctx.zero, ctx.one))):
         for n in range(n_max + 1):
             for h in range(n + 1):
-                try:
-                    ThmParams.compute(u, t, n, h)
-                except HfqError:
+                if ThmParams.domain_error(u, t, n, h):
                     continue
                 want = _literal_variance(u, t, n, h)
                 assert variance_bruteforce(u, t, n, h) == want
@@ -276,9 +280,9 @@ def test_theorem_predict_case3_terms():
 def test_kernel_sum_identity_fixture():
     lhs, rhs = kernel_sum_identity(U2, V1, 6, 3, 3)
     assert lhs == rhs == 81
-    with pytest.raises(RangeEmptyError):
+    with pytest.raises(HfqError, match=r"r1 = 3 outside \[3, 2\]"):
         kernel_sum_identity(U1, V1, 4, 2, 3)
-    with pytest.raises(RangeEmptyError):
+    with pytest.raises(HfqError, match="identity needs h >= n2 - 1 = 3; h = 1 is below it"):
         kernel_sum_identity(U2, V1, 6, 1, 3)  # below the h >= n2 - 1 domain
 
 
@@ -325,9 +329,9 @@ def test_kernel_sum_counterexample_below_domain():
 def test_w_sum_identity_fixture():
     lhs, rhs = w_sum_identity(U1, V1, 8, 0, 3)
     assert lhs == rhs
-    with pytest.raises(RangeEmptyError):
+    with pytest.raises(HfqError, match=r"r = 2 outside \["):
         w_sum_identity(U1, V1, 8, 0, 2)
-    with pytest.raises(RangeEmptyError):
+    with pytest.raises(HfqError, match=r"r = 3 outside \["):
         w_sum_identity(U1, V1, 8, 3, 3)
 
 
