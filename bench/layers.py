@@ -12,9 +12,15 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   of F_3^12 with the one view (1,);
 - the fast variance tally, variance_charsum(1, T, n, h, "fast") over F_3,
   at (n, h) = (12, 4) and (16, 6);
-- the class/pair bijection in-process, where Poly division does the work:
-  bijection_map plus bijection_inverse over 2,000 class-(4, 4, 0) F_3
-  sequences (n = 8), the best of 7 passes in each fresh interpreter;
+- in-process layers, each the best of 7 passes in a fresh interpreter:
+  the class/pair bijection, where Poly division does the work
+  (bijection_map plus bijection_inverse over 2,000 class-(4, 4, 0) F_3
+  sequences, n = 8); the field ops mul, add and inv over F_27 (200,000
+  random operand pairs each); Poly mul, divmod and gcd over F_3 (500 random
+  pairs of monic degree-20 polynomials, divmod dividing their product plus
+  the first by the second); fastpath.qform_counts, monic and full, on 3,000
+  random F_3 sequences at l = 4; and variance_bruteforce over F_3 at
+  (U, V, n, h) = (T^2 + 1, T, 12, 4);
 - acceptance criterion 11, the same tally at (18, 6);
 - cold start: the wall time and peak resident set size of a fresh
   interpreter that runs the benchmark's set-up, ``import hfq, hfq.cli;
@@ -23,7 +29,8 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   ``census --q 4``, the scalar ``analyze`` and ``identity
   kernel-structure`` (F_3, n <= 3), ``identity quadform`` at level 0 over
   F_9, the phi sieve at kmax 9, a one-process census, and the benchmark's
-  fast_tally variance command;
+  fast_tally variance command, and the closed-form ``variance --q 3 --U
+  1,0,1 --V 0,1 --n 6 --h 3`` (neither --oracle nor --charsum);
 - the wall time and peak resident set size of the walk-bound CLI
   commands, each in one fresh interpreter: ``hfq variance --q 3 --U 1
   --V 0,1 --n N --h H --charsum --fast --trust-lemmas`` at (N, H) =
@@ -52,12 +59,12 @@ compiles hfq from source, as the benchmark's fresh interpreters do;
 ``cold_hfq_bytecode_cached`` records whether any was cached.
 
 Each figure is the median of --repeats runs (of five times as many for
-the walk throughput, and three times as many for a cold start or a
-bijection pass), and each fresh-interpreter figure also keeps the range
+the walk throughput, and three times as many for a cold start or an
+in-process layer), and each fresh-interpreter figure also keeps the range
 of its runs (``_s_range``); the perfbench figures are its own, from one
 run per workload and seed.
 
-With ``--parent DIR``, every cold start, bijection pass and command also
+With ``--parent DIR``, every cold start, in-process layer and command also
 runs under ``DIR/src``, and every workload and seed also under
 ``DIR/perfbench/run.py`` (which measures ``DIR/src``), alternating with
 this checkout's runs, the
@@ -112,6 +119,8 @@ COLD_STARTS = {
     "census_q3_n7": (("census", "--q", "3", "--n", "7", "--h", "0"), 0),
     "fast_tally_q3_n12_h4": (("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "12",
                               "--h", "4", "--charsum", "--fast", "--trust-lemmas"), 0),
+    "closed_form_q3_n6_h3": (("variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "6",
+                              "--h", "3"), 0),
 }
 
 
@@ -162,22 +171,47 @@ with open("/proc/self/status") as status:
 sys.exit(code)"""
 
 
-# prints the best of 7 timed passes of bijection_map plus bijection_inverse
-# over 2,000 class-(4, 4, 0) F_3 sequences of length 9 (n = 8, h = 0)
-_ROUNDTRIP = """import time
+# prints, as JSON, the best of 7 timed passes of each in-process layer (see
+# the module docstring); the inputs are fixed by the seed, the same on
+# every side
+_LAYERS = """import json, random, time
 from itertools import islice
+import numpy as np
+from hfq import fastpath
 from hfq.field import ctx_new, fq_vectors
 from hfq.hankel import Seq, bijection_inverse, bijection_map, profile
-f3 = ctx_new(3)
+from hfq.polyring import Poly, gcd
+from hfq.variance import variance_bruteforce
+def best(fn):
+    out = float("inf")
+    for _ in range(7):
+        t0 = time.perf_counter()
+        fn()
+        out = min(out, time.perf_counter() - t0)
+    return out
+f3, f27 = ctx_new(3), ctx_new(3, 3, (1, 2, 0, 1))
 seqs = (Seq(f3, e) for e in fq_vectors(f3, 9))
 seqs = list(islice((s for s in seqs if profile(s).standard == (4, 4, 0)), 2000))
-best = float("inf")
-for _ in range(7):
-    t0 = time.perf_counter()
-    for s in seqs:
-        bijection_inverse(*bijection_map(s, 0), 8, 0)
-    best = min(best, time.perf_counter() - t0)
-print(best)"""
+rng = random.Random(0)
+elems = [(rng.randrange(27), rng.randrange(1, 27)) for _ in range(200000)]
+polys = [Poly(f3, [rng.randrange(3) for _ in range(20)] + [1]) for _ in range(1000)]
+pairs = list(zip(polys[::2], polys[1::2]))
+quotients = [(a * b + a, b) for a, b in pairs]
+block = np.array([[rng.randrange(3) for _ in range(9)] for _ in range(3000)])
+t, u2 = Poly.t(f3), Poly(f3, (1, 0, 1))
+print(json.dumps({
+    "bijection_roundtrip_q3_n8": best(
+        lambda: [bijection_inverse(*bijection_map(s, 0), 8, 0) for s in seqs]),
+    "field_mul_q27": best(lambda: [f27.mul(a, b) for a, b in elems]),
+    "field_add_q27": best(lambda: [f27.add(a, b) for a, b in elems]),
+    "field_inv_q27": best(lambda: [f27.inv(b) for _, b in elems]),
+    "poly_mul_q3_deg20": best(lambda: [a * b for a, b in pairs]),
+    "poly_divmod_q3_deg40_by_deg20": best(lambda: [divmod(a, b) for a, b in quotients]),
+    "poly_gcd_q3_deg20": best(lambda: [gcd(a, b) for a, b in pairs]),
+    "qform_counts_q3_l4": best(
+        lambda: [fastpath.qform_counts(f3, block, 4, monic) for monic in (True, False)]),
+    "variance_bruteforce_q3_n12_h4": best(lambda: variance_bruteforce(u2, t, 12, 4)),
+}))"""
 
 
 def _src_dirs(parent) -> list:
@@ -224,22 +258,23 @@ def _sides(label: str, argv, code: int, runs: int, parent) -> dict:
     return out
 
 
-def roundtrip(repeats: int, parent) -> dict:
-    """The median, over 3 * ``repeats`` fresh interpreters per side
-    (alternating, the first side switching each run), of the best
-    bijection map-plus-inverse pass, with the range of those bests."""
+def in_process(repeats: int, parent) -> dict:
+    """Per in-process layer, the median, over 3 * ``repeats`` fresh
+    interpreters per side (alternating, the first side switching each run),
+    of its best pass, with the range of those bests."""
     sides = _src_dirs(parent)
     best = {prefix: [] for prefix, _ in sides}
     for i in range(3 * repeats):
         for prefix, src in sides[:: -1 if i % 2 else 1]:
-            proc = subprocess.run([sys.executable, "-c", _ROUNDTRIP], env=_env(src),
+            proc = subprocess.run([sys.executable, "-c", _LAYERS], env=_env(src),
                                   check=True, capture_output=True, text=True)
-            best[prefix].append(float(proc.stdout))
+            best[prefix].append(json.loads(proc.stdout))
     out = {}
     for prefix, runs in best.items():
-        out[f"{prefix}bijection_roundtrip_q3_n8_s"] = round(statistics.median(runs), 4)
-        out[f"{prefix}bijection_roundtrip_q3_n8_s_range"] = [round(min(runs), 4),
-                                                               round(max(runs), 4)]
+        for layer in runs[0]:
+            times = [run[layer] for run in runs]
+            out[f"{prefix}{layer}_s"] = round(statistics.median(times), 4)
+            out[f"{prefix}{layer}_s_range"] = [round(min(times), 4), round(max(times), 4)]
     return out
 
 
@@ -309,7 +344,7 @@ def measure(repeats: int, parent=None) -> dict:
         "walk_tally_s_n16_h6": _median_s(tally(16, 6), repeats),
         "criterion_11_s": _median_s(tally(18, 6), repeats),
         "criterion_11_value": str(tally(18, 6)()),
-        **roundtrip(repeats, parent),
+        **in_process(repeats, parent),
         **cold_start(repeats, parent),
         **commands(repeats, parent),
         **perfbench(parent),

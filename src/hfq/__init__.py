@@ -11,15 +11,15 @@ __version__ = "0.1.0"
 _EXPORTS = {  # home submodule -> the public names it defines
     "field": ("CycInt", "FieldCtx", "ctx_new"),
     "hankel": (
-        "CharPolys", "HankelView", "Profile", "Seq", "bijection_inverse", "bijection_map",
-        "char_polys", "kernel_basis", "odot", "profile", "rank", "reduction_profile",
+        "CharPolys", "Profile", "Seq", "bijection_inverse", "bijection_map", "char_polys",
+        "hankel_matrix", "kernel_basis", "odot", "profile", "rank", "reduction_profile",
         "reduction_strict_class", "toeplitz_mat",
     ),
     "census": ("census_enumerate", "census_formula", "census_formula_total"),
     "polyring": ("NEG_INF", "Poly", "gcd", "phi", "rad", "factor"),
     "charsum": ("variance_charsum",),
     "variance": (
-        "ThmParams", "VarianceReport", "case_classify", "f_formula",
+        "ThmParams", "VarianceReport", "f_formula",
         "interval_sum", "kernel_sum_identity", "m_factor", "mean_formula", "s_count",
         "theorem_predict", "variance_bruteforce", "w_sum_identity",
     ),

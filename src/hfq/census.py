@@ -66,7 +66,6 @@ def census_formula_total(n: int, h: int, r: int, q: int) -> int:
 class CensusTally:
     standard: dict
     strict: dict
-    total: int
 
 
 def _census_chunk(args):
@@ -86,14 +85,14 @@ def _census_chunk(args):
 
 
 def census_enumerate(
-    ctx: FieldCtx, n: int, h: int, cap: int = 10**8, workers: int = 1
+    ctx: FieldCtx, n: int, h: int, guard: int = 10**8, workers: int = 1
 ) -> CensusTally:
     """Exhaustive tallies of the standard and strict classes over all
     sequences in F_q^{n+1} with h leading zeros."""
     if n < 0 or not 0 <= h <= n + 1:
         raise HfqError("need n >= 0 and 0 <= h <= n+1")
     total = ctx.q ** (n + 1 - h)
-    check_guard(total, cap, f"census of q^{n + 1 - h}", "sequences")
+    check_guard(total, guard, f"census of q^{n + 1 - h}", "sequences")
     side = (n + 2) // 2 + 1  # r, rho and strict rho are at most n1
     if workers <= 1 or total < 4 * workers:
         tallies = _census_chunk((ctx, n, h, slice(None), side))
@@ -109,4 +108,4 @@ def census_enumerate(
         {(c // side, c % side, c // side - c % side): t for c, t in enumerate(row) if t}
         for row in tallies.tolist()
     )
-    return CensusTally(standard, strict, total)
+    return CensusTally(standard, strict)

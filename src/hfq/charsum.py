@@ -68,8 +68,8 @@ def variance_charsum(
     par = ThmParams.compute(u, v, n, h)
     ctx = u.ctx
     q = ctx.q
-    mw, m_width, l_m = par.side(u, v, True)
-    aw, a_width, l_a = par.side(u, v, False)
+    mw, m_width, l_m = par.side(True)
+    aw, a_width, l_a = par.side(False)
     work = q ** (n + 1 - h)
     if mode == "exact":
         work *= q**l_m + q ** (l_a + 1)

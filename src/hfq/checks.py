@@ -55,7 +55,7 @@ def _all_seqs(ctx: FieldCtx, n: int, h: int = 0):
 
 
 def check_census(
-    ctx: FieldCtx, ns, hs, cap: int = 10**8, workers: int = 1, rows: list = None
+    ctx: FieldCtx, ns, hs, guard: int = 10**8, workers: int = 1, rows: list = None
 ) -> CheckResult:
     """Class sizes: every (n, h, class) formula against the exhaustive tally,
     the per-rank aggregates, and the partition total.
@@ -72,7 +72,7 @@ def check_census(
         for h in hs:
             if h > n + 1:
                 continue
-            tally = census_enumerate(ctx, n, h, cap=cap, workers=workers)
+            tally = census_enumerate(ctx, n, h, guard=guard, workers=workers)
             res.count(
                 sum(tally.standard.values()) == q ** (n + 1 - h),
                 f"partition total off at n={n} h={h}",
@@ -113,7 +113,7 @@ def check_kernel_structure(ctx: FieldCtx, ns, guard: int = 10**8) -> CheckResult
     generators' coefficient vectors have rank m + 1 - rank(view), the
     kernel's dimension.
     """
-    from .hankel import HankelView, _profile_and_polys, _row_reduce, odot, rank
+    from .hankel import _profile_and_polys, _row_reduce, odot, rank
     from .polyring import coeff_vector, gcd
 
     if min(ns, default=0) < 0:
@@ -137,7 +137,7 @@ def check_kernel_structure(ctx: FieldCtx, ns, guard: int = 10**8) -> CheckResult
                 good = all(g.degree <= m and odot(seq, g, m).is_zero() for g in gens)
                 if good:
                     vecs = [list(coeff_vector(g, m)) for g in gens]
-                    kernel_dim = m + 1 - rank(HankelView(seq, n - m + 1, m + 1))
+                    kernel_dim = m + 1 - rank(seq, n - m + 1, m + 1)
                     good = len(_row_reduce(vecs, m + 1, ctx)) == kernel_dim
                 res.count(good, lambda: f"kernel mismatch at {seq!r} split {n - m + 1}x{m + 1}")
     return res

@@ -132,7 +132,7 @@ def cmd_census(args) -> int:
             continue  # no class to count at this n
         rows: list = []
         res = checks.check_census(
-            ctx, [n], hs, cap=args.guard, workers=args.workers, rows=rows
+            ctx, [n], hs, guard=args.guard, workers=args.workers, rows=rows
         )
         if args.json:
             _print_json(
@@ -184,8 +184,6 @@ def cmd_variance(args) -> int:
     u = Poly.from_literal(ctx, args.U)
     v = Poly.from_literal(ctx, args.V)
     n, h = args.n, args.h
-    if not 0 <= h <= n:
-        raise HfqError(f"need 0 <= h <= n, got n={n} h={h}")
     report = variance.theorem_predict(u, v, n, h)
     par = report.params
     if args.fast and not args.trust_lemmas and not _fast_envelope_ok(
@@ -202,7 +200,6 @@ def cmd_variance(args) -> int:
         report.charsum_value = charsum.variance_charsum(
             u, v, n, h, mode="fast" if args.fast else "exact", guard=args.guard
         )
-    report.finish()
     payload = {
         "q": ctx.q,
         "U": u.literal(),
@@ -221,12 +218,7 @@ def cmd_variance(args) -> int:
         "residual": _rat(report.residual),
     }
     _print_json(payload)
-    ok = True
-    if report.oracle is not None and report.charsum_value is not None:
-        ok &= report.oracle == report.charsum_value
-    if args.theorem and report.residual is not None and report.case in ("case1", "case2"):
-        ok &= report.residual == 0
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
 def cmd_identity(args) -> int:
@@ -356,7 +348,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--h", type=int, required=True)
     sp.add_argument("--oracle", action="store_true")
     sp.add_argument("--charsum", action="store_true")
-    sp.add_argument("--theorem", action="store_true", help="compare against the closed form")
     sp.add_argument("--fast", action="store_true", help="closed-form magnitudes")
     sp.add_argument("--trust-lemmas", action="store_true")
     sp.set_defaults(fn=cmd_variance)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HfqError
-from .field import FieldCtx, FqElem
+from .field import FieldCtx
 from .polyring import Poly, coeff_vector, gcd, laurent_expand, monics, polys_upto
 
 
@@ -60,11 +60,6 @@ class Seq:
     def n2(self) -> int:
         return (self.n + 3) // 2
 
-    def truncate(self, n_prime: int) -> "Seq":
-        if not 0 <= n_prime <= self.n:
-            raise HfqError("truncation index out of range")
-        return Seq(self.ctx, self.entries[: n_prime + 1])
-
     def leading_zeros(self) -> int:
         z = 0
         zero = self.ctx.zero
@@ -89,38 +84,6 @@ class Seq:
 
     def __repr__(self) -> str:
         return "Seq(" + ",".join(self.ctx.format_elem(e) for e in self.entries) + ")"
-
-
-class HankelView:
-    """The rows x cols Hankel matrix of a sequence, entry (i,j) = alpha_{i+j}.
-
-    rows + cols - 2 may be smaller than the sequence's top index; the view
-    then uses the truncated sequence, matching the submatrix convention.
-    """
-
-    __slots__ = ("seq", "rows", "cols")
-
-    def __init__(self, seq: Seq, rows: int, cols: int):
-        if rows < 1 or cols < 1:
-            raise HfqError("views need at least one row and one column")
-        n_prime = rows + cols - 2
-        if n_prime > seq.n:
-            raise HfqError("view exceeds the sequence")
-        if n_prime < seq.n:
-            seq = seq.truncate(n_prime)
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HankelView is immutable")
-
-    def entry(self, i: int, j: int) -> FqElem:
-        return self.seq.entries[i + j]
-
-    def matrix(self):
-        e = self.seq.entries
-        return [list(e[i : i + self.cols]) for i in range(self.rows)]
 
 
 # exact linear algebra over the field
@@ -172,14 +135,29 @@ def _kernel_basis_raw(rows, ncols: int, ctx: FieldCtx):
     return basis
 
 
-def rank(view: HankelView) -> int:
-    """Rank of the view's matrix (not the rank invariant of the sequence)."""
-    return len(_row_reduce(view.matrix(), view.cols, view.seq.ctx))
+def hankel_matrix(seq: Seq, rows: int, cols: int) -> list:
+    """The rows x cols Hankel matrix of a sequence, entry (i,j) = alpha_{i+j}.
+
+    rows + cols - 2 may be smaller than the sequence's top index; the matrix
+    then reads the truncated sequence, matching the submatrix convention.
+    """
+    if rows < 1 or cols < 1:
+        raise HfqError("views need at least one row and one column")
+    if rows + cols - 2 > seq.n:
+        raise HfqError("view exceeds the sequence")
+    e = seq.entries
+    return [list(e[i : i + cols]) for i in range(rows)]
 
 
-def kernel_basis(view: HankelView):
-    """Reduced-echelon kernel basis of the view's matrix."""
-    return _kernel_basis_raw(view.matrix(), view.cols, view.seq.ctx)
+def rank(seq: Seq, rows: int, cols: int) -> int:
+    """Rank of the rows x cols Hankel matrix (not the rank invariant of the
+    sequence)."""
+    return len(_row_reduce(hankel_matrix(seq, rows, cols), cols, seq.ctx))
+
+
+def kernel_basis(seq: Seq, rows: int, cols: int):
+    """Reduced-echelon kernel basis of the rows x cols Hankel matrix."""
+    return _kernel_basis_raw(hankel_matrix(seq, rows, cols), cols, seq.ctx)
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,12 @@ def validate_pair(u: Poly, v: Poly) -> None:
 
 @dataclass(frozen=True)
 class ThmParams:
-    """Derived parameters: the parity table for (s, t), the half-gaps
-    (s', t'), and the square-matrix sizes n1, n2.  The one reader of the
-    parity of n: side() and the rank ranges are decided here."""
+    """(U, V) at (n, h) and the derived parameters: the parity table (s, t),
+    the half-gaps (s', t') and the square-matrix sizes n1, n2.  The one reader
+    of the parity of n: side(), the rank ranges and the case are decided here."""
 
+    u: Poly
+    v: Poly
     n: int
     h: int
     s: int
@@ -62,18 +64,18 @@ class ThmParams:
     def even(self) -> bool:
         return self.n % 2 == 0
 
-    def side(self, u: Poly, v: Poly, monic: bool) -> tuple:
+    def side(self, monic: bool) -> tuple:
         """(W, width, half) of the monic or the full character-sum side: the
         polynomial, its parity-table width (s or t) and half-gap (s' or t').
         The monic sum attaches to U for even n and to V for odd n."""
         if monic == self.even:
-            return u, self.s, self.s_prime
-        return v, self.t, self.t_prime
+            return self.u, self.s, self.s_prime
+        return self.v, self.t, self.t_prime
 
     def r1_ranks(self) -> range:
         """Ranks of the f-sum and the kernel-sum identity: past the monic
         side's half-gap, up to n - h."""
-        _, _, half = self.side(None, None, True)
+        _, _, half = self.side(True)
         return range(half + 1, self.n - self.h + 1)
 
     def w_ranks(self) -> range:
@@ -84,6 +86,23 @@ class ThmParams:
         ranks = bijection_ranks(self.n - 1)
         stop = min(self.s_prime + 1, self.t_prime + 1, ranks.stop)
         return range(max(self.h + 1, ranks.start), stop)
+
+    @property
+    def case(self) -> str:
+        """Which closed form applies: case1, case2, case3, or uncovered.
+
+        The three ranges are disjoint by construction; (n, h) outside all of
+        them is reported honestly as uncovered.
+        """
+        _, width, half = self.side(True)
+        if self.h >= half + width:
+            return "case1"
+        if self.n2 - 1 <= self.h:
+            return "case2"
+        duv = self.u.degree + self.v.degree
+        if 3 * (duv + 1) <= self.h < min(self.s_prime, self.t_prime) - 1:
+            return "case3"
+        return "uncovered"
 
     @staticmethod
     def widths(u: Poly, v: Poly, n: int) -> tuple:
@@ -110,7 +129,7 @@ class ThmParams:
         if reason:
             raise HfqError(reason)
         s, t = cls.widths(u, v, n)
-        return cls(n, h, s, t, (n - s) // 2, (n - t) // 2, (n + 2) // 2, (n + 3) // 2)
+        return cls(u, v, n, h, s, t, (n - s) // 2, (n - t) // 2, (n + 2) // 2, (n + 3) // 2)
 
 
 def _half_degrees(u: Poly, v: Poly, degree) -> tuple:
@@ -168,17 +187,17 @@ def _class_digits(ctx, parts, h: int, n: int) -> np.ndarray:
     return to_digits(ctx.p, coeffs, ctx.k).reshape(len(parts), -1)
 
 
-def _binned_interval_sums(u: Poly, v: Poly, par: ThmParams) -> np.ndarray:
+def _binned_interval_sums(par: ThmParams) -> np.ndarray:
     """Interval sum of every class, indexed by the code of coefficients h..n-1
     of B (the leading one is always 1).  Each pair of a monic and a free part
     adds 2, for E and -E; the pairs' digits are summed mod p and tallied into
     the q^(n-h) classes block by block, so no array grows with the pairs."""
     import numpy as np
 
-    ctx = u.ctx
+    ctx = par.u.ctx
     n, h = par.n, par.h
-    monic_w, _, monic_half = par.side(u, v, True)
-    free_w, _, free_half = par.side(u, v, False)
+    monic_w, _, monic_half = par.side(True)
+    free_w, _, free_half = par.side(False)
     monic_rows = _class_digits(ctx, [monic_w * e * e for e in monics(ctx, monic_half)], h, n)
     free_rows = _class_digits(ctx, [free_w * f * f for f in polys_upto(ctx, free_half)], h, n)
     n_free = len(free_rows)
@@ -201,7 +220,7 @@ def variance_bruteforce(u: Poly, v: Poly, n: int, h: int, guard: int = 10**8) ->
     pairs = q ** (par.s_prime + par.t_prime + 1)
     classes = q ** (n - h)
     check_guard(max(pairs, classes), min(guard, 2**30), "enumeration")
-    counts = _binned_interval_sums(u, v, par)
+    counts = _binned_interval_sums(par)
     s1, s2 = int(counts.sum()), int(counts @ counts)
     mean = mean_formula(u, v, n, h)
     return (s2 - 2 * mean * s1 + classes * mean * mean) / classes
@@ -225,12 +244,12 @@ def gcd_divisibility_sum(w: Poly, d1: int, d2: int, monic2: bool) -> int:
     return total
 
 
-def _boxes(u: Poly, v: Poly, par: ThmParams, r1: int):
+def _boxes(par: ThmParams, r1: int):
     """Per side, monic first: the polynomial, its half-gap, and the degree
     box (d1, d2, monic) of its gcd-divisibility sum at rank r1.  The full
     side's box is one degree lower at both ends."""
     for monic in (True, False):
-        w, width, half = par.side(u, v, monic)
+        w, width, half = par.side(monic)
         low = 0 if monic else 1
         yield w, half, (half + width - r1 - low, r1 - half - 1 - low, monic)
 
@@ -245,7 +264,7 @@ def f_formula(u: Poly, v: Poly, n: int, h: int) -> Fraction:
     acc = Fraction(0)
     for r1 in par.r1_ranks():
         term = Fraction(q) ** (r1 - (n - h))
-        for w, _, box in _boxes(u, v, par, r1):
+        for w, _, box in _boxes(par, r1):
             term *= gcd_divisibility_sum(w, *box)
         acc += term
     return pref * acc
@@ -265,50 +284,42 @@ def m_factor(u: Poly, v: Poly) -> Fraction:
     return out
 
 
-def case_classify(u: Poly, v: Poly, n: int, h: int) -> str:
-    """Which closed form applies: case1, case2, case3, or uncovered.
-
-    The three ranges are disjoint by construction; (n, h) outside all of
-    them is reported honestly as uncovered.
-    """
-    par = ThmParams.compute(u, v, n, h)
-    _, width, half = par.side(u, v, True)
-    if h >= half + width:
-        return "case1"
-    if par.n2 - 1 <= h:
-        return "case2"
-    duv = u.degree + v.degree
-    if 3 * (duv + 1) <= h < min(par.s_prime, par.t_prime) - 1:
-        return "case3"
-    return "uncovered"
-
-
 @dataclass
 class VarianceReport:
     """Everything one run produces; optional fields stay None until the
-    corresponding computation is requested."""
+    corresponding computation is requested, and the residual and the
+    verdict read whichever values are present."""
 
-    q: int
-    u: Poly
-    v: Poly
     params: ThmParams
-    case: str
     theorem_value: Optional[Fraction] = None
     main_term: Optional[Fraction] = None
     secondary_term: Optional[Fraction] = None
     error_scale: Optional[tuple] = None
     oracle: Optional[Fraction] = None
     charsum_value: Optional[Fraction] = None
-    residual: Optional[Fraction] = None
 
-    def finish(self) -> "VarianceReport":
-        """Fill the residual from whichever exact values are present."""
-        reference = self.oracle if self.oracle is not None else self.charsum_value
-        if reference is not None and self.case in ("case1", "case2"):
-            self.residual = reference - self.theorem_value
-        elif reference is not None and self.case == "case3":
-            self.residual = reference - self.main_term - self.secondary_term
-        return self
+    @property
+    def case(self) -> str:
+        return self.params.case
+
+    @property
+    def residual(self) -> Optional[Fraction]:
+        """The exact variance (the oracle's, else the character sum's) less
+        the closed form; None without both."""
+        exact = self.oracle if self.oracle is not None else self.charsum_value
+        if exact is None or self.theorem_value is None:
+            return None
+        return exact - self.theorem_value
+
+    @property
+    def ok(self) -> bool:
+        """The verdict: the oracle equals the character sum when both ran,
+        and a case-1/case-2 residual is 0 whenever an exact value exists.
+        Case 3 is asymptotic and never fails."""
+        both = self.oracle is not None and self.charsum_value is not None
+        if both and self.oracle != self.charsum_value:
+            return False
+        return self.case not in ("case1", "case2") or self.residual in (None, 0)
 
 
 def theorem_predict(u: Poly, v: Poly, n: int, h: int) -> VarianceReport:
@@ -328,8 +339,8 @@ def theorem_predict(u: Poly, v: Poly, n: int, h: int) -> VarianceReport:
     """
     par = ThmParams.compute(u, v, n, h)
     q = u.ctx.q
-    case = case_classify(u, v, n, h)
-    report = VarianceReport(q=q, u=u, v=v, params=par, case=case)
+    case = par.case
+    report = VarianceReport(par)
     abs_uv = (u * v).abs_value()
     if case == "case1":
         report.theorem_value = Fraction(0)
@@ -377,7 +388,7 @@ def kernel_sum_identity(
     q = ctx.q
     da = n - r1 + 1
     sides = []
-    for w, half, box in _boxes(u, v, par, r1):
+    for w, half, box in _boxes(par, r1):
         _, d2, monic = box
         outer = list(monics(ctx, half) if monic else polys_upto(ctx, half))
         inner = list(monics_upto(ctx, d2) if monic else polys_upto(ctx, d2))

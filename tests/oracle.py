@@ -15,10 +15,10 @@ from hfq.field import CHUNK, to_digits
 
 from hfq.hankel import (
     CharPolys,
-    HankelView,
     Seq,
-    _kernel_basis_raw,
     _row_reduce,
+    hankel_matrix,
+    kernel_basis,
     profile,
     rank,
 )
@@ -56,15 +56,11 @@ def value_counts_scalar(seq: Seq, l: int, monic: bool):
 def gauss_profile(seq: Seq):
     """(r, rho, strict_rho) by eliminating every leading square."""
     n1, n2 = seq.n1, seq.n2
-    invertible = [k for k in range(1, n1 + 1) if rank(HankelView(seq, k, k)) == k]
-    r = rank(HankelView(seq, n1, n2))
+    invertible = [k for k in range(1, n1 + 1) if rank(seq, k, k) == k]
+    r = rank(seq, n1, n2)
     rho = max(invertible, default=0)
     strict_rho = max((k for k in invertible if k < n2), default=0)
     return r, rho, strict_rho
-
-
-def _hankel_rows(entries, rows: int, cols: int):
-    return [list(entries[i : i + cols]) for i in range(rows)]
 
 
 def gauss_recurrence_vector(seq: Seq, rho: int):
@@ -78,8 +74,9 @@ def gauss_recurrence_vector(seq: Seq, rho: int):
     return tuple(row[rho] for row in aug)
 
 
-def gauss_rhopi_form(view: HankelView):
-    """The kernel-preserving row operations that expose the block shape.
+def gauss_rhopi_form(seq: Seq, rows: int, cols: int):
+    """The kernel-preserving row operations that expose the block shape of
+    a full-length split, rows + cols - 2 = n.
 
     Returns (matrix, x): x solves H_{rho,rho} x = (alpha_rho, ...,
     alpha_{2 rho - 1})^T, by eliminating the leading square, and each row
@@ -89,15 +86,14 @@ def gauss_rhopi_form(view: HankelView):
     Hankel block at bottom right whose first non-zero skew-diagonal is the
     pi-th from the end.
     """
-    seq = view.seq
     prof = profile(seq)
-    mat = view.matrix()
+    mat = hankel_matrix(seq, rows, cols)
     rho = prof.rho
     if rho == 0 or 2 * rho - 1 > seq.n:
         return mat, ()
     x = gauss_recurrence_vector(seq, rho)
     ctx = seq.ctx
-    for i in range(view.rows - 1, rho - 1, -1):
+    for i in range(rows - 1, rho - 1, -1):
         new_row = list(mat[i])
         for j, xj in enumerate(x):
             if xj != ctx.zero:
@@ -112,6 +108,15 @@ def _is_a1_multiple_in_range(v: Poly, a1: Poly, max_cofactor_deg) -> bool:
         return True
     q, r = divmod(v, a1)
     return r.is_zero and q.degree <= max_cofactor_deg
+
+
+def _view_kernel(seq: Seq, rows: int, cols: int):
+    """RREF kernel basis of the rows x cols view; with no rows, the unit
+    vectors."""
+    if rows == 0:
+        ctx = seq.ctx
+        return [tuple(ctx.one if i == j else ctx.zero for i in range(cols)) for j in range(cols)]
+    return kernel_basis(seq, rows, cols)
 
 
 def gauss_char_polys(seq: Seq) -> CharPolys:
@@ -135,22 +140,14 @@ def gauss_char_polys(seq: Seq) -> CharPolys:
         a1 = Poly(ctx, tuple(ctx.neg(c) for c in x) + (ctx.one,))
     else:
         # full-rank even case: pick a1 from the first kernel where it appears
-        kb = _kernel_basis_raw(
-            _hankel_rows(seq.entries, rho - 1, n + 3 - rho), n + 3 - rho, ctx
-        )
+        kb = _view_kernel(seq, rho - 1, n + 3 - rho)
         cand = [v for v in kb if v[-1] != ctx.zero]
         if not cand:
             raise AssertionError("no monic kernel vector of full degree")
         a1 = Poly(ctx, cand[0]).monic()
 
     m = n + 2 - r
-    if r >= 2:
-        kb = _kernel_basis_raw(_hankel_rows(seq.entries, r - 1, m + 1), m + 1, ctx)
-    else:
-        kb = [
-            tuple(ctx.one if i == j else ctx.zero for i in range(m + 1))
-            for j in range(m + 1)
-        ]
+    kb = _view_kernel(seq, r - 1, m + 1)
     max_cof = m - r  # degree bound for a1-multiples inside this kernel
     pick = None
     for v in kb:
@@ -198,8 +195,8 @@ def _windows(u: Poly, v: Poly, n: int, h: int):
     """(m_vec, l_m, a_vec, l_a): the monic and full sides' coefficient
     vectors and quadratic-form levels."""
     par = ThmParams.compute(u, v, n, h)
-    mw, m_width, l_m = par.side(u, v, True)
-    aw, a_width, l_a = par.side(u, v, False)
+    mw, m_width, l_m = par.side(True)
+    aw, a_width, l_a = par.side(False)
     return coeff_vector(mw, m_width), l_m, coeff_vector(aw, a_width), l_a
 
 

@@ -87,7 +87,7 @@ def _qualifying(u, v, n, label):
     if ThmParams.domain_error(u, v, n, 0):
         return out
     for h in range(n + 1):
-        if variance.case_classify(u, v, n, h) == label:
+        if ThmParams.compute(u, v, n, h).case == label:
             out.append(h)
     return out
 
@@ -190,7 +190,6 @@ def test_criterion_11_case3_smoke():
     res.count(rep.case == "case3", f"classified {rep.case}")
     exact = charsum.variance_charsum(one, t, 18, 6, mode="fast")
     rep.charsum_value = exact
-    rep.finish()
     scale = rep.error_scale[0] + rep.error_scale[1]
     res.count(
         abs(rep.residual) <= 10 * scale,
@@ -214,7 +213,7 @@ def test_criterion_12_mean():
                     if ThmParams.domain_error(u, v, n, 0):
                         continue
                     par = ThmParams.compute(u, v, n, 0)
-                    tally = variance._binned_interval_sums(u, v, par)
+                    tally = variance._binned_interval_sums(par)
                     total = int(tally.sum())
                     for h in range(n + 1):
                         want = ctx.q**n * variance.mean_formula(u, v, n, h)

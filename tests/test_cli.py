@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfq import checks, cli
+from hfq import checks, cli, variance
 from hfq.cli import EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from hfq.errors import HfqError
+from hfq.field import ctx_new
+from hfq.polyring import Poly
 
 
 def run(capsys, *argv):
@@ -77,7 +79,7 @@ def test_variance_case2_fixture(capsys):
     code, out, _ = run(
         capsys,
         "variance", "--q", "3", "--U", "1,0,1", "--V", "0,1",
-        "--n", "6", "--h", "3", "--oracle", "--theorem",
+        "--n", "6", "--h", "3", "--oracle",
     )
     assert code == EXIT_OK
     payload = json.loads(out)
@@ -90,13 +92,53 @@ def test_variance_case1(capsys):
     code, out, _ = run(
         capsys,
         "variance", "--q", "3", "--U", "1", "--V", "0,1",
-        "--n", "4", "--h", "3", "--oracle", "--theorem",
+        "--n", "4", "--h", "3", "--oracle",
     )
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["case"] == "case1"
     assert payload["theorem"] == {"num": "0", "den": "1"}
     assert payload["oracle"] == {"num": "0", "den": "1"}
+
+
+@pytest.mark.parametrize("extra", [(), ("--charsum",)], ids=["oracle", "oracle-charsum"])
+def test_variance_falsified_closed_form_exits_1(capsys, monkeypatch, extra):
+    # the case-2 closed form off by one: the report still prints, and the
+    # exit code is the comparison's
+    f_formula = variance.f_formula
+    monkeypatch.setattr(variance, "f_formula", lambda *args: f_formula(*args) + 1)
+    code, out, _ = run(
+        capsys,
+        "variance", "--q", "3", "--U", "1,0,1", "--V", "0,1",
+        "--n", "6", "--h", "3", "--oracle", *extra,
+    )
+    assert code == EXIT_MISMATCH
+    payload = json.loads(out)
+    assert payload["case"] == "case2"
+    assert payload["theorem"] == {"num": "25", "den": "1"}
+    assert payload["residual"] == {"num": "-1", "den": "1"}
+
+
+def test_variance_theorem_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "6", "--h", "3",
+              "--oracle", "--theorem"])
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_report_residual_and_verdict_follow_its_values():
+    one, t, u2 = (Poly.from_ints(ctx_new(3), c) for c in ((1,), (0, 1), (1, 0, 1)))
+    rep = variance.theorem_predict(u2, t, 6, 3)
+    assert rep.case == "case2" and rep.residual is None and rep.ok
+    rep.oracle = rep.theorem_value + 1
+    assert rep.residual == 1 and not rep.ok
+    rep.oracle = rep.theorem_value
+    assert rep.residual == 0 and rep.ok
+    rep.charsum_value = rep.oracle + 1  # the oracle and the character sum disagree
+    assert rep.residual == 0 and not rep.ok
+    rep = variance.theorem_predict(one, t, 18, 6)  # case 3 is asymptotic
+    rep.charsum_value = rep.theorem_value + 1
+    assert rep.case == "case3" and rep.residual == 1 and rep.ok
 
 
 def test_variance_guard_exit(capsys):
@@ -327,10 +369,14 @@ def test_extension_field_census(capsys):
 
 
 def test_variance_h_above_n_exits_64(capsys):
-    code, out, err = run(
-        capsys, "variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "4", "--h", "6"
-    )
-    assert code == EXIT_USAGE and out == "" and "h <= n" in err
+    # refused by the one domain rule, ThmParams.domain_error
+    f3 = ctx_new(3)
+    reason = variance.ThmParams.domain_error(Poly.one(f3), Poly.t(f3), 4, 5)
+    for h in ("5", "6"):
+        code, out, err = run(
+            capsys, "variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "4", "--h", h
+        )
+        assert code == EXIT_USAGE and out == "" and err == f"hfq: error: {reason}\n"
 
 
 def test_phisum_negative_kmax_exits_64(capsys):
@@ -472,7 +518,7 @@ _GUARD = st.sampled_from(
 )
 _FLAGS = {
     "census": ["--json", "--workers=1", "--workers=0", "--workers=-1"],
-    "variance": ["--json", "--oracle", "--charsum", "--theorem", "--fast", "--trust-lemmas"],
+    "variance": ["--json", "--oracle", "--charsum", "--fast", "--trust-lemmas"],
     "phisum": ["--json"],
     "analyze": ["--json"],
 }

@@ -68,8 +68,7 @@ def test_benchmark_setup_loads_no_numpy():
         ("identity", "reduction", "--q", "3", "--n", "0..3", "--W", "1,1"),
         ("identity", "bijection", "--q", "3", "--n", "6", "--r", "3", "--h", "0..1"),
         ("identity", "kernel-sum", "--q", "3", "--n", "2..5"),
-        ("variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "6", "--h", "3",
-         "--theorem"),
+        ("variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "6", "--h", "3"),
     ],
     ids=[
         "help", "version", "analyze", "analyze-q9", "kernel-structure", "reduction",

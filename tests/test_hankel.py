@@ -15,11 +15,11 @@ from hfq.hankel import (
     _numerator,
     _profile_and_polys,
     CharPolys,
-    HankelView,
     Seq,
     bijection_inverse,
     bijection_map,
     char_polys,
+    hankel_matrix,
     kernel_basis,
     odot,
     profile,
@@ -47,12 +47,12 @@ def p3(*coeffs):
     return Poly.from_ints(F3, coeffs)
 
 
-def kernel_set(view):
-    basis = kernel_basis(view)
-    ctx = view.seq.ctx
-    out = {(ctx.zero,) * view.cols}
+def kernel_set(seq, rows, cols):
+    basis = kernel_basis(seq, rows, cols)
+    ctx = seq.ctx
+    out = {(ctx.zero,) * cols}
     for coeffs in iter_product(range(ctx.q), repeat=len(basis)):
-        vec = [ctx.zero] * view.cols
+        vec = [ctx.zero] * cols
         for c, b in zip(coeffs, basis):
             for i, x in enumerate(b):
                 vec[i] = (vec[i] + c * x) % ctx.p
@@ -62,19 +62,20 @@ def kernel_set(view):
 
 def test_view_truncation_and_entries():
     s = Seq.from_literal(F3, "0,1,2,0,1")
-    v = HankelView(s, 2, 2)  # uses the truncation to alpha_0..alpha_2
-    assert v.matrix() == [[0, 1], [1, 2]]
-    assert v.entry(1, 1) == 2
-    with pytest.raises(ValueError):
-        HankelView(s, 4, 4)
+    # reads the truncation alpha_0..alpha_2
+    assert hankel_matrix(s, 2, 2) == [[0, 1], [1, 2]]
+    with pytest.raises(ValueError, match="exceeds the sequence"):
+        hankel_matrix(s, 4, 4)
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        hankel_matrix(s, 0, 2)
 
 
 def test_rank_fixtures():
     zero = Seq(F3, (0,) * 5)
-    assert rank(HankelView(zero, 3, 3)) == 0
-    assert len(kernel_basis(HankelView(zero, 3, 3))) == 3
+    assert rank(zero, 3, 3) == 0
+    assert len(kernel_basis(zero, 3, 3)) == 3
     s = Seq.from_literal(F3, "0,0,0,0,1")
-    assert rank(HankelView(s, 3, 3)) == 1
+    assert rank(s, 3, 3) == 1
 
 
 def test_rank_equals_min_rule():
@@ -84,7 +85,7 @@ def test_rank_equals_min_rule():
             r = profile(s).r
             for l in range(n + 1):
                 m = n - l
-                assert rank(HankelView(s, l + 1, m + 1)) == min(r, l + 1, m + 1)
+                assert rank(s, l + 1, m + 1) == min(r, l + 1, m + 1)
 
 
 def test_profile_fixtures():
@@ -140,10 +141,9 @@ def test_rhopi_form_shape_exhaustive():
                 rows, cols = l + 1, n - l + 1
                 if rows < p.r or cols < p.r:
                     continue
-                view = HankelView(s, rows, cols)
-                mat, x = gauss_rhopi_form(view)
+                mat, x = gauss_rhopi_form(s, rows, cols)
                 if rho == 0:
-                    assert mat == view.matrix()
+                    assert mat == hankel_matrix(s, rows, cols)
                 if rho >= 1 and 2 * rho - 1 <= n:
                     assert len(x) == rho
                 if rho < rows:
@@ -153,7 +153,7 @@ def test_rhopi_form_shape_exhaustive():
                     block = [row[rho:] for row in mat[rho:]]
                     assert _is_lower_skew_block(block, p.pi, F3)
                 # row operations preserve the kernel
-                before = kernel_set(view)
+                before = kernel_set(s, rows, cols)
                 after = kernel_set_from_basis(_kernel_basis_raw(mat, cols, F3), cols)
                 assert before == after
 
@@ -262,13 +262,12 @@ def test_kernel_structure_law_small():
                 assert gcd(cp.a1, cp.a2).degree == 0
                 assert cp.a2.degree <= n - p.r + 2
             for m in range(n + 1):
-                view = HankelView(s, n - m + 1, m + 1)
                 span = set()
                 for b1 in polys_upto(F3, m - p.r):
                     base = b1 * cp.a1
                     for b2 in polys_upto(F3, m - (n - p.r + 2)):
                         span.add(coeff_vector(base + b2 * cp.a2, m))
-                assert kernel_set(view) == frozenset(span)
+                assert kernel_set(s, n - m + 1, m + 1) == frozenset(span)
 
 
 @pytest.mark.parametrize(
@@ -307,12 +306,12 @@ def test_pi_zero_iff_nonzero_final_kernel_entry():
                 m = n - l
                 if l + 1 < p.r:
                     continue
-                basis = kernel_basis(HankelView(s, l + 1, m + 1))
+                basis = kernel_basis(s, l + 1, m + 1)
                 has_final = any(v[-1] != 0 for v in basis)
                 if m + 1 >= p.r + 1:
                     assert has_final == (p.pi == 0)
                 if p.pi == 0 and basis:
-                    vecs = kernel_set(HankelView(s, l + 1, m + 1))
+                    vecs = kernel_set(s, l + 1, m + 1)
                     zero_final = sum(1 for v in vecs if v[-1] == 0)
                     assert len(vecs) == 3 * zero_final
 
@@ -321,14 +320,14 @@ def test_last_entry_removal_remark():
     for n in (2, 4):
         for s in seqs(F3, n):
             p = profile(s)
-            shorter = s.truncate(n - 1)
+            shorter = Seq(F3, s.entries[:n])
             ps = profile(shorter)
             if p.strict_pi >= 1:
                 assert ps.strict == (p.r - 1, p.strict_rho, p.strict_pi - 1)
             else:
                 assert ps.strict == p.strict
-            ker_full = 3 ** (s.n1 - rank(HankelView(s, s.n1, s.n1)))
-            ker_short = 3 ** (s.n1 - rank(HankelView(shorter, s.n1 - 1, s.n1)))
+            ker_full = 3 ** (s.n1 - rank(s, s.n1, s.n1))
+            ker_short = 3 ** (s.n1 - rank(shorter, s.n1 - 1, s.n1))
             if p.strict_pi >= 1:
                 assert ker_full * 3 == ker_short
             else:
@@ -355,12 +354,12 @@ def test_seq_extend_fixtures():
     zeros = _extend(Seq.from_literal(F3, "1,0,0,0,0"), 2)
     assert zeros.entries == (1, 0, 0, 0, 0, 0, 0)
     s = Seq.from_literal(F3, "1,2,1,2")
-    assert _extend(s, 4).truncate(3) == s
+    assert _extend(s, 4).entries[:4] == s.entries
     # with pi > 0 no recurrence of order rho spans the sequence, and the
     # expansion loses it
     s = Seq.from_literal(F3, "0,0,0,0,1")
     assert profile(s).pi > 0
-    assert _extend(s, 1).truncate(4) != s
+    assert _extend(s, 1).entries[:5] != s.entries
 
 
 def test_seq_extend_satisfies_recurrence():
@@ -373,7 +372,7 @@ def test_seq_extend_satisfies_recurrence():
                 if p.pi != 0:
                     continue
                 ext = _extend(s, 3)
-                assert ext.truncate(s.n) == s
+                assert ext.entries[: s.n + 1] == s.entries
                 a1 = char_polys(s).a1
                 out = odot(ext, a1, max(p.r, a1.degree))
                 assert all(e == 0 for e in out.entries)
@@ -431,7 +430,7 @@ def test_census_matches_formula_other_fields():
 
 def test_census_guard_and_workers():
     with pytest.raises(TooLargeError):
-        census_enumerate(F3, 8, 0, cap=100)
+        census_enumerate(F3, 8, 0, guard=100)
     serial = census_enumerate(F3, 4, 1)
     parallel = census_enumerate(F3, 4, 1, workers=2)
     assert serial.standard == parallel.standard
@@ -481,7 +480,7 @@ def test_odot_matches_toeplitz_product():
                         if k < 1 or l + k - 2 > reduced.n:
                             continue
                         mat = toeplitz_mat(w, pad, k)
-                        big = HankelView(s, l, k + pad).matrix()
+                        big = hankel_matrix(s, l, k + pad)
                         prod = [
                             [
                                 sum(big[i][x] * mat[x][j] for x in range(k + pad)) % 3
@@ -489,7 +488,7 @@ def test_odot_matches_toeplitz_product():
                             ]
                             for i in range(l)
                         ]
-                        assert prod == HankelView(reduced, l, k).matrix()
+                        assert prod == hankel_matrix(reduced, l, k)
 
 
 def test_reduction_profile_fixtures():
@@ -527,6 +526,44 @@ def test_reduction_exhaustive_small():
                     actual = profile(reduced)
                     assert (pred.r, pred.rho, pred.pi) == actual.standard
                     assert pred.a1 == char_polys(reduced).a1
+
+
+def test_reduction_law_beyond_the_envelope_by_class():
+    # q=3 past the exhaustive n <= 6, at the n of criterion 11 (18) and of
+    # the ladder (20): members of every bijection class (r, r, 0) with
+    # h = 0, 1 and 6 leading zeros, each beside a copy whose recurrence is
+    # broken in one of its last three entries (pi > 0); two members each
+    rng = random.Random(20)
+    ws = [Poly.one(F3), p3(0, 1), p3(1, 1), p3(1, 0, 1)]
+    classes = set()
+    for n in (18, 20):
+        for r in hankel.bijection_ranks(n):
+            for h in (0, 1, 6, 0, 1, 6):
+                if h >= r:
+                    continue
+                a = Poly(F3, (*(rng.randrange(3) for _ in range(r)), 1))
+                b = Poly.zero(F3)
+                while b.is_zero or gcd(a, b).degree != 0:
+                    b = Poly(F3, (rng.randrange(3) for _ in range(r - h)))
+                member = bijection_inverse(a, b, n, h)
+                broken = list(member.entries)
+                i = n - rng.randrange(3)
+                broken[i] = (broken[i] + rng.randrange(1, 3)) % 3
+                for seq in (member, Seq(F3, broken)):
+                    prof, polys = _profile_and_polys(seq)
+                    for w in ws:
+                        for pad in range(w.degree, 3):
+                            if n < 2 * prof.r + pad - 1:
+                                continue
+                            pred = hankel._predict_reduction(prof, polys, w, pad)
+                            actual, actual_polys = _profile_and_polys(odot(seq, w, pad))
+                            assert (pred.r, pred.rho, pred.pi, pred.a1) == (
+                                *actual.standard, actual_polys.a1
+                            ), (seq, w, pad)
+                            classes.add(prof.standard)
+    # every class (r, r, 0) that meets n >= 2r - 1, and classes with pi > 0
+    assert {c for c in classes if c[2] == 0} == {(r, r, 0) for r in range(3, 11)}
+    assert any(c[2] > 0 for c in classes)
 
 
 def test_reduction_strict_class():

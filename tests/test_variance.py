@@ -11,7 +11,6 @@ from hfq.hankel import bijection_ranks
 from hfq.polyring import Poly, monics, polys_upto
 from hfq.variance import (
     ThmParams,
-    case_classify,
     f_formula,
     interval_sum,
     kernel_sum_identity,
@@ -76,7 +75,7 @@ def test_sides_and_rank_ranges_match_the_parity_table():
                         monic, full, lo = (u, s, sp), (v, t, tp), sp + 1
                     else:
                         monic, full, lo = (v, t, tp), (u, s, sp), tp + 1
-                    assert par.side(u, v, True) == monic and par.side(u, v, False) == full
+                    assert par.side(True) == monic and par.side(False) == full
                     r1 = par.r1_ranks()
                     assert (r1.start, r1.stop) == (lo, n - h + 1)
                     n2_seq = ((n - 1) + 3) // 2
@@ -232,17 +231,17 @@ def test_m_factor_fixtures():
 
 
 def test_case_classify_fixtures():
-    assert case_classify(U1, V1, 4, 3) == "case1"
-    assert case_classify(U2, V1, 6, 3) == "case2"
-    assert case_classify(U1, V1, 2, 0) == "uncovered"
-    assert case_classify(U1, V1, 18, 6) == "case3"
+    assert ThmParams.compute(U1, V1, 4, 3).case == "case1"
+    assert ThmParams.compute(U2, V1, 6, 3).case == "case2"
+    assert ThmParams.compute(U1, V1, 2, 0).case == "uncovered"
+    assert ThmParams.compute(U1, V1, 18, 6).case == "case3"
 
 
 def test_cases_are_exclusive_and_honest():
     for n in range(2, 9):
         for h in range(n + 1):
-            label = case_classify(U2, V1, n, h)
             par = ThmParams.compute(U2, V1, n, h)
+            label = par.case
             hi = par.s_prime + par.s if par.even else par.t_prime + par.t
             if label == "case1":
                 assert h >= hi
@@ -257,7 +256,6 @@ def test_cases_are_exclusive_and_honest():
 def test_theorem_predict_case1():
     rep = theorem_predict(U1, V1, 4, 3)
     rep.oracle = variance_bruteforce(U1, V1, 4, 3)
-    rep.finish()
     assert rep.case == "case1" and rep.theorem_value == 0 and rep.residual == 0
 
 
