@@ -3,6 +3,9 @@
     PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label after --out BENCH_14.json
     PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label pair \
         --parent ../parent-checkout --out BENCH_16.json
+    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src python bench/layers.py --label pair \
+        --parent ../parent-checkout --only fast_tally --only closed_form_q3_n6_h3 \
+        --repeats 4 --out BENCH_19.json
 
 imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
 (merged with the labels already there):
@@ -10,8 +13,8 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
 - the machine, its CPU count and the numpy version;
 - fastpath.walk throughput, in sequences/s (leaves times q - 1), over all
   of F_3^12 with the one view (1,);
-- the fast variance tally, variance_charsum(1, T, n, h, "fast") over F_3,
-  at (n, h) = (12, 4) and (16, 6);
+- the fast variance tally, variance_charsum(par, "fast") over F_3 at the
+  point (U, V, n, h) = (1, T, n, h), for (n, h) = (12, 4) and (16, 6);
 - in-process layers, each the best of 7 passes in a fresh interpreter:
   the class/pair bijection, where Poly division does the work
   (bijection_map plus bijection_inverse over 2,000 class-(4, 4, 0) F_3
@@ -19,8 +22,10 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   random operand pairs each); Poly mul, divmod and gcd over F_3 (500 random
   pairs of monic degree-20 polynomials, divmod dividing their product plus
   the first by the second); fastpath.qform_counts, monic and full, on 3,000
-  random F_3 sequences at l = 4; and variance_bruteforce over F_3 at
-  (U, V, n, h) = (T^2 + 1, T, 12, 4);
+  random F_3 sequences at l = 4; and the brute-force oracle over F_3 at
+  (U, V, n, h) = (T^2 + 1, T, 12, 4), run as ``hfq.cli.main(["variance",
+  ..., "--oracle"])`` with its stdout discarded, so that both sides of
+  ``--parent`` run the same call whatever the library's signatures;
 - acceptance criterion 11, the same tally at (18, 6);
 - cold start: the wall time and peak resident set size of a fresh
   interpreter that runs the benchmark's set-up, ``import hfq, hfq.cli;
@@ -29,8 +34,10 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   ``census --q 4``, the scalar ``analyze`` and ``identity
   kernel-structure`` (F_3, n <= 3), ``identity quadform`` at level 0 over
   F_9, the phi sieve at kmax 9, a one-process census, and the benchmark's
-  fast_tally variance command, and the closed-form ``variance --q 3 --U
-  1,0,1 --V 0,1 --n 6 --h 3`` (neither --oracle nor --charsum);
+  fast_tally variance command, the closed forms ``variance --q 3 --U
+  1,0,1 --V 0,1 --n 6 --h 3`` (case 2, neither --oracle nor --charsum) and
+  ``variance --q 3 --U 1 --V 0,1 --n 17 --h 6`` (case 3), and the case-2
+  point with ``--oracle --charsum``;
 - the wall time and peak resident set size of the walk-bound CLI
   commands, each in one fresh interpreter: ``hfq variance --q 3 --U 1
   --V 0,1 --n N --h H --charsum --fast --trust-lemmas`` at (N, H) =
@@ -57,6 +64,13 @@ Subprocesses inherit the environment, PYTHONPATH included.  With
 PYTHONDONTWRITEBYTECODE=1 and no hfq bytecode cached, a cold start also
 compiles hfq from source, as the benchmark's fresh interpreters do;
 ``cold_hfq_bytecode_cached`` records whether any was cached.
+
+``--only LABEL`` (repeatable) runs only the named figures: a cold start or
+a command by its label (``COLD_STARTS``, ``COMMANDS``), a perfbench
+workload by its name, ``walk`` for the walk throughput and tallies, and
+``layers`` for the in-process layers.  A change that touches a few
+commands can so compare them over many pairs of runs (``--repeats 4``
+gives 12 pairs of each cold start).
 
 Each figure is the median of --repeats runs (of five times as many for
 the walk throughput, and three times as many for a cold start or an
@@ -94,6 +108,7 @@ import hfq
 from hfq import charsum, fastpath
 from hfq.field import ctx_new
 from hfq.polyring import Poly
+from hfq.variance import ThmParams
 
 
 def _median_s(fn, repeats: int) -> float:
@@ -121,6 +136,10 @@ COLD_STARTS = {
                               "--h", "4", "--charsum", "--fast", "--trust-lemmas"), 0),
     "closed_form_q3_n6_h3": (("variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "6",
                               "--h", "3"), 0),
+    "closed_form_q3_n17_h6": (("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "17",
+                               "--h", "6"), 0),
+    "oracle_charsum_q3_n6_h3": (("variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n",
+                                 "6", "--h", "3", "--oracle", "--charsum"), 0),
 }
 
 
@@ -174,14 +193,19 @@ sys.exit(code)"""
 # prints, as JSON, the best of 7 timed passes of each in-process layer (see
 # the module docstring); the inputs are fixed by the seed, the same on
 # every side
-_LAYERS = """import json, random, time
+_LAYERS = """import contextlib, io, json, random, time
 from itertools import islice
 import numpy as np
+import hfq.cli
 from hfq import fastpath
 from hfq.field import ctx_new, fq_vectors
 from hfq.hankel import Seq, bijection_inverse, bijection_map, profile
 from hfq.polyring import Poly, gcd
-from hfq.variance import variance_bruteforce
+def oracle():
+    argv = ["variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "12", "--h", "4",
+            "--oracle"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert hfq.cli.main(argv) == 0
 def best(fn):
     out = float("inf")
     for _ in range(7):
@@ -198,7 +222,6 @@ polys = [Poly(f3, [rng.randrange(3) for _ in range(20)] + [1]) for _ in range(10
 pairs = list(zip(polys[::2], polys[1::2]))
 quotients = [(a * b + a, b) for a, b in pairs]
 block = np.array([[rng.randrange(3) for _ in range(9)] for _ in range(3000)])
-t, u2 = Poly.t(f3), Poly(f3, (1, 0, 1))
 print(json.dumps({
     "bijection_roundtrip_q3_n8": best(
         lambda: [bijection_inverse(*bijection_map(s, 0), 8, 0) for s in seqs]),
@@ -210,7 +233,7 @@ print(json.dumps({
     "poly_gcd_q3_deg20": best(lambda: [gcd(a, b) for a, b in pairs]),
     "qform_counts_q3_l4": best(
         lambda: [fastpath.qform_counts(f3, block, 4, monic) for monic in (True, False)]),
-    "variance_bruteforce_q3_n12_h4": best(lambda: variance_bruteforce(u2, t, 12, 4)),
+    "variance_oracle_q3_n12_h4": best(oracle),
 }))"""
 
 
@@ -278,14 +301,14 @@ def in_process(repeats: int, parent) -> dict:
     return out
 
 
-def commands(repeats: int, parent) -> dict:
+def commands(repeats: int, parent, labels) -> dict:
     out = {}
-    for label, argv in COMMANDS.items():
-        out.update(_sides(label, argv, 0, repeats, parent))
+    for label in labels:
+        out.update(_sides(label, COMMANDS[label], 0, repeats, parent))
     return out
 
 
-def perfbench(parent) -> dict:
+def perfbench(parent, workloads) -> dict:
     """One run of each workload and seed under this checkout's
     perfbench/run.py and, with ``parent``, under ``parent/perfbench/run.py``
     (keys prefixed ``parent_``), alternating, the first side switching each
@@ -293,7 +316,7 @@ def perfbench(parent) -> dict:
     sides = [("", Path(hfq.__file__).resolve().parents[2])]
     if parent:
         sides.append(("parent_", Path(parent).resolve()))
-    runs = [(w, s) for w in PERFBENCH_WORKLOADS for s in PERFBENCH_SEEDS]
+    runs = [(w, s) for w in workloads for s in PERFBENCH_SEEDS]
     out = {}
     for i, (workload, seed) in enumerate(runs):
         for prefix, root in sides[:: -1 if i % 2 else 1]:
@@ -308,18 +331,20 @@ def perfbench(parent) -> dict:
     return out
 
 
-def cold_start(repeats: int, parent) -> dict:
+def cold_start(repeats: int, parent, labels) -> dict:
     pycache = os.path.join(os.path.dirname(hfq.__file__), "__pycache__")
     out = {"cold_hfq_bytecode_cached": bool(glob.glob(os.path.join(pycache, "*.pyc")))}
     if parent:
         pycache = os.path.join(parent, "src", "hfq", "__pycache__")
         out["parent_cold_hfq_bytecode_cached"] = bool(glob.glob(os.path.join(pycache, "*.pyc")))
-    for label, (argv, code) in COLD_STARTS.items():
+    for label in labels:
+        argv, code = COLD_STARTS[label]
         out.update(_sides(f"cold_{label}", argv, code, 3 * repeats, parent))
     return out
 
 
-def measure(repeats: int, parent=None) -> dict:
+def walk_figures(repeats: int) -> dict:
+    """The walk's throughput and the fast tallies, on this checkout only."""
     f3 = ctx_new(3)
     one, t = Poly.one(f3), Poly.t(f3)
 
@@ -330,25 +355,41 @@ def measure(repeats: int, parent=None) -> dict:
     walk_s = _median_s(walk, 5 * repeats)
 
     def tally(n, h):
-        return lambda: charsum.variance_charsum(one, t, n, h, mode="fast")
+        par = ThmParams.compute(one, t, n, h)
+        return lambda: charsum.variance_charsum(par, mode="fast")
 
     return {
+        "fastpath.walk_seq_per_s": round(walk() * (f3.q - 1) / walk_s),
+        "walk_tally_s_n12_h4": _median_s(tally(12, 4), repeats),
+        "walk_tally_s_n16_h6": _median_s(tally(16, 6), repeats),
+        "criterion_11_s": _median_s(tally(18, 6), repeats),
+        "criterion_11_value": str(tally(18, 6)()),
+    }
+
+
+# the figures --only can name
+LABELS = ("walk", "layers", *COLD_STARTS, *COMMANDS, *PERFBENCH_WORKLOADS)
+
+
+def measure(repeats: int, parent=None, only=None) -> dict:
+    """Every figure, or with ``only`` the figures it names."""
+    only = set(only or LABELS)
+    out = {
         "machine": platform.machine(),
         "processor": platform.processor() or platform.machine(),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "repeats": repeats,
-        "fastpath.walk_seq_per_s": round(walk() * (f3.q - 1) / walk_s),
-        "walk_tally_s_n12_h4": _median_s(tally(12, 4), repeats),
-        "walk_tally_s_n16_h6": _median_s(tally(16, 6), repeats),
-        "criterion_11_s": _median_s(tally(18, 6), repeats),
-        "criterion_11_value": str(tally(18, 6)()),
-        **in_process(repeats, parent),
-        **cold_start(repeats, parent),
-        **commands(repeats, parent),
-        **perfbench(parent),
     }
+    if "walk" in only:
+        out.update(walk_figures(repeats))
+    if "layers" in only:
+        out.update(in_process(repeats, parent))
+    out.update(cold_start(repeats, parent, [l for l in COLD_STARTS if l in only]))
+    out.update(commands(repeats, parent, [l for l in COMMANDS if l in only]))
+    out.update(perfbench(parent, [w for w in PERFBENCH_WORKLOADS if w in only]))
+    return out
 
 
 def main() -> None:
@@ -358,12 +399,14 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--parent", metavar="DIR",
                     help="a second checkout whose src each cold start and command alternates with")
+    ap.add_argument("--only", action="append", choices=LABELS, metavar="LABEL",
+                    help="run only this figure (repeatable): " + ", ".join(LABELS))
     args = ap.parse_args()
     data = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             data = json.load(fh)
-    data[args.label] = measure(args.repeats, args.parent)
+    data[args.label] = measure(args.repeats, args.parent, args.only)
     with open(args.out, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from .errors import HfqError, check_guard
 
 if TYPE_CHECKING:
-    from .polyring import Poly
+    from .variance import ThmParams
 
 # q -> the largest l that the acceptance suite runs check_quadform to; the
 # CLI trusts --fast (closed-form magnitudes) only inside this envelope.
@@ -43,14 +43,7 @@ def magsq_exponents(l: int, r, strict_pi, monic: bool):
     return np.where(strict_pi <= 1, 2 * l + strict_pi - r, -1)
 
 
-def variance_charsum(
-    u: Poly,
-    v: Poly,
-    n: int,
-    h: int,
-    mode: str = "exact",
-    guard: int = 10**8,
-) -> Fraction:
+def variance_charsum(par: ThmParams, mode: str = "exact", guard: int = 10**8) -> Fraction:
     """The variance as a character sum over sequences with h leading zeros.
 
     Exact mode sums both quadratic-form characters for one sequence per
@@ -61,12 +54,11 @@ def variance_charsum(
     sequences, times the monic and full vectors summed over in exact mode.
     """
     from .polyring import coeff_vector
-    from .variance import ThmParams
 
     if mode not in ("exact", "fast"):
         raise HfqError(f"unknown mode {mode!r}")
-    par = ThmParams.compute(u, v, n, h)
-    ctx = u.ctx
+    n, h = par.n, par.h
+    ctx = par.u.ctx
     q = ctx.q
     mw, m_width, l_m = par.side(True)
     aw, a_width, l_a = par.side(False)

@@ -16,7 +16,7 @@ from .errors import HfqError, check_guard
 from .field import FieldCtx, fq_vectors
 
 if TYPE_CHECKING:
-    from .polyring import Poly
+    from .variance import ThmParams
 
 _MAX_DETAIL = 8
 
@@ -263,28 +263,26 @@ def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = 10**8) -> Ch
     return res
 
 
-def _check_ranks(title: str, label: str, identity, ranks, u, v, n, h, guard) -> CheckResult:
-    """One identity at every rank of its range for one (n, h)."""
-    res = CheckResult(f"{title} identity (n={n}, h={h})")
+def _check_ranks(title: str, label: str, identity, ranks, par, guard) -> CheckResult:
+    """One identity at every rank of its range for one point."""
+    res = CheckResult(f"{title} identity (n={par.n}, h={par.h})")
     for r in ranks:
-        lhs, rhs = identity(u, v, n, h, r, guard=guard)
+        lhs, rhs = identity(par, r, guard=guard)
         res.count(lhs == rhs, f"{label}={r}: lhs {lhs} != rhs {rhs}")
     return res
 
 
-def check_kernel_sum(u: Poly, v: Poly, n: int, h: int, guard: int = 10**8) -> CheckResult:
-    """kernel_sum_identity at every feasible rank for one (n, h)."""
+def check_kernel_sum(par: ThmParams, guard: int = 10**8) -> CheckResult:
+    """kernel_sum_identity at every feasible rank for one point."""
     from . import variance
 
-    par = variance.ThmParams.compute(u, v, n, h)
     # below h = n2 - 1 the identity has no domain: nothing to check
-    ranks = par.r1_ranks() if h >= par.n2 - 1 else ()
-    return _check_ranks("kernel-sum", "r1", variance.kernel_sum_identity, ranks, u, v, n, h, guard)
+    ranks = par.r1_ranks() if par.h >= par.n2 - 1 else ()
+    return _check_ranks("kernel-sum", "r1", variance.kernel_sum_identity, ranks, par, guard)
 
 
-def check_w_sum(u: Poly, v: Poly, n: int, h: int, guard: int = 10**8) -> CheckResult:
-    """w_sum_identity at every feasible rank for one (n, h)."""
+def check_w_sum(par: ThmParams, guard: int = 10**8) -> CheckResult:
+    """w_sum_identity at every feasible rank for one point."""
     from . import variance
 
-    ranks = variance.ThmParams.compute(u, v, n, h).w_ranks()
-    return _check_ranks("w-sum", "r", variance.w_sum_identity, ranks, u, v, n, h, guard)
+    return _check_ranks("w-sum", "r", variance.w_sum_identity, par.w_ranks(), par, guard)

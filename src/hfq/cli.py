@@ -183,9 +183,8 @@ def cmd_variance(args) -> int:
     ctx = _build_ctx(args)
     u = Poly.from_literal(ctx, args.U)
     v = Poly.from_literal(ctx, args.V)
-    n, h = args.n, args.h
-    report = variance.theorem_predict(u, v, n, h)
-    par = report.params
+    par = variance.ThmParams.compute(u, v, args.n, args.h)
+    report = variance.theorem_predict(par)
     if args.fast and not args.trust_lemmas and not _fast_envelope_ok(
         ctx.q, par.s_prime, par.t_prime
     ):  # refused before the oracle runs
@@ -193,19 +192,19 @@ def cmd_variance(args) -> int:
             "--fast outside the exhaustively verified envelope; pass --trust-lemmas to proceed"
         )
     if args.oracle:
-        report.oracle = variance.variance_bruteforce(u, v, n, h, guard=args.guard)
+        report.oracle = variance.variance_bruteforce(par, guard=args.guard)
     if args.charsum:
         from . import charsum
 
         report.charsum_value = charsum.variance_charsum(
-            u, v, n, h, mode="fast" if args.fast else "exact", guard=args.guard
+            par, mode="fast" if args.fast else "exact", guard=args.guard
         )
     payload = {
         "q": ctx.q,
         "U": u.literal(),
         "V": v.literal(),
-        "n": n,
-        "h": h,
+        "n": par.n,
+        "h": par.h,
         "case": report.case,
         "oracle": _rat(report.oracle),
         "charsum": _rat(report.charsum_value),
@@ -259,7 +258,7 @@ def cmd_identity(args) -> int:
         for n in _parse_range(args.n, "n"):
             for h in _parse_range(args.h, "h"):
                 if variance.ThmParams.domain_error(u, v, n, h) is None:
-                    results.append(fn(u, v, n, h, guard=guard))
+                    results.append(fn(variance.ThmParams.compute(u, v, n, h), guard=guard))
     else:
         raise HfqError(f"unknown identity kind {kind!r}")
     results = [res for res in results if res.checked > 0]
@@ -321,11 +320,12 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp) -> None:
+def _add_common(sp, with_json: bool = False) -> None:
     sp.add_argument("--q", type=int, required=True, help="field size (prime power)")
     sp.add_argument("--modulus", help="defining polynomial over F_p when q = p^k, k > 1")
     sp.add_argument("--guard", type=int, help="enumeration step cap (default HFQ_GUARD or 10^8)")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
+    if with_json:  # the commands that also print text
+        sp.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def build_parser() -> _Parser:
@@ -334,7 +334,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("census", parents=[], help="class sizes vs enumeration")
-    _add_common(sp)
+    _add_common(sp, with_json=True)
     sp.add_argument("--n", required=True, help="range, e.g. 2..5")
     sp.add_argument("--h", required=True, help="range, e.g. 0..6")
     sp.add_argument("--workers", type=int, default=1, help="worker processes (1..CPU count)")
@@ -353,7 +353,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_variance)
 
     sp = sub.add_parser("identity", help="exhaustive checks of the supporting identities")
-    _add_common(sp)
+    _add_common(sp, with_json=True)
     sp.add_argument(
         "kind",
         choices=[
@@ -375,7 +375,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_identity)
 
     sp = sub.add_parser("phisum", help="restricted totient-ratio convergence")
-    _add_common(sp)
+    _add_common(sp, with_json=True)
     sp.add_argument("--W2", required=True)
     sp.add_argument("--W3", required=True)
     sp.add_argument("--kmax", type=int, required=True)

@@ -229,15 +229,6 @@ def gcd(a: Poly, b: Poly) -> Poly:
 # enumeration
 
 
-def polys_of_degree(ctx: FieldCtx, n: int) -> Iterator[Poly]:
-    """All polynomials of exact degree n (empty for n < 0)."""
-    if n < 0:
-        return
-    for lead in range(1, ctx.q):
-        for tail in fq_vectors(ctx, n):
-            yield Poly(ctx, tail + (lead,))
-
-
 def monics(ctx: FieldCtx, n: int) -> Iterator[Poly]:
     """All monic polynomials of exact degree n (empty for n < 0)."""
     if n < 0:
@@ -247,10 +238,10 @@ def monics(ctx: FieldCtx, n: int) -> Iterator[Poly]:
 
 
 def polys_upto(ctx: FieldCtx, n: int) -> Iterator[Poly]:
-    """All polynomials of degree <= n, including 0; just {0} for n < 0."""
-    yield Poly.zero(ctx)
-    for d in range(max(n + 1, 0)):
-        yield from polys_of_degree(ctx, d)
+    """All polynomials of degree <= n, including 0, in the code order of
+    their coefficient vectors: by degree, then leading coefficient, then
+    tail; just {0} for n < 0."""
+    return (Poly(ctx, v) for v in fq_vectors(ctx, max(n + 1, 0)))
 
 
 def monics_upto(ctx: FieldCtx, n: int) -> Iterator[Poly]:

@@ -7,12 +7,13 @@ code asserts it).
 
 Hypotheses used throughout: U, V monic and coprime, deg U even, deg V odd,
 and 0 <= h <= n.  For odd n the roles of U and V swap, which is what the
-parity table in ThmParams encodes.
+parity table in ThmParams encodes.  ThmParams.compute checks a point once;
+every function that takes the point as ``par`` trusts it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
@@ -124,6 +125,7 @@ class ThmParams:
 
     @classmethod
     def compute(cls, u: Poly, v: Poly, n: int, h: int) -> "ThmParams":
+        """The checked point: the one way a point enters the variance layer."""
         validate_pair(u, v)
         reason = cls.domain_error(u, v, n, h)
         if reason:
@@ -157,14 +159,11 @@ def s_count(u: Poly, v: Poly, b: Poly, guard: int = 10**8) -> int:
     return count
 
 
-def mean_formula(u: Poly, v: Poly, n: int, h: int) -> Fraction:
+def mean_formula(par: ThmParams) -> Fraction:
     """Average interval sum: 2 q^(h - deg U/2 - deg V/2 + 1/2), an exact
-    rational because the exponent is an integer under the parity hypotheses."""
-    validate_pair(u, v)
-    num = 1 - u.degree - v.degree
-    if num % 2:
-        raise HfqError("mean exponent is not an integer")
-    return 2 * Fraction(u.ctx.q) ** (h + num // 2)
+    rational because deg U + deg V is odd, so the exponent is an integer."""
+    num = 1 - par.u.degree - par.v.degree
+    return 2 * Fraction(par.u.ctx.q) ** (par.h + num // 2)
 
 
 def interval_sum(u: Poly, v: Poly, a: Poly, h: int, guard: int = 10**8) -> int:
@@ -211,18 +210,17 @@ def _binned_interval_sums(par: ThmParams) -> np.ndarray:
     return 2 * counts
 
 
-def variance_bruteforce(u: Poly, v: Poly, n: int, h: int, guard: int = 10**8) -> Fraction:
+def variance_bruteforce(par: ThmParams, guard: int = 10**8) -> Fraction:
     """Exact variance of the interval sums over all monic centres of degree n,
     from the sum S1 and the sum of squares S2 of every class's interval sum.
     Pairs are capped at 2^30 so that S2 <= S1^2 = (2 pairs)^2 is exact in int64."""
-    par = ThmParams.compute(u, v, n, h)
-    q = u.ctx.q
+    q = par.u.ctx.q
     pairs = q ** (par.s_prime + par.t_prime + 1)
-    classes = q ** (n - h)
+    classes = q ** (par.n - par.h)
     check_guard(max(pairs, classes), min(guard, 2**30), "enumeration")
     counts = _binned_interval_sums(par)
     s1, s2 = int(counts.sum()), int(counts @ counts)
-    mean = mean_formula(u, v, n, h)
+    mean = mean_formula(par)
     return (s2 - 2 * mean * s1 + classes * mean * mean) / classes
 
 
@@ -254,29 +252,26 @@ def _boxes(par: ThmParams, r1: int):
         yield w, half, (half + width - r1 - low, r1 - half - 1 - low, monic)
 
 
-def f_formula(u: Poly, v: Poly, n: int, h: int) -> Fraction:
+def f_formula(par: ThmParams) -> Fraction:
     """The double gcd-divisibility sum whose q^h multiple is the exact
     variance in the boundary range; 0 when the rank range is empty."""
-    par = ThmParams.compute(u, v, n, h)
-    q = u.ctx.q
-    duv = u.degree + v.degree
+    q = par.u.ctx.q
+    duv = par.u.degree + par.v.degree
     pref = Fraction(4 * (q - 1), q ** ((1 + duv) // 2))
     acc = Fraction(0)
     for r1 in par.r1_ranks():
-        term = Fraction(q) ** (r1 - (n - h))
+        term = Fraction(q) ** (r1 - (par.n - par.h))
         for w, _, box in _boxes(par, r1):
             term *= gcd_divisibility_sum(w, *box)
         acc += term
     return pref * acc
 
 
-def m_factor(u: Poly, v: Poly) -> Fraction:
-    """|UV|^(-1) prod over primes P | UV of (1 + (|P|-1)/(|P|+1) e_P(UV))."""
-    validate_pair(u, v)
-    w = u * v
-    if w.degree == 0:
-        raise HfqError("UV must be non-constant")
-    q = u.ctx.q
+def m_factor(par: ThmParams) -> Fraction:
+    """|UV|^(-1) prod over primes P | UV of (1 + (|P|-1)/(|P|+1) e_P(UV));
+    UV is non-constant because deg V is odd."""
+    w = par.u * par.v
+    q = w.ctx.q
     out = Fraction(1, w.abs_value())
     for prime, mult in factor(w):
         ap = q**prime.degree
@@ -322,7 +317,7 @@ class VarianceReport:
         return self.case not in ("case1", "case2") or self.residual in (None, 0)
 
 
-def theorem_predict(u: Poly, v: Poly, n: int, h: int) -> VarianceReport:
+def theorem_predict(par: ThmParams) -> VarianceReport:
     """Closed-form prediction for the classified case.
 
     case1: exact 0.  case2: exact q^h f(n, h) / |UV|.  case3: main term
@@ -337,24 +332,23 @@ def theorem_predict(u: Poly, v: Poly, n: int, h: int) -> VarianceReport:
     oracle confirms it (e.g. q=3, U=T^2+1, V=T: variance is 24 at
     (n,h)=(6,3) and 72 at (8,4), matching q^h f / |UV| at both).
     """
-    par = ThmParams.compute(u, v, n, h)
-    q = u.ctx.q
+    q, n, h = par.u.ctx.q, par.n, par.h
     case = par.case
     report = VarianceReport(par)
-    abs_uv = (u * v).abs_value()
+    abs_uv = (par.u * par.v).abs_value()
     if case == "case1":
         report.theorem_value = Fraction(0)
     elif case == "case2":
-        report.theorem_value = Fraction(q**h, abs_uv) * f_formula(u, v, n, h)
+        report.theorem_value = Fraction(q**h, abs_uv) * f_formula(par)
     elif case == "case3":
         report.main_term = (
-            4 * (1 - Fraction(1, q)) * q**h * m_factor(u, v) * Fraction(n - 2 * h, 2)
+            4 * (1 - Fraction(1, q)) * q**h * m_factor(par) * Fraction(n - 2 * h, 2)
         )
-        report.secondary_term = Fraction(q) ** (2 * h - (par.n2 - 1)) * f_formula(
-            u, v, n, par.n1 - 1
-        ) / abs_uv
+        # the parity table depends on (U, V, n) alone, so only h moves
+        secondary = f_formula(replace(par, h=par.n1 - 1))
+        report.secondary_term = Fraction(q) ** (2 * h - (par.n2 - 1)) * secondary / abs_uv
         report.theorem_value = report.main_term + report.secondary_term
-        duv = u.degree + v.degree
+        duv = par.u.degree + par.v.degree
         report.error_scale = (
             Fraction(q**h, abs_uv),
             Fraction(q ** (h + 2) * duv),
@@ -362,9 +356,7 @@ def theorem_predict(u: Poly, v: Poly, n: int, h: int) -> VarianceReport:
     return report
 
 
-def kernel_sum_identity(
-    u: Poly, v: Poly, n: int, h: int, r1: int, guard: int = 10**8
-):
+def kernel_sum_identity(par: ThmParams, r1: int, guard: int = 10**8):
     """Both sides of the counting identity tying the kernel-polynomial sum to
     the gcd-divisibility sums, at one rank r1.
 
@@ -378,15 +370,14 @@ def kernel_sum_identity(
     the two sides genuinely differ, e.g. 15 vs 18 at (U, V, n, h, r1) =
     (1, T, 3, 0, 3) over F_3.
     """
-    par = ThmParams.compute(u, v, n, h)
-    if h < par.n2 - 1:
-        raise HfqError(f"identity needs h >= n2 - 1 = {par.n2 - 1}; h = {h} is below it")
+    if par.h < par.n2 - 1:
+        raise HfqError(f"identity needs h >= n2 - 1 = {par.n2 - 1}; h = {par.h} is below it")
     ranks = par.r1_ranks()
     if r1 not in ranks:
         raise HfqError(f"r1 = {r1} outside [{ranks.start}, {ranks.stop - 1}]")
-    ctx = u.ctx
+    ctx = par.u.ctx
     q = ctx.q
-    da = n - r1 + 1
+    da = par.n - r1 + 1
     sides = []
     for w, half, box in _boxes(par, r1):
         _, d2, monic = box
@@ -411,17 +402,17 @@ def kernel_sum_identity(
                 break
         lhs += term
 
-    rhs = Fraction(q**da, (u * v).abs_value())
+    rhs = Fraction(q**da, (par.u * par.v).abs_value())
     for w, _, _, box in sides:
         rhs *= gcd_divisibility_sum(w, *box)
     return Fraction(lhs), rhs
 
 
-def w_sum_identity(u: Poly, v: Poly, n: int, h: int, r: int, guard: int = 10**8):
+def w_sum_identity(par: ThmParams, r: int, guard: int = 10**8):
     """Both sides of the stratified count over the full-recurrence class of
     length-n sequences: sum of |gcd(a1, U)| |gcd(a1, V)| against the
     divisor-stratified coprime-pair count with W = UV."""
-    par = ThmParams.compute(u, v, n, h)
+    u, v, n, h = par.u, par.v, par.n, par.h
     ctx = u.ctx
     q = ctx.q
     ranks = par.w_ranks()

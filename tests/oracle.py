@@ -191,10 +191,9 @@ def batched_profile(ctx, block):
     return fastpath._last(ctx, state, slice(None), block[:, m - 1])
 
 
-def _windows(u: Poly, v: Poly, n: int, h: int):
+def _windows(par: ThmParams):
     """(m_vec, l_m, a_vec, l_a): the monic and full sides' coefficient
     vectors and quadratic-form levels."""
-    par = ThmParams.compute(u, v, n, h)
     mw, m_width, l_m = par.side(True)
     aw, a_width, l_a = par.side(False)
     return coeff_vector(mw, m_width), l_m, coeff_vector(aw, a_width), l_a
@@ -204,12 +203,12 @@ def _not_near_zero(block):
     return block[block[:, :-1].any(axis=1)]  # near-zero classes carry the squared mean
 
 
-def fast_variance_unreduced(u: Poly, v: Poly, n: int, h: int) -> Fraction:
+def fast_variance_unreduced(par: ThmParams) -> Fraction:
     """variance_charsum's fast mode as one loop over every sequence with h
     leading zeros: code blocks, sliding products and the batched profile of
     each, with no scalar orbits and no prefix sharing."""
-    ctx, q = u.ctx, u.ctx.q
-    m_vec, l_m, a_vec, l_a = _windows(u, v, n, h)
+    ctx, q, n, h = par.u.ctx, par.u.ctx.q, par.n, par.h
+    m_vec, l_m, a_vec, l_a = _windows(par)
     total = 0
     for block in blocks(ctx, n + 1 - h, zeros=h):
         block = _not_near_zero(block)
@@ -222,11 +221,11 @@ def fast_variance_unreduced(u: Poly, v: Poly, n: int, h: int) -> Fraction:
     return Fraction(4 * q ** (2 * h), q ** (2 * n + 1)) * total
 
 
-def exact_variance_unreduced(u: Poly, v: Poly, n: int, h: int) -> Fraction:
+def exact_variance_unreduced(par: ThmParams) -> Fraction:
     """variance_charsum's exact mode as one loop over every sequence with h
     leading zeros: both character sums of each, with no orbits."""
-    ctx, q = u.ctx, u.ctx.q
-    m_vec, l_m, a_vec, l_a = _windows(u, v, n, h)
+    ctx, q, n, h = par.u.ctx, par.u.ctx.q, par.n, par.h
+    m_vec, l_m, a_vec, l_a = _windows(par)
     total = 0
     for block in blocks(ctx, n + 1 - h, zeros=h):
         block = _not_near_zero(block)

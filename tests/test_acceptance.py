@@ -68,17 +68,19 @@ def test_criterion_06_variance_identity():
             if ThmParams.domain_error(one, t, n, 0):
                 continue
             for h in range(n + 1):
-                oracle = variance_bruteforce(one, t, n, h)
-                cs = charsum.variance_charsum(one, t, n, h, mode="exact")
+                par = ThmParams.compute(one, t, n, h)
+                oracle = variance_bruteforce(par)
+                cs = charsum.variance_charsum(par, mode="exact")
                 res.count(
                     oracle == cs,
                     f"q={ctx.q} n={n} h={h}: oracle {oracle} != charsum {cs}",
                 )
     one, t, _ = _pairs(F3)
     res.count(
-        variance_bruteforce(one, t, 2, 0) == Fraction(40, 9), "fixture (2,0) != 40/9"
+        variance_bruteforce(ThmParams.compute(one, t, 2, 0)) == Fraction(40, 9),
+        "fixture (2,0) != 40/9",
     )
-    res.count(variance_bruteforce(one, t, 2, 1) == 0, "fixture (2,1) != 0")
+    res.count(variance_bruteforce(ThmParams.compute(one, t, 2, 1)) == 0, "fixture (2,1) != 0")
     _record("variance-identity", res)
 
 
@@ -98,7 +100,7 @@ def test_criterion_07_case1_vanishing():
     for u, v in ((one, t), (u2, t)):
         for n in range(1, 9):
             for h in _qualifying(u, v, n, "case1"):
-                got = variance_bruteforce(u, v, n, h)
+                got = variance_bruteforce(ThmParams.compute(u, v, n, h))
                 res.count(got == 0, f"U={u!r} n={n} h={h}: variance {got} != 0")
     _record("case1", res)
 
@@ -113,17 +115,19 @@ def test_criterion_08_case2_exact():
     for u, v in ((u2, t), (u2, v3)):
         for n in range(1, 9):
             for h in _qualifying(u, v, n, "case2"):
-                rep = theorem_predict(u, v, n, h)
-                got = variance_bruteforce(u, v, n, h)
+                par = ThmParams.compute(u, v, n, h)
+                rep = theorem_predict(par)
+                got = variance_bruteforce(par)
                 res.count(
                     rep.theorem_value == got,
                     f"U={u!r} V={v!r} n={n} h={h}: predicted {rep.theorem_value}, oracle {got}",
                 )
                 seen += 1
     res.count(seen >= 4, "case-2 envelope unexpectedly empty")
-    fixture = variance_bruteforce(u2, t, 6, 3)
+    par = ThmParams.compute(u2, t, 6, 3)
+    fixture = variance_bruteforce(par)
     res.count(
-        fixture == theorem_predict(u2, t, 6, 3).theorem_value == 24,
+        fixture == theorem_predict(par).theorem_value == 24,
         f"fixture (6,3): {fixture}",
     )
     # the stated f-bound clause is vacuous on this envelope (deg V = 1 gives
@@ -147,13 +151,13 @@ def test_criterion_09_internal_identities():
                 par = ThmParams.compute(u, v, n, h)
                 if h >= par.n2 - 1:
                     for r1 in par.r1_ranks():
-                        lhs, rhs = variance.kernel_sum_identity(u, v, n, h, r1)
+                        lhs, rhs = variance.kernel_sum_identity(par, r1)
                         res.count(
                             lhs == rhs,
                             f"kernel-sum U={u!r} V={v!r} n={n} h={h} r1={r1}: {lhs} != {rhs}",
                         )
                 for r in par.w_ranks():
-                    lhs, rhs = variance.w_sum_identity(u, v, n, h, r)
+                    lhs, rhs = variance.w_sum_identity(par, r)
                     res.count(
                         lhs == rhs,
                         f"w-sum U={u!r} V={v!r} n={n} h={h} r={r}: {lhs} != {rhs}",
@@ -186,9 +190,10 @@ def test_criterion_11_case3_smoke():
     assert _RESULTS["reduction"].ok
     res = checks.CheckResult("asymptotic-regime smoke (n=18, h=6)")
     one, t, _ = _pairs(F3)
-    rep = theorem_predict(one, t, 18, 6)
+    par = ThmParams.compute(one, t, 18, 6)
+    rep = theorem_predict(par)
     res.count(rep.case == "case3", f"classified {rep.case}")
-    exact = charsum.variance_charsum(one, t, 18, 6, mode="fast")
+    exact = charsum.variance_charsum(par, mode="fast")
     rep.charsum_value = exact
     scale = rep.error_scale[0] + rep.error_scale[1]
     res.count(
@@ -216,7 +221,7 @@ def test_criterion_12_mean():
                     tally = variance._binned_interval_sums(par)
                     total = int(tally.sum())
                     for h in range(n + 1):
-                        want = ctx.q**n * variance.mean_formula(u, v, n, h)
+                        want = ctx.q**n * variance.mean_formula(ThmParams.compute(u, v, n, h))
                         res.count(
                             ctx.q**h * total == want,
                             f"q={ctx.q} U={u!r} V={v!r} n={n} h={h}: "
@@ -230,7 +235,7 @@ def test_criterion_12_mean():
                 total = sum(
                     variance.interval_sum(one, t, a, h) for a in monics(ctx, n)
                 )
-                want = ctx.q**n * variance.mean_formula(one, t, n, h)
+                want = ctx.q**n * variance.mean_formula(ThmParams.compute(one, t, n, h))
                 res.count(
                     total == want, f"literal q={ctx.q} n={n} h={h}: {total} != {want}"
                 )

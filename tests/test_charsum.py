@@ -130,9 +130,10 @@ def test_joint_sum_factorizes():
 
 def test_variance_charsum_fixtures():
     u, v = Poly.one(F3), Poly.t(F3)
-    assert variance_charsum(u, v, 2, 0, "exact") == Fraction(40, 9)
-    assert variance_charsum(u, v, 2, 1, "exact") == 0
-    assert variance_charsum(u, v, 2, 0, "fast") == Fraction(40, 9)
+    par = ThmParams.compute(u, v, 2, 0)
+    assert variance_charsum(par, "exact") == Fraction(40, 9)
+    assert variance_charsum(ThmParams.compute(u, v, 2, 1), "exact") == 0
+    assert variance_charsum(par, "fast") == Fraction(40, 9)
 
 
 def test_variance_modes_agree():
@@ -140,32 +141,35 @@ def test_variance_modes_agree():
         u, v = Poly.one(ctx), Poly.t(ctx)
         for n in range(2, n_max + 1):
             for h in range(n + 1):
-                assert variance_charsum(u, v, n, h, "exact") == variance_charsum(
-                    u, v, n, h, "fast"
-                ), (ctx.q, n, h)
+                par = ThmParams.compute(u, v, n, h)
+                assert variance_charsum(par, "exact") == variance_charsum(par, "fast"), (
+                    ctx.q, n, h
+                )
     for f9 in (ctx_new(3, 2, (1, 0, 1)), ctx_new(3, 2, (2, 1, 1))):
         u9, v9 = Poly.one(f9), Poly(f9, (3, 1))  # V = T + w
         for n in range(2, 4):
             for h in range(n + 1):
-                oracle = variance_bruteforce(u9, v9, n, h)
-                assert variance_charsum(u9, v9, n, h, "exact") == oracle, (f9, n, h)
-                assert variance_charsum(u9, v9, n, h, "fast") == oracle, (f9, n, h)
+                par = ThmParams.compute(u9, v9, n, h)
+                oracle = variance_bruteforce(par)
+                assert variance_charsum(par, "exact") == oracle, (f9, n, h)
+                assert variance_charsum(par, "fast") == oracle, (f9, n, h)
     u, v = Poly.one(F3), Poly.t(F3)
     u2 = Poly.from_ints(F3, [1, 0, 1])
     for h in (2, 3, 4):
-        assert variance_charsum(u2, v, 6, h, "exact") == variance_charsum(
-            u2, v, 6, h, "fast"
-        )
+        par = ThmParams.compute(u2, v, 6, h)
+        assert variance_charsum(par, "exact") == variance_charsum(par, "fast")
 
 
 def test_variance_charsum_matches_bruteforce_odd_n():
     u, v = Poly.one(F3), Poly.t(F3)
     for n in (3, 5):
         for h in range(n + 1):
-            assert variance_charsum(u, v, n, h, "exact") == variance_bruteforce(u, v, n, h)
+            par = ThmParams.compute(u, v, n, h)
+            assert variance_charsum(par, "exact") == variance_bruteforce(par)
     u2 = Poly.from_ints(F3, [1, 0, 1])
     v3 = Poly.from_ints(F3, [0, 0, 0, 1])
-    assert variance_charsum(u2, v3, 5, 1, "exact") == variance_bruteforce(u2, v3, 5, 1)
+    par = ThmParams.compute(u2, v3, 5, 1)
+    assert variance_charsum(par, "exact") == variance_bruteforce(par)
 
 
 def test_variance_extension_field():
@@ -173,9 +177,10 @@ def test_variance_extension_field():
     ctx = ctx_new(3, 2, [1, 0, 1])
     u, v = Poly.one(ctx), Poly.t(ctx)
     for h in (0, 1, 2):
-        oracle = variance_bruteforce(u, v, 2, h)
-        assert variance_charsum(u, v, 2, h, "exact") == oracle
-        assert variance_charsum(u, v, 2, h, "fast") == oracle
+        par = ThmParams.compute(u, v, 2, h)
+        oracle = variance_bruteforce(par)
+        assert variance_charsum(par, "exact") == oracle
+        assert variance_charsum(par, "fast") == oracle
 
 
 def test_exact_variance_with_every_class_near_zero_sums_nothing(monkeypatch):
@@ -185,18 +190,18 @@ def test_exact_variance_with_every_class_near_zero_sums_nothing(monkeypatch):
         raise AssertionError("a character sum was formed for an empty block")
 
     monkeypatch.setattr(fastpath, "_qform_pairs", no_pairs)
-    assert variance_charsum(Poly.one(F3), Poly.t(F3), 28, 28, "exact") == 0
+    assert variance_charsum(ThmParams.compute(Poly.one(F3), Poly.t(F3), 28, 28), "exact") == 0
 
 
 def test_variance_charsum_validation():
     with pytest.raises(HfqError, match="deg U = 1 must be even"):
-        variance_charsum(Poly.t(F3), Poly.t(F3), 4, 0)
+        variance_charsum(ThmParams.compute(Poly.t(F3), Poly.t(F3), 4, 0))
     with pytest.raises(HfqError, match="U and V must be coprime"):
-        variance_charsum(Poly.from_ints(F3, [0, 0, 1]), Poly.t(F3), 4, 0)
+        variance_charsum(ThmParams.compute(Poly.from_ints(F3, [0, 0, 1]), Poly.t(F3), 4, 0))
     with pytest.raises(TooLargeError):
-        variance_charsum(Poly.one(F3), Poly.t(F3), 6, 0, guard=10)
+        variance_charsum(ThmParams.compute(Poly.one(F3), Poly.t(F3), 6, 0), guard=10)
     with pytest.raises(ValueError):
-        variance_charsum(Poly.one(F3), Poly.t(F3), 4, 0, mode="approximate")
+        variance_charsum(ThmParams.compute(Poly.one(F3), Poly.t(F3), 4, 0), mode="approximate")
 
 
 def test_variance_invariant_under_character_choice():
@@ -229,7 +234,7 @@ def test_variance_invariant_under_character_choice():
                     total += cm_g.mag_sq().as_integer() * ca_g.mag_sq().as_integer()
                 totals[g] = Fraction(4 * 3 ** (2 * h), 3 ** (2 * n + 1)) * total
             assert totals[1] == totals[2]
-            assert totals[1] == variance_charsum(u, v, n, h, "exact")
+            assert totals[1] == variance_charsum(ThmParams.compute(u, v, n, h), "exact")
 
 
 def test_check_quadform_counts_a_failure_as_it_counts_a_pass(monkeypatch):

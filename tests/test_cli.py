@@ -119,6 +119,51 @@ def test_variance_falsified_closed_form_exits_1(capsys, monkeypatch, extra):
     assert payload["residual"] == {"num": "-1", "den": "1"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a case-2 point with both exact values
+        ("--U", "1,0,1", "--V", "0,1", "--n", "6", "--h", "3", "--oracle", "--charsum"),
+        # a case-3 closed form: the secondary term is f at (n, n1 - 1)
+        ("--U", "1", "--V", "0,1", "--n", "17", "--h", "6"),
+    ],
+    ids=["case2-oracle-charsum", "case3-closed-form"],
+)
+def test_variance_validates_its_point_once(capsys, monkeypatch, argv):
+    calls = {"validate_pair": 0, "compute": 0}
+    validate_pair, compute = variance.validate_pair, variance.ThmParams.compute
+
+    def counting_validate(*args):
+        calls["validate_pair"] += 1
+        return validate_pair(*args)
+
+    def counting_compute(*args):
+        calls["compute"] += 1
+        return compute(*args)
+
+    monkeypatch.setattr(variance, "validate_pair", counting_validate)
+    monkeypatch.setattr(variance.ThmParams, "compute", staticmethod(counting_compute))
+    code, out, _ = run(capsys, "variance", "--q", "3", *argv)
+    assert code == EXIT_OK and json.loads(out)["case"] in ("case2", "case3")
+    assert calls == {"validate_pair": 1, "compute": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "4", "--h", "1"),
+        ("analyze", "--q", "3", "--alpha", "0,1"),
+    ],
+    ids=["variance", "analyze"],
+)
+def test_json_flag_only_where_it_is_read(capsys, argv):
+    # variance and analyze always print JSON, so --json is not theirs
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--json"])
+    assert exc.value.code == EXIT_USAGE
+    assert main(list(argv)) == EXIT_OK
+
+
 def test_variance_theorem_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
         main(["variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "6", "--h", "3",
@@ -128,7 +173,7 @@ def test_variance_theorem_flag_is_gone():
 
 def test_report_residual_and_verdict_follow_its_values():
     one, t, u2 = (Poly.from_ints(ctx_new(3), c) for c in ((1,), (0, 1), (1, 0, 1)))
-    rep = variance.theorem_predict(u2, t, 6, 3)
+    rep = variance.theorem_predict(variance.ThmParams.compute(u2, t, 6, 3))
     assert rep.case == "case2" and rep.residual is None and rep.ok
     rep.oracle = rep.theorem_value + 1
     assert rep.residual == 1 and not rep.ok
@@ -136,7 +181,8 @@ def test_report_residual_and_verdict_follow_its_values():
     assert rep.residual == 0 and rep.ok
     rep.charsum_value = rep.oracle + 1  # the oracle and the character sum disagree
     assert rep.residual == 0 and not rep.ok
-    rep = variance.theorem_predict(one, t, 18, 6)  # case 3 is asymptotic
+    par = variance.ThmParams.compute(one, t, 18, 6)
+    rep = variance.theorem_predict(par)  # case 3 is asymptotic
     rep.charsum_value = rep.theorem_value + 1
     assert rep.case == "case3" and rep.residual == 1 and rep.ok
 
@@ -302,10 +348,10 @@ def test_identity_error_at_a_feasible_point_exits_64(capsys, monkeypatch, kind, 
     # an error inside a check is reported, not taken for an empty range
     real = getattr(checks, check)
 
-    def planted(u, v, n, h, guard):
-        if (u.literal(), v.literal(), n, h) == ("1,0,1", "0,1", 6, 3):
+    def planted(par, guard):
+        if (par.u.literal(), par.v.literal(), par.n, par.h) == ("1,0,1", "0,1", 6, 3):
             raise HfqError("planted failure at n=6 h=3")
-        return real(u, v, n, h, guard=guard)
+        return real(par, guard=guard)
 
     monkeypatch.setattr(checks, check, planted)
     code, out, err = run(
@@ -518,9 +564,9 @@ _GUARD = st.sampled_from(
 )
 _FLAGS = {
     "census": ["--json", "--workers=1", "--workers=0", "--workers=-1"],
-    "variance": ["--json", "--oracle", "--charsum", "--fast", "--trust-lemmas"],
+    "variance": ["--oracle", "--charsum", "--fast", "--trust-lemmas"],
     "phisum": ["--json"],
-    "analyze": ["--json"],
+    "analyze": [],
 }
 
 
@@ -537,7 +583,8 @@ def _argv(draw):
         argv += ["--W2", draw(_POLY), "--W3", draw(_POLY), "--kmax", draw(_INT)]
     else:
         argv += ["--alpha", draw(_ALPHA)]
-    flags = draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=3, unique=True))
+    options = _FLAGS[command]
+    flags = draw(st.lists(st.sampled_from(options), max_size=3, unique=True)) if options else []
     return argv + flags + draw(_GUARD)
 
 

@@ -225,8 +225,8 @@ def test_census_workers_agree(ctx, n_max):
 
 
 def _valid_cases(ctx, n_max):
-    """Every valid (U, V, n, h) with U in {1, T^2 + 1}, V in {T + c} and
-    V = T^3 + T + 1, n <= n_max."""
+    """The point of every valid (U, V, n, h) with U in {1, T^2 + 1}, V in
+    {T + c} and V = T^3 + T + 1, n <= n_max."""
     us = [Poly.one(ctx), Poly(ctx, (1, 0, 1))]
     vs = [Poly(ctx, (c, 1)) for c in range(ctx.q)] + [Poly(ctx, (1, 1, 0, 1))]
     for u in us:
@@ -234,10 +234,10 @@ def _valid_cases(ctx, n_max):
             for n in range(n_max + 1):
                 for h in range(n + 1):
                     try:
-                        ThmParams.compute(u, v, n, h)
+                        par = ThmParams.compute(u, v, n, h)
                     except HfqError:
                         continue
-                    yield u, v, n, h
+                    yield par
 
 
 @pytest.mark.parametrize(
@@ -247,10 +247,9 @@ def _valid_cases(ctx, n_max):
 )
 def test_fast_variance_matches_unreduced_loop(ctx, n_max):
     cases = list(_valid_cases(ctx, n_max))
-    assert len({(n, h) for _, _, n, h in cases}) == n_max * (n_max + 3) // 2  # n >= 1
-    for u, v, n, h in cases:
-        want = fast_variance_unreduced(u, v, n, h)
-        assert variance_charsum(u, v, n, h, "fast") == want, (u, v, n, h)
+    assert len({(par.n, par.h) for par in cases}) == n_max * (n_max + 3) // 2  # n >= 1
+    for par in cases:
+        assert variance_charsum(par, "fast") == fast_variance_unreduced(par), par
 
 
 @pytest.mark.parametrize(
@@ -259,9 +258,8 @@ def test_fast_variance_matches_unreduced_loop(ctx, n_max):
     ids=["q3", "q5", "q7", "q9a", "q9b", "q25", "q27"],
 )
 def test_exact_variance_matches_unreduced_loop(ctx, n_max):
-    for u, v, n, h in _valid_cases(ctx, n_max):
-        want = exact_variance_unreduced(u, v, n, h)
-        assert variance_charsum(u, v, n, h, "exact") == want, (u, v, n, h)
+    for par in _valid_cases(ctx, n_max):
+        assert variance_charsum(par, "exact") == exact_variance_unreduced(par), par
 
 
 @pytest.mark.parametrize("ctx", [ctx_new(7), F9A, F25, F27], ids=["q7", "q9", "q25", "q27"])
@@ -295,8 +293,8 @@ def test_walk_blocking_leaves_results_unchanged(chunk, monkeypatch):
     # nodes: level 1, 1, 2, 2, 3, 3, 4, 5, 6 or 7 of the 8; the descent
     # splits every level below it
     f3, width = ctx_new(3), 8
-    u, v = Poly.one(f3), Poly.from_ints(f3, [1, 1])
-    want = variance_charsum(u, v, 9, 2, "fast")
+    par = ThmParams.compute(Poly.one(f3), Poly.from_ints(f3, [1, 1]), 9, 2)
+    want = variance_charsum(par, "fast")
     census = census_enumerate(f3, 7, 0)
     monkeypatch.setattr(fastpath, "CHUNK", chunk)
     ents = [out[-1] for out in fastpath.walk(f3, width, 0, ((1,),))]
@@ -304,7 +302,7 @@ def test_walk_blocking_leaves_results_unchanged(chunk, monkeypatch):
     assert all(e.shape == (len(e), width) for e in ents)
     assert sum(sizes) == (3**width - 1) // 2
     assert len(sizes) > 1 and max(sizes) <= max(1, chunk // 2 // width)
-    assert variance_charsum(u, v, 9, 2, "fast") == want
+    assert variance_charsum(par, "fast") == want
     again = census_enumerate(f3, 7, 0)
     assert (again.standard, again.strict) == (census.standard, census.strict)
 
@@ -368,4 +366,5 @@ def tally_cases(draw):
 def test_fast_variance_matches_unreduced_loop_beyond_the_envelopes(case):
     u, v, n, h = case
     assume(gcd(u, v).degree == 0)
-    assert variance_charsum(u, v, n, h, "fast") == fast_variance_unreduced(u, v, n, h)
+    par = ThmParams.compute(u, v, n, h)
+    assert variance_charsum(par, "fast") == fast_variance_unreduced(par)

@@ -532,10 +532,11 @@ def test_reduction_law_beyond_the_envelope_by_class():
     # q=3 past the exhaustive n <= 6, at the n of criterion 11 (18) and of
     # the ladder (20): members of every bijection class (r, r, 0) with
     # h = 0, 1 and 6 leading zeros, each beside a copy whose recurrence is
-    # broken in one of its last three entries (pi > 0); two members each
+    # broken in one of its last three entries (pi > 0); two members each,
+    # at every width s <= 4 that W's degree allows
     rng = random.Random(20)
-    ws = [Poly.one(F3), p3(0, 1), p3(1, 1), p3(1, 0, 1)]
-    classes = set()
+    ws = [Poly.one(F3), p3(0, 1), p3(1, 1), p3(1, 0, 1), p3(1, 2, 0, 1), p3(2, 0, 0, 0, 1)]
+    classes, by_width = set(), {}
     for n in (18, 20):
         for r in hankel.bijection_ranks(n):
             for h in (0, 1, 6, 0, 1, 6):
@@ -552,7 +553,7 @@ def test_reduction_law_beyond_the_envelope_by_class():
                 for seq in (member, Seq(F3, broken)):
                     prof, polys = _profile_and_polys(seq)
                     for w in ws:
-                        for pad in range(w.degree, 3):
+                        for pad in range(w.degree, 5):
                             if n < 2 * prof.r + pad - 1:
                                 continue
                             pred = hankel._predict_reduction(prof, polys, w, pad)
@@ -561,9 +562,11 @@ def test_reduction_law_beyond_the_envelope_by_class():
                                 *actual.standard, actual_polys.a1
                             ), (seq, w, pad)
                             classes.add(prof.standard)
+                            by_width[pad] = by_width.get(pad, 0) + 1
     # every class (r, r, 0) that meets n >= 2r - 1, and classes with pi > 0
     assert {c for c in classes if c[2] == 0} == {(r, r, 0) for r in range(3, 11)}
     assert any(c[2] > 0 for c in classes)
+    assert sorted(by_width) == [0, 1, 2, 3, 4]
 
 
 def test_reduction_strict_class():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfq.errors import HfqError
-from hfq.field import ctx_new
+from hfq.field import ctx_new, fq_vectors
 from hfq.hankel import Seq
 from hfq.polyring import (
     NEG_INF,
@@ -18,7 +18,6 @@ from hfq.polyring import (
     monics,
     monics_upto,
     phi,
-    polys_of_degree,
     polys_upto,
     rad,
 )
@@ -115,14 +114,18 @@ def test_enumeration_counts():
 
 
 def test_enumeration_partitions():
-    for n in range(4):
-        everything = list(polys_upto(F3, n))
-        assert len(everything) == 3 ** (n + 1)
-        assert len(set(everything)) == len(everything)
-        pieces = [Poly.zero(F3)]
-        for m in range(n + 1):
-            pieces.extend(polys_of_degree(F3, m))
-        assert set(pieces) == set(everything)
+    # zero, then by degree, then by leading coefficient, then by tail in the
+    # code order of fq_vectors
+    for ctx in (F3, ctx_new(5), ctx_new(3, 2, (2, 1, 1))):
+        for n in range(-1, 4):
+            everything = list(polys_upto(ctx, n))
+            assert len(everything) == ctx.q ** max(n + 1, 0)
+            assert len(set(everything)) == len(everything)
+            pieces = [Poly.zero(ctx)]
+            for m in range(n + 1):
+                for lead in range(1, ctx.q):
+                    pieces += [Poly(ctx, tail + (lead,)) for tail in fq_vectors(ctx, m)]
+            assert everything == pieces
 
 
 def test_coeff_vector():

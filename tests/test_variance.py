@@ -113,9 +113,9 @@ def test_s_count_fixtures():
 
 
 def test_mean_fixtures():
-    assert mean_formula(U1, V1, 2, 0) == 2
-    assert mean_formula(U1, V1, 2, 1) == 6
-    assert mean_formula(U1, V1, 4, 1) == 6
+    assert mean_formula(ThmParams.compute(U1, V1, 2, 0)) == 2
+    assert mean_formula(ThmParams.compute(U1, V1, 2, 1)) == 6
+    assert mean_formula(ThmParams.compute(U1, V1, 4, 1)) == 6
     # each interval class at (n, h) = (2, 1) sums to the mean
     for rep in (p3(0, 0, 1), p3(0, 1, 1), p3(0, 2, 1)):
         assert interval_sum(U1, V1, rep, 1) == 6
@@ -125,16 +125,16 @@ def test_mean_identity_small():
     for u, v, n in ((U1, V1, 2), (U1, V1, 3), (U2, V1, 4)):
         for h in range(n + 1):
             total = sum(interval_sum(u, v, a, h) for a in monics(F3, n))
-            assert total == F3.q**n * mean_formula(u, v, n, h)
+            assert total == F3.q**n * mean_formula(ThmParams.compute(u, v, n, h))
 
 
 def test_variance_bruteforce_fixtures():
-    assert variance_bruteforce(U1, V1, 2, 0) == Fraction(40, 9)
-    assert variance_bruteforce(U1, V1, 2, 1) == 0
+    assert variance_bruteforce(ThmParams.compute(U1, V1, 2, 0)) == Fraction(40, 9)
+    assert variance_bruteforce(ThmParams.compute(U1, V1, 2, 1)) == 0
     for h in (2, 3, 4):
-        assert variance_bruteforce(U1, V1, 4, h) == 0
+        assert variance_bruteforce(ThmParams.compute(U1, V1, 4, h)) == 0
     with pytest.raises(TooLargeError):
-        variance_bruteforce(U1, V1, 8, 0, guard=10)
+        variance_bruteforce(ThmParams.compute(U1, V1, 8, 0), guard=10)
 
 
 def test_variance_bruteforce_memory_is_bounded_by_the_classes():
@@ -142,7 +142,7 @@ def test_variance_bruteforce_memory_is_bounded_by_the_classes():
     # alone would be 4 MiB
     tracemalloc.start()
     try:
-        assert variance_bruteforce(U1, V1, 12, 7) == 0
+        assert variance_bruteforce(ThmParams.compute(U1, V1, 12, 7)) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -170,7 +170,7 @@ def _literal_variance(u, v, n, h):
     s_count of its q^h members."""
     ctx = u.ctx
     s = {b.coeffs: s_count(u, v, b) for b in monics(ctx, n)}
-    mean = mean_formula(u, v, n, h)
+    mean = mean_formula(ThmParams.compute(u, v, n, h))
     total = Fraction(0)
     for a in monics(ctx, n):
         members = sum(s[(a + d).coeffs] for d in polys_upto(ctx, h - 1))
@@ -192,19 +192,20 @@ def test_variance_bruteforce_matches_definition(monkeypatch, ctx, n_max):
                 if ThmParams.domain_error(u, t, n, h):
                     continue
                 want = _literal_variance(u, t, n, h)
-                assert variance_bruteforce(u, t, n, h) == want
+                par = ThmParams.compute(u, t, n, h)
+                assert variance_bruteforce(par) == want
                 # blocks of 8 digits: the pairs span many blocks
                 with monkeypatch.context() as m:
                     m.setattr(variance, "CHUNK", 8)
-                    assert variance_bruteforce(u, t, n, h) == want
+                    assert variance_bruteforce(par) == want
                 checked += 1
     assert checked >= 2 * n_max
 
 
 def test_f_formula_fixture_and_empty_range():
-    assert f_formula(U2, V1, 6, 3) == 24
-    assert f_formula(U1, V1, 6, 3) == 0  # empty rank range for U = 1, n even
-    assert f_formula(U1, V1, 18, 9) == 0
+    assert f_formula(ThmParams.compute(U2, V1, 6, 3)) == 24
+    assert f_formula(ThmParams.compute(U1, V1, 6, 3)) == 0  # empty rank range for U = 1, n even
+    assert f_formula(ThmParams.compute(U1, V1, 18, 9)) == 0
 
 
 def test_f_bound_fails_on_zero_cofactor_stratum():
@@ -215,19 +216,20 @@ def test_f_bound_fails_on_zero_cofactor_stratum():
     # 68.14.  With q = 3, deg U = 2 and deg V = 3, log_3 2 < 2/3 (as
     # 2^3 < 3^2) and log_3 3 = 1 put the bound below 4 * 27 * 2/3 = 72,
     # exactly.  Frozen as a falsification witness.
-    assert f_formula(U2, V3, 6, 3) == 120
-    assert f_formula(U2, V3, 6, 3) > 4 * 3 ** ((1 + U2.degree + V3.degree) // 2) * Fraction(2, 3)
+    par = ThmParams.compute(U2, V3, 6, 3)
+    assert f_formula(par) == 120
+    assert f_formula(par) > 4 * 3 ** ((1 + U2.degree + V3.degree) // 2) * Fraction(2, 3)
     # the exact variance identity is untouched by the bound's failure
-    assert theorem_predict(U2, V3, 6, 3).theorem_value == variance_bruteforce(
-        U2, V3, 6, 3
-    )
+    assert theorem_predict(par).theorem_value == variance_bruteforce(par)
 
 
 def test_m_factor_fixtures():
-    assert m_factor(U1, V1) == Fraction(1, 2)
-    assert m_factor(U1, V3) == Fraction(5, 54)
+    assert m_factor(ThmParams.compute(U1, V1, 6, 0)) == Fraction(1, 2)
+    assert m_factor(ThmParams.compute(U1, V3, 6, 0)) == Fraction(5, 54)
     # depends only on the product UV
-    assert m_factor(U2, V1) == m_factor(U1, U2 * V1)
+    assert m_factor(ThmParams.compute(U2, V1, 6, 0)) == m_factor(
+        ThmParams.compute(U1, U2 * V1, 6, 0)
+    )
 
 
 def test_case_classify_fixtures():
@@ -254,21 +256,24 @@ def test_cases_are_exclusive_and_honest():
 
 
 def test_theorem_predict_case1():
-    rep = theorem_predict(U1, V1, 4, 3)
-    rep.oracle = variance_bruteforce(U1, V1, 4, 3)
+    par = ThmParams.compute(U1, V1, 4, 3)
+    rep = theorem_predict(par)
+    rep.oracle = variance_bruteforce(par)
     assert rep.case == "case1" and rep.theorem_value == 0 and rep.residual == 0
 
 
 def test_theorem_predict_case2_matches_oracle():
-    rep = theorem_predict(U2, V1, 6, 3)
+    par = ThmParams.compute(U2, V1, 6, 3)
+    rep = theorem_predict(par)
     assert rep.case == "case2"
-    assert rep.theorem_value == variance_bruteforce(U2, V1, 6, 3) == 24
-    rep = theorem_predict(U2, V1, 8, 4)
-    assert rep.theorem_value == variance_bruteforce(U2, V1, 8, 4) == 72
+    assert rep.theorem_value == variance_bruteforce(par) == 24
+    par = ThmParams.compute(U2, V1, 8, 4)
+    rep = theorem_predict(par)
+    assert rep.theorem_value == variance_bruteforce(par) == 72
 
 
 def test_theorem_predict_case3_terms():
-    rep = theorem_predict(U1, V1, 18, 6)
+    rep = theorem_predict(ThmParams.compute(U1, V1, 18, 6))
     assert rep.case == "case3"
     assert rep.main_term == 2916
     assert rep.secondary_term == 0
@@ -276,16 +281,16 @@ def test_theorem_predict_case3_terms():
 
 
 def test_kernel_sum_identity_fixture():
-    lhs, rhs = kernel_sum_identity(U2, V1, 6, 3, 3)
+    lhs, rhs = kernel_sum_identity(ThmParams.compute(U2, V1, 6, 3), 3)
     assert lhs == rhs == 81
     with pytest.raises(HfqError, match=r"r1 = 3 outside \[3, 2\]"):
-        kernel_sum_identity(U1, V1, 4, 2, 3)
+        kernel_sum_identity(ThmParams.compute(U1, V1, 4, 2), 3)
     with pytest.raises(HfqError, match="identity needs h >= n2 - 1 = 3; h = 1 is below it"):
-        kernel_sum_identity(U2, V1, 6, 1, 3)  # below the h >= n2 - 1 domain
+        kernel_sum_identity(ThmParams.compute(U2, V1, 6, 1), 3)  # below the h >= n2 - 1 domain
 
 
 def test_kernel_sum_identity_odd_n():
-    lhs, rhs = kernel_sum_identity(U2, V3, 7, 4, 3)
+    lhs, rhs = kernel_sum_identity(ThmParams.compute(U2, V3, 7, 4), 3)
     assert lhs == rhs == 243
 
 
@@ -325,12 +330,12 @@ def test_kernel_sum_counterexample_below_domain():
 
 
 def test_w_sum_identity_fixture():
-    lhs, rhs = w_sum_identity(U1, V1, 8, 0, 3)
+    lhs, rhs = w_sum_identity(ThmParams.compute(U1, V1, 8, 0), 3)
     assert lhs == rhs
     with pytest.raises(HfqError, match=r"r = 2 outside \["):
-        w_sum_identity(U1, V1, 8, 0, 2)
+        w_sum_identity(ThmParams.compute(U1, V1, 8, 0), 2)
     with pytest.raises(HfqError, match=r"r = 3 outside \["):
-        w_sum_identity(U1, V1, 8, 3, 3)
+        w_sum_identity(ThmParams.compute(U1, V1, 8, 3), 3)
 
 
 def test_w_sum_strata_partition():
@@ -352,16 +357,17 @@ def test_case2_and_identities_q5():
     u2 = Poly.from_ints(F5, [1, 0, 1])
     v = Poly.t(F5)
     for n, h in ((6, 3), (8, 4)):
-        rep = theorem_predict(u2, v, n, h)
+        par = ThmParams.compute(u2, v, n, h)
+        rep = theorem_predict(par)
         assert rep.case == "case2"
-        assert rep.theorem_value == variance_bruteforce(u2, v, n, h)
-    lhs, rhs = kernel_sum_identity(u2, v, 6, 3, 3)
+        assert rep.theorem_value == variance_bruteforce(par)
+    lhs, rhs = kernel_sum_identity(ThmParams.compute(u2, v, 6, 3), 3)
     assert lhs == rhs == 625
-    lhs, rhs = w_sum_identity(Poly.one(F5), v, 8, 0, 3)
+    lhs, rhs = w_sum_identity(ThmParams.compute(Poly.one(F5), v, 8, 0), 3)
     assert lhs == rhs == 20836
 
 
 def test_mean_exponent_guard():
-    # the parity hypotheses always make the exponent integral; the guard is
-    # unreachable through the public API, so probe the formula directly
-    assert mean_formula(U2, V3, 6, 0) == Fraction(2, 9)
+    # the parity hypotheses always make the exponent integral, so the
+    # formula keeps no guard for it: probe it at deg U + deg V = 5
+    assert mean_formula(ThmParams.compute(U2, V3, 6, 0)) == Fraction(2, 9)
