@@ -17,8 +17,9 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   point (U, V, n, h) = (1, T, n, h), for (n, h) = (12, 4) and (16, 6);
 - in-process layers, each the best of 7 passes in a fresh interpreter:
   the class/pair bijection, where Poly division does the work
-  (bijection_map plus bijection_inverse over 2,000 class-(4, 4, 0) F_3
-  sequences, n = 8); the field ops mul, add and inv over F_27 (200,000
+  (analyze, bijection_map and bijection_inverse over 2,000 class-(4, 4, 0)
+  F_3 sequences, n = 8; where hfq.hankel has no analyze, bijection_map
+  takes the sequence); the field ops mul, add and inv over F_27 (200,000
   random operand pairs each); Poly mul, divmod and gcd over F_3 (500 random
   pairs of monic degree-20 polynomials, divmod dividing their product plus
   the first by the second); fastpath.qform_counts, monic and full, on 3,000
@@ -57,8 +58,9 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   elimination of acceptance criterion 02;
 - the benchmark's four workloads, fast_tally, scalar_census, ext_field and
   oracle_sieve (``perfbench/run.py --seconds 30 --trace 0`` of the
-  checkout that holds the imported hfq, seeds 1 and 2): their ``wall_s``,
-  ``peak_rss_mib`` and ``setup_s``.
+  checkout that holds the imported hfq, --repeats runs each, the seed
+  alternating between 1 and 2): their ``wall_s``, ``peak_rss_mib`` and
+  ``setup_s``.
 
 Subprocesses inherit the environment, PYTHONPATH included.  With
 PYTHONDONTWRITEBYTECODE=1 and no hfq bytecode cached, a cold start also
@@ -75,13 +77,14 @@ gives 12 pairs of each cold start).
 Each figure is the median of --repeats runs (of five times as many for
 the walk throughput, and three times as many for a cold start or an
 in-process layer), and each fresh-interpreter figure also keeps the range
-of its runs (``_s_range``); the perfbench figures are its own, from one
-run per workload and seed.
+and the quartiles of its runs (``_range``, ``_quartiles``); a perfbench
+figure is the median of the metric that perfbench itself reports, over
+--repeats runs of the workload.
 
 With ``--parent DIR``, every cold start, in-process layer and command also
 runs under ``DIR/src``, and every workload and seed also under
 ``DIR/perfbench/run.py`` (which measures ``DIR/src``), alternating with
-this checkout's runs, the
+this checkout's runs (--repeats pairs of each workload), the
 side that goes first switching each repeat, so that a slowdown of a shared
 machine falls on both sides alike; the parent's figures are stored in the
 same record under the prefix ``parent_``.  Without it, run the tool once
@@ -170,6 +173,7 @@ COMMANDS = {
 }
 PERFBENCH_WORKLOADS = ("fast_tally", "scalar_census", "ext_field", "oracle_sieve")
 PERFBENCH_SEEDS = (1, 2)
+PERFBENCH_METRICS = ("wall_s", "peak_rss_mib", "setup_s")
 PERFBENCH_SECONDS = 30
 
 
@@ -201,6 +205,10 @@ from hfq import fastpath
 from hfq.field import ctx_new, fq_vectors
 from hfq.hankel import Seq, bijection_inverse, bijection_map, profile
 from hfq.polyring import Poly, gcd
+try:
+    from hfq.hankel import analyze
+except ImportError:  # a checkout whose bijection_map takes the sequence itself
+    analyze = lambda s: s
 def oracle():
     argv = ["variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "12", "--h", "4",
             "--oracle"]
@@ -224,7 +232,7 @@ quotients = [(a * b + a, b) for a, b in pairs]
 block = np.array([[rng.randrange(3) for _ in range(9)] for _ in range(3000)])
 print(json.dumps({
     "bijection_roundtrip_q3_n8": best(
-        lambda: [bijection_inverse(*bijection_map(s, 0), 8, 0) for s in seqs]),
+        lambda: [bijection_inverse(*bijection_map(analyze(s), 0), 8, 0) for s in seqs]),
     "field_mul_q27": best(lambda: [f27.mul(a, b) for a, b in elems]),
     "field_add_q27": best(lambda: [f27.add(a, b) for a, b in elems]),
     "field_inv_q27": best(lambda: [f27.inv(b) for _, b in elems]),
@@ -263,6 +271,18 @@ def _run_once(argv, code: int, src: str) -> tuple:
     return wall, int(proc.stderr.split()[-1]) / 1024
 
 
+def _spread(key: str, values, digits: int) -> dict:
+    """The median of ``values`` under ``key``, with their range and their
+    quartiles."""
+    values = sorted(values)
+    quartiles = statistics.quantiles(values, n=4, method="inclusive") if values[1:] else values * 2
+    return {
+        key: round(statistics.median(values), digits),
+        f"{key}_range": [round(values[0], digits), round(values[-1], digits)],
+        f"{key}_quartiles": [round(quartiles[0], digits), round(quartiles[-1], digits)],
+    }
+
+
 def _sides(label: str, argv, code: int, runs: int, parent) -> dict:
     """The medians of ``runs`` fresh runs of one command under the imported
     hfq's src and, with ``parent``, as many under ``parent/src`` (keys
@@ -275,8 +295,7 @@ def _sides(label: str, argv, code: int, runs: int, parent) -> dict:
     out = {}
     for prefix, results in times.items():
         walls, rss = zip(*results)
-        out[f"{prefix}{label}_s"] = round(statistics.median(walls), 3)
-        out[f"{prefix}{label}_s_range"] = [round(min(walls), 3), round(max(walls), 3)]
+        out.update(_spread(f"{prefix}{label}_s", walls, 3))
         out[f"{prefix}{label}_peak_rss_mib"] = round(statistics.median(rss), 2)
     return out
 
@@ -295,9 +314,7 @@ def in_process(repeats: int, parent) -> dict:
     out = {}
     for prefix, runs in best.items():
         for layer in runs[0]:
-            times = [run[layer] for run in runs]
-            out[f"{prefix}{layer}_s"] = round(statistics.median(times), 4)
-            out[f"{prefix}{layer}_s_range"] = [round(min(times), 4), round(max(times), 4)]
+            out.update(_spread(f"{prefix}{layer}_s", [run[layer] for run in runs], 4))
     return out
 
 
@@ -308,26 +325,31 @@ def commands(repeats: int, parent, labels) -> dict:
     return out
 
 
-def perfbench(parent, workloads) -> dict:
-    """One run of each workload and seed under this checkout's
-    perfbench/run.py and, with ``parent``, under ``parent/perfbench/run.py``
-    (keys prefixed ``parent_``), alternating, the first side switching each
-    run."""
+def perfbench(repeats: int, parent, workloads) -> dict:
+    """``repeats`` runs of each workload, the seed cycling through
+    PERFBENCH_SEEDS, under this checkout's perfbench/run.py and, with
+    ``parent``, as many under ``parent/perfbench/run.py`` (keys prefixed
+    ``parent_``), alternating, the first side switching each run: each
+    side's median, range and quartiles of every metric."""
     sides = [("", Path(hfq.__file__).resolve().parents[2])]
     if parent:
         sides.append(("parent_", Path(parent).resolve()))
-    runs = [(w, s) for w in workloads for s in PERFBENCH_SEEDS]
     out = {}
-    for i, (workload, seed) in enumerate(runs):
-        for prefix, root in sides[:: -1 if i % 2 else 1]:
-            line = subprocess.run(
-                [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-                 "--seed", str(seed), "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"],
-                check=True, capture_output=True, text=True,
-            ).stdout.splitlines()[-1]
-            metrics = json.loads(line)["metrics"]
-            for key in ("wall_s", "peak_rss_mib", "setup_s"):
-                out[f"{prefix}{workload}_seed{seed}_{key}"] = round(metrics[key]["value"], 4)
+    for workload in workloads:
+        values = {(prefix, key): [] for prefix, _ in sides for key in PERFBENCH_METRICS}
+        for i in range(repeats):
+            seed = PERFBENCH_SEEDS[i % len(PERFBENCH_SEEDS)]
+            for prefix, root in sides[:: -1 if i % 2 else 1]:
+                line = subprocess.run(
+                    [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+                     "--seed", str(seed), "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"],
+                    check=True, capture_output=True, text=True,
+                ).stdout.splitlines()[-1]
+                metrics = json.loads(line)["metrics"]
+                for key in PERFBENCH_METRICS:
+                    values[prefix, key].append(metrics[key]["value"])
+        for (prefix, key), runs in values.items():
+            out.update(_spread(f"{prefix}{workload}_{key}", runs, 4))
     return out
 
 
@@ -388,7 +410,7 @@ def measure(repeats: int, parent=None, only=None) -> dict:
         out.update(in_process(repeats, parent))
     out.update(cold_start(repeats, parent, [l for l in COLD_STARTS if l in only]))
     out.update(commands(repeats, parent, [l for l in COMMANDS if l in only]))
-    out.update(perfbench(parent, [w for w in PERFBENCH_WORKLOADS if w in only]))
+    out.update(perfbench(repeats, parent, [w for w in PERFBENCH_WORKLOADS if w in only]))
     return out
 
 

@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 _EXPORTS = {  # home submodule -> the public names it defines
     "field": ("CycInt", "FieldCtx", "ctx_new"),
     "hankel": (
-        "CharPolys", "Profile", "Seq", "bijection_inverse", "bijection_map", "char_polys",
-        "hankel_matrix", "kernel_basis", "odot", "profile", "rank", "reduction_profile",
-        "reduction_strict_class", "toeplitz_mat",
+        "Analysis", "CharPolys", "Profile", "Seq", "analyze", "bijection_inverse", "bijection_map",
+        "char_polys", "hankel_matrix", "kernel_basis", "odot", "profile", "rank",
+        "reduction_profile", "reduction_strict_class", "toeplitz_mat",
     ),
     "census": ("census_enumerate", "census_formula", "census_formula_total"),
     "polyring": ("NEG_INF", "Poly", "gcd", "phi", "rad", "factor"),

@@ -113,7 +113,7 @@ def check_kernel_structure(ctx: FieldCtx, ns, guard: int = 10**8) -> CheckResult
     generators' coefficient vectors have rank m + 1 - rank(view), the
     kernel's dimension.
     """
-    from .hankel import _profile_and_polys, _row_reduce, odot, rank
+    from .hankel import analyze, odot, rank, row_reduce
     from .polyring import coeff_vector, gcd
 
     if min(ns, default=0) < 0:
@@ -122,7 +122,8 @@ def check_kernel_structure(ctx: FieldCtx, ns, guard: int = 10**8) -> CheckResult
     check_guard(sum(ctx.q ** (n + 1) for n in ns), guard, "kernel-structure check")
     for n in ns:
         for seq in _all_seqs(ctx, n):
-            prof, cp = _profile_and_polys(seq)
+            an = analyze(seq)
+            prof, cp = an.profile, an.polys
             good_pair = (
                 cp.a1.is_monic
                 and cp.a1.degree == prof.rho
@@ -138,7 +139,7 @@ def check_kernel_structure(ctx: FieldCtx, ns, guard: int = 10**8) -> CheckResult
                 if good:
                     vecs = [list(coeff_vector(g, m)) for g in gens]
                     kernel_dim = m + 1 - rank(seq, n - m + 1, m + 1)
-                    good = len(_row_reduce(vecs, m + 1, ctx)) == kernel_dim
+                    good = len(row_reduce(vecs, m + 1, ctx)) == kernel_dim
                 res.count(good, lambda: f"kernel mismatch at {seq!r} split {n - m + 1}x{m + 1}")
     return res
 
@@ -183,10 +184,9 @@ def check_reduction(ctx: FieldCtx, ns, ws=None, guard: int = 10**8) -> CheckResu
     """Predicted characteristic and first kernel polynomial of the sliding
     products, against direct computation, over every valid width and every
     n >= 2 in ``ns``.  Each sequence and each reduced sequence gets one
-    Berlekamp-Massey pass: the predictions of reduction_profile and
-    reduction_strict_class are made from the sequence's own pass."""
-    from .hankel import _predict_reduction, _predict_strict_class, _profile_and_polys
-    from .hankel import odot, profile
+    Berlekamp-Massey pass: reduction_profile and reduction_strict_class
+    predict from the sequence's own pass."""
+    from .hankel import analyze, odot, reduction_profile, reduction_strict_class
     from .polyring import Poly
 
     res = CheckResult("sliding-product reduction law")
@@ -203,25 +203,25 @@ def check_reduction(ctx: FieldCtx, ns, ws=None, guard: int = 10**8) -> CheckResu
     check_guard(sum(ctx.q ** (n + 1) for n in ns), guard, "reduction check")
     for n in ns:
         for seq in _all_seqs(ctx, n):
-            prof, polys = _profile_and_polys(seq)
+            an = analyze(seq)
+            prof = an.profile
             for w in ws:
                 for s in range(w.degree, n + 1):
                     if n >= 2 * prof.r + s - 1:
-                        pred = _predict_reduction(prof, polys, w, s)
-                        reduced = odot(seq, w, s)
-                        actual, actual_polys = _profile_and_polys(reduced)
+                        pred = reduction_profile(an, w, s)
+                        actual = analyze(odot(seq, w, s))
+                        got, got_a1 = actual.profile.standard, actual.polys.a1
                         res.count(
-                            (pred.r, pred.rho, pred.pi) == actual.standard
-                            and pred.a1 == actual_polys.a1,
+                            (pred.r, pred.rho, pred.pi) == got and pred.a1 == got_a1,
                             lambda: f"claim 1 at {seq!r}, W={w!r}, s={s}: "
                             f"predicted {(pred.r, pred.rho, pred.pi)}/{pred.a1!r}, "
-                            f"got {actual.standard}/{actual_polys.a1!r}",
+                            f"got {got}/{got_a1!r}",
                         )
                 s = w.degree
                 half = (n - s) // 2 + 1
                 if n - s >= 2 and (n - s) % 2 == 0 and prof.strict == (half, 0, half):
-                    pred_class = _predict_strict_class(prof, n, w, s)
-                    actual = profile(odot(seq, w, s))
+                    pred_class = reduction_strict_class(an, w, s)
+                    actual = analyze(odot(seq, w, s)).profile
                     res.count(
                         actual.strict == pred_class,
                         lambda: f"claim 2 at {seq!r}, W={w!r}: got {actual.strict}",
@@ -231,22 +231,23 @@ def check_reduction(ctx: FieldCtx, ns, ws=None, guard: int = 10**8) -> CheckResu
 
 def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = 10**8) -> CheckResult:
     """Forward map into the coprime pairs, the inverse roundtrip, injectivity,
-    and both cardinalities."""
-    from .hankel import _bijection_pairs, bijection_inverse, bijection_map, profile
+    and both cardinalities, with one Berlekamp-Massey pass per sequence."""
+    from .hankel import analyze, bijection_inverse, bijection_map, bijection_pairs
 
     res = CheckResult(f"class/pair bijection (n={n}, r={r})")
     q = ctx.q
     # sequences, then the monic-by-bounded pairs, at each h
     check_guard(sum(q ** (n + 1 - h) + q ** (2 * r - h) for h in hs), guard, "bijection check")
     for h in hs:
-        pairs = _bijection_pairs(ctx, r, h)
+        pairs = bijection_pairs(ctx, r, h)
         image = set()
         members = 0
         for seq in _all_seqs(ctx, n, h):
-            if profile(seq).standard != (r, r, 0):
+            an = analyze(seq)
+            if an.profile.standard != (r, r, 0):
                 continue
             members += 1
-            a, b = bijection_map(seq, h)
+            a, b = bijection_map(an, h)
             back = bijection_inverse(a, b, n, h)
             res.count(
                 b in pairs.get(a, ()) and back == seq,

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import HfqError, TooLargeError
+from .errors import HfqError, TooLargeError, check_guard
 from .field import MAX_Q, ctx_new
 
 EXIT_OK = 0
@@ -300,20 +300,23 @@ def cmd_phisum(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .hankel import Seq, _profile_and_polys
+    from dataclasses import asdict
+
+    from .hankel import Seq, analyze
 
     ctx = _build_ctx(args)
     seq = Seq.from_literal(ctx, args.alpha)
-    prof, cp = _profile_and_polys(seq)
+    check_guard((seq.n + 1) ** 2, args.guard, "analyze pass")
+    an = analyze(seq)
     _print_json(
         {
             "q": ctx.q,
             "alpha": [ctx.format_elem(e) for e in seq.entries],
             "n": seq.n,
-            "profile": prof.as_dict(),
-            "a1": cp.a1.literal(),
-            "a2": cp.a2.literal(),
-            "a2_canonical": cp.canonical,
+            "profile": asdict(an.profile),
+            "a1": an.polys.a1.literal(),
+            "a2": an.polys.a2.literal(),
+            "a2_canonical": an.polys.canonical,
             "leading_zeros": seq.leading_zeros(),
         }
     )

@@ -14,15 +14,18 @@ n_2 - 1 with n_2 = floor((n+3)/2)), r is the rank of the n_1 x n_2 matrix,
 and pi = r - rho.
 
 The characteristic and the kernel polynomials come from one
-Berlekamp-Massey pass, O(n^2) per sequence; hfq.census runs the same pass
-batched over the prefix trie (fastpath.walk).  Gaussian elimination serves
-only rank and kernel_basis, the ranks and kernels of explicit views: it is
-the independent side that the pass is checked against.
+Berlekamp-Massey pass, analyze: O(n^2) time and O(n) memory per sequence.
+The reduction law and the bijection take that pass, so a caller reads each
+sequence once; hfq.census runs the same pass batched over the prefix trie
+(fastpath.walk).  Gaussian elimination serves only rank and kernel_basis,
+the ranks and kernels of explicit views: it is the independent side that
+the pass is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import HfqError
 from .field import FieldCtx
@@ -89,7 +92,7 @@ class Seq:
 # exact linear algebra over the field
 
 
-def _row_reduce(rows, ncols: int, ctx: FieldCtx):
+def row_reduce(rows, ncols: int, ctx: FieldCtx):
     """In-place RREF; returns pivot column list.  Pivot rule: leftmost column,
     then topmost remaining row."""
     pivots = []
@@ -121,7 +124,7 @@ def _row_reduce(rows, ncols: int, ctx: FieldCtx):
 def _kernel_basis_raw(rows, ncols: int, ctx: FieldCtx):
     """Kernel basis from the RREF, one vector per free column, in column order."""
     work = [list(r) for r in rows]
-    pivots = _row_reduce(work, ncols, ctx)
+    pivots = row_reduce(work, ncols, ctx)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -152,7 +155,7 @@ def hankel_matrix(seq: Seq, rows: int, cols: int) -> list:
 def rank(seq: Seq, rows: int, cols: int) -> int:
     """Rank of the rows x cols Hankel matrix (not the rank invariant of the
     sequence)."""
-    return len(_row_reduce(hankel_matrix(seq, rows, cols), cols, seq.ctx))
+    return len(row_reduce(hankel_matrix(seq, rows, cols), cols, seq.ctx))
 
 
 def kernel_basis(seq: Seq, rows: int, cols: int):
@@ -179,30 +182,25 @@ class Profile:
     def strict(self):
         return (self.r, self.strict_rho, self.strict_pi)
 
-    def as_dict(self):
-        return {
-            "r": self.r,
-            "rho": self.rho,
-            "pi": self.pi,
-            "strict_rho": self.strict_rho,
-            "strict_pi": self.strict_pi,
-        }
 
-
-def _lc_profile(entries, ctx: FieldCtx, snapshots: bool = False):
+def _lc_profile(entries, ctx: FieldCtx):
     """One Berlekamp-Massey pass: the linear complexities L_0..L_len of the
-    prefixes, with ``snapshots`` the connection polynomial cs[i] after i
-    entries (else just cs[0]), and the final bs = x^shift * B.  c and bs have fixed
-    width len + 1; each step shifts bs, and c is rebuilt (never mutated)
-    whenever it changes, so cs[i] is a snapshot."""
+    prefixes and the four connection polynomials Analysis.polys reads, of
+    width len + 1: the c after 2k entries for the latest k with L_{2k-1} = k
+    (else the first c); (f0, the c after f0 + top - 1 entries) for the least
+    f0 >= 0 with L_{f0+top-1} <= f0, top = floor((len + 1) / 2); the final
+    c; and the final bs = x^shift * B.  c is rebuilt (never mutated) whenever
+    it changes, so a kept c is a snapshot, and memory stays O(len)."""
     zero = ctx.zero
     width = len(entries) + 1
+    top = width // 2
     c = [ctx.one] + [zero] * (width - 1)
     bs = [zero, ctx.one] + [zero] * (width - 2)
     b_inv = ctx.one
     length = 0
     out = [0]
-    cs = [c]
+    c_rho = c
+    first = (0, c) if top <= 1 else None
     for i, d in enumerate(entries):
         for j in range(1, length + 1):
             if c[j] != zero:
@@ -217,27 +215,11 @@ def _lc_profile(entries, ctx: FieldCtx, snapshots: bool = False):
                 bs = prev
         bs = [zero] + bs[:-1]
         out.append(length)
-        if snapshots:
-            cs.append(c)
-    return out, cs, bs
-
-
-def _profile_of(seq: Seq, lc) -> Profile:
-    r = min(lc[-1], seq.n + 2 - lc[-1])
-    invertible = [k for k in range(1, seq.n1 + 1) if lc[2 * k - 1] == k]
-    rho = max(invertible, default=0)
-    strict_rho = max((k for k in invertible if k < seq.n2), default=0)
-    return Profile(r, rho, r - rho, strict_rho, r - strict_rho)
-
-
-def profile(seq: Seq) -> Profile:
-    """(r, rho, pi) and the strict variant, from the linear-complexity profile.
-
-    One Berlekamp-Massey pass gives L_0..L_{n+1}.  The n_1 x n_2 matrix has
-    rank r = min(L_{n+1}, n + 2 - L_{n+1}), and the leading k x k square is
-    invertible iff L_{2k-1} = k.
-    """
-    return _profile_of(seq, _lc_profile(seq.entries, seq.ctx)[0])
+        if i % 2 and 2 * out[i] == i + 1:  # i + 1 = 2k entries, L_{2k-1} = k
+            c_rho = c
+        if first is None and length <= i + 2 - top:
+            first = (i + 2 - top, c)
+    return out, c_rho, first, c, bs
 
 
 def _rev(ctx: FieldCtx, c, d: int) -> Poly:
@@ -245,21 +227,6 @@ def _rev(ctx: FieldCtx, c, d: int) -> Poly:
     if any(c[d + 1 :]):
         raise AssertionError(f"connection polynomial exceeds degree {d}")
     return Poly(ctx, c[d::-1])
-
-
-def _first_kernel_poly(ctx: FieldCtx, n: int, rho: int, lc, cs) -> Poly:
-    """a1 read off the connection polynomials of the pass (see char_polys)."""
-    if rho == 0:
-        return Poly.one(ctx)
-    if 2 * rho - 1 <= n:
-        return _rev(ctx, cs[2 * rho], rho)
-    # full-rank even case, n = 2 rho - 2: the kernel of the (rho-1) x (rho+1)
-    # view is spanned by A of degree rho and the monic g of the least degree
-    # f0 it admits (its first free column)
-    a = _rev(ctx, cs[n + 1], rho)
-    f0 = min(j for j in range(rho) if lc[j + rho - 1] <= j)
-    g = _rev(ctx, cs[f0 + rho - 1], f0)
-    return a - g.scale(a.coeff(f0))
 
 
 @dataclass(frozen=True)
@@ -273,50 +240,86 @@ class CharPolys:
     canonical: bool
 
 
-def _profile_and_polys(seq: Seq):
-    """(profile(seq), char_polys(seq)) from one pass."""
-    ctx, n = seq.ctx, seq.n
-    lc, cs, bs = _lc_profile(seq.entries, ctx, snapshots=True)
-    prof = _profile_of(seq, lc)
-    r, rho = prof.r, prof.rho
-    if r == 0:
-        return prof, CharPolys(Poly.one(ctx), Poly.zero(ctx), True)
-    a1 = _first_kernel_poly(ctx, n, rho, lc, cs)
-    reduced = _rev(ctx, bs if lc[-1] == r else cs[-1], n + 2 - r)
-    # canonical reduction: remove every addable multiple c T^d a1, top down
-    for d in range(n - 2 * r + 2, -1, -1):
-        c = reduced.coeff(d + rho)
-        if c != ctx.zero:
-            reduced = reduced - a1.shift(d).scale(c)
-    return prof, CharPolys(a1, reduced.monic(), rho == r)
+@dataclass(eq=False)
+class Analysis:
+    """A sequence read by one Berlekamp-Massey pass (see analyze): its
+    profile, and its kernel polynomials, formed from the pass on first read."""
+
+    seq: Seq
+    profile: Profile
+    kept: tuple  # what _lc_profile returns
+
+    @cached_property
+    def polys(self) -> CharPolys:
+        """First and second kernel polynomials, read off the pass's
+        connection polynomials with rev_d(c) = x^d c(1/x).
+
+        a1 is monic of degree rho: rev_rho of the c after 2 rho entries when
+        2 rho - 1 <= n.  In the full-rank case with even n (n = 2 rho - 2) no
+        leading square fixes it, and a1 is the kernel vector of the
+        (rho-1) x (rho+1) view with last coefficient 1 and coefficient 0 at
+        the view's first free column f0 = min{j : L_{j+rho-1} <= j}:
+        A - A_f0 g with A = rev_rho(final c) and g = rev_f0(the c after
+        f0 + rho - 1 entries), the monic kernel vector of least degree f0.
+
+        a2 is monic of degree <= m = n - r + 2 (zero for the zero sequence):
+        rev_m of the final shifted auxiliary polynomial when L_{n+1} = r, and
+        of the final c otherwise, reduced canonically by the allowed
+        a1-multiple additions.  Any kernel vector of the (r-1) x (m+1) view
+        outside the a1-multiples reduces to the same a2.
+        """
+        ctx, n = self.seq.ctx, self.seq.n
+        lc, c_rho, first, c, bs = self.kept
+        r, rho = self.profile.r, self.profile.rho
+        if r == 0:
+            return CharPolys(Poly.one(ctx), Poly.zero(ctx), True)
+        if 2 * rho - 1 <= n:  # rho = 0 reads the first c: a1 = 1
+            a1 = _rev(ctx, c_rho, rho)
+        else:
+            a = _rev(ctx, c, rho)
+            f0, g = first
+            a1 = a - _rev(ctx, g, f0).scale(a.coeff(f0))
+        reduced = _rev(ctx, bs if lc[-1] == r else c, n + 2 - r)
+        # canonical reduction: remove every addable multiple c T^d a1, top down
+        for d in range(n - 2 * r + 2, -1, -1):
+            lead = reduced.coeff(d + rho)
+            if lead != ctx.zero:
+                reduced = reduced - a1.shift(d).scale(lead)
+        return CharPolys(a1, reduced.monic(), rho == r)
+
+    @property
+    def numerator(self) -> Poly:
+        """B, the polynomial part of a1 * sum alpha_i T^(-i-1): with
+        r = deg a1, B_j is the T^(j+r) coefficient of a1 * (alpha_{r-1}, ...,
+        alpha_0)."""
+        ctx, a1 = self.seq.ctx, self.polys.a1
+        r = a1.degree
+        return Poly(ctx, (a1 * Poly(ctx, self.seq.entries[:r][::-1])).coeffs[r:])
+
+
+def analyze(seq: Seq) -> Analysis:
+    """The Hankel layer's one reading of a sequence: one Berlekamp-Massey
+    pass, O(n^2) time and O(n) memory, that gives L_0..L_{n+1} and keeps the
+    few connection polynomials the kernel polynomials are read from.  The
+    n_1 x n_2 matrix has rank r = min(L_{n+1}, n + 2 - L_{n+1}), and the
+    leading k x k square is invertible iff L_{2k-1} = k."""
+    kept = _lc_profile(seq.entries, seq.ctx)
+    lc = kept[0]
+    r = min(lc[-1], seq.n + 2 - lc[-1])
+    invertible = [k for k in range(1, seq.n1 + 1) if lc[2 * k - 1] == k]
+    rho = max(invertible, default=0)
+    strict_rho = max((k for k in invertible if k < seq.n2), default=0)
+    return Analysis(seq, Profile(r, rho, r - rho, strict_rho, r - strict_rho), kept)
+
+
+def profile(seq: Seq) -> Profile:
+    """(r, rho, pi) and the strict variant (see analyze)."""
+    return analyze(seq).profile
 
 
 def char_polys(seq: Seq) -> CharPolys:
-    """First and second kernel polynomials of the sequence, read off the
-    connection polynomials cs[i] of one Berlekamp-Massey pass, with
-    rev_d(c) = x^d c(1/x).
-
-    a1 is monic of degree rho: rev_rho(cs[2 rho]) when 2 rho - 1 <= n.  In
-    the full-rank case with even n (n = 2 rho - 2) no leading square fixes
-    it, and a1 is the kernel vector of the (rho-1) x (rho+1) view with last
-    coefficient 1 and coefficient 0 at the view's first free column f0 =
-    min{j : L_{j+rho-1} <= j}: A - A_f0 g with A = rev_rho(cs[n+1]) and
-    g = rev_f0(cs[f0+rho-1]).
-
-    a2 is monic of degree <= m = n - r + 2 (zero for the zero sequence):
-    rev_m of the final shifted auxiliary polynomial when L_{n+1} = r, and of
-    cs[n+1] otherwise, reduced canonically by the allowed a1-multiple
-    additions.  Any kernel vector of the (r-1) x (m+1) view outside the
-    a1-multiples reduces to the same a2.
-    """
-    return _profile_and_polys(seq)[1]
-
-
-def _numerator(seq: Seq, a1: Poly) -> Poly:
-    """B, the polynomial part of a1 * sum alpha_i T^(-i-1): with r = deg a1,
-    B_j is the T^(j+r) coefficient of a1 * (alpha_{r-1}, ..., alpha_0)."""
-    r = a1.degree
-    return Poly(seq.ctx, (a1 * Poly(seq.ctx, seq.entries[:r][::-1])).coeffs[r:])
+    """The kernel polynomials (a1, a2) (see Analysis.polys)."""
+    return analyze(seq).polys
 
 
 # sliding products and the circulant Toeplitz picture
@@ -372,42 +375,34 @@ class ReductionPrediction:
     a1: Poly
 
 
-def reduction_profile(seq: Seq, w: Poly, s: int) -> ReductionPrediction:
-    """Predict the characteristic of alpha odot [W]_s from alpha's own.
+def reduction_profile(an: Analysis, w: Poly, s: int) -> ReductionPrediction:
+    """Predict the characteristic of alpha odot [W]_s from alpha's own pass.
 
     Requires W != 0, deg W <= s <= n, n >= 2 and n >= 2 r(alpha) + s - 1.
     The rank drops by deg gcd(a1, W) + min(s - deg W, pi), rho drops by
     deg gcd(a1, W), and the new a1 is a1 / gcd(a1, W).
     """
+    n, prof = an.seq.n, an.profile
     if w.is_zero:
         raise HfqError("W must be non-zero")
     if w.degree > s:
         raise HfqError(f"declared width {s} below deg W = {w.degree}")
-    if s > seq.n:
+    if s > n:
         raise HfqError("sequence shorter than the sliding window")
-    prof, polys = _profile_and_polys(seq)
-    n = seq.n
     if n < 2 or n < 2 * prof.r + s - 1:
         raise HfqError(f"need n >= max(2, 2r + s - 1); have n={n}, r={prof.r}, s={s}")
-    return _predict_reduction(prof, polys, w, s)
-
-
-def _predict_reduction(prof: Profile, polys: CharPolys, w: Poly, s: int) -> ReductionPrediction:
-    """reduction_profile from the sequence's (profile, char_polys) pair."""
-    a1 = polys.a1
-    g = gcd(a1, w) if not a1.is_zero else Poly.one(w.ctx)
-    dg = g.degree
+    a1 = an.polys.a1
+    g = gcd(a1, w)
     pad = s - w.degree
-    drop = min(pad, prof.pi)
     return ReductionPrediction(
-        r=prof.r - dg - drop,
-        rho=prof.rho - dg,
+        r=prof.r - g.degree - min(pad, prof.pi),
+        rho=prof.rho - g.degree,
         pi=max(0, prof.pi - pad),
         a1=a1 // g,
     )
 
 
-def reduction_strict_class(seq: Seq, w: Poly, s: int):
+def reduction_strict_class(an: Analysis, w: Poly, s: int):
     """Strict-class preservation for the boundary class ((n-s)/2 + 1, 0, ...).
 
     Requires deg W = s exactly: the first surviving entry of the reduced
@@ -415,11 +410,7 @@ def reduction_strict_class(seq: Seq, w: Poly, s: int):
     class.  Returns the predicted strict class of alpha odot [W]_s, which
     equals the input class.
     """
-    return _predict_strict_class(profile(seq), seq.n, w, s)
-
-
-def _predict_strict_class(prof: Profile, n: int, w: Poly, s: int):
-    """reduction_strict_class from the sequence's profile and n."""
+    n, strict = an.seq.n, an.profile.strict
     if w.is_zero or w.degree != s:
         raise HfqError("need deg W = s exactly")
     if s > n:
@@ -427,8 +418,8 @@ def _predict_strict_class(prof: Profile, n: int, w: Poly, s: int):
     if (n - s) % 2 != 0 or n - s < 2:
         raise HfqError("need n - s even and >= 2")
     half = (n - s) // 2 + 1
-    if prof.strict != (half, 0, half):
-        raise HfqError(f"sequence has strict class {prof.strict}, need {(half, 0, half)}")
+    if strict != (half, 0, half):
+        raise HfqError(f"sequence has strict class {strict}, need {(half, 0, half)}")
     return (half, 0, half)
 
 
@@ -441,16 +432,16 @@ def bijection_ranks(n: int) -> range:
     return range(3, (n + 3) // 2)
 
 
-def bijection_map(seq: Seq, h: int):
-    """Map a class-(r, r, 0) sequence with h leading zeros to the coprime
-    pair (a1, B) with B in A_{< r - h}.
+def bijection_map(an: Analysis, h: int):
+    """Map a class-(r, r, 0) sequence with h leading zeros, read by its
+    pass, to the coprime pair (a1, B) with B in A_{< r - h}.
 
     B is a1 times the generating series sum alpha_i T^(-i-1); placing the
     first entry at T^(-1) is what makes deg B < r - h and gcd(a1, B) = 1
     hold (with the series started at T^0 the image polynomial picks up an
     extra alpha_h T^(r-h) term and the map leaves the coprime-pair set).
     """
-    prof, polys = _profile_and_polys(seq)
+    seq, prof = an.seq, an.profile
     r = prof.r
     if prof.standard != (r, r, 0):
         raise HfqError(f"sequence has class {prof.standard}, need (r, r, 0)")
@@ -460,10 +451,10 @@ def bijection_map(seq: Seq, h: int):
         raise HfqError(f"need 0 <= h < r = {r}")
     if seq.leading_zeros() < h:
         raise HfqError(f"sequence has fewer than {h} leading zeros")
-    bp = _numerator(seq, polys.a1)
+    bp = an.numerator
     if bp.degree >= r - h:
         raise AssertionError("image polynomial exceeds its degree bound")
-    return polys.a1, bp
+    return an.polys.a1, bp
 
 
 def bijection_inverse(a: Poly, b: Poly, n: int, h: int) -> Seq:
@@ -485,7 +476,7 @@ def bijection_inverse(a: Poly, b: Poly, n: int, h: int) -> Seq:
     return Seq(ctx, laurent_expand(b.shift(1), a, n))
 
 
-def _bijection_pairs(ctx: FieldCtx, r: int, h: int) -> dict:
+def bijection_pairs(ctx: FieldCtx, r: int, h: int) -> dict:
     """The bijection's image at rank r with h leading zeros: each monic A of
     degree r mapped to the set of non-zero B of degree < r - h coprime to A."""
     bs = [b for b in polys_upto(ctx, r - h - 1) if not b.is_zero]

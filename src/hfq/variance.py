@@ -13,6 +13,7 @@ every function that takes the point as ``par`` trusts it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
@@ -141,22 +142,25 @@ def _half_degrees(u: Poly, v: Poly, degree) -> tuple:
     return max((degree - u.degree) // 2, -1), max((degree - v.degree) // 2, -1)
 
 
+def _square_sums(u: Poly, v: Poly, degree):
+    """U E^2 + V F^2 for each pair (E, F) in the box of deg <= degree.  No
+    leading term cancels, as deg U E^2 and deg V F^2 differ in parity, so
+    the box holds every pair of every B of degree <= degree."""
+    e_max, f_max = _half_degrees(u, v, degree)
+    f_squares = [v * f * f for f in polys_upto(u.ctx, f_max)]
+    for e in polys_upto(u.ctx, e_max):
+        ue2 = u * e * e
+        for vf2 in f_squares:
+            yield ue2 + vf2
+
+
 def s_count(u: Poly, v: Poly, b: Poly, guard: int = 10**8) -> int:
     """Number of pairs (E, F) with B = U E^2 + V F^2, by full enumeration of
     the degree-feasible candidates."""
     validate_pair(u, v)
-    ctx = u.ctx
     e_max, f_max = _half_degrees(u, v, b.degree)
-    work = ctx.q ** (e_max + f_max + 2)
-    check_guard(work, guard, "s_count", "pairs")
-    count = 0
-    f_squares = [v * f * f for f in polys_upto(ctx, f_max)]
-    for e in polys_upto(ctx, e_max):
-        ue2 = u * e * e
-        for vf2 in f_squares:
-            if ue2 + vf2 == b:
-                count += 1
-    return count
+    check_guard(u.ctx.q ** (e_max + f_max + 2), guard, "s_count", "pairs")
+    return sum(1 for x in _square_sums(u, v, b.degree) if x == b)
 
 
 def mean_formula(par: ThmParams) -> Fraction:
@@ -167,17 +171,17 @@ def mean_formula(par: ThmParams) -> Fraction:
 
 
 def interval_sum(u: Poly, v: Poly, a: Poly, h: int, guard: int = 10**8) -> int:
-    """Sum of s_count over the q^h polynomials within distance < h of A."""
+    """Sum of s_count over the q^h polynomials within distance < h of A,
+    from one tally of U E^2 + V F^2 over the box of the largest member."""
     if h < 0:
         raise HfqError("interval radius must be >= 0")
     validate_pair(u, v)
-    e_max, f_max = _half_degrees(u, v, max(a.degree, h - 1))  # the largest deg(A + D)
+    top = max(a.degree, h - 1)  # the largest deg(A + D)
+    e_max, f_max = _half_degrees(u, v, top)
     work = u.ctx.q ** (h + e_max + f_max + 2)
     check_guard(work, guard, "interval_sum", "pairs")
-    total = 0
-    for d in polys_upto(u.ctx, h - 1):
-        total += s_count(u, v, a + d, guard)
-    return total
+    tally = Counter(_square_sums(u, v, top))  # once, over the largest member's box
+    return sum(tally[a + d] for d in polys_upto(u.ctx, h - 1))
 
 
 def _class_digits(ctx, parts, h: int, n: int) -> np.ndarray:
@@ -420,7 +424,7 @@ def w_sum_identity(par: ThmParams, r: int, guard: int = 10**8):
         raise HfqError(f"r = {r} outside [{h + 1}, {ranks.stop - 1}] (and r > 2)")
     check_guard(q ** (n - h), guard, "identity enumeration")
     from . import fastpath
-    from .hankel import Seq, _bijection_pairs, char_polys
+    from .hankel import Seq, bijection_pairs, char_polys
 
     lhs = 0  # one sequence per scalar orbit, weighted q - 1: a1 is monic, so c * seq shares it
     for (rank, _, strict_rho), ents in fastpath.walk(ctx, n - h, h, ((1,),)):
@@ -429,5 +433,5 @@ def w_sum_identity(par: ThmParams, r: int, guard: int = 10**8):
             lhs += (q - 1) * gcd(a1, u).abs_value() * gcd(a1, v).abs_value()
 
     w = u * v
-    rhs = sum(gcd(a, w).abs_value() * len(bs) for a, bs in _bijection_pairs(ctx, r, h).items())
+    rhs = sum(gcd(a, w).abs_value() * len(bs) for a, bs in bijection_pairs(ctx, r, h).items())
     return Fraction(lhs), Fraction(rhs)

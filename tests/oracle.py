@@ -16,11 +16,11 @@ from hfq.field import CHUNK, to_digits
 from hfq.hankel import (
     CharPolys,
     Seq,
-    _row_reduce,
     hankel_matrix,
     kernel_basis,
     profile,
     rank,
+    row_reduce,
 )
 from hfq.polyring import Poly, coeff_vector
 from hfq.variance import ThmParams
@@ -68,7 +68,7 @@ def gauss_recurrence_vector(seq: Seq, rho: int):
     ctx = seq.ctx
     e = seq.entries
     aug = [list(e[i : i + rho]) + [e[i + rho]] for i in range(rho)]
-    pivots = _row_reduce(aug, rho + 1, ctx)
+    pivots = row_reduce(aug, rho + 1, ctx)
     if pivots != list(range(rho)):
         raise AssertionError("leading square expected to be invertible")
     return tuple(row[rho] for row in aug)

@@ -286,6 +286,8 @@ def test_identity_kernel_sum(capsys):
         # q^(n+1) sequences per n
         (("identity", "kernel-structure", "--q", "3", "--n", "0..2"), 3 + 9 + 27),
         (("identity", "reduction", "--q", "3", "--n", "0..3"), 27 + 81),
+        # (n+1)^2 steps of one Berlekamp-Massey pass over n + 1 entries
+        (("analyze", "--q", "3", "--alpha", "0,0,1,0,0"), 5**2),
         # q^(n+1-h) sequences plus q^r * q^(r-h) pairs per h
         (
             ("identity", "bijection", "--q", "3", "--n", "6", "--r", "3", "--h", "0..2"),
@@ -298,7 +300,7 @@ def test_identity_kernel_sum(capsys):
             3**4 * (3**2 + 3**2),
         ),
     ],
-    ids=["quadform", "kernel-structure", "reduction", "bijection", "charsum-exact"],
+    ids=["quadform", "kernel-structure", "reduction", "analyze", "bijection", "charsum-exact"],
 )
 def test_guard_bounds_the_work(capsys, argv, cap):
     code, _, _ = run(capsys, *argv, "--guard", str(cap))
@@ -395,6 +397,22 @@ def test_analyze(capsys):
         "r": 3, "rho": 3, "pi": 0, "strict_rho": 0, "strict_pi": 3,
     }
     assert payload["a1"] == "0,0,0,1"
+
+
+def test_analyze_guard_refuses_before_the_pass(capsys, monkeypatch):
+    from hfq import hankel
+
+    def no_pass(*args):
+        raise AssertionError("pass started past the guard")
+
+    monkeypatch.setattr(hankel, "_lc_profile", no_pass)
+    alpha = ",".join("1" * 3000)
+    code, out, err = run(capsys, "analyze", "--q", "3", "--alpha", alpha, "--guard", "10000")
+    assert code == EXIT_GUARD and out == ""
+    assert "analyze pass needs 9000000 steps, cap 10000" in err
+    monkeypatch.setenv("HFQ_GUARD", "8999999")
+    code, out, err = run(capsys, "analyze", "--q", "3", "--alpha", alpha)
+    assert code == EXIT_GUARD and out == "" and "cap 8999999" in err
 
 
 def test_usage_errors_exit_64(capsys):

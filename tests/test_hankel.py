@@ -12,10 +12,9 @@ from hfq.census import census_enumerate, census_formula, census_formula_total
 from hfq.errors import HfqError, TooLargeError
 from hfq.field import ctx_new
 from hfq.hankel import (
-    _numerator,
-    _profile_and_polys,
     CharPolys,
     Seq,
+    analyze,
     bijection_inverse,
     bijection_map,
     char_polys,
@@ -245,7 +244,7 @@ def test_kernel_polys_need_no_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("Gaussian elimination reached")
 
-    monkeypatch.setattr(hankel, "_row_reduce", refuse)
+    monkeypatch.setattr(hankel, "row_reduce", refuse)
     for n in range(6):
         for s in seqs(F3, n):
             char_polys(s)
@@ -284,16 +283,18 @@ def test_check_kernel_structure_passes(ctx, n_max):
 def test_check_kernel_structure_catches_wrong_char_polys(monkeypatch, which):
     # a generator outside the kernel fails containment; a2 = 0 keeps every
     # generator inside it and fails on rank alone
-    def broken(seq):
-        prof, cp = _profile_and_polys(seq)
-        one = Poly.one(seq.ctx)
-        if which == "a1+1":
-            return prof, CharPolys(cp.a1 + one, cp.a2, cp.canonical)
-        if which == "a2+1":
-            return prof, CharPolys(cp.a1, cp.a2 + one, cp.canonical)
-        return prof, CharPolys(cp.a1, Poly.zero(seq.ctx), cp.canonical)
+    polys = hankel.Analysis.polys.func
 
-    monkeypatch.setattr(hankel, "_profile_and_polys", broken)
+    def broken(an):
+        cp = polys(an)
+        one = Poly.one(an.seq.ctx)
+        if which == "a1+1":
+            return CharPolys(cp.a1 + one, cp.a2, cp.canonical)
+        if which == "a2+1":
+            return CharPolys(cp.a1, cp.a2 + one, cp.canonical)
+        return CharPolys(cp.a1, Poly.zero(an.seq.ctx), cp.canonical)
+
+    monkeypatch.setattr(hankel.Analysis, "polys", property(broken))
     res = checks.check_kernel_structure(F3, range(5))
     assert not res.ok and any("kernel mismatch" in line for line in res.lines)
 
@@ -343,9 +344,10 @@ def test_strict_full_class_empty_for_even_n():
 
 def _extend(seq, extra):
     """seq continued by extra entries of the expansion of B/a1, B the
-    bijection's numerator (_numerator): its a1 recurrence, when pi = 0."""
-    a1 = char_polys(seq).a1
-    return Seq(seq.ctx, laurent_expand(_numerator(seq, a1).shift(1), a1, seq.n + extra))
+    bijection's numerator (Analysis.numerator): its a1 recurrence, when
+    pi = 0."""
+    an = analyze(seq)
+    return Seq(seq.ctx, laurent_expand(an.numerator.shift(1), an.polys.a1, seq.n + extra))
 
 
 def test_seq_extend_fixtures():
@@ -493,10 +495,10 @@ def test_odot_matches_toeplitz_product():
 
 def test_reduction_profile_fixtures():
     s = Seq.from_literal(F3, "1,1,1,1,1,1,1")
-    pred = reduction_profile(s, p3(2, 1), 1)
+    pred = reduction_profile(analyze(s), p3(2, 1), 1)
     assert (pred.r, pred.rho, pred.pi) == (0, 0, 0)
     assert pred.a1 == Poly.one(F3)
-    ident = reduction_profile(s, Poly.one(F3), 0)
+    ident = reduction_profile(analyze(s), Poly.one(F3), 0)
     assert (ident.r, ident.rho, ident.pi) == profile(s).standard
     assert ident.a1 == char_polys(s).a1
 
@@ -507,9 +509,9 @@ def test_reduction_profile_preconditions():
     bad_s = 2 * (s.n - 2 * r + 1) + 2  # force n < 2r + s - 1
     if bad_s <= s.n:
         with pytest.raises(HfqError, match=r"need n >= max\(2, 2r \+ s - 1\)"):
-            reduction_profile(s, Poly.one(F3), bad_s)
+            reduction_profile(analyze(s), Poly.one(F3), bad_s)
     with pytest.raises(HfqError, match="W must be non-zero"):
-        reduction_profile(s, Poly.zero(F3), 1)
+        reduction_profile(analyze(s), Poly.zero(F3), 1)
 
 
 def test_reduction_exhaustive_small():
@@ -521,7 +523,7 @@ def test_reduction_exhaustive_small():
                 for pad in range(w.degree, n + 1):
                     if n < 2 * p.r + pad - 1:
                         continue
-                    pred = reduction_profile(s, w, pad)
+                    pred = reduction_profile(analyze(s), w, pad)
                     reduced = odot(s, w, pad)
                     actual = profile(reduced)
                     assert (pred.r, pred.rho, pred.pi) == actual.standard
@@ -551,15 +553,16 @@ def test_reduction_law_beyond_the_envelope_by_class():
                 i = n - rng.randrange(3)
                 broken[i] = (broken[i] + rng.randrange(1, 3)) % 3
                 for seq in (member, Seq(F3, broken)):
-                    prof, polys = _profile_and_polys(seq)
+                    an = analyze(seq)
+                    prof = an.profile
                     for w in ws:
                         for pad in range(w.degree, 5):
                             if n < 2 * prof.r + pad - 1:
                                 continue
-                            pred = hankel._predict_reduction(prof, polys, w, pad)
-                            actual, actual_polys = _profile_and_polys(odot(seq, w, pad))
+                            pred = reduction_profile(an, w, pad)
+                            actual = analyze(odot(seq, w, pad))
                             assert (pred.r, pred.rho, pred.pi, pred.a1) == (
-                                *actual.standard, actual_polys.a1
+                                *actual.profile.standard, actual.polys.a1
                             ), (seq, w, pad)
                             classes.add(prof.standard)
                             by_width[pad] = by_width.get(pad, 0) + 1
@@ -574,11 +577,11 @@ def test_reduction_strict_class():
     s = Seq.from_literal(F3, "0,0,0,0,1,0,2")  # n = 6, strict class (3, 0, 3)
     assert profile(s).strict == (3, 0, 3)
     w = p3(1, 0, 1)
-    pred = reduction_strict_class(s, w, 2)
+    pred = reduction_strict_class(analyze(s), w, 2)
     assert pred == (3, 0, 3)
     assert profile(odot(s, w, 2)).strict == pred
     with pytest.raises(HfqError, match="need deg W = s exactly"):
-        reduction_strict_class(s, Poly.one(F3), 1)  # deg W != s
+        reduction_strict_class(analyze(s), Poly.one(F3), 1)  # deg W != s
 
 
 def test_check_reduction_one_pass_per_sequence(monkeypatch):
@@ -603,7 +606,7 @@ def test_bijection_roundtrip_class_n6():
         if profile(s).standard != (3, 3, 0):
             continue
         count += 1
-        a, b = bijection_map(s, 2)
+        a, b = bijection_map(analyze(s), 2)
         assert gcd(a, b).degree == 0 and b.degree < 1
         assert bijection_inverse(a, b, 6, 2) == s
         image.add((a, b))
@@ -613,7 +616,7 @@ def test_bijection_roundtrip_class_n6():
 
 def test_bijection_errors():
     with pytest.raises(HfqError, match="rank 0 outside the bijection range"):
-        bijection_map(Seq(F3, (0,) * 7), 0)
+        bijection_map(analyze(Seq(F3, (0,) * 7)), 0)
     with pytest.raises(HfqError, match="components must be coprime"):
         bijection_inverse(p3(0, 0, 0, 1), p3(0, 1), 6, 1)  # gcd = T
     with pytest.raises(HfqError, match="second component must have degree < 2"):
@@ -634,6 +637,38 @@ def test_profile_keeps_no_connection_polynomial_snapshots():
     assert peak < 500_000
 
 
+def test_char_polys_memory_is_linear():
+    # the pass keeps four connection polynomials, not one per entry: with
+    # every snapshot, this call peaks near 6 MB (49 MiB at 3,000 entries)
+    rng = random.Random(3000)
+    seq = Seq(F3, [rng.randrange(3) for _ in range(1000)])
+    tracemalloc.start()
+    try:
+        char_polys(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+def test_checks_make_one_pass_per_sequence(monkeypatch):
+    # one Berlekamp-Massey pass per enumerated sequence: the bijection check
+    # made 35,640 here, a second pass for each class member (the reduction
+    # check is pinned by test_check_reduction_one_pass_per_sequence)
+    lc_profile, passes = hankel._lc_profile, []
+
+    def counting(entries, ctx):
+        passes.append(entries)
+        return lc_profile(entries, ctx)
+
+    monkeypatch.setattr(hankel, "_lc_profile", counting)
+    assert checks.check_bijection(F3, 8, 4, range(4)).ok
+    assert len(passes) == 3**9 + 3**8 + 3**7 + 3**6 == 29_160
+    passes.clear()
+    assert checks.check_kernel_structure(F3, range(7)).ok
+    assert len(passes) == sum(3 ** (n + 1) for n in range(7)) == 3_279
+
+
 def test_profile_and_polys_take_one_pass(monkeypatch):
     calls = []
     lc_profile = hankel._lc_profile
@@ -647,8 +682,8 @@ def test_profile_and_polys_take_one_pass(monkeypatch):
     assert len(calls) == sum(3 ** (n + 1) for n in range(4))
     seq = bijection_inverse(Poly.from_ints(F3, [1, 2, 0, 1]), Poly.one(F3), 6, 2)
     for call in (
-        lambda: reduction_profile(Seq.from_literal(F3, "1,0,0,0,0,0,0,0"), Poly.t(F3), 1),
-        lambda: bijection_map(seq, 2),
+        lambda: reduction_profile(analyze(Seq.from_literal(F3, "1,0,0,0,0,0,0,0")), Poly.t(F3), 1),
+        lambda: bijection_map(analyze(seq), 2),
         lambda: cli.main(["analyze", "--q", "3", "--alpha", "0,0,1,0,0"]),
     ):
         calls.clear()

@@ -121,6 +121,16 @@ def test_mean_fixtures():
         assert interval_sum(U1, V1, rep, 1) == 6
 
 
+def test_interval_sum_is_the_sum_over_its_members():
+    # one tally serves every member, so its box must hold the largest one,
+    # also when the radius reaches past deg A
+    for u, v in ((U1, V1), (U2, V1), (U1, V3)):
+        for a in (Poly.zero(F3), Poly.one(F3), p3(2, 1), p3(0, 1, 1), p3(1, 0, 2, 1)):
+            for h in range(5):
+                members = sum(s_count(u, v, a + d) for d in polys_upto(F3, h - 1))
+                assert interval_sum(u, v, a, h) == members, (u, v, a, h)
+
+
 def test_mean_identity_small():
     for u, v, n in ((U1, V1, 2), (U1, V1, 3), (U2, V1, 4)):
         for h in range(n + 1):
