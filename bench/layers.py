@@ -18,8 +18,7 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
 - in-process layers, each the best of 7 passes in a fresh interpreter:
   the class/pair bijection, where Poly division does the work
   (analyze, bijection_map and bijection_inverse over 2,000 class-(4, 4, 0)
-  F_3 sequences, n = 8; where hfq.hankel has no analyze, bijection_map
-  takes the sequence); the field ops mul, add and inv over F_27 (200,000
+  F_3 sequences, n = 8); the field ops mul, add and inv over F_27 (200,000
   random operand pairs each); Poly mul, divmod and gcd over F_3 (500 random
   pairs of monic degree-20 polynomials, divmod dividing their product plus
   the first by the second); fastpath.qform_counts, monic and full, on 3,000
@@ -203,12 +202,8 @@ import numpy as np
 import hfq.cli
 from hfq import fastpath
 from hfq.field import ctx_new, fq_vectors
-from hfq.hankel import Seq, bijection_inverse, bijection_map, profile
+from hfq.hankel import Seq, analyze, bijection_inverse, bijection_map, profile
 from hfq.polyring import Poly, gcd
-try:
-    from hfq.hankel import analyze
-except ImportError:  # a checkout whose bijection_map takes the sequence itself
-    analyze = lambda s: s
 def oracle():
     argv = ["variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "12", "--h", "4",
             "--oracle"]

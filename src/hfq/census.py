@@ -20,11 +20,16 @@ if TYPE_CHECKING:
     from .field import FieldCtx
 
 
+def _check_box(n: int, h: int) -> None:
+    """The sequences in F_q^{n+1} with h leading zeros exist."""
+    if n < 0 or not 0 <= h <= n + 1:
+        raise HfqError("need n >= 0 and 0 <= h <= n+1")
+
+
 def census_formula(n: int, h: int, r: int, rho: int, pi: int, q: int) -> int:
     """Number of sequences in F_q^{n+1} with h leading zeros and the given
     standard characteristic; 0 for parameter combinations no class attains."""
-    if n < 0 or not 0 <= h <= n + 1:
-        raise HfqError("need n >= 0 and 0 <= h <= n+1")
+    _check_box(n, h)
     if min(r, rho, pi) < 0 or r != rho + pi:
         return 0
     n1 = (n + 2) // 2
@@ -46,8 +51,7 @@ def census_formula(n: int, h: int, r: int, rho: int, pi: int, q: int) -> int:
 
 def census_formula_total(n: int, h: int, r: int, q: int) -> int:
     """Number of sequences with h leading zeros and rank invariant r."""
-    if n < 0 or not 0 <= h <= n + 1:
-        raise HfqError("need n >= 0 and 0 <= h <= n+1")
+    _check_box(n, h)
     if r < 0:
         return 0
     n1 = (n + 2) // 2
@@ -89,8 +93,7 @@ def census_enumerate(
 ) -> CensusTally:
     """Exhaustive tallies of the standard and strict classes over all
     sequences in F_q^{n+1} with h leading zeros."""
-    if n < 0 or not 0 <= h <= n + 1:
-        raise HfqError("need n >= 0 and 0 <= h <= n+1")
+    _check_box(n, h)
     total = ctx.q ** (n + 1 - h)
     check_guard(total, guard, f"census of q^{n + 1 - h}", "sequences")
     side = (n + 2) // 2 + 1  # r, rho and strict rho are at most n1

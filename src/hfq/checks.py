@@ -232,6 +232,7 @@ def check_reduction(ctx: FieldCtx, ns, ws=None, guard: int = 10**8) -> CheckResu
 def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = 10**8) -> CheckResult:
     """Forward map into the coprime pairs, the inverse roundtrip, injectivity,
     and both cardinalities, with one Berlekamp-Massey pass per sequence."""
+    from .census import census_formula
     from .hankel import analyze, bijection_inverse, bijection_map, bijection_pairs
 
     res = CheckResult(f"class/pair bijection (n={n}, r={r})")
@@ -254,7 +255,7 @@ def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = 10**8) -> Ch
                 lambda: f"roundtrip failed at {seq!r} (h={h}) -> ({a!r}, {b!r})",
             )
             image.add((a, b))
-        want = (q - 1) * q ** (2 * r - h - 1)
+        want = census_formula(n, h, r, r, 0, q)
         pair_set = {(a, b) for a, bs in pairs.items() for b in bs}
         res.count(
             members == want and len(image) == members and image == pair_set,

@@ -259,8 +259,6 @@ def cmd_identity(args) -> int:
             for h in _parse_range(args.h, "h"):
                 if variance.ThmParams.domain_error(u, v, n, h) is None:
                     results.append(fn(variance.ThmParams.compute(u, v, n, h), guard=guard))
-    else:
-        raise HfqError(f"unknown identity kind {kind!r}")
     results = [res for res in results if res.checked > 0]
     if not results:
         print("nothing to check in the requested ranges")

@@ -325,13 +325,19 @@ def char_polys(seq: Seq) -> CharPolys:
 # sliding products and the circulant Toeplitz picture
 
 
+def _check_window(w: Poly, s: int, n: int | None = None) -> None:
+    """[W]_s is a window of width s (deg W <= s) that fits a sequence of top
+    index n, when n is given."""
+    if w.degree > s:
+        raise HfqError(f"declared width {s} below deg W = {w.degree}")
+    if n is not None and s > n:
+        raise HfqError("sequence shorter than the sliding window")
+
+
 def odot(seq: Seq, w: Poly, s: int) -> Seq:
     """Sliding dot product of the sequence against [W]_s (W padded to width
     s+1); output entry i is sum_j W_j alpha_{i+j}."""
-    if w.degree > s:
-        raise HfqError(f"declared width {s} below deg W = {w.degree}")
-    if s > seq.n:
-        raise HfqError("sequence shorter than the sliding window")
+    _check_window(w, s, seq.n)
     ctx = seq.ctx
     wv = coeff_vector(w, s)
     e = seq.entries
@@ -352,8 +358,7 @@ def toeplitz_mat(w: Poly, s: int, k: int):
     against the vector of B (deg B < k) is the length-(k+s) vector of W*B,
     and H_{l,k+s}(alpha) times this matrix is H_{l,k}(alpha odot [W]_s).
     """
-    if w.degree > s:
-        raise HfqError(f"declared width {s} below deg W = {w.degree}")
+    _check_window(w, s)
     if k < 1:
         raise HfqError("need at least one column")
     ctx = w.ctx
@@ -385,10 +390,7 @@ def reduction_profile(an: Analysis, w: Poly, s: int) -> ReductionPrediction:
     n, prof = an.seq.n, an.profile
     if w.is_zero:
         raise HfqError("W must be non-zero")
-    if w.degree > s:
-        raise HfqError(f"declared width {s} below deg W = {w.degree}")
-    if s > n:
-        raise HfqError("sequence shorter than the sliding window")
+    _check_window(w, s, n)
     if n < 2 or n < 2 * prof.r + s - 1:
         raise HfqError(f"need n >= max(2, 2r + s - 1); have n={n}, r={prof.r}, s={s}")
     a1 = an.polys.a1
@@ -413,8 +415,7 @@ def reduction_strict_class(an: Analysis, w: Poly, s: int):
     n, strict = an.seq.n, an.profile.strict
     if w.is_zero or w.degree != s:
         raise HfqError("need deg W = s exactly")
-    if s > n:
-        raise HfqError("sequence shorter than the sliding window")
+    _check_window(w, s, n)
     if (n - s) % 2 != 0 or n - s < 2:
         raise HfqError("need n - s even and >= 2")
     half = (n - s) // 2 + 1

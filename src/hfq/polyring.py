@@ -77,12 +77,6 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one
 
-    @property
-    def leading(self) -> FqElem:
-        if not self.coeffs:
-            raise HfqError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def abs_value(self) -> int:
         """|A| = q^(deg A), with |0| = 0."""
         return 0 if self.is_zero else self.ctx.q ** (len(self.coeffs) - 1)

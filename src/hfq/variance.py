@@ -14,7 +14,7 @@ every function that takes the point as ``par`` trusts it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
@@ -47,20 +47,28 @@ def validate_pair(u: Poly, v: Poly) -> None:
 
 @dataclass(frozen=True)
 class ThmParams:
-    """(U, V) at (n, h) and the derived parameters: the parity table (s, t),
-    the half-gaps (s', t') and the square-matrix sizes n1, n2.  The one reader
-    of the parity of n: side(), the rank ranges and the case are decided here."""
+    """(U, V) at (n, h) and, derived from them on construction, the parity
+    table (s, t), the half-gaps (s', t') and the square-matrix sizes n1, n2.
+    The one reader of the parity of n: side(), the rank ranges and the case."""
 
     u: Poly
     v: Poly
     n: int
     h: int
-    s: int
-    t: int
-    s_prime: int
-    t_prime: int
-    n1: int
-    n2: int
+    s: int = field(init=False)
+    t: int = field(init=False)
+    s_prime: int = field(init=False)
+    t_prime: int = field(init=False)
+    n1: int = field(init=False)
+    n2: int = field(init=False)
+
+    def __post_init__(self):
+        n = self.n
+        s, t = self.widths(self.u, self.v, n)
+        derived = {"s": s, "t": t, "s_prime": (n - s) // 2, "t_prime": (n - t) // 2,
+                   "n1": (n + 2) // 2, "n2": (n + 3) // 2}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)  # frozen: set once, here
 
     @property
     def even(self) -> bool:
@@ -81,13 +89,12 @@ class ThmParams:
         return range(half + 1, self.n - self.h + 1)
 
     def w_ranks(self) -> range:
-        """Ranks of the w-sum identity: h < r <= min(s', t'), inside the
-        bijection range of the length-n sequences it counts."""
+        """Ranks of the w-sum identity: h < r <= min(s', t') and r > 2, inside
+        the bijection range of the length-n sequences it counts."""
         from .hankel import bijection_ranks
 
-        ranks = bijection_ranks(self.n - 1)
-        stop = min(self.s_prime + 1, self.t_prime + 1, ranks.stop)
-        return range(max(self.h + 1, ranks.start), stop)
+        start = bijection_ranks(self.n - 1).start
+        return range(max(self.h + 1, start), min(self.s_prime, self.t_prime) + 1)
 
     @property
     def case(self) -> str:
@@ -131,8 +138,7 @@ class ThmParams:
         reason = cls.domain_error(u, v, n, h)
         if reason:
             raise HfqError(reason)
-        s, t = cls.widths(u, v, n)
-        return cls(u, v, n, h, s, t, (n - s) // 2, (n - t) // 2, (n + 2) // 2, (n + 3) // 2)
+        return cls(u, v, n, h)
 
 
 def _half_degrees(u: Poly, v: Poly, degree) -> tuple:

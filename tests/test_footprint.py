@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import hfq
-from hfq import analytic, census, charsum, field, hankel, polyring, variance
 from hfq.cli import EXIT_OK, EXIT_USAGE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -147,19 +146,6 @@ def test_oracle_variance_loads_no_character_sum_layers():
                    "--oracle")
     assert "hfq.variance" in mods  # the command ran
     assert not mods & {"hfq.charsum", "hfq.fastpath", "hfq.hankel"}
-
-
-def test_lazy_names_are_the_home_modules_objects():
-    homes = {m.__name__: m for m in (analytic, census, charsum, field, hankel, polyring, variance)}
-    table = hfq._HOME  # public name -> home submodule
-    assert sorted(table) == sorted(hfq.__all__)
-    for name in hfq.__all__:
-        assert getattr(hfq, name) is getattr(homes[f"hfq.{table[name]}"], name)
-    star: dict = {}
-    exec("from hfq import *", star)
-    assert {k for k in star if not k.startswith("__")} == set(hfq.__all__)
-    assert hfq.hankel is hankel and hfq.checks.CheckResult
-    assert set(hfq.__all__) <= set(dir(hfq))
 
 
 def test_unknown_attribute_raises():

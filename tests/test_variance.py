@@ -44,6 +44,22 @@ def test_thm_params_parity_table():
     assert (par.n1, par.n2) == (4, 5)
 
 
+def test_derived_parameters_follow_n_and_h():
+    # the parity table, half-gaps and sizes are derived from (U, V, n, h),
+    # so a replaced point is the point compute builds, not a stale copy
+    moved = dataclasses.replace(ThmParams.compute(U1, V1, 6, 3), n=7)
+    assert moved == ThmParams.compute(U1, V1, 7, 3)
+    assert moved.case == "uncovered" and f_formula(moved) == 8
+    with pytest.raises(ValueError):  # the derived values take no argument
+        dataclasses.replace(moved, s_prime=7)
+    for n in range(1, 12):
+        for h in range(n + 1):
+            if ThmParams.domain_error(U2, V3, n, h) is None:
+                built = ThmParams(U2, V3, n, h)
+                assert built == ThmParams.compute(U2, V3, n, h)
+                assert (built.s, built.t) == ThmParams.widths(U2, V3, n)
+
+
 def test_domain_error_is_the_rule_compute_applies():
     # identity kernel-sum|w-sum skip exactly the (n, h) that compute refuses
     for u, v in ((U1, V1), (U2, V1), (U2, V3)):
@@ -81,10 +97,8 @@ def test_sides_and_rank_ranges_match_the_parity_table():
                     n2_seq = ((n - 1) + 3) // 2
                     w = par.w_ranks()
                     assert (w.start, w.stop) == (max(h + 1, 3), min(sp, tp, n2_seq - 1) + 1)
-                    # min(s', t') never exceeds the bijection bound of a valid
-                    # pair; lifting it exposes that bound
-                    lifted = dataclasses.replace(par, s_prime=n, t_prime=n).w_ranks()
-                    assert lifted.stop == n2_seq
+                    # min(s', t') + 1 never exceeds the bijection bound of a valid pair
+                    assert min(sp, tp) + 1 <= n2_seq
                     checked += 1
     assert checked > 100
     for n in range(14):
