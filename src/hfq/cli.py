@@ -103,6 +103,14 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _nothing_to_check(as_json: bool) -> int:
+    if as_json:
+        _print_json({"checked": 0, "failed": 0})
+    else:
+        print("nothing to check in the requested ranges")
+    return EXIT_OK
+
+
 def _print_result(res, as_json: bool) -> int:
     if as_json:
         _print_json(
@@ -126,41 +134,22 @@ def cmd_census(args) -> int:
     ns, h_range = _parse_range(args.n, "n"), _parse_range(args.h, "h")
     ranges = [(n, [h for h in h_range if h <= n + 1]) for n in ns]
     if not any(hs for _, hs in ranges):
-        print("nothing to check in the requested ranges")
+        _nothing_to_check(args.json)
     for n, hs in ranges:
         if not hs:
             continue  # no class to count at this n
         rows: list = []
-        res = checks.check_census(
-            ctx, [n], hs, guard=args.guard, workers=args.workers, rows=rows
-        )
-        if args.json:
-            _print_json(
-                {
-                    "n": n,
-                    "rows": [
-                        {
-                            "n": rn,
-                            "h": rh,
-                            "kind": kind,
-                            "key": list(key) if isinstance(key, tuple) else key,
-                            "formula": want,
-                            "enumerated": got,
-                            "match": want == got,
-                        }
-                        for rn, rh, kind, key, want, got in rows
-                    ],
-                    "checked": res.checked,
-                    "failed": res.failed,
-                }
-            )
-            worst = max(worst, EXIT_OK if res.ok else EXIT_MISMATCH)
+        res = checks.check_census(ctx, [n], hs, guard=args.guard, workers=args.workers, rows=rows)
+        if args.json:  # a class key, a tuple, prints as a list
+            fields = ("n", "h", "kind", "key", "formula", "enumerated")
+            table = [dict(zip(fields, row), match=row[-2] == row[-1]) for row in rows]
+            _print_json({"n": n, "rows": table, "checked": res.checked, "failed": res.failed})
         else:
             for rn, rh, kind, key, want, got in rows:
                 mark = "ok" if want == got else "MISMATCH"
                 print(f"n={rn} h={rh} {kind} {key}: formula {want} enumerated {got} {mark}")
-            code = _print_result(res, False)
-            worst = max(worst, code)
+            _print_result(res, False)
+        worst = max(worst, EXIT_OK if res.ok else EXIT_MISMATCH)
     return worst
 
 
@@ -220,53 +209,60 @@ def cmd_variance(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-def cmd_identity(args) -> int:
-    from . import checks
+def _quadform(checks, args):
+    return [checks.check_quadform(_build_ctx(args), _parse_range(args.l, "l"), args.guard)]
+
+
+def _kernel_structure(checks, args):
+    ctx = _build_ctx(args)
+    return [checks.check_kernel_structure(ctx, _parse_range(args.n, "n"), args.guard)]
+
+
+def _reduction(checks, args):
+    from .polyring import Poly
+
+    ctx = _build_ctx(args)
+    ws = [Poly.from_literal(ctx, w) for w in args.W] if args.W else None
+    return [checks.check_reduction(ctx, _parse_range(args.n, "n"), ws, args.guard)]
+
+
+def _bijection(checks, args):
+    from .hankel import bijection_ranks
 
     if args.r < 0:
         raise HfqError(f"--r must be >= 0, got {args.r}")
     ctx = _build_ctx(args)
-    kind = args.kind
-    results = []
-    guard = args.guard
-    if kind == "quadform":
-        results.append(checks.check_quadform(ctx, _parse_range(args.l, "l"), guard))
-    elif kind == "kernel-structure":
-        results.append(checks.check_kernel_structure(ctx, _parse_range(args.n, "n"), guard))
-    elif kind == "reduction":
-        from .polyring import Poly
+    hs = [h for h in _parse_range(args.h, "h") if h < args.r]
+    return [
+        checks.check_bijection(ctx, n, args.r, hs, args.guard)
+        for n in _parse_range(args.n, "n")
+        if args.r in bijection_ranks(n)
+    ]
 
-        ws = None
-        if args.W:
-            ws = [Poly.from_literal(ctx, w) for w in args.W]
-        results.append(checks.check_reduction(ctx, _parse_range(args.n, "n"), ws, guard))
-    elif kind == "bijection":
-        from .hankel import bijection_ranks
 
-        hs = [x for x in _parse_range(args.h, "h") if x < args.r]
-        for n in _parse_range(args.n, "n"):
-            if args.r in bijection_ranks(n):
-                results.append(checks.check_bijection(ctx, n, args.r, hs, guard))
-    elif kind in ("kernel-sum", "w-sum"):
-        from . import variance
-        from .polyring import Poly
+def _sums(checks, args):
+    from . import variance
+    from .polyring import Poly
 
-        u = Poly.from_literal(ctx, args.U)
-        v = Poly.from_literal(ctx, args.V)
-        variance.validate_pair(u, v)  # a bad pair is bad input, not an empty range
-        fn = checks.check_kernel_sum if kind == "kernel-sum" else checks.check_w_sum
-        for n in _parse_range(args.n, "n"):
-            for h in _parse_range(args.h, "h"):
-                if variance.ThmParams.domain_error(u, v, n, h) is None:
-                    results.append(fn(variance.ThmParams.compute(u, v, n, h), guard=guard))
-    results = [res for res in results if res.checked > 0]
+    ctx = _build_ctx(args)
+    u, v = Poly.from_literal(ctx, args.U), Poly.from_literal(ctx, args.V)
+    variance.validate_pair(u, v)  # a bad pair is bad input, not an empty range
+    fn = checks.check_kernel_sum if args.kind == "kernel-sum" else checks.check_w_sum
+    return [
+        fn(variance.ThmParams.compute(u, v, n, h), guard=args.guard)
+        for n in _parse_range(args.n, "n")
+        for h in _parse_range(args.h, "h")
+        if variance.ThmParams.domain_error(u, v, n, h) is None
+    ]
+
+
+def cmd_identity(args) -> int:
+    from . import checks
+
+    results = [res for res in args.run(checks, args) if res.checked > 0]
     if not results:
-        print("nothing to check in the requested ranges")
-        return EXIT_OK
-    worst = EXIT_OK
-    for res in results:
-        worst = max(worst, _print_result(res, args.json))
-    return worst
+        return _nothing_to_check(args.json)
+    return max([_print_result(res, args.json) for res in results])
 
 
 def cmd_phisum(args) -> int:
@@ -329,6 +325,26 @@ def _add_common(sp, with_json: bool = False) -> None:
         sp.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+# Each identity kind: its runner, its help and the only flags it reads.
+_IDENTITY_FLAGS = {
+    "--l": dict(default="0..2", help="range"),
+    "--n": dict(default="0..5", help="range"),
+    "--r": dict(type=int, default=3, help="rank"),
+    "--h": dict(default="0..2", help="range"),
+    "--U": dict(default="1"),
+    "--V": dict(default="0,1"),
+    "--W": dict(action="append", help="window polynomial (repeatable)"),
+}
+_IDENTITY_KINDS = {
+    "quadform": (_quadform, "quadratic-form magnitudes", ("--l",)),
+    "kernel-structure": (_kernel_structure, "kernel structure", ("--n",)),
+    "reduction": (_reduction, "reduction lemma", ("--n", "--W")),
+    "bijection": (_bijection, "class/pair bijection", ("--n", "--r", "--h")),
+    "kernel-sum": (_sums, "kernel-sum identity", ("--n", "--h", "--U", "--V")),
+    "w-sum": (_sums, "w-sum identity", ("--n", "--h", "--U", "--V")),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hfq", description="Exact Hankel/character-sum verification")
     parser.add_argument("--version", action="version", version=f"hfq {__version__}")
@@ -354,26 +370,14 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_variance)
 
     sp = sub.add_parser("identity", help="exhaustive checks of the supporting identities")
-    _add_common(sp, with_json=True)
-    sp.add_argument(
-        "kind",
-        choices=[
-            "quadform",
-            "kernel-structure",
-            "reduction",
-            "bijection",
-            "kernel-sum",
-            "w-sum",
-        ],
-    )
-    sp.add_argument("--l", default="0..2", help="range for quadform")
-    sp.add_argument("--n", default="0..5", help="range")
-    sp.add_argument("--r", type=int, default=3, help="rank for bijection")
-    sp.add_argument("--h", default="0..2", help="range")
-    sp.add_argument("--U", default="1")
-    sp.add_argument("--V", default="0,1")
-    sp.add_argument("--W", action="append", help="reduction window polynomial (repeatable)")
-    sp.set_defaults(fn=cmd_identity)
+    kinds = sp.add_subparsers(dest="kind", required=True, metavar="KIND")
+    for kind, (run, text, flags) in _IDENTITY_KINDS.items():
+        # no abbreviations: --h would otherwise stand for --help where --h is foreign
+        kp = kinds.add_parser(kind, help=text, allow_abbrev=False)
+        _add_common(kp, with_json=True)
+        for flag in flags:
+            kp.add_argument(flag, **_IDENTITY_FLAGS[flag])
+        kp.set_defaults(fn=cmd_identity, run=run)
 
     sp = sub.add_parser("phisum", help="restricted totient-ratio convergence")
     _add_common(sp, with_json=True)

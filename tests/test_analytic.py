@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from hfq.analytic import (
 )
 from hfq.errors import HfqError, TooLargeError
 from hfq.field import CHUNK, ctx_new, to_digits
-from hfq.polyring import Poly, gcd, monics, monics_upto, phi, polys_upto, rad
+from hfq.polyring import Poly, factor, gcd, monics, monics_upto, phi, polys_upto, rad
+from hfq.variance import ThmParams, m_factor
 
 F3 = ctx_new(3)
 F5 = ctx_new(5)
@@ -103,6 +106,36 @@ def test_increments_approach_slope():
     rep = convergence_report(ONE, T, 8)
     devs = [abs(inc / rep.slope - 1) for inc in rep.increments[4:]]
     assert devs[-1] < Fraction(1, 4)
+
+
+@pytest.mark.parametrize(
+    "ctx,v_degrees,pairs",
+    [
+        (F3, (1, 3), 111),
+        (F5, (1,), 85),
+        (ctx_new(7), (1,), 259),
+        (ctx_new(3, 2, [1, 0, 1]), (1,), 585),
+    ],
+    ids=["q3", "q5", "q7", "q9"],
+)
+def test_m_factor_is_a_phi_slope_sum_for_squarefree_uv(ctx, v_degrees, pairs):
+    # M(U, V) = q / ((q-1)^2 |UV|) * sum over monic W3 | UV of |W3| phi_slope(UV/W3, W3),
+    # on every valid pair with U = 1 or of degree 2 and UV squarefree; a
+    # repeated prime of UV is outside the identity
+    q, one, seen = ctx.q, Poly.one(ctx), 0
+    for u in [one, *monics(ctx, 2)]:
+        for v in (v for d in v_degrees for v in monics(ctx, d)):
+            w = u * v
+            primes = factor(w)
+            if gcd(u, v) != one or any(mult > 1 for _, mult in primes):
+                continue
+            divisors = [prod(c, start=one) for k in range(len(primes) + 1)
+                        for c in combinations([p for p, _ in primes], k)]
+            total = sum(w3.abs_value() * phi_slope(w // w3, w3) for w3 in divisors)
+            par = ThmParams.compute(u, v, 2 * w.degree, 0)
+            assert m_factor(par) == Fraction(q, (q - 1) ** 2 * w.abs_value()) * total, (u, v)
+            seen += 1
+    assert seen == pairs
 
 
 F27 = ctx_new(3, 3, [1, 2, 0, 1])

@@ -64,7 +64,7 @@ def test_quad_magnitude_laws_small(ctx, lmax):
             assert full == q ** magsq_exponents(l, p.r, None, False)
 
 
-@pytest.mark.parametrize("l", [8, 9])
+@pytest.mark.parametrize("l", [8, 9, 10])
 def test_magnitude_law_beyond_the_envelope_by_class(l):
     # q=3 past QUADFORM_VERIFIED_L, at the lengths the fast case-3 variance
     # trusts through --trust-lemmas: members of every bijection class

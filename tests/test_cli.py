@@ -164,6 +164,51 @@ def test_json_flag_only_where_it_is_read(capsys, argv):
     assert main(list(argv)) == EXIT_OK
 
 
+# Each identity kind with a command that passes, and the flags it reads.
+_IDENTITY_KINDS = {
+    "quadform": (("--l", "0..0"), ("--l",)),
+    "kernel-structure": (("--n", "0..2"), ("--n",)),
+    "reduction": (("--n", "0..2", "--W", "1,1"), ("--n", "--W")),
+    "bijection": (("--n", "4", "--r", "2", "--h", "0"), ("--n", "--r", "--h")),
+    "kernel-sum": (("--U", "1,0,1", "--V", "0,1", "--n", "6", "--h", "3"),
+                   ("--n", "--h", "--U", "--V")),
+    "w-sum": (("--U", "1", "--V", "0,1", "--n", "6", "--h", "0"), ("--n", "--h", "--U", "--V")),
+}
+# a well-formed value for each identity flag
+_IDENTITY_VALUES = {
+    "--l": "0..0", "--n": "0..9", "--r": "7", "--h": "0..2", "--U": "1", "--V": "0,1",
+    "--W": "1,1",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_IDENTITY_KINDS))
+def test_identity_refuses_flags_its_kind_does_not_read(capsys, kind):
+    # a dropped flag would let a PASS answer a question that was not asked
+    argv, own = _IDENTITY_KINDS[kind]
+    base = ["identity", kind, "--q", "3", *argv]
+    assert main(base) == EXIT_OK
+    capsys.readouterr()
+    for flag in sorted(set(_IDENTITY_VALUES) - set(own)):
+        with pytest.raises(SystemExit) as exc:
+            main([*base, flag, _IDENTITY_VALUES[flag]])
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and out.out == "" and flag in out.err, flag
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--q", "3", "--n", "0", "--h", "2"),
+        ("identity", "kernel-sum", "--q", "3", "--n", "4", "--h", "0..1"),
+    ],
+    ids=["census", "identity"],
+)
+def test_json_with_nothing_to_check_is_one_json_object(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    assert [json.loads(line) for line in out.splitlines()] == [{"checked": 0, "failed": 0}]
+
+
 def test_variance_theorem_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
         main(["variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "6", "--h", "3",
@@ -624,26 +669,28 @@ def test_exit_codes_property(argv):
     _assert_not_a_mismatch(argv)
 
 
-# identity over the same kinds of values: every kind with its --l, --r and
-# --W flags.  identity runs until its guard trips, so every example carries
-# a small one.
+# identity over the same kinds of values: every kind with only the flags it
+# reads.  identity runs until its guard trips, so every example carries a
+# small one.
 _IDENTITY_FIELD = st.sampled_from([("3",), ("3",), ("5",), ("9", "--modulus", "2,1,1"), ("4",)])
 _IDENTITY_RANGE = st.sampled_from(["0", "1..2", "0..3", "3..1", "-2..1", "-1..0", "a..b", ""])
 
 
 @st.composite
 def _identity_argv(draw):
-    kind = draw(
-        st.sampled_from(
-            ["quadform", "kernel-structure", "reduction", "bijection", "kernel-sum", "w-sum"]
-        )
-    )
+    kind = draw(st.sampled_from(sorted(_IDENTITY_KINDS)))
+    own = _IDENTITY_KINDS[kind][1]
     argv = ["identity", kind, "--q", *draw(_IDENTITY_FIELD)]
     for flag in ("--n", "--h", "--l"):
-        argv.append(f"{flag}={draw(_IDENTITY_RANGE)}")
-    argv += [f"--r={draw(_INT)}", f"--W={draw(_POLY)}"]
-    u, v = draw(st.one_of(_VALID_UV, st.tuples(_POLY, _POLY)))
-    argv += ["--U", u, "--V", v]
+        if flag in own:
+            argv.append(f"{flag}={draw(_IDENTITY_RANGE)}")
+    if "--r" in own:
+        argv.append(f"--r={draw(_INT)}")
+    if "--W" in own:
+        argv.append(f"--W={draw(_POLY)}")
+    if "--U" in own:
+        u, v = draw(st.one_of(_VALID_UV, st.tuples(_POLY, _POLY)))
+        argv += ["--U", u, "--V", v]
     if draw(st.booleans()):
         argv.append("--json")
     return argv + ["--guard", draw(st.sampled_from(["500", "500", "500", "1", "-5"]))]
