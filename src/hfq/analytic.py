@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, List
 
-from .errors import HfqError, check_guard
+from .errors import GUARD, HfqError, check_guard
 from .field import CHUNK, FieldCtx, from_digits, to_digits
 from .polyring import Poly, factor, gcd
 
@@ -169,8 +169,6 @@ def phi_slope(w2: Poly, w3: Poly) -> Fraction:
 class PhiSumReport:
     """Partial sums S(0..k_max), their increments, and the predicted slope."""
 
-    w2: Poly
-    w3: Poly
     k_max: int
     partial_sums: List[Fraction]
     increments: List[Fraction]
@@ -185,9 +183,7 @@ class PhiSumReport:
         ]
 
 
-def convergence_report(
-    w2: Poly, w3: Poly, k_max: int, guard: int = 10**8
-) -> PhiSumReport:
+def convergence_report(w2: Poly, w3: Poly, k_max: int, guard: int = GUARD) -> PhiSumReport:
     """Partial sums with increments; increment(0) is S(0) itself."""
     _validate(w2, w3)
     if k_max < 0:
@@ -198,4 +194,4 @@ def convergence_report(
     q = ctx.q
     increments = [Fraction((q - 1) * nums[d], q ** (2 * d)) for d in range(k_max + 1)]
     partial = list(accumulate(increments))
-    return PhiSumReport(w2, w3, k_max, partial, increments, phi_slope(w2, w3))
+    return PhiSumReport(k_max, partial, increments, phi_slope(w2, w3))

@@ -2,19 +2,18 @@
 
 census_formula and census_formula_total count the sequences in F_q^{n+1}
 with h leading zeros in each standard class (r, rho, pi) and of each rank
-invariant r; census_enumerate tallies the standard and strict classes of
-every such sequence with the batched Berlekamp-Massey pass over the prefix
-trie (fastpath.walk), the oracle the formulas are checked against.  The
+invariant r; census_enumerate tallies the standard classes of every such
+sequence with the batched Berlekamp-Massey pass over the prefix trie
+(fastpath.walk), the oracle the formulas are checked against.  The
 conventions are hankel's.  numpy and the engine load with the first
 enumeration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import HfqError, check_guard
+from .errors import GUARD, HfqError, check_guard
 
 if TYPE_CHECKING:
     from .field import FieldCtx
@@ -66,49 +65,40 @@ def census_formula_total(n: int, h: int, r: int, q: int) -> int:
     return 0
 
 
-@dataclass
-class CensusTally:
-    standard: dict
-    strict: dict
-
-
 def _census_chunk(args):
-    """Class tallies of one representative per scalar orbit of the nonzero
-    sequences, below the walk's top-level nodes ``tops``, indexed by
-    r * side + rho (row 0) and r * side + strict rho (row 1)."""
+    """Class tallies, indexed by r * side + rho, of one representative per
+    scalar orbit of the nonzero sequences below the walk's top-level nodes
+    ``tops``."""
     import numpy as np
 
     from . import fastpath
 
     ctx, n, h, tops, side = args
-    tallies = np.zeros((2, side * side), dtype=np.int64)
-    for (r, rho, strict_rho), _ in fastpath.walk(ctx, n + 1 - h, h, ((1,),), tops):
-        for tally, key in zip(tallies, (rho, strict_rho)):
-            tally += np.bincount(r * side + key, minlength=side * side)
-    return tallies
+    tally = np.zeros(side * side, dtype=np.int64)
+    for (r, rho, _), _ in fastpath.walk(ctx, n + 1 - h, h, ((1,),), tops):
+        tally += np.bincount(r * side + rho, minlength=side * side)
+    return tally
 
 
 def census_enumerate(
-    ctx: FieldCtx, n: int, h: int, guard: int = 10**8, workers: int = 1
-) -> CensusTally:
-    """Exhaustive tallies of the standard and strict classes over all
-    sequences in F_q^{n+1} with h leading zeros."""
+    ctx: FieldCtx, n: int, h: int, guard: int = GUARD, workers: int = 1
+) -> dict:
+    """Exhaustive tally {(r, rho, pi): count} of the standard classes over
+    all sequences in F_q^{n+1} with h leading zeros."""
     _check_box(n, h)
     total = ctx.q ** (n + 1 - h)
     check_guard(total, guard, f"census of q^{n + 1 - h}", "sequences")
-    side = (n + 2) // 2 + 1  # r, rho and strict rho are at most n1
+    side = (n + 2) // 2 + 1  # r and rho are at most n1
     if workers <= 1 or total < 4 * workers:
-        tallies = _census_chunk((ctx, n, h, slice(None), side))
+        tally = _census_chunk((ctx, n, h, slice(None), side))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         jobs = [(ctx, n, h, slice(i, None, workers), side) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            tallies = sum(pool.map(_census_chunk, jobs))
-    tallies *= ctx.q - 1  # each c * seq, c != 0, has the class of seq
-    tallies[:, 0] += 1  # the zero sequence, class (0, 0, 0)
-    standard, strict = (
-        {(c // side, c % side, c // side - c % side): t for c, t in enumerate(row) if t}
-        for row in tallies.tolist()
-    )
-    return CensusTally(standard, strict)
+            tally = sum(pool.map(_census_chunk, jobs))
+    tally *= ctx.q - 1  # each c * seq, c != 0, has the class of seq
+    tally[0] += 1  # the zero sequence, class (0, 0, 0)
+    return {
+        (c // side, c % side, c // side - c % side): t for c, t in enumerate(tally.tolist()) if t
+    }

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import HfqError, check_guard
+from .errors import GUARD, HfqError, check_guard
 
 if TYPE_CHECKING:
     from .variance import ThmParams
@@ -43,7 +43,7 @@ def magsq_exponents(l: int, r, strict_pi, monic: bool):
     return np.where(strict_pi <= 1, 2 * l + strict_pi - r, -1)
 
 
-def variance_charsum(par: ThmParams, mode: str = "exact", guard: int = 10**8) -> Fraction:
+def variance_charsum(par: ThmParams, mode: str = "exact", guard: int = GUARD) -> Fraction:
     """The variance as a character sum over sequences with h leading zeros.
 
     Exact mode sums both quadratic-form characters for one sequence per

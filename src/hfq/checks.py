@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, List
 
-from .errors import HfqError, check_guard
+from .errors import GUARD, HfqError, check_guard
 from .field import FieldCtx, fq_vectors
 
 if TYPE_CHECKING:
@@ -55,7 +55,7 @@ def _all_seqs(ctx: FieldCtx, n: int, h: int = 0):
 
 
 def check_census(
-    ctx: FieldCtx, ns, hs, guard: int = 10**8, workers: int = 1, rows: list = None
+    ctx: FieldCtx, ns, hs, guard: int = GUARD, workers: int = 1, rows: list = None
 ) -> CheckResult:
     """Class sizes: every (n, h, class) formula against the exhaustive tally,
     the per-rank aggregates, and the partition total.
@@ -74,17 +74,17 @@ def check_census(
                 continue
             tally = census_enumerate(ctx, n, h, guard=guard, workers=workers)
             res.count(
-                sum(tally.standard.values()) == q ** (n + 1 - h),
+                sum(tally.values()) == q ** (n + 1 - h),
                 f"partition total off at n={n} h={h}",
             )
             by_r: dict = {}
-            for (r, rho, pi), cnt in tally.standard.items():
+            for (r, rho, pi), cnt in tally.items():
                 by_r[r] = by_r.get(r, 0) + cnt
             for rho in range(n1 + 1):
                 for pi in range(n1 + 1):
                     r = rho + pi
                     want = census_formula(n, h, r, rho, pi, q)
-                    got = tally.standard.get((r, rho, pi), 0)
+                    got = tally.get((r, rho, pi), 0)
                     res.count(
                         want == got,
                         f"class (n={n},h={h},r={r},rho={rho},pi={pi}): formula {want} != tally {got}",
@@ -103,7 +103,7 @@ def check_census(
     return res
 
 
-def check_kernel_structure(ctx: FieldCtx, ns, guard: int = 10**8) -> CheckResult:
+def check_kernel_structure(ctx: FieldCtx, ns, guard: int = GUARD) -> CheckResult:
     """Kernel law (Heinig-Rost): for every sequence alpha_0..alpha_n with n
     in ``ns`` and every split (l+1) x (m+1), the kernel is spanned by T^i a1
     for i <= m - r and T^j a2 for j <= m - (n - r + 2).
@@ -144,7 +144,7 @@ def check_kernel_structure(ctx: FieldCtx, ns, guard: int = 10**8) -> CheckResult
     return res
 
 
-def check_quadform(ctx: FieldCtx, ls, guard: int = 10**8) -> CheckResult:
+def check_quadform(ctx: FieldCtx, ls, guard: int = GUARD) -> CheckResult:
     """Squared magnitudes of both quadratic-form sums against the closed
     forms, exhaustively at each level l in ``ls``: the zero sequence on its
     own row, and every other sequence through one multiple per F_p^* orbit,
@@ -180,7 +180,7 @@ def check_quadform(ctx: FieldCtx, ls, guard: int = 10**8) -> CheckResult:
     return res
 
 
-def check_reduction(ctx: FieldCtx, ns, ws=None, guard: int = 10**8) -> CheckResult:
+def check_reduction(ctx: FieldCtx, ns, ws=None, guard: int = GUARD) -> CheckResult:
     """Predicted characteristic and first kernel polynomial of the sliding
     products, against direct computation, over every valid width and every
     n >= 2 in ``ns``.  Each sequence and each reduced sequence gets one
@@ -229,7 +229,7 @@ def check_reduction(ctx: FieldCtx, ns, ws=None, guard: int = 10**8) -> CheckResu
     return res
 
 
-def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = 10**8) -> CheckResult:
+def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = GUARD) -> CheckResult:
     """Forward map into the coprime pairs, the inverse roundtrip, injectivity,
     and both cardinalities, with one Berlekamp-Massey pass per sequence."""
     from .census import census_formula
@@ -274,7 +274,7 @@ def _check_ranks(title: str, label: str, identity, ranks, par, guard) -> CheckRe
     return res
 
 
-def check_kernel_sum(par: ThmParams, guard: int = 10**8) -> CheckResult:
+def check_kernel_sum(par: ThmParams, guard: int = GUARD) -> CheckResult:
     """kernel_sum_identity at every feasible rank for one point."""
     from . import variance
 
@@ -283,7 +283,7 @@ def check_kernel_sum(par: ThmParams, guard: int = 10**8) -> CheckResult:
     return _check_ranks("kernel-sum", "r1", variance.kernel_sum_identity, ranks, par, guard)
 
 
-def check_w_sum(par: ThmParams, guard: int = 10**8) -> CheckResult:
+def check_w_sum(par: ThmParams, guard: int = GUARD) -> CheckResult:
     """w_sum_identity at every feasible rank for one point."""
     from . import variance
 

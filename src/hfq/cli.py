@@ -6,8 +6,8 @@ envelopes); 2 an enumeration guard tripped; 64 usage or hypothesis errors.
 
 Polynomial flags take comma-separated coefficient literals, low-to-high
 ("1,0,1" is 1 + T^2); extension-field coefficients are bracketed residue
-lists.  The step guard defaults to 10^8, overridable with --guard or the
-HFQ_GUARD environment variable.
+lists.  --guard sets the step cap, 10^8 by default (errors.GUARD).  Flags
+are never abbreviated (--h is not --help).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import HfqError, TooLargeError, check_guard
+from .errors import GUARD, HfqError, TooLargeError, check_guard
 from .field import MAX_Q, ctx_new
 
 EXIT_OK = 0
@@ -27,6 +27,9 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -84,17 +87,6 @@ def _rat(x):
         return None
     f = Fraction(x)
     return {"num": str(f.numerator), "den": str(f.denominator)}
-
-
-def _guard_default() -> int:
-    env = os.environ.get("HFQ_GUARD")
-    try:
-        guard = int(env) if env else 10**8
-    except ValueError:
-        raise HfqError(f"HFQ_GUARD must be an integer, got {env!r}") from None
-    if guard < 1:
-        raise HfqError(f"HFQ_GUARD must be >= 1, got {guard}")
-    return guard
 
 
 def _print_json(payload) -> None:
@@ -173,7 +165,7 @@ def cmd_variance(args) -> int:
     u = Poly.from_literal(ctx, args.U)
     v = Poly.from_literal(ctx, args.V)
     par = variance.ThmParams.compute(u, v, args.n, args.h)
-    report = variance.theorem_predict(par)
+    report = variance.theorem_predict(par, guard=args.guard)
     if args.fast and not args.trust_lemmas and not _fast_envelope_ok(
         ctx.q, par.s_prime, par.t_prime
     ):  # refused before the oracle runs
@@ -320,7 +312,7 @@ def cmd_analyze(args) -> int:
 def _add_common(sp, with_json: bool = False) -> None:
     sp.add_argument("--q", type=int, required=True, help="field size (prime power)")
     sp.add_argument("--modulus", help="defining polynomial over F_p when q = p^k, k > 1")
-    sp.add_argument("--guard", type=int, help="enumeration step cap (default HFQ_GUARD or 10^8)")
+    sp.add_argument("--guard", type=int, default=GUARD, help="enumeration step cap (default 10^8)")
     if with_json:  # the commands that also print text
         sp.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -372,8 +364,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("identity", help="exhaustive checks of the supporting identities")
     kinds = sp.add_subparsers(dest="kind", required=True, metavar="KIND")
     for kind, (run, text, flags) in _IDENTITY_KINDS.items():
-        # no abbreviations: --h would otherwise stand for --help where --h is foreign
-        kp = kinds.add_parser(kind, help=text, allow_abbrev=False)
+        kp = kinds.add_parser(kind, help=text)
         _add_common(kp, with_json=True)
         for flag in flags:
             kp.add_argument(flag, **_IDENTITY_FLAGS[flag])
@@ -398,9 +389,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.guard is None:
-            args.guard = _guard_default()
-        elif args.guard < 1:
+        if args.guard < 1:
             raise HfqError(f"--guard must be >= 1, got {args.guard}")
         return args.fn(args)
     except TooLargeError as exc:

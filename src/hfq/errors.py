@@ -6,6 +6,8 @@ Callers catch the package's failures with one except clause, and code that
 only knows about ValueError still behaves sensibly.
 """
 
+GUARD = 10**8  # the default step cap of every guard, and of --guard
+
 
 class HfqError(ValueError):
     """Bad input or a violated hypothesis."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .errors import HfqError, check_guard
+from .errors import GUARD, HfqError, check_guard
 from .field import CHUNK, from_digits, to_digits
 from .polyring import (
     Poly,
@@ -160,7 +160,7 @@ def _square_sums(u: Poly, v: Poly, degree):
             yield ue2 + vf2
 
 
-def s_count(u: Poly, v: Poly, b: Poly, guard: int = 10**8) -> int:
+def s_count(u: Poly, v: Poly, b: Poly, guard: int = GUARD) -> int:
     """Number of pairs (E, F) with B = U E^2 + V F^2, by full enumeration of
     the degree-feasible candidates."""
     validate_pair(u, v)
@@ -176,7 +176,7 @@ def mean_formula(par: ThmParams) -> Fraction:
     return 2 * Fraction(par.u.ctx.q) ** (par.h + num // 2)
 
 
-def interval_sum(u: Poly, v: Poly, a: Poly, h: int, guard: int = 10**8) -> int:
+def interval_sum(u: Poly, v: Poly, a: Poly, h: int, guard: int = GUARD) -> int:
     """Sum of s_count over the q^h polynomials within distance < h of A,
     from one tally of U E^2 + V F^2 over the box of the largest member."""
     if h < 0:
@@ -220,7 +220,7 @@ def _binned_interval_sums(par: ThmParams) -> np.ndarray:
     return 2 * counts
 
 
-def variance_bruteforce(par: ThmParams, guard: int = 10**8) -> Fraction:
+def variance_bruteforce(par: ThmParams, guard: int = GUARD) -> Fraction:
     """Exact variance of the interval sums over all monic centres of degree n,
     from the sum S1 and the sum of squares S2 of every class's interval sum.
     Pairs are capped at 2^30 so that S2 <= S1^2 = (2 pairs)^2 is exact in int64."""
@@ -277,6 +277,24 @@ def f_formula(par: ThmParams) -> Fraction:
     return pref * acc
 
 
+def _closed_form_work(par: ThmParams) -> int:
+    """The steps theorem_predict enumerates at par: one gcd per B2 of each
+    f-sum box, and in case 3 at most the monic trial divisors of degree
+    <= deg UV / 2 that m_factor's factorization of UV tries."""
+    q, case = par.u.ctx.q, par.case
+    if case not in ("case2", "case3"):
+        return 0
+    f_par = par if case == "case2" else replace(par, h=par.n1 - 1)
+    work = 0
+    for r1 in f_par.r1_ranks():
+        for _, _, (_, d2, monic) in _boxes(f_par, r1):
+            size = q ** max(d2 + 1, 0)  # of polys_upto(d2); monics_upto(d2) is smaller
+            work += (size - 1) // (q - 1) if monic else size
+    if case == "case3":
+        work += sum(q**d for d in range(1, (par.u.degree + par.v.degree) // 2 + 1))
+    return work
+
+
 def m_factor(par: ThmParams) -> Fraction:
     """|UV|^(-1) prod over primes P | UV of (1 + (|P|-1)/(|P|+1) e_P(UV));
     UV is non-constant because deg V is odd."""
@@ -327,7 +345,7 @@ class VarianceReport:
         return self.case not in ("case1", "case2") or self.residual in (None, 0)
 
 
-def theorem_predict(par: ThmParams) -> VarianceReport:
+def theorem_predict(par: ThmParams, guard: int = GUARD) -> VarianceReport:
     """Closed-form prediction for the classified case.
 
     case1: exact 0.  case2: exact q^h f(n, h) / |UV|.  case3: main term
@@ -342,6 +360,7 @@ def theorem_predict(par: ThmParams) -> VarianceReport:
     oracle confirms it (e.g. q=3, U=T^2+1, V=T: variance is 24 at
     (n,h)=(6,3) and 72 at (8,4), matching q^h f / |UV| at both).
     """
+    check_guard(_closed_form_work(par), guard, "closed-form evaluation")
     q, n, h = par.u.ctx.q, par.n, par.h
     case = par.case
     report = VarianceReport(par)
@@ -366,7 +385,7 @@ def theorem_predict(par: ThmParams) -> VarianceReport:
     return report
 
 
-def kernel_sum_identity(par: ThmParams, r1: int, guard: int = 10**8):
+def kernel_sum_identity(par: ThmParams, r1: int, guard: int = GUARD):
     """Both sides of the counting identity tying the kernel-polynomial sum to
     the gcd-divisibility sums, at one rank r1.
 
@@ -418,7 +437,7 @@ def kernel_sum_identity(par: ThmParams, r1: int, guard: int = 10**8):
     return Fraction(lhs), rhs
 
 
-def w_sum_identity(par: ThmParams, r: int, guard: int = 10**8):
+def w_sum_identity(par: ThmParams, r: int, guard: int = GUARD):
     """Both sides of the stratified count over the full-recurrence class of
     length-n sequences: sum of |gcd(a1, U)| |gcd(a1, V)| against the
     divisor-stratified coprime-pair count with W = UV."""

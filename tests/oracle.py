@@ -3,8 +3,10 @@ Berlekamp-Massey profile, the kernel polynomials and the engine in
 hfq.fastpath are checked against, and the unreduced references for the
 walk: a block enumerator in fq_vectors order, the batched profile of a
 block with no prefix sharing, and the variance loops over every
-sequence."""
+sequence; and the walk's strict-class tally, which no library function
+keeps, for the checks of the walk's strict rho."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -235,3 +237,18 @@ def exact_variance_unreduced(par: ThmParams) -> Fraction:
         ma = fastpath.magsq(fastpath.qform_counts(ctx, y, l_a, False)).tolist()
         total += sum(a * b for a, b in zip(mm, ma))
     return Fraction(4 * q ** (2 * h), q ** (2 * n + 1)) * total
+
+
+def walk_strict_tally(ctx, n: int, h: int, workers: int = 1) -> dict:
+    """{(r, strict rho, strict pi): count} over the sequences in F_q^{n+1}
+    with h leading zeros, read off fastpath.walk's leaves as the census
+    reads them: each leaf stands for its q - 1 multiples, and the zero
+    sequence is added.  The top level is split into ``workers`` slices,
+    as the census's process pool splits it."""
+    tally = Counter({(0, 0, 0): 1})
+    for i in range(workers):
+        tops = slice(i, None, workers)
+        for (r, _, strict_rho), _ in fastpath.walk(ctx, n + 1 - h, h, ((1,),), tops):
+            for key in zip(r.tolist(), strict_rho.tolist()):
+                tally[(*key, key[0] - key[1])] += ctx.q - 1
+    return dict(tally)

@@ -242,6 +242,30 @@ def test_variance_guard_exit(capsys):
     assert "guard" in err
 
 
+def test_closed_forms_count_against_the_guard(capsys, monkeypatch):
+    # case 3 at deg U = 20: 44,291 gcds in the secondary f-sum, and at
+    # most 3 + 9 + ... + 3^10 trial divisors for M(U, V)
+    argv = (
+        "variance", "--q", "3", "--U", "1,2,1,1,2,0,2,0,1,0,0,0,2,2,0,1,2,0,1,2,1",
+        "--V", "0,1", "--n", "176", "--h", "66",
+    )
+    real = variance.f_formula, variance.factor
+
+    def no_enumeration(*args):
+        raise AssertionError("a closed form enumerated past the guard")
+
+    monkeypatch.setattr(variance, "f_formula", no_enumeration)
+    monkeypatch.setattr(variance, "factor", no_enumeration)
+    work = 44291 + sum(3**d for d in range(1, 11))
+    code, out, err = run(capsys, *argv, "--guard", str(work - 1))
+    assert code == EXIT_GUARD and out == ""
+    assert err == f"hfq: guard: closed-form evaluation needs {work} steps, cap {work - 1}\n"
+    monkeypatch.setattr(variance, "f_formula", real[0])
+    monkeypatch.setattr(variance, "factor", real[1])
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and json.loads(out)["case"] == "case3"
+
+
 def test_variance_fast_needs_trust_outside_envelope(capsys):
     base = (
         "variance", "--q", "3", "--U", "1", "--V", "0,1",
@@ -455,9 +479,6 @@ def test_analyze_guard_refuses_before_the_pass(capsys, monkeypatch):
     code, out, err = run(capsys, "analyze", "--q", "3", "--alpha", alpha, "--guard", "10000")
     assert code == EXIT_GUARD and out == ""
     assert "analyze pass needs 9000000 steps, cap 10000" in err
-    monkeypatch.setenv("HFQ_GUARD", "8999999")
-    code, out, err = run(capsys, "analyze", "--q", "3", "--alpha", alpha)
-    assert code == EXIT_GUARD and out == "" and "cap 8999999" in err
 
 
 def test_usage_errors_exit_64(capsys):
@@ -495,12 +516,6 @@ def test_phisum_negative_kmax_exits_64(capsys):
     assert code == EXIT_USAGE and out == "" and "--kmax" in err
 
 
-def test_bad_guard_env_exits_64(capsys, monkeypatch):
-    monkeypatch.setenv("HFQ_GUARD", "abc")
-    code, out, err = run(capsys, "census", "--q", "3", "--n", "2", "--h", "0")
-    assert code == EXIT_USAGE and out == "" and "HFQ_GUARD" in err
-
-
 def test_modulus_with_a_prime_q_exits_64(capsys):
     argv = ("census", "--q", "7", "--modulus", "1,0,1", "--n", "2", "--h", "0")
     code, out, err = run(capsys, *argv)
@@ -508,13 +523,28 @@ def test_modulus_with_a_prime_q_exits_64(capsys):
 
 
 @pytest.mark.parametrize("guard", ["0", "-1"])
-def test_guard_below_one_exits_64(capsys, monkeypatch, guard):
+def test_guard_below_one_exits_64(capsys, guard):
     argv = ("census", "--q", "3", "--n", "2", "--h", "0")
     code, out, err = run(capsys, *argv, "--guard", guard)
     assert code == EXIT_USAGE and out == "" and f"--guard must be >= 1, got {guard}" in err
-    monkeypatch.setenv("HFQ_GUARD", guard)
-    code, out, err = run(capsys, *argv)
-    assert code == EXIT_USAGE and out == "" and f"HFQ_GUARD must be >= 1, got {guard}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--q", "3", "--alpha", "0,1", "--h", "3"),  # not --help
+        ("phisum", "--q", "3", "--W2", "1", "--W3", "1", "--kmax", "2", "--h", "0"),
+        ("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "6", "--h", "2", "--or"),
+        ("census", "--q", "3", "--n", "2", "--h", "0", "--work", "1"),
+    ],
+    ids=["analyze", "phisum", "variance", "census"],
+)
+def test_no_subcommand_takes_an_abbreviated_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE and out.out == ""
+    assert "unrecognized arguments" in out.err
 
 
 def test_census_h_above_every_n_is_not_a_failure(capsys):

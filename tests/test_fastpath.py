@@ -4,8 +4,9 @@ oracle.py) against Gaussian elimination on the Hankel squares, the
 trace-form character tallies against the literal sum, the oracle's block
 enumerator against fq_vectors, the prefix-trie walk against the unreduced
 block loops (fast and exact variance_charsum), the orbit law behind
-fastpath.scalings, and the census tally against a scalar-profile tally;
-exhaustively on small envelopes and by property tests beyond."""
+fastpath.scalings, and the census tally and the walk's strict classes
+against a scalar-profile tally; exhaustively on small envelopes and by
+property tests beyond."""
 
 import random
 from itertools import islice, product
@@ -21,6 +22,7 @@ from oracle import (
     fast_variance_unreduced,
     gauss_profile,
     value_counts_scalar,
+    walk_strict_tally,
 )
 
 from hfq import fastpath
@@ -207,9 +209,11 @@ def _scalar_tally(ctx, n, h):
 def test_census_tally_matches_scalar_profile(ctx, n_max):
     for n in range(n_max + 1):
         for h in range(n + 2):
+            standard, strict = _scalar_tally(ctx, n, h)
             tally = census_enumerate(ctx, n, h)
-            assert (tally.standard, tally.strict) == _scalar_tally(ctx, n, h), (n, h)
-            assert all(type(c) is int for c in tally.standard.values())
+            assert tally == standard, (n, h)
+            assert all(type(c) is int for c in tally.values())
+            assert walk_strict_tally(ctx, n, h) == strict, (n, h)
 
 
 @pytest.mark.parametrize(
@@ -218,10 +222,11 @@ def test_census_tally_matches_scalar_profile(ctx, n_max):
 def test_census_workers_agree(ctx, n_max):
     for n in range(n_max - 1, n_max + 1):
         for h in range(0, n + 2, 2):
+            standard, strict = _scalar_tally(ctx, n, h)
             one = census_enumerate(ctx, n, h)
             two = census_enumerate(ctx, n, h, workers=2)
-            assert (one.standard, one.strict) == (two.standard, two.strict)
-            assert (one.standard, one.strict) == _scalar_tally(ctx, n, h), (n, h)
+            assert one == two == standard, (n, h)
+            assert walk_strict_tally(ctx, n, h, workers=2) == strict, (n, h)
 
 
 def _valid_cases(ctx, n_max):
@@ -295,7 +300,7 @@ def test_walk_blocking_leaves_results_unchanged(chunk, monkeypatch):
     f3, width = ctx_new(3), 8
     par = ThmParams.compute(Poly.one(f3), Poly.from_ints(f3, [1, 1]), 9, 2)
     want = variance_charsum(par, "fast")
-    census = census_enumerate(f3, 7, 0)
+    census, strict = census_enumerate(f3, 7, 0), walk_strict_tally(f3, 7, 0)
     monkeypatch.setattr(fastpath, "CHUNK", chunk)
     ents = [out[-1] for out in fastpath.walk(f3, width, 0, ((1,),))]
     sizes = [len(e) for e in ents]
@@ -303,8 +308,8 @@ def test_walk_blocking_leaves_results_unchanged(chunk, monkeypatch):
     assert sum(sizes) == (3**width - 1) // 2
     assert len(sizes) > 1 and max(sizes) <= max(1, chunk // 2 // width)
     assert variance_charsum(par, "fast") == want
-    again = census_enumerate(f3, 7, 0)
-    assert (again.standard, again.strict) == (census.standard, census.strict)
+    assert census_enumerate(f3, 7, 0) == census
+    assert walk_strict_tally(f3, 7, 0) == strict
 
 
 @pytest.mark.parametrize(

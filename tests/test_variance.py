@@ -304,6 +304,39 @@ def test_theorem_predict_case3_terms():
     assert rep.error_scale == (Fraction(243), Fraction(6561))
 
 
+def test_closed_form_guard_counts_the_enumerations(monkeypatch):
+    # every polynomial theorem_predict enumerates: the f-sums' B2 (monic
+    # boxes through polyring.monics, full ones through polys_upto) and
+    # m_factor's trial divisors (polyring.monics); the count is exact
+    # without a factorization and a bound with one
+    from hfq import polyring
+
+    seen = []
+
+    def counted(enum):
+        return lambda *args: (seen.append(x) or x for x in enum(*args))
+
+    monkeypatch.setattr(polyring, "monics", counted(polyring.monics))
+    monkeypatch.setattr(variance, "polys_upto", counted(variance.polys_upto))
+    cases = set()
+    u4 = p3(2, 1, 0, 0, 1)  # T^4 + T + 2
+    for u, v in ((U1, V1), (U2, V1), (U1, V3), (u4, V1), (u4, p3(1, 1))):
+        for n in range(2, 45):
+            for h in range(n + 1):
+                if ThmParams.domain_error(u, v, n, h):
+                    continue
+                par = ThmParams.compute(u, v, n, h)
+                work = variance._closed_form_work(par)
+                if work:
+                    with pytest.raises(TooLargeError):
+                        theorem_predict(par, guard=work - 1)
+                seen.clear()
+                theorem_predict(par, guard=work)
+                assert len(seen) == work if par.case != "case3" else len(seen) <= work
+                cases.add(par.case)
+    assert cases == {"case1", "case2", "case3", "uncovered"}
+
+
 def test_kernel_sum_identity_fixture():
     lhs, rhs = kernel_sum_identity(ThmParams.compute(U2, V1, 6, 3), 3)
     assert lhs == rhs == 81
