@@ -202,7 +202,7 @@ import numpy as np
 import hfq.cli
 from hfq import fastpath
 from hfq.field import ctx_new, fq_vectors
-from hfq.hankel import Seq, analyze, bijection_inverse, bijection_map, profile
+from hfq.hankel import Seq, analyze, bijection_inverse, bijection_map
 from hfq.polyring import Poly, gcd
 def oracle():
     argv = ["variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "12", "--h", "4",
@@ -218,7 +218,7 @@ def best(fn):
     return out
 f3, f27 = ctx_new(3), ctx_new(3, 3, (1, 2, 0, 1))
 seqs = (Seq(f3, e) for e in fq_vectors(f3, 9))
-seqs = list(islice((s for s in seqs if profile(s).standard == (4, 4, 0)), 2000))
+seqs = list(islice((s for s in seqs if analyze(s).profile.standard == (4, 4, 0)), 2000))
 rng = random.Random(0)
 elems = [(rng.randrange(27), rng.randrange(1, 27)) for _ in range(200000)]
 polys = [Poly(f3, [rng.randrange(3) for _ in range(20)] + [1]) for _ in range(1000)]

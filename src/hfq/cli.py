@@ -347,7 +347,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", required=True, help="range, e.g. 2..5")
     sp.add_argument("--h", required=True, help="range, e.g. 0..6")
     sp.add_argument("--workers", type=int, default=1, help="worker processes (1..CPU count)")
-    sp.set_defaults(fn=cmd_census)
+    sp.set_defaults(fn=cmd_census, parser=sp)
 
     sp = sub.add_parser("variance", help="oracle / character sum / closed forms")
     _add_common(sp)
@@ -359,7 +359,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--charsum", action="store_true")
     sp.add_argument("--fast", action="store_true", help="closed-form magnitudes")
     sp.add_argument("--trust-lemmas", action="store_true")
-    sp.set_defaults(fn=cmd_variance)
+    sp.set_defaults(fn=cmd_variance, parser=sp)
 
     sp = sub.add_parser("identity", help="exhaustive checks of the supporting identities")
     kinds = sp.add_subparsers(dest="kind", required=True, metavar="KIND")
@@ -368,26 +368,27 @@ def build_parser() -> _Parser:
         _add_common(kp, with_json=True)
         for flag in flags:
             kp.add_argument(flag, **_IDENTITY_FLAGS[flag])
-        kp.set_defaults(fn=cmd_identity, run=run)
+        kp.set_defaults(fn=cmd_identity, run=run, parser=kp)
 
     sp = sub.add_parser("phisum", help="restricted totient-ratio convergence")
     _add_common(sp, with_json=True)
     sp.add_argument("--W2", required=True)
     sp.add_argument("--W3", required=True)
     sp.add_argument("--kmax", type=int, required=True)
-    sp.set_defaults(fn=cmd_phisum)
+    sp.set_defaults(fn=cmd_phisum, parser=sp)
 
     sp = sub.add_parser("analyze", help="profile and kernel polynomials of one sequence")
     _add_common(sp)
     sp.add_argument("--alpha", required=True, help="sequence literal, e.g. 0,0,1")
-    sp.set_defaults(fn=cmd_analyze)
+    sp.set_defaults(fn=cmd_analyze, parser=sp)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # refused with the usage of the subcommand that was given them
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.guard < 1:
             raise HfqError(f"--guard must be >= 1, got {args.guard}")

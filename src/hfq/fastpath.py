@@ -61,15 +61,15 @@ def _unpack(ctx: FieldCtx, sums: np.ndarray, base: int) -> np.ndarray:
 
 def _start(ctx: FieldCtx, m: int, n_cols: int) -> list:
     """The Berlekamp-Massey state of n_cols length-m sequences before step 0:
-    [c, bs buffer, entries reversed, b, L, rho, strict rho], one sequence per
-    column.  It is also the state after any number of zero entries (c = 1,
-    L = 0, and the window of bs moves with the step index)."""
+    [c, bs buffer, entries reversed, b, L, rho], one sequence per column.
+    It is also the state after any number of zero entries (c = 1, L = 0,
+    and the window of bs moves with the step index)."""
     c = np.zeros((m + 1, n_cols), dtype=np.int64)
     c[0] = ctx.q
     buf = np.zeros_like(c)
     buf[m] = ctx.q
     nil = np.zeros(n_cols, dtype=np.int64)
-    return [c, buf, np.zeros((m, n_cols), dtype=np.int64), nil + 1, nil, nil, nil]
+    return [c, buf, np.zeros((m, n_cols), dtype=np.int64), nil + 1, nil, nil]
 
 
 def _step(ctx: FieldCtx, state: list, i: int, entry: np.ndarray) -> None:
@@ -83,7 +83,7 @@ def _step(ctx: FieldCtx, state: list, i: int, entry: np.ndarray) -> None:
     shift.  The entries are kept reversed, so the discrepancy adds whole rows.
     """
     mul, sub_q, inv, _ = _tables(ctx)
-    c, buf, rev, b, length, rho, strict_rho = state
+    c, buf, rev, b, length, rho = state
     m = len(rev)
     base, pack_mul = _packed(ctx, m)
     rev[m - 1 - i] = entry
@@ -101,9 +101,7 @@ def _step(ctx: FieldCtx, state: list, i: int, entry: np.ndarray) -> None:
     if i % 2 == 0:  # the leading k x k square is invertible iff L_{2k-1} = k
         k = i // 2 + 1  # k <= n1 = (m + 1) // 2 for top index n = m - 1
         rho = np.where(length == k, k, rho)
-        if k == m // 2:  # strict rho stops at n2 - 1 = m // 2
-            strict_rho = rho
-    state[3:] = b, length, rho, strict_rho
+    state[3:] = b, length, rho
 
 
 def _last(ctx: FieldCtx, state: list, cols, entry: np.ndarray):
@@ -111,11 +109,12 @@ def _last(ctx: FieldCtx, state: list, cols, entry: np.ndarray):
     ``cols`` of a state that has seen the first m - 1 entries, on their last
     entries x_{m-1}.
 
-    Only L and rho can change at that step (strict rho stopped at step
-    2 (m // 2) - 2), and the discrepancy is the sum over the earlier
-    entries, one per state column, plus c_0 x_{m-1}: the columns' children
-    share it and copy no polynomial."""
-    c, _, rev, _, length, rho, strict_rho = state
+    Only L and rho can change at that step: strict rho stopped at step
+    m - 2 or m - 3 (k = n2 - 1 = m // 2), so it is rho as the state holds
+    it.  The discrepancy is the sum over the earlier entries, one per state
+    column, plus c_0 x_{m-1}: the columns' children share it and copy no
+    polynomial."""
+    c, _, rev, _, length, rho = state
     m = len(rev)
     base, pack_mul = _packed(ctx, m)
     top = length.max(initial=0) + 1
@@ -123,9 +122,10 @@ def _last(ctx: FieldCtx, state: list, cols, entry: np.ndarray):
     d = _unpack(ctx, earlier[cols] + pack_mul[c[0, cols] + entry], base)
     length, rho = length[cols], rho[cols]
     length = np.where((d != 0) & (2 * length < m), m - length, length)
+    strict_rho = rho
     if m % 2:  # step m - 1 is even: k = (m + 1) / 2, as in _step
         rho = np.where(length == (m + 1) // 2, (m + 1) // 2, rho)
-    return np.minimum(length, m + 1 - length), rho, strict_rho[cols]
+    return np.minimum(length, m + 1 - length), rho, strict_rho
 
 
 def _take(level, cols):

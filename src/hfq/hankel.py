@@ -14,12 +14,13 @@ n_2 - 1 with n_2 = floor((n+3)/2)), r is the rank of the n_1 x n_2 matrix,
 and pi = r - rho.
 
 The characteristic and the kernel polynomials come from one
-Berlekamp-Massey pass, analyze: O(n^2) time and O(n) memory per sequence.
-The reduction law and the bijection take that pass, so a caller reads each
-sequence once; hfq.census runs the same pass batched over the prefix trie
-(fastpath.walk).  Gaussian elimination serves only rank and kernel_basis,
-the ranks and kernels of explicit views: it is the independent side that
-the pass is checked against.
+Berlekamp-Massey pass, analyze, the layer's only reading of a sequence:
+O(n^2) time and O(n) memory.  The reduction law and the bijection take
+that pass, so a caller reads each sequence once; hfq.census runs the
+same pass batched over the prefix trie (fastpath.walk).  Gaussian
+elimination serves only rank and kernel_basis, the ranks and kernels of
+explicit views: it is the independent side that the pass is checked
+against.
 """
 
 from __future__ import annotations
@@ -312,16 +313,6 @@ def analyze(seq: Seq) -> Analysis:
     return Analysis(seq, Profile(r, rho, r - rho, strict_rho, r - strict_rho), kept)
 
 
-def profile(seq: Seq) -> Profile:
-    """(r, rho, pi) and the strict variant (see analyze)."""
-    return analyze(seq).profile
-
-
-def char_polys(seq: Seq) -> CharPolys:
-    """The kernel polynomials (a1, a2) (see Analysis.polys)."""
-    return analyze(seq).polys
-
-
 # sliding products and the circulant Toeplitz picture
 
 
@@ -369,19 +360,9 @@ def toeplitz_mat(w: Poly, s: int, k: int):
     ]
 
 
-@dataclass(frozen=True)
-class ReductionPrediction:
-    """Predicted standard characteristic and first kernel polynomial of
-    alpha odot [W]_s, without computing the reduced sequence."""
-
-    r: int
-    rho: int
-    pi: int
-    a1: Poly
-
-
-def reduction_profile(an: Analysis, w: Poly, s: int) -> ReductionPrediction:
-    """Predict the characteristic of alpha odot [W]_s from alpha's own pass.
+def reduction_profile(an: Analysis, w: Poly, s: int):
+    """Predict ((r, rho, pi), a1) of alpha odot [W]_s from alpha's own pass:
+    the shape of (profile.standard, polys.a1) of the reduced sequence.
 
     Requires W != 0, deg W <= s <= n, n >= 2 and n >= 2 r(alpha) + s - 1.
     The rank drops by deg gcd(a1, W) + min(s - deg W, pi), rho drops by
@@ -396,32 +377,8 @@ def reduction_profile(an: Analysis, w: Poly, s: int) -> ReductionPrediction:
     a1 = an.polys.a1
     g = gcd(a1, w)
     pad = s - w.degree
-    return ReductionPrediction(
-        r=prof.r - g.degree - min(pad, prof.pi),
-        rho=prof.rho - g.degree,
-        pi=max(0, prof.pi - pad),
-        a1=a1 // g,
-    )
-
-
-def reduction_strict_class(an: Analysis, w: Poly, s: int):
-    """Strict-class preservation for the boundary class ((n-s)/2 + 1, 0, ...).
-
-    Requires deg W = s exactly: the first surviving entry of the reduced
-    sequence is W_s * alpha_{(n+s)/2}, so any zero padding would destroy the
-    class.  Returns the predicted strict class of alpha odot [W]_s, which
-    equals the input class.
-    """
-    n, strict = an.seq.n, an.profile.strict
-    if w.is_zero or w.degree != s:
-        raise HfqError("need deg W = s exactly")
-    _check_window(w, s, n)
-    if (n - s) % 2 != 0 or n - s < 2:
-        raise HfqError("need n - s even and >= 2")
-    half = (n - s) // 2 + 1
-    if strict != (half, 0, half):
-        raise HfqError(f"sequence has strict class {strict}, need {(half, 0, half)}")
-    return (half, 0, half)
+    r, rho = prof.r - g.degree - min(pad, prof.pi), prof.rho - g.degree
+    return (r, rho, r - rho), a1 // g
 
 
 # the class <-> coprime pair bijection

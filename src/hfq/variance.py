@@ -449,12 +449,12 @@ def w_sum_identity(par: ThmParams, r: int, guard: int = GUARD):
         raise HfqError(f"r = {r} outside [{h + 1}, {ranks.stop - 1}] (and r > 2)")
     check_guard(q ** (n - h), guard, "identity enumeration")
     from . import fastpath
-    from .hankel import Seq, bijection_pairs, char_polys
+    from .hankel import Seq, analyze, bijection_pairs
 
     lhs = 0  # one sequence per scalar orbit, weighted q - 1: a1 is monic, so c * seq shares it
     for (rank, _, strict_rho), ents in fastpath.walk(ctx, n - h, h, ((1,),)):
         for entries in ents[(rank == r) & (strict_rho == r)].tolist():  # strict (r, r, 0)
-            a1 = char_polys(Seq(ctx, [0] * h + entries)).a1
+            a1 = analyze(Seq(ctx, [0] * h + entries)).polys.a1
             lhs += (q - 1) * gcd(a1, u).abs_value() * gcd(a1, v).abs_value()
 
     w = u * v

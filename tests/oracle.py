@@ -18,9 +18,9 @@ from hfq.field import CHUNK, to_digits
 from hfq.hankel import (
     CharPolys,
     Seq,
+    analyze,
     hankel_matrix,
     kernel_basis,
-    profile,
     rank,
     row_reduce,
 )
@@ -88,7 +88,7 @@ def gauss_rhopi_form(seq: Seq, rows: int, cols: int):
     Hankel block at bottom right whose first non-zero skew-diagonal is the
     pi-th from the end.
     """
-    prof = profile(seq)
+    prof = analyze(seq).profile
     mat = hankel_matrix(seq, rows, cols)
     rho = prof.rho
     if rho == 0 or 2 * rho - 1 > seq.n:
@@ -129,7 +129,7 @@ def gauss_char_polys(seq: Seq) -> CharPolys:
     a1-multiples, reduced top down by c T^d a1 and made monic."""
     ctx = seq.ctx
     n = seq.n
-    prof = profile(seq)
+    prof = analyze(seq).profile
     r, rho = prof.r, prof.rho
     one = Poly.one(ctx)
     if r == 0:

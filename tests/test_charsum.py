@@ -11,7 +11,7 @@ from hfq.charsum import magsq_exponents, variance_charsum
 from hfq.checks import check_quadform
 from hfq.errors import HfqError, TooLargeError
 from hfq.field import CycInt, ctx_new
-from hfq.hankel import Seq, bijection_inverse, bijection_ranks, odot, profile
+from hfq.hankel import Seq, analyze, bijection_inverse, bijection_ranks, odot
 from hfq.polyring import Poly, gcd
 from hfq.variance import ThmParams, variance_bruteforce
 
@@ -49,7 +49,7 @@ def test_quad_magnitude_laws_small(ctx, lmax):
     q = ctx.q
     for l in range(lmax + 1):
         for s in seqs(ctx, 2 * l):
-            p = profile(s)
+            p = analyze(s).profile
             full = quad_sum(s, l, False)[1]
             assert full == q ** (2 * l + 2 - p.r)
             got = quad_sum(s, l, True)[1]
@@ -81,12 +81,12 @@ def test_magnitude_law_beyond_the_envelope_by_class(l):
                 while b.is_zero or gcd(a, b).degree != 0:
                     b = Poly(F3, (rng.randrange(3) for _ in range(r - h)))
                 s = bijection_inverse(a, b, n, h)
-                assert profile(s).standard == (r, r, 0)
+                assert analyze(s).profile.standard == (r, r, 0)
                 broken = list(s.entries)
                 i = n - rng.randrange(3)
                 broken[i] = (broken[i] + rng.randrange(1, 3)) % 3
                 rows += [s.entries, broken]
-    profs = [profile(Seq(F3, row)) for row in rows]
+    profs = [analyze(Seq(F3, row)).profile for row in rows]
     rank = np.array([p.r for p in profs])
     strict_pi = np.array([p.strict_pi for p in profs])
     for monic in (True, False):

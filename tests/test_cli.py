@@ -193,6 +193,7 @@ def test_identity_refuses_flags_its_kind_does_not_read(capsys, kind):
             main([*base, flag, _IDENTITY_VALUES[flag]])
         out = capsys.readouterr()
         assert exc.value.code == EXIT_USAGE and out.out == "" and flag in out.err, flag
+        assert out.err.startswith(f"usage: hfq identity {kind} "), flag
 
 
 @pytest.mark.parametrize(
@@ -536,15 +537,19 @@ def test_guard_below_one_exits_64(capsys, guard):
         ("phisum", "--q", "3", "--W2", "1", "--W3", "1", "--kmax", "2", "--h", "0"),
         ("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "6", "--h", "2", "--or"),
         ("census", "--q", "3", "--n", "2", "--h", "0", "--work", "1"),
+        ("identity", "quadform", "--q", "3", "--h", "0..2"),  # not --help
     ],
-    ids=["analyze", "phisum", "variance", "census"],
+    ids=["analyze", "phisum", "variance", "census", "identity"],
 )
 def test_no_subcommand_takes_an_abbreviated_flag(capsys, argv):
+    # refused with the usage of the subcommand that was given the flag
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     out = capsys.readouterr()
     assert exc.value.code == EXIT_USAGE and out.out == ""
-    assert "unrecognized arguments" in out.err
+    command = " ".join(argv[: 2 if argv[0] == "identity" else 1])
+    assert out.err.startswith(f"usage: hfq {command} [-h] --q Q")
+    assert f"hfq {command}: error: unrecognized arguments" in out.err
 
 
 def test_census_h_above_every_n_is_not_a_failure(capsys):

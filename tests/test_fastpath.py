@@ -1,5 +1,5 @@
 """The engine in hfq.fastpath against its oracles: the Berlekamp-Massey
-profiles (scalar hankel.profile and the unreduced batched profile of
+profiles (scalar hankel.analyze and the unreduced batched profile of
 oracle.py) against Gaussian elimination on the Hankel squares, the
 trace-form character tallies against the literal sum, the oracle's block
 enumerator against fq_vectors, the prefix-trie walk against the unreduced
@@ -30,7 +30,7 @@ from hfq.census import census_enumerate
 from hfq.charsum import variance_charsum
 from hfq.errors import HfqError
 from hfq.field import CHUNK, ctx_new, fq_vectors
-from hfq.hankel import Seq, profile
+from hfq.hankel import Seq, analyze
 from hfq.polyring import Poly, gcd
 from hfq.variance import ThmParams
 
@@ -41,7 +41,7 @@ F27 = ctx_new(3, 3, (1, 2, 0, 1))
 
 
 def bm_profile(seq: Seq):
-    p = profile(seq)
+    p = analyze(seq).profile
     assert p.pi == p.r - p.rho and p.strict_pi == p.r - p.strict_rho
     return p.r, p.rho, p.strict_rho
 
@@ -197,7 +197,7 @@ def test_qform_counts_of_no_rows_builds_nothing(monkeypatch):
 def _scalar_tally(ctx, n, h):
     standard, strict = {}, {}
     for entries in fq_vectors(ctx, n + 1 - h, zeros=h):
-        prof = profile(Seq(ctx, entries))
+        prof = analyze(Seq(ctx, entries)).profile
         standard[prof.standard] = standard.get(prof.standard, 0) + 1
         strict[prof.strict] = strict.get(prof.strict, 0) + 1
     return standard, strict

@@ -17,14 +17,11 @@ from hfq.hankel import (
     analyze,
     bijection_inverse,
     bijection_map,
-    char_polys,
     hankel_matrix,
     kernel_basis,
     odot,
-    profile,
     rank,
     reduction_profile,
-    reduction_strict_class,
     toeplitz_mat,
 )
 from hfq.polyring import Poly, coeff_vector, gcd, laurent_expand, polys_upto
@@ -81,24 +78,24 @@ def test_rank_equals_min_rule():
     # rank H_{l+1,m+1} = min{r, l+1, m+1} on full-length splits
     for n in range(5):
         for s in seqs(F3, n):
-            r = profile(s).r
+            r = analyze(s).profile.r
             for l in range(n + 1):
                 m = n - l
                 assert rank(s, l + 1, m + 1) == min(r, l + 1, m + 1)
 
 
 def test_profile_fixtures():
-    assert profile(Seq.from_literal(F3, "0,0,0,0,1")).standard == (1, 0, 1)
-    assert profile(Seq.from_literal(F3, "0,0,0,0,1")).strict == (1, 0, 1)
-    assert profile(Seq.from_literal(F3, "1,0,0,0,0")).standard == (1, 1, 0)
-    p = profile(Seq.from_literal(F3, "0,0,1,0,0"))
+    assert analyze(Seq.from_literal(F3, "0,0,0,0,1")).profile.standard == (1, 0, 1)
+    assert analyze(Seq.from_literal(F3, "0,0,0,0,1")).profile.strict == (1, 0, 1)
+    assert analyze(Seq.from_literal(F3, "1,0,0,0,0")).profile.standard == (1, 1, 0)
+    p = analyze(Seq.from_literal(F3, "0,0,1,0,0")).profile
     assert p.standard == (3, 3, 0) and p.strict == (3, 0, 3)
 
 
 def test_profile_invariants():
     for n in range(6):
         for s in seqs(F3, n):
-            p = profile(s)
+            p = analyze(s).profile
             assert p.r == p.rho + p.pi == p.strict_rho + p.strict_pi
             assert p.rho <= s.n1 and p.strict_rho <= s.n2 - 1
             z = s.leading_zeros()
@@ -134,7 +131,7 @@ def test_rhopi_form_shape_exhaustive():
 
     for n in range(6):
         for s in seqs(F3, n):
-            p = profile(s)
+            p = analyze(s).profile
             rho = p.rho
             for l in range(n + 1):
                 rows, cols = l + 1, n - l + 1
@@ -169,17 +166,17 @@ def kernel_set_from_basis(basis, cols):
 
 
 def test_char_polys_degenerate_fixtures():
-    cp = char_polys(Seq(F3, (0,) * 5))
+    cp = analyze(Seq(F3, (0,) * 5)).polys
     assert cp.a1 == Poly.one(F3) and cp.a2.is_zero
-    cp = char_polys(Seq.from_literal(F3, "1,0,0,0,0"))
+    cp = analyze(Seq.from_literal(F3, "1,0,0,0,0")).polys
     assert cp.a1 == p3(0, 1) and cp.a2 == Poly.one(F3)
-    cp = char_polys(Seq.from_literal(F3, "0,0,0,0,1"))
+    cp = analyze(Seq.from_literal(F3, "0,0,0,0,1")).polys
     assert cp.a1 == Poly.one(F3) and cp.a2 == p3(0, 0, 0, 0, 0, 1)
 
 
 def _char_polys_branches(seq):
     """The a1 branch and the a2 start vector char_polys takes on seq."""
-    p = profile(seq)
+    p = analyze(seq).profile
     if p.r == 0:
         return set()
     if p.rho == 0:
@@ -201,7 +198,7 @@ def test_char_polys_match_gauss_exhaustive(ctx, n_max):
     hit = set()
     for n in range(n_max + 1):
         for s in seqs(ctx, n):
-            assert char_polys(s) == gauss_char_polys(s), s
+            assert analyze(s).polys == gauss_char_polys(s), s
             hit |= _char_polys_branches(s)
     assert hit == {
         "rho = 0",
@@ -237,7 +234,7 @@ def recurrent_sequences(draw):
 @settings(max_examples=300)
 @given(recurrent_sequences())
 def test_char_polys_match_gauss_beyond_the_envelopes(s):
-    assert char_polys(s) == gauss_char_polys(s)
+    assert analyze(s).polys == gauss_char_polys(s)
 
 
 def test_kernel_polys_need_no_elimination(monkeypatch):
@@ -247,15 +244,15 @@ def test_kernel_polys_need_no_elimination(monkeypatch):
     monkeypatch.setattr(hankel, "row_reduce", refuse)
     for n in range(6):
         for s in seqs(F3, n):
-            char_polys(s)
+            analyze(s).polys
 
 
 def test_kernel_structure_law_small():
     # acceptance runs n <= 6; keep the unit version quick
     for n in range(5):
         for s in seqs(F3, n):
-            p = profile(s)
-            cp = char_polys(s)
+            an = analyze(s)
+            p, cp = an.profile, an.polys
             assert cp.a1.is_monic and cp.a1.degree == p.rho
             if not cp.a2.is_zero:
                 assert gcd(cp.a1, cp.a2).degree == 0
@@ -302,7 +299,7 @@ def test_check_kernel_structure_catches_wrong_char_polys(monkeypatch, which):
 def test_pi_zero_iff_nonzero_final_kernel_entry():
     for n in range(6):
         for s in seqs(F3, n):
-            p = profile(s)
+            p = analyze(s).profile
             for l in range(n + 1):
                 m = n - l
                 if l + 1 < p.r:
@@ -320,9 +317,9 @@ def test_pi_zero_iff_nonzero_final_kernel_entry():
 def test_last_entry_removal_remark():
     for n in (2, 4):
         for s in seqs(F3, n):
-            p = profile(s)
+            p = analyze(s).profile
             shorter = Seq(F3, s.entries[:n])
-            ps = profile(shorter)
+            ps = analyze(shorter).profile
             if p.strict_pi >= 1:
                 assert ps.strict == (p.r - 1, p.strict_rho, p.strict_pi - 1)
             else:
@@ -359,7 +356,7 @@ def test_seq_extend_fixtures():
     # with pi > 0 no recurrence of order rho spans the sequence, and the
     # expansion loses it
     s = Seq.from_literal(F3, "0,0,0,0,1")
-    assert profile(s).pi > 0
+    assert analyze(s).profile.pi > 0
     assert _extend(s, 1).entries[:5] != s.entries
 
 
@@ -369,12 +366,13 @@ def test_seq_extend_satisfies_recurrence():
     for ctx, n_max in ((F3, 5), (F9A, 3)):
         for n in range(n_max + 1):
             for s in seqs(ctx, n):
-                p = profile(s)
+                an = analyze(s)
+                p = an.profile
                 if p.pi != 0:
                     continue
                 ext = _extend(s, 3)
                 assert ext.entries[: s.n + 1] == s.entries
-                a1 = char_polys(s).a1
+                a1 = an.polys.a1
                 out = odot(ext, a1, max(p.r, a1.degree))
                 assert all(e == 0 for e in out.entries)
 
@@ -494,17 +492,14 @@ def test_odot_matches_toeplitz_product():
 
 def test_reduction_profile_fixtures():
     s = Seq.from_literal(F3, "1,1,1,1,1,1,1")
-    pred = reduction_profile(analyze(s), p3(2, 1), 1)
-    assert (pred.r, pred.rho, pred.pi) == (0, 0, 0)
-    assert pred.a1 == Poly.one(F3)
-    ident = reduction_profile(analyze(s), Poly.one(F3), 0)
-    assert (ident.r, ident.rho, ident.pi) == profile(s).standard
-    assert ident.a1 == char_polys(s).a1
+    an = analyze(s)
+    assert reduction_profile(an, p3(2, 1), 1) == ((0, 0, 0), Poly.one(F3))
+    assert reduction_profile(an, Poly.one(F3), 0) == (an.profile.standard, an.polys.a1)
 
 
 def test_reduction_profile_preconditions():
     s = Seq.from_literal(F3, "1,0,2,0,1")  # some rank-3 sequence
-    r = profile(s).r
+    r = analyze(s).profile.r
     bad_s = 2 * (s.n - 2 * r + 1) + 2  # force n < 2r + s - 1
     if bad_s <= s.n:
         with pytest.raises(HfqError, match=r"need n >= max\(2, 2r \+ s - 1\)"):
@@ -517,16 +512,19 @@ def test_reduction_exhaustive_small():
     ws = [Poly.one(F3), p3(0, 1), p3(1, 1), p3(1, 0, 1)]
     for n in range(2, 5):
         for s in seqs(F3, n):
-            p = profile(s)
+            an = analyze(s)
             for w in ws:
                 for pad in range(w.degree, n + 1):
-                    if n < 2 * p.r + pad - 1:
+                    if n < 2 * an.profile.r + pad - 1:
                         continue
-                    pred = reduction_profile(analyze(s), w, pad)
-                    reduced = odot(s, w, pad)
-                    actual = profile(reduced)
-                    assert (pred.r, pred.rho, pred.pi) == actual.standard
-                    assert pred.a1 == char_polys(reduced).a1
+                    actual = analyze(odot(s, w, pad))
+                    assert reduction_profile(an, w, pad) == (
+                        actual.profile.standard, actual.polys.a1
+                    )
+
+
+# windows of degree 0..4 for the reduction law past the exhaustive envelope
+WS_BEYOND = [Poly.one(F3), p3(0, 1), p3(1, 1), p3(1, 0, 1), p3(1, 2, 0, 1), p3(2, 0, 0, 0, 1)]
 
 
 def test_reduction_law_beyond_the_envelope_by_class():
@@ -536,7 +534,6 @@ def test_reduction_law_beyond_the_envelope_by_class():
     # broken in one of its last three entries (pi > 0); two members each,
     # at every width s <= 4 that W's degree allows
     rng = random.Random(20)
-    ws = [Poly.one(F3), p3(0, 1), p3(1, 1), p3(1, 0, 1), p3(1, 2, 0, 1), p3(2, 0, 0, 0, 1)]
     classes, by_width = set(), {}
     for n in (18, 20):
         for r in hankel.bijection_ranks(n):
@@ -554,14 +551,13 @@ def test_reduction_law_beyond_the_envelope_by_class():
                 for seq in (member, Seq(F3, broken)):
                     an = analyze(seq)
                     prof = an.profile
-                    for w in ws:
+                    for w in WS_BEYOND:
                         for pad in range(w.degree, 5):
                             if n < 2 * prof.r + pad - 1:
                                 continue
-                            pred = reduction_profile(an, w, pad)
                             actual = analyze(odot(seq, w, pad))
-                            assert (pred.r, pred.rho, pred.pi, pred.a1) == (
-                                *actual.profile.standard, actual.polys.a1
+                            assert reduction_profile(an, w, pad) == (
+                                actual.profile.standard, actual.polys.a1
                             ), (seq, w, pad)
                             classes.add(prof.standard)
                             by_width[pad] = by_width.get(pad, 0) + 1
@@ -574,13 +570,31 @@ def test_reduction_law_beyond_the_envelope_by_class():
 def test_reduction_strict_class():
     # boundary class ((n-s)/2 + 1, 0, ...) survives a full-width window
     s = Seq.from_literal(F3, "0,0,0,0,1,0,2")  # n = 6, strict class (3, 0, 3)
-    assert profile(s).strict == (3, 0, 3)
+    assert analyze(s).profile.strict == (3, 0, 3)
     w = p3(1, 0, 1)
-    pred = reduction_strict_class(analyze(s), w, 2)
-    assert pred == (3, 0, 3)
-    assert profile(odot(s, w, 2)).strict == pred
-    with pytest.raises(HfqError, match="need deg W = s exactly"):
-        reduction_strict_class(analyze(s), Poly.one(F3), 1)  # deg W != s
+    assert analyze(odot(s, w, 2)).profile.strict == (3, 0, 3)
+
+
+def test_reduction_strict_class_beyond_the_envelope():
+    # claim 2 at q=3 past the exhaustive n <= 6: for each window W of degree
+    # s with n - s even, the sequences with exactly (n + s)/2 leading zeros
+    # (random tails) lie in the strict class (half, 0, half), half =
+    # (n - s)/2 + 1, and their sliding products against [W]_s keep it
+    rng = random.Random(24)
+    widths = set()
+    for n in range(18, 22):
+        for w in WS_BEYOND:
+            s = w.degree
+            if (n - s) % 2:
+                continue
+            half, zeros = (n - s) // 2 + 1, (n + s) // 2
+            for _ in range(20):
+                tail = [rng.randrange(1, 3)] + [rng.randrange(3) for _ in range(n - zeros)]
+                seq = Seq(F3, [0] * zeros + tail)
+                assert analyze(seq).profile.strict == (half, 0, half), seq
+                assert analyze(odot(seq, w, s)).profile.strict == (half, 0, half), (seq, w)
+                widths.add(s)
+    assert widths == {0, 1, 2, 3, 4}
 
 
 def test_check_reduction_one_pass_per_sequence(monkeypatch):
@@ -602,7 +616,7 @@ def test_bijection_roundtrip_class_n6():
     count = 0
     image = set()
     for s in seqs(F3, 6, 2):
-        if profile(s).standard != (3, 3, 0):
+        if analyze(s).profile.standard != (3, 3, 0):
             continue
         count += 1
         a, b = bijection_map(analyze(s), 2)
@@ -623,13 +637,13 @@ def test_bijection_errors():
 
 
 def test_profile_keeps_no_connection_polynomial_snapshots():
-    # char_polys reads snapshots of c; profile reads none and must not hold
-    # them (with them, this pass peaks near 6 MB)
+    # the pass holds no snapshot of c per entry (with them, it peaks near
+    # 6 MB), and reading the profile forms no kernel polynomial
     rng = random.Random(4000)
     seq = Seq(F3, [rng.randrange(3) for _ in range(1000)])
     tracemalloc.start()
     try:
-        profile(seq)
+        analyze(seq).profile
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -643,7 +657,7 @@ def test_char_polys_memory_is_linear():
     seq = Seq(F3, [rng.randrange(3) for _ in range(1000)])
     tracemalloc.start()
     try:
-        char_polys(seq)
+        analyze(seq).polys
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
