@@ -72,60 +72,51 @@ def _start(ctx: FieldCtx, m: int, n_cols: int) -> list:
     return [c, buf, np.zeros((m, n_cols), dtype=np.int64), nil + 1, nil, nil]
 
 
-def _step(ctx: FieldCtx, state: list, i: int, entry: np.ndarray) -> None:
+def _discrepancy(ctx: FieldCtx, state: list, i: int, cols, entry: np.ndarray) -> np.ndarray:
+    """The discrepancy d_i = x_i + sum_{j >= 1} c_j x_{i-j} (c_0 = 1) of
+    the columns ``cols`` of a state that has seen x_0..x_{i-1}, on their
+    entries x_i.  The sum over j >= 1 is taken once per state column, so
+    the children of a trie node share it and add only their own x_i.  The
+    entries are kept reversed: x_{i-j} is row m - 1 - i + j, and the sum
+    adds whole rows."""
+    c, _, rev, _, length, _ = state
+    m = len(rev)
+    base, pack_mul = _packed(ctx, m)
+    top = length.max(initial=0) + 1  # deg c <= L <= i
+    earlier = pack_mul[c[1:top] + rev[m - i : m - 1 - i + top]].sum(axis=0)
+    return _unpack(ctx, earlier[cols] + pack_mul[ctx.q + entry], base)
+
+
+def _rule(i: int, d: np.ndarray, length: np.ndarray, rho: np.ndarray):
+    """(grow, L, rho) after Berlekamp-Massey step i with discrepancy d: L
+    grows to i + 1 - L where d != 0 and 2L <= i, and at an even step the
+    leading k x k square, k = i / 2 + 1, is invertible iff L = k."""
+    grow = (d != 0) & (2 * length <= i)
+    length = np.where(grow, i + 1 - length, length)
+    if i % 2 == 0:  # k <= n1 = (m + 1) // 2 for top index n = m - 1
+        rho = np.where(length == i // 2 + 1, i // 2 + 1, rho)
+    return grow, length, rho
+
+
+def _step(ctx: FieldCtx, state: list, i: int, entry: np.ndarray, d: np.ndarray) -> None:
     """Berlekamp-Massey step i of every column of a _start state, on the
-    columns' entries x_i.
+    columns' entries x_i and their discrepancies d (_discrepancy).
 
     c and bs = x^shift * B hold codes times q, ready to index a table row.
-    deg c <= L_i, and before step i neither c nor bs has a nonzero
-    coefficient past i + 1, so only those rows are touched.  bs is a window
-    on a zero buffer whose origin is row m - 1 - i at step i: that is the
-    shift.  The entries are kept reversed, so the discrepancy adds whole rows.
+    Before step i neither c nor bs has a nonzero coefficient past i + 1, so
+    only those rows are touched.  bs is a window on a zero buffer whose
+    origin is row m - 1 - i at step i: that is the shift.
     """
     mul, sub_q, inv, _ = _tables(ctx)
-    c, buf, rev, b, length, rho = state
-    m = len(rev)
-    base, pack_mul = _packed(ctx, m)
-    rev[m - 1 - i] = entry
-    w = i + 2
-    bs = buf[m - 1 - i :]
-    top = length.max(initial=0) + 1
-    d = _unpack(ctx, pack_mul[c[:top] + rev[m - 1 - i : m - 1 - i + top]].sum(axis=0), base)
-    grow = (d != 0) & (2 * length <= i)
-    f = mul[d * ctx.q + inv[b]]
-    new = sub_q[c[:w] + mul[bs + f]]
+    c, buf, rev, b = state[:4]
+    origin, w = len(rev) - 1 - i, i + 2
+    rev[origin] = entry
+    bs = buf[origin:]
+    grow, state[4], state[5] = _rule(i, d, *state[4:])
+    new = sub_q[c[:w] + mul[bs + mul[d * ctx.q + inv[b]]]]
     np.copyto(bs, c[:w], where=grow)
     c[:w] = new
-    length = np.where(grow, i + 1 - length, length)
-    b = np.where(grow, d, b)
-    if i % 2 == 0:  # the leading k x k square is invertible iff L_{2k-1} = k
-        k = i // 2 + 1  # k <= n1 = (m + 1) // 2 for top index n = m - 1
-        rho = np.where(length == k, k, rho)
-    state[3:] = b, length, rho
-
-
-def _last(ctx: FieldCtx, state: list, cols, entry: np.ndarray):
-    """(r, rho, strict_rho) after the last step, m - 1, of the columns
-    ``cols`` of a state that has seen the first m - 1 entries, on their last
-    entries x_{m-1}.
-
-    Only L and rho can change at that step: strict rho stopped at step
-    m - 2 or m - 3 (k = n2 - 1 = m // 2), so it is rho as the state holds
-    it.  The discrepancy is the sum over the earlier entries, one per state
-    column, plus c_0 x_{m-1}: the columns' children share it and copy no
-    polynomial."""
-    c, _, rev, _, length, rho = state
-    m = len(rev)
-    base, pack_mul = _packed(ctx, m)
-    top = length.max(initial=0) + 1
-    earlier = pack_mul[c[1:top] + rev[1:top]].sum(axis=0)
-    d = _unpack(ctx, earlier[cols] + pack_mul[c[0, cols] + entry], base)
-    length, rho = length[cols], rho[cols]
-    length = np.where((d != 0) & (2 * length < m), m - length, length)
-    strict_rho = rho
-    if m % 2:  # step m - 1 is even: k = (m + 1) / 2, as in _step
-        rho = np.where(length == (m + 1) // 2, (m + 1) // 2, rho)
-    return np.minimum(length, m + 1 - length), rho, strict_rho
+    state[3] = np.where(grow, d, b)
 
 
 def _take(level, cols):
@@ -136,9 +127,11 @@ def _take(level, cols):
 def _expand(ctx: FieldCtx, level, zeros: int, vecs, j: int):
     """The children of every node of a trie level: free entry j appended,
     where the all-zero prefix has only the children 0 and 1 (1 alone at the
-    last level).  A view steps once its next entry x_i is known; at the
-    last entry it takes its last step, and each leaf holds the view's
-    (r, rho, strict_rho) in place of a state."""
+    last level).  A view steps once its next entry x_i is known, each node
+    taking its children's share of the discrepancy once.  At the last
+    entry a leaf applies only the rule, since r, rho and strict rho need no
+    polynomial, and holds the view's (r, rho, strict_rho) in place of a
+    state: r = min(L, m + 1 - L), and strict rho is rho before the step."""
     (width, n_cols), q = level[0].shape, ctx.q
     idx, new = np.repeat(np.arange(n_cols), q), np.tile(np.arange(q), n_cols)
     keep = level[0][:j].any(axis=0)[idx] | (new == 1) | (new == 0) & (j < width - 1)
@@ -148,16 +141,20 @@ def _expand(ctx: FieldCtx, level, zeros: int, vecs, j: int):
     views = []
     for vec, state in zip(vecs, level[1]):
         lo = j + 1 - len(vec)  # x_i = sum_t vec_t seq_{i+t}, seq_{i+t} = ents[lo + t]
-        if lo + zeros < 0:  # x_i is still a known zero
+        i = lo + zeros
+        if i < 0:  # the view's first entry x_0 ends past free entry j
             views.append([a[..., idx] for a in state])
             continue
         win = ents[max(lo, 0) : j + 1]
         entry = odot(ctx, win.T, vec[len(vec) - len(win) :])[:, 0]
+        d = _discrepancy(ctx, state, i, idx, entry)
         if j == width - 1:
-            views.append(_last(ctx, state, idx, entry))
+            strict_rho = state[5][idx]
+            _, length, rho = _rule(i, d, state[4][idx], strict_rho)
+            views.append((np.minimum(length, i + 2 - length), rho, strict_rho))
         else:
             views.append([a[..., idx] for a in state])
-            _step(ctx, views[-1], lo + zeros, entry)
+            _step(ctx, views[-1], i, entry, d)
     return ents, views
 
 
@@ -172,16 +169,16 @@ def walk(ctx: FieldCtx, width: int, zeros: int, vecs, tops=slice(None)):
 
     A depth-first walk of the prefix trie: Berlekamp-Massey is online, so
     each prefix is stepped once and its children repeat its state, except
-    the leaves, which take the last step without a copy (_last).  The root
-    holds the state after each view's known-zero entries, so those are
-    never stepped.  Leaf blocks hold at most field.CHUNK / 2 / width rows
-    (at least one).  The walk expands whole levels while they hold at most
-    take = block / 2q nodes; the first level past that is the top level,
-    whose nodes ``tops`` selects.  From there on it expands ``take`` nodes
-    of the current level at a time, so each step runs on about half a
-    block.  The path it descends holds one level per depth, each with every
-    view's full state per node: a whole block per level would raise the
-    peak memory of small walks for little speed.
+    the leaves, which take only the last step's rule and copy no state
+    (_expand).  The root holds the state after each view's known-zero
+    entries, so those are never stepped.  Leaf blocks hold at most
+    field.CHUNK / 2 / width rows (at least one).  The walk expands whole
+    levels while they hold at most take = block / 2q nodes; the first level
+    past that is the top level, whose nodes ``tops`` selects.  From there
+    on it expands ``take`` nodes of the current level at a time, so each
+    step runs on about half a block.  The path it descends holds one level
+    per depth, each with every view's full state per node: a whole block
+    per level would raise the peak memory of small walks for little speed.
     """
     if width == 0:
         return

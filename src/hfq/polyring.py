@@ -320,21 +320,21 @@ def rad(a: Poly) -> Poly:
     return out
 
 
-def phi(a: Poly) -> int:
-    """Count of C with deg C < deg A and gcd(C, A) = 1, for monic A != 0.
+def phi(a: Poly, m: int | None = None) -> int:
+    """Count of C with deg C < m (deg A by default) and gcd(C, A) = 1, for
+    monic A != 0.
 
-    Computed through the Euler product over the factorization; the counting
-    definition is enforced against this in the tests.  phi(1) = 1 by the
-    empty-product convention so that phi is multiplicative.
+    By Mobius inversion over the distinct primes of A: the C of degree < m
+    divisible by a squarefree D, 0 included, are q^max(m - deg D, 0) (at
+    m = deg A, the Euler product); the counting definition is enforced
+    against this in the tests.  phi(1) = 1, so that phi is multiplicative.
     """
     if a.is_zero:
         raise HfqError("phi(0) is undefined")
     if not a.is_monic:
         raise HfqError("phi is defined for monic polynomials")
-    q = a.ctx.q
-    out = q**a.degree
+    m = a.degree if m is None else m
+    terms = [(1, 0)]  # (mu(D), deg D) over the squarefree divisors D of A
     for prime, _ in factor(a):
-        pd = q**prime.degree
-        out = out // pd * (pd - 1)
-    return out
-
+        terms += [(-mu, d + prime.degree) for mu, d in terms]
+    return sum(mu * a.ctx.q ** max(m - d, 0) for mu, d in terms)

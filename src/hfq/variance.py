@@ -27,6 +27,7 @@ from .polyring import (
     gcd,
     monics,
     monics_upto,
+    phi,
     polys_upto,
 )
 
@@ -440,7 +441,9 @@ def kernel_sum_identity(par: ThmParams, r1: int, guard: int = GUARD):
 def w_sum_identity(par: ThmParams, r: int, guard: int = GUARD):
     """Both sides of the stratified count over the full-recurrence class of
     length-n sequences: sum of |gcd(a1, U)| |gcd(a1, V)| against the
-    divisor-stratified coprime-pair count with W = UV."""
+    divisor-stratified coprime-pair count with W = UV, the sum over monic A
+    of degree r of |gcd(A, W)| times the number of B of degree < r - h
+    coprime to A (phi, by Mobius; B = 0 is not, as deg A >= 3)."""
     u, v, n, h = par.u, par.v, par.n, par.h
     ctx = u.ctx
     q = ctx.q
@@ -449,7 +452,7 @@ def w_sum_identity(par: ThmParams, r: int, guard: int = GUARD):
         raise HfqError(f"r = {r} outside [{h + 1}, {ranks.stop - 1}] (and r > 2)")
     check_guard(q ** (n - h), guard, "identity enumeration")
     from . import fastpath
-    from .hankel import Seq, analyze, bijection_pairs
+    from .hankel import Seq, analyze
 
     lhs = 0  # one sequence per scalar orbit, weighted q - 1: a1 is monic, so c * seq shares it
     for (rank, _, strict_rho), ents in fastpath.walk(ctx, n - h, h, ((1,),)):
@@ -458,5 +461,5 @@ def w_sum_identity(par: ThmParams, r: int, guard: int = GUARD):
             lhs += (q - 1) * gcd(a1, u).abs_value() * gcd(a1, v).abs_value()
 
     w = u * v
-    rhs = sum(gcd(a, w).abs_value() * len(bs) for a, bs in bijection_pairs(ctx, r, h).items())
+    rhs = sum(gcd(a, w).abs_value() * phi(a, r - h) for a in monics(ctx, r))
     return Fraction(lhs), Fraction(rhs)

@@ -185,12 +185,16 @@ def blocks(ctx, width: int, zeros: int = 0):
 def batched_profile(ctx, block):
     """(r, rho, strict_rho) of each row of an [N, m] block, m >= 1: the
     walk's step functions run on the whole block, one row per column, with
-    no prefix sharing."""
+    no prefix sharing.  The last step, as at the walk's leaves, applies only
+    the rule: r = min(L, m + 1 - L), and strict rho is rho before it."""
     m = block.shape[1]
     state = fastpath._start(ctx, m, len(block))
     for i in range(m - 1):
-        fastpath._step(ctx, state, i, block[:, i])
-    return fastpath._last(ctx, state, slice(None), block[:, m - 1])
+        d = fastpath._discrepancy(ctx, state, i, slice(None), block[:, i])
+        fastpath._step(ctx, state, i, block[:, i], d)
+    d = fastpath._discrepancy(ctx, state, m - 1, slice(None), block[:, m - 1])
+    _, length, rho = fastpath._rule(m - 1, d, state[4], state[5])
+    return np.minimum(length, m + 1 - length), rho, state[5]
 
 
 def _windows(par: ThmParams):

@@ -247,8 +247,8 @@ def _valid_cases(ctx, n_max):
 
 @pytest.mark.parametrize(
     "ctx,n_max",
-    [(ctx_new(3), 8), (ctx_new(5), 5), (ctx_new(7), 4), (F9A, 3), (F9B, 3), (F25, 2)],
-    ids=["q3", "q5", "q7", "q9a", "q9b", "q25"],
+    [(ctx_new(3), 8), (ctx_new(5), 5), (ctx_new(7), 4), (F9A, 3), (F9B, 3), (F25, 2), (F27, 2)],
+    ids=["q3", "q5", "q7", "q9a", "q9b", "q25", "q27"],
 )
 def test_fast_variance_matches_unreduced_loop(ctx, n_max):
     cases = list(_valid_cases(ctx, n_max))

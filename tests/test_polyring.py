@@ -66,14 +66,16 @@ def test_phi_fixtures():
 
 
 def test_phi_counting_definition():
-    # phi(A) counts residues of lower degree coprime to A
+    # phi(A, m) counts the C of degree < m coprime to A; phi(A), the
+    # residues of lower degree
     for a in monics_upto(F3, 4):
         if a.degree < 1:
             continue
-        count = sum(
-            1 for c in polys_upto(F3, a.degree - 1) if not c.is_zero and gcd(c, a).degree == 0
-        )
-        assert phi(a) == count
+        for m in range(a.degree + 1):
+            cs = polys_upto(F3, m - 1)
+            count = sum(1 for c in cs if not c.is_zero and gcd(c, a).degree == 0)
+            assert phi(a, m) == count, (a, m)
+        assert phi(a) == phi(a, a.degree)
 
 
 def test_phi_multiplicative_on_coprime_pairs():

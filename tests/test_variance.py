@@ -7,8 +7,8 @@ import pytest
 from hfq import variance
 from hfq.errors import HfqError, TooLargeError
 from hfq.field import ctx_new
-from hfq.hankel import bijection_ranks
-from hfq.polyring import Poly, monics, polys_upto
+from hfq.hankel import bijection_pairs, bijection_ranks
+from hfq.polyring import Poly, gcd, monics, monics_upto, phi, polys_upto
 from hfq.variance import (
     ThmParams,
     f_formula,
@@ -24,6 +24,7 @@ from hfq.variance import (
 
 F3 = ctx_new(3)
 F5 = ctx_new(5)
+F9 = ctx_new(3, 2, (1, 0, 1))
 
 
 def p3(*coeffs):
@@ -395,10 +396,47 @@ def test_w_sum_identity_fixture():
         w_sum_identity(ThmParams.compute(U1, V1, 8, 3), 3)
 
 
+@pytest.mark.parametrize("ctx,r_max", [(F3, 5), (F5, 3), (F9, 2)], ids=["q3", "q5", "q9"])
+def test_phi_counts_the_bijection_pairs(ctx, r_max):
+    # the w-sum's Mobius count: phi(A, r - h) is the number of non-zero B of
+    # degree < r - h coprime to A, the pair set of A at rank r
+    for r in range(1, r_max + 1):
+        for h in range(r):
+            for a, bs in bijection_pairs(ctx, r, h).items():
+                assert phi(a, r - h) == len(bs), (a, h)
+
+
+@pytest.mark.parametrize("ctx,r", [(F5, 4), (F9, 3)], ids=["q5", "q9"])
+def test_phi_counts_the_bijection_pairs_by_their_monic_members(ctx, r):
+    # the same count one rank up, where the pair sets cost q^(2r) gcds
+    # (5^8, 9^6): they are closed under B -> cB, so each is q - 1 times the
+    # monic B of degree < r - h coprime to A
+    bs = list(monics_upto(ctx, r - 1))
+    for a in monics(ctx, r):
+        coprime = [b.degree for b in bs if gcd(a, b).degree == 0]
+        for h in range(r):
+            assert phi(a, r - h) == (ctx.q - 1) * sum(d < r - h for d in coprime), (a, h)
+
+
+def test_w_sum_right_side_is_the_pair_sum():
+    # the right side's Mobius count against the literal sum over the
+    # bijection's pair sets, at ranks 3 and 4
+    p5 = lambda *c: Poly.from_ints(F5, c)
+    points = [(U1, V1, 8, 0), (U2, V1, 9, 1), (U1, V3, 10, 2), (U2, V1, 10, 0)]
+    points += [(p5(1), p5(0, 1), 8, 0), (p5(1, 0, 1), p5(0, 1), 9, 2)]
+    ranks = set()
+    for u, v, n, h in points:
+        par, w = ThmParams.compute(u, v, n, h), u * v
+        for r in par.w_ranks():
+            pairs = bijection_pairs(u.ctx, r, h)
+            want = sum(gcd(a, w).abs_value() * len(bs) for a, bs in pairs.items())
+            assert w_sum_identity(par, r) == (want, want), (par, r)
+            ranks.add(r)
+    assert ranks == {3, 4}
+
+
 def test_w_sum_strata_partition():
     # summing the stratified pair counts recovers the bijection cardinality
-    from hfq.polyring import gcd, polys_upto
-
     n, h, r = 8, 0, 3
     w = U1 * V1
     total = 0
