@@ -33,7 +33,7 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   from process start to exit: ``--help``, the exit-64 refusal of
   ``census --q 4``, the scalar ``analyze`` and ``identity
   kernel-structure`` (F_3, n <= 3), ``identity quadform`` at level 0 over
-  F_9, the phi sieve at kmax 9, a one-process census, and the benchmark's
+  F_9, phisum at kmax 9, a one-process census, and the benchmark's
   fast_tally variance command, the closed forms ``variance --q 3 --U
   1,0,1 --V 0,1 --n 6 --h 3`` (case 2, neither --oracle nor --charsum) and
   ``variance --q 3 --U 1 --V 0,1 --n 17 --h 6`` (case 3), and the case-2

@@ -8,12 +8,6 @@ with the constant residue fastest.  FieldCtx builds its addition,
 subtraction, negation, multiplication, inversion and trace tables once;
 every operation is a lookup.  A table has q^2 entries, so q is capped at
 MAX_Q.
-
-CycInt implements the ring Z[zeta] for zeta a primitive p-th root of unity,
-with coefficient vectors over the full index set 0..p-1.  Canonical form
-zeroes the last coefficient (using 1 + zeta + ... + zeta^{p-1} = 0), so
-equality is plain coefficient comparison and no floating point ever enters
-character-sum values.
 """
 
 from __future__ import annotations
@@ -155,9 +149,6 @@ class FieldCtx:
         """Absolute trace Tr(a) = sum of a^(p^i) for i < k, an element of F_p."""
         return self.trace_table[a]
 
-    def psi(self, a: FqElem) -> "CycInt":
-        return CycInt.zeta_pow(self.p, self.trace(a))
-
     def format_elem(self, a: FqElem) -> str:
         if self.k == 1:
             return str(a)
@@ -230,109 +221,4 @@ def ctx_new(p: int, k: int = 1, modulus=None) -> FieldCtx:
     if len(modulus) != k + 1 or modulus[-1] != 1:
         raise HfqError(f"modulus must be monic of degree {k}")
     return FieldCtx(p, k, modulus)
-
-
-class CycInt:
-    """Element of Z[zeta_p], stored as p integer coefficients of zeta^0..zeta^{p-1}.
-
-    Canonical form has last coefficient 0; construction canonicalizes, so
-    instances compare by coefficient tuple.
-    """
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != p:
-            raise HfqError(f"need {p} coefficients, got {len(coeffs)}")
-        last = coeffs[-1]
-        if last:
-            coeffs = tuple(c - last for c in coeffs)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("CycInt is immutable")
-
-    @classmethod
-    def zero(cls, p: int) -> "CycInt":
-        return cls(p, (0,) * p)
-
-    @classmethod
-    def from_int(cls, p: int, n: int) -> "CycInt":
-        return cls(p, (n,) + (0,) * (p - 1))
-
-    @classmethod
-    def zeta_pow(cls, p: int, e: int) -> "CycInt":
-        coeffs = [0] * p
-        coeffs[e % p] = 1
-        return cls(p, coeffs)
-
-    def _check(self, other: "CycInt") -> None:
-        if self.p != other.p:
-            raise HfqError(f"cannot combine Z[zeta_{self.p}] with Z[zeta_{other.p}]")
-
-    def __add__(self, other: "CycInt") -> "CycInt":
-        self._check(other)
-        return CycInt(self.p, (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CycInt") -> "CycInt":
-        self._check(other)
-        return CycInt(self.p, (a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CycInt":
-        return CycInt(self.p, (-a for a in self.coeffs))
-
-    def __mul__(self, other) -> "CycInt":
-        if isinstance(other, int):
-            return CycInt(self.p, (a * other for a in self.coeffs))
-        self._check(other)
-        p = self.p
-        out = [0] * p
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[(i + j) % p] += a * b
-        return CycInt(p, out)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "CycInt":
-        """Complex conjugate: zeta^i -> zeta^{p-i}."""
-        p = self.p
-        out = [0] * p
-        for i, a in enumerate(self.coeffs):
-            out[(p - i) % p] = a
-        return CycInt(p, out)
-
-    def mag_sq(self) -> "CycInt":
-        """z * conj(z); real and non-negative as a complex number."""
-        return self * self.conj()
-
-    def as_integer(self) -> Optional[int]:
-        """The rational integer this equals, or None if it is not one."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CycInt)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.coeffs))
-
-    def __repr__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{c}*z^{i}" if i else str(c))
-        return "CycInt(p=%d: %s)" % (self.p, " + ".join(terms) if terms else "0")
 

@@ -2,8 +2,8 @@
 
 A sequence alpha = (alpha_0, ..., alpha_n) determines the (l+1) x (m+1)
 Hankel matrix with entry (i, j) = alpha_{i+j} whenever l + m <= n (shorter
-views use the truncated sequence).  This module computes ranks and kernels,
-the (r, rho, pi) characteristic and its strict variant, the pair of coprime
+views use the truncated sequence).  This module computes ranks, the
+(r, rho, pi) characteristic and its strict variant, the pair of coprime
 kernel polynomials, the sliding dot product against a padded coefficient
 vector, and the bijection between full-recurrence classes and coprime
 polynomial pairs.  The class-size formulas and their census are in hfq.census.
@@ -18,9 +18,8 @@ Berlekamp-Massey pass, analyze, the layer's only reading of a sequence:
 O(n^2) time and O(n) memory.  The reduction law and the bijection take
 that pass, so a caller reads each sequence once; hfq.census runs the
 same pass batched over the prefix trie (fastpath.walk).  Gaussian
-elimination serves only rank and kernel_basis, the ranks and kernels of
-explicit views: it is the independent side that the pass is checked
-against.
+elimination, row_reduce and the rank of an explicit view read through it,
+is the independent side that the pass is checked against.
 """
 
 from __future__ import annotations
@@ -122,23 +121,6 @@ def row_reduce(rows, ncols: int, ctx: FieldCtx):
     return pivots
 
 
-def _kernel_basis_raw(rows, ncols: int, ctx: FieldCtx):
-    """Kernel basis from the RREF, one vector per free column, in column order."""
-    work = [list(r) for r in rows]
-    pivots = row_reduce(work, ncols, ctx)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [ctx.zero] * ncols
-        v[free] = ctx.one
-        for i, pc in enumerate(pivots):
-            v[pc] = ctx.neg(work[i][free])
-        basis.append(tuple(v))
-    return basis
-
-
 def hankel_matrix(seq: Seq, rows: int, cols: int) -> list:
     """The rows x cols Hankel matrix of a sequence, entry (i,j) = alpha_{i+j}.
 
@@ -157,11 +139,6 @@ def rank(seq: Seq, rows: int, cols: int) -> int:
     """Rank of the rows x cols Hankel matrix (not the rank invariant of the
     sequence)."""
     return len(row_reduce(hankel_matrix(seq, rows, cols), cols, seq.ctx))
-
-
-def kernel_basis(seq: Seq, rows: int, cols: int):
-    """Reduced-echelon kernel basis of the rows x cols Hankel matrix."""
-    return _kernel_basis_raw(hankel_matrix(seq, rows, cols), cols, seq.ctx)
 
 
 @dataclass(frozen=True)
@@ -313,7 +290,7 @@ def analyze(seq: Seq) -> Analysis:
     return Analysis(seq, Profile(r, rho, r - rho, strict_rho, r - strict_rho), kept)
 
 
-# sliding products and the circulant Toeplitz picture
+# sliding products
 
 
 def _check_window(w: Poly, s: int, n: int | None = None) -> None:
@@ -340,24 +317,6 @@ def odot(seq: Seq, w: Poly, s: int) -> Seq:
                 acc = ctx.add(acc, ctx.mul(wj, e[i + j]))
         out.append(acc)
     return Seq(ctx, out)
-
-
-def toeplitz_mat(w: Poly, s: int, k: int):
-    """(k+s) x k banded matrix whose column j holds [W]_s shifted down j rows.
-
-    Acting on length-k coefficient vectors it multiplies by W: the product
-    against the vector of B (deg B < k) is the length-(k+s) vector of W*B,
-    and H_{l,k+s}(alpha) times this matrix is H_{l,k}(alpha odot [W]_s).
-    """
-    _check_window(w, s)
-    if k < 1:
-        raise HfqError("need at least one column")
-    ctx = w.ctx
-    wv = coeff_vector(w, s)
-    return [
-        [wv[i - j] if 0 <= i - j <= s else ctx.zero for j in range(k)]
-        for i in range(k + s)
-    ]
 
 
 def reduction_profile(an: Analysis, w: Poly, s: int):

@@ -272,18 +272,6 @@ def laurent_expand(b: Poly, a: Poly, depth: int):
 # factorization and arithmetic functions
 
 
-def irreducible(a: Poly) -> bool:
-    """Irreducibility by trial division over monic polynomials of degree <= deg/2."""
-    d = a.degree
-    if d is NEG_INF or d == 0:
-        return False
-    for e in range(1, d // 2 + 1):
-        for cand in monics(a.ctx, e):
-            if (a % cand).is_zero:
-                return False
-    return True
-
-
 def factor(a: Poly):
     """Monic prime factorization [(P, multiplicity), ...] in enumeration order.
 
@@ -309,14 +297,6 @@ def factor(a: Poly):
         d += 1
     if rem.degree >= 1:
         out.append((rem, 1))
-    return out
-
-
-def rad(a: Poly) -> Poly:
-    """Product of the distinct monic prime divisors of A (rad of a unit is 1)."""
-    out = Poly.one(a.ctx)
-    for prime, _ in factor(a):
-        out = out * prime
     return out
 
 

@@ -13,7 +13,6 @@ every function that takes the point as ``par`` trusts it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
@@ -142,53 +141,11 @@ class ThmParams:
         return cls(u, v, n, h)
 
 
-def _half_degrees(u: Poly, v: Poly, degree) -> tuple:
-    """Largest deg E, deg F with deg(U E^2), deg(V F^2) <= degree (-1: just 0)."""
-    if degree < 0:
-        return -1, -1
-    return max((degree - u.degree) // 2, -1), max((degree - v.degree) // 2, -1)
-
-
-def _square_sums(u: Poly, v: Poly, degree):
-    """U E^2 + V F^2 for each pair (E, F) in the box of deg <= degree.  No
-    leading term cancels, as deg U E^2 and deg V F^2 differ in parity, so
-    the box holds every pair of every B of degree <= degree."""
-    e_max, f_max = _half_degrees(u, v, degree)
-    f_squares = [v * f * f for f in polys_upto(u.ctx, f_max)]
-    for e in polys_upto(u.ctx, e_max):
-        ue2 = u * e * e
-        for vf2 in f_squares:
-            yield ue2 + vf2
-
-
-def s_count(u: Poly, v: Poly, b: Poly, guard: int = GUARD) -> int:
-    """Number of pairs (E, F) with B = U E^2 + V F^2, by full enumeration of
-    the degree-feasible candidates."""
-    validate_pair(u, v)
-    e_max, f_max = _half_degrees(u, v, b.degree)
-    check_guard(u.ctx.q ** (e_max + f_max + 2), guard, "s_count", "pairs")
-    return sum(1 for x in _square_sums(u, v, b.degree) if x == b)
-
-
 def mean_formula(par: ThmParams) -> Fraction:
     """Average interval sum: 2 q^(h - deg U/2 - deg V/2 + 1/2), an exact
     rational because deg U + deg V is odd, so the exponent is an integer."""
     num = 1 - par.u.degree - par.v.degree
     return 2 * Fraction(par.u.ctx.q) ** (par.h + num // 2)
-
-
-def interval_sum(u: Poly, v: Poly, a: Poly, h: int, guard: int = GUARD) -> int:
-    """Sum of s_count over the q^h polynomials within distance < h of A,
-    from one tally of U E^2 + V F^2 over the box of the largest member."""
-    if h < 0:
-        raise HfqError("interval radius must be >= 0")
-    validate_pair(u, v)
-    top = max(a.degree, h - 1)  # the largest deg(A + D)
-    e_max, f_max = _half_degrees(u, v, top)
-    work = u.ctx.q ** (h + e_max + f_max + 2)
-    check_guard(work, guard, "interval_sum", "pairs")
-    tally = Counter(_square_sums(u, v, top))  # once, over the largest member's box
-    return sum(tally[a + d] for d in polys_upto(u.ctx, h - 1))
 
 
 def _class_digits(ctx, parts, h: int, n: int) -> np.ndarray:

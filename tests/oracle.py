@@ -4,28 +4,37 @@ hfq.fastpath are checked against, and the unreduced references for the
 walk: a block enumerator in fq_vectors order, the batched profile of a
 block with no prefix sharing, and the variance loops over every
 sequence; and the walk's strict-class tally, which no library function
-keeps, for the checks of the walk's strict rho."""
+keeps, for the checks of the walk's strict rho.
+
+The references that no library code reads live here too: exact
+arithmetic in Z[zeta_p] (CycInt) and the additive character psi; the
+literal representation counts s_count and interval_sum; RREF kernel
+bases and the Toeplitz matrices of multiplication by W; the radical and
+trial-division irreducibility; and the sieve of Eratosthenes over every
+monic polynomial, whose per-degree totient sums analytic's Euler product
+is checked against."""
 
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from typing import Optional
 
 import numpy as np
 
 from hfq import charsum, fastpath
-from hfq.field import CHUNK, to_digits
-
+from hfq.errors import GUARD, HfqError, check_guard
+from hfq.field import CHUNK, FieldCtx, FqElem, from_digits, to_digits
 from hfq.hankel import (
     CharPolys,
     Seq,
+    _check_window,
     analyze,
     hankel_matrix,
-    kernel_basis,
     rank,
     row_reduce,
 )
-from hfq.polyring import Poly, coeff_vector
-from hfq.variance import ThmParams
+from hfq.polyring import NEG_INF, Poly, coeff_vector, factor, monics, polys_upto
+from hfq.variance import ThmParams, validate_pair
 
 
 def value_counts_scalar(seq: Seq, l: int, monic: bool):
@@ -256,3 +265,317 @@ def walk_strict_tally(ctx, n: int, h: int, workers: int = 1) -> dict:
             for key in zip(r.tolist(), strict_rho.tolist()):
                 tally[(*key, key[0] - key[1])] += ctx.q - 1
     return dict(tally)
+
+
+class CycInt:
+    """Element of Z[zeta_p], stored as p integer coefficients of zeta^0..zeta^{p-1}.
+
+    Canonical form has last coefficient 0; construction canonicalizes, so
+    instances compare by coefficient tuple.
+    """
+
+    __slots__ = ("p", "coeffs")
+
+    def __init__(self, p: int, coeffs):
+        coeffs = tuple(coeffs)
+        if len(coeffs) != p:
+            raise HfqError(f"need {p} coefficients, got {len(coeffs)}")
+        last = coeffs[-1]
+        if last:
+            coeffs = tuple(c - last for c in coeffs)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):  # immutable
+        raise AttributeError("CycInt is immutable")
+
+    @classmethod
+    def zero(cls, p: int) -> "CycInt":
+        return cls(p, (0,) * p)
+
+    @classmethod
+    def from_int(cls, p: int, n: int) -> "CycInt":
+        return cls(p, (n,) + (0,) * (p - 1))
+
+    @classmethod
+    def zeta_pow(cls, p: int, e: int) -> "CycInt":
+        coeffs = [0] * p
+        coeffs[e % p] = 1
+        return cls(p, coeffs)
+
+    def _check(self, other: "CycInt") -> None:
+        if self.p != other.p:
+            raise HfqError(f"cannot combine Z[zeta_{self.p}] with Z[zeta_{other.p}]")
+
+    def __add__(self, other: "CycInt") -> "CycInt":
+        self._check(other)
+        return CycInt(self.p, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other: "CycInt") -> "CycInt":
+        self._check(other)
+        return CycInt(self.p, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self) -> "CycInt":
+        return CycInt(self.p, (-a for a in self.coeffs))
+
+    def __mul__(self, other) -> "CycInt":
+        if isinstance(other, int):
+            return CycInt(self.p, (a * other for a in self.coeffs))
+        self._check(other)
+        p = self.p
+        out = [0] * p
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        out[(i + j) % p] += a * b
+        return CycInt(p, out)
+
+    __rmul__ = __mul__
+
+    def conj(self) -> "CycInt":
+        """Complex conjugate: zeta^i -> zeta^{p-i}."""
+        p = self.p
+        out = [0] * p
+        for i, a in enumerate(self.coeffs):
+            out[(p - i) % p] = a
+        return CycInt(p, out)
+
+    def mag_sq(self) -> "CycInt":
+        """z * conj(z); real and non-negative as a complex number."""
+        return self * self.conj()
+
+    def as_integer(self) -> Optional[int]:
+        """The rational integer this equals, or None if it is not one."""
+        if any(self.coeffs[1:]):
+            return None
+        return self.coeffs[0]
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, CycInt)
+            and self.p == other.p
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.coeffs))
+
+    def __repr__(self) -> str:
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c:
+                terms.append(f"{c}*z^{i}" if i else str(c))
+        return "CycInt(p=%d: %s)" % (self.p, " + ".join(terms) if terms else "0")
+
+
+def psi(ctx: FieldCtx, a: FqElem) -> CycInt:
+    """The canonical additive character zeta_p^Tr(a)."""
+    return CycInt.zeta_pow(ctx.p, ctx.trace(a))
+
+
+def _half_degrees(u: Poly, v: Poly, degree) -> tuple:
+    """Largest deg E, deg F with deg(U E^2), deg(V F^2) <= degree (-1: just 0)."""
+    if degree < 0:
+        return -1, -1
+    return max((degree - u.degree) // 2, -1), max((degree - v.degree) // 2, -1)
+
+
+def _square_sums(u: Poly, v: Poly, degree):
+    """U E^2 + V F^2 for each pair (E, F) in the box of deg <= degree.  No
+    leading term cancels, as deg U E^2 and deg V F^2 differ in parity, so
+    the box holds every pair of every B of degree <= degree."""
+    e_max, f_max = _half_degrees(u, v, degree)
+    f_squares = [v * f * f for f in polys_upto(u.ctx, f_max)]
+    for e in polys_upto(u.ctx, e_max):
+        ue2 = u * e * e
+        for vf2 in f_squares:
+            yield ue2 + vf2
+
+
+def s_count(u: Poly, v: Poly, b: Poly, guard: int = GUARD) -> int:
+    """Number of pairs (E, F) with B = U E^2 + V F^2, by full enumeration of
+    the degree-feasible candidates."""
+    validate_pair(u, v)
+    e_max, f_max = _half_degrees(u, v, b.degree)
+    check_guard(u.ctx.q ** (e_max + f_max + 2), guard, "s_count", "pairs")
+    return sum(1 for x in _square_sums(u, v, b.degree) if x == b)
+
+
+def interval_sum(u: Poly, v: Poly, a: Poly, h: int, guard: int = GUARD) -> int:
+    """Sum of s_count over the q^h polynomials within distance < h of A,
+    from one tally of U E^2 + V F^2 over the box of the largest member."""
+    if h < 0:
+        raise HfqError("interval radius must be >= 0")
+    validate_pair(u, v)
+    top = max(a.degree, h - 1)  # the largest deg(A + D)
+    e_max, f_max = _half_degrees(u, v, top)
+    work = u.ctx.q ** (h + e_max + f_max + 2)
+    check_guard(work, guard, "interval_sum", "pairs")
+    tally = Counter(_square_sums(u, v, top))  # once, over the largest member's box
+    return sum(tally[a + d] for d in polys_upto(u.ctx, h - 1))
+
+
+def _kernel_basis_raw(rows, ncols: int, ctx: FieldCtx):
+    """Kernel basis from the RREF, one vector per free column, in column order."""
+    work = [list(r) for r in rows]
+    pivots = row_reduce(work, ncols, ctx)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [ctx.zero] * ncols
+        v[free] = ctx.one
+        for i, pc in enumerate(pivots):
+            v[pc] = ctx.neg(work[i][free])
+        basis.append(tuple(v))
+    return basis
+
+
+def kernel_basis(seq: Seq, rows: int, cols: int):
+    """Reduced-echelon kernel basis of the rows x cols Hankel matrix."""
+    return _kernel_basis_raw(hankel_matrix(seq, rows, cols), cols, seq.ctx)
+
+
+def toeplitz_mat(w: Poly, s: int, k: int):
+    """(k+s) x k banded matrix whose column j holds [W]_s shifted down j rows.
+
+    Acting on length-k coefficient vectors it multiplies by W: the product
+    against the vector of B (deg B < k) is the length-(k+s) vector of W*B,
+    and H_{l,k+s}(alpha) times this matrix is H_{l,k}(alpha odot [W]_s).
+    """
+    _check_window(w, s)
+    if k < 1:
+        raise HfqError("need at least one column")
+    ctx = w.ctx
+    wv = coeff_vector(w, s)
+    return [
+        [wv[i - j] if 0 <= i - j <= s else ctx.zero for j in range(k)]
+        for i in range(k + s)
+    ]
+
+
+def irreducible(a: Poly) -> bool:
+    """Irreducibility by trial division over monic polynomials of degree <= deg/2."""
+    d = a.degree
+    if d is NEG_INF or d == 0:
+        return False
+    for e in range(1, d // 2 + 1):
+        for cand in monics(a.ctx, e):
+            if (a % cand).is_zero:
+                return False
+    return True
+
+
+def rad(a: Poly) -> Poly:
+    """Product of the distinct monic prime divisors of A (rad of a unit is 1)."""
+    out = Poly.one(a.ctx)
+    for prime, _ in factor(a):
+        out = out * prime
+    return out
+
+
+_SIEVE_CACHE: dict = {}
+
+
+def _outer_sums(acc: np.ndarray, rows: np.ndarray, j: int):
+    """The digit sums ``acc`` extended by every choice of the coefficients
+    j..0 of B, in blocks of at most CHUNK digits.
+
+    acc[b, a] holds the residue digits summed so far for the prefix b of B's
+    coefficients and the a-th A, and rows[c, a] those of c * A.  Coefficient
+    j adds rows[c] at digit j for every c: an outer sum, taken depth first."""
+    if j < 0:
+        yield acc
+        return
+    q, n_a, width_a, k = rows.shape
+    step = max(1, CHUNK // (q * n_a * acc.shape[2] * k))
+    for start in range(0, len(acc), step):
+        block = acc[start : start + step]
+        out = np.empty((len(block), q, *block.shape[1:]), dtype=np.int64)
+        out[:] = block[:, None]
+        out[:, :, :, j : j + width_a] += rows
+        yield from _outer_sums(out.reshape(-1, *block.shape[1:]), rows, j - 1)
+
+
+def _monic_products(ctx: FieldCtx, left: np.ndarray, emax: int) -> np.ndarray:
+    """Codes of A * B for every row A of ``left`` (the coefficient codes of a
+    monic A, constant first) and every monic B of degree <= emax.
+
+    For B of degree e, A * B = T^e A + sum_{j<e} b_j T^j A: from the residue
+    digits of T^e A, each coefficient j = e-1..0 of B adds the q rows c T^j A
+    as an outer sum (_outer_sums).  The digit sums mod p are the product's
+    residues; products below degree deg A + emax carry zero digits on top,
+    which leave their codes unchanged."""
+    q, p, k = ctx.q, ctx.p, ctx.k
+    prod_digits = to_digits(p, ctx.mul_table, k)  # [c, a] -> residues of c * a
+    n_left, width_a = left.shape
+    width = width_a + emax
+    codes = np.empty(n_left * ((q ** (emax + 1) - 1) // (q - 1)), dtype=np.int64)
+    pos = 0
+    step = max(1, CHUNK // (q * width * k))
+    for start in range(0, n_left, step):
+        rows = prod_digits[:, left[start : start + step]]  # [c, a] -> digits of c * A
+        for e in range(emax + 1):
+            acc = np.zeros((1, rows.shape[1], width, k), dtype=np.int64)
+            acc[0, :, e : e + width_a] = rows[1]
+            for block in _outer_sums(acc, rows, e - 1):
+                flat = block.reshape(-1, width * k)
+                codes[pos : pos + len(flat)] = from_digits(p, flat % p)
+                pos += len(flat)
+    return codes
+
+
+def _phi_array(ctx: FieldCtx, kmax: int) -> np.ndarray:
+    """phi for every monic polynomial of degree <= kmax, indexed by digit code;
+    the codes of non-monic vectors hold 0.
+
+    Eratosthenes by degree: phi[M] starts at q^deg M.  For d = 1..kmax the
+    primes of degree d are the monic codes of degree d whose phi is still q^d,
+    since a composite of degree d has a smaller prime factor, already applied.
+    Each product P * B, B monic of degree <= kmax - d, hits M once per degree-d
+    prime P | M; c hits make phi[M] // q^(d c) * (q^d - 1)^c, an exact step.
+    """
+    cached = _SIEVE_CACHE.get(ctx)
+    if cached is not None and cached[0] >= kmax:
+        return cached[1]
+    q = ctx.q
+    phi = np.zeros(q ** (kmax + 1), dtype=np.int64)
+    for d in range(kmax + 1):
+        phi[q**d : 2 * q**d] = q**d
+    for d in range(1, kmax + 1):
+        qd = q**d
+        primes = np.flatnonzero(phi[qd : 2 * qd] == qd) + qd
+        products = _monic_products(ctx, to_digits(q, primes, d + 1), kmax - d)
+        hits = np.bincount(products, minlength=phi.size)
+        m = np.flatnonzero(hits)
+        c = hits[m]
+        phi[m] = phi[m] // qd**c * (qd - 1) ** c
+    _SIEVE_CACHE[ctx] = (kmax, phi)
+    return phi
+
+
+def sieve_numerators(ctx: FieldCtx, w2: Poly, w3: Poly, kmax: int) -> list:
+    """num[d] = sum of phi(B) over qualifying monic B of degree d, from the
+    sieve.
+
+    The monic multiples of degree <= kmax of a prime P are the codes of
+    P * C, C monic of degree <= kmax - deg P (none when deg P > kmax): a
+    monic B qualifies iff each prime's mark on its code equals the prime's
+    flag.  phi is 0 on the codes of non-monic vectors.
+    """
+    q = ctx.q
+    phi = _phi_array(ctx, kmax)[: q ** (kmax + 1)]
+    keep = np.ones(phi.size, dtype=bool)
+    flags = [(p, False) for p, _ in factor(w2)] + [(p, True) for p, _ in factor(w3)]
+    for prime, need in flags:
+        divides = np.zeros(phi.size, dtype=bool)
+        if prime.degree <= kmax:
+            divides[_monic_products(ctx, np.array([prime.coeffs]), kmax - prime.degree)] = True
+        keep &= divides == need
+    kept = phi * keep
+    return [int(kept[q**d : 2 * q**d].sum()) for d in range(kmax + 1)]

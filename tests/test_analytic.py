@@ -1,20 +1,17 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import prod
 
 import numpy as np
+import oracle
 import pytest
+from oracle import _monic_products, _phi_array, rad, sieve_numerators
 
-from hfq import analytic
-from hfq.analytic import (
-    _monic_products,
-    _phi_array,
-    convergence_report,
-    phi_slope,
-)
+from hfq.analytic import _degree_numerators, convergence_report, phi_slope
 from hfq.errors import HfqError, TooLargeError
 from hfq.field import CHUNK, ctx_new, to_digits
-from hfq.polyring import Poly, factor, gcd, monics, monics_upto, phi, polys_upto, rad
+from hfq.polyring import Poly, factor, gcd, monics, monics_upto, phi, polys_upto
 from hfq.variance import ThmParams, m_factor
 
 F3 = ctx_new(3)
@@ -108,34 +105,112 @@ def test_increments_approach_slope():
     assert devs[-1] < Fraction(1, 4)
 
 
+SQUAREFREE_ENVELOPE = [
+    (F3, (1, 3), 111),
+    (F5, (1,), 85),
+    (ctx_new(7), (1,), 259),
+    (ctx_new(3, 2, [1, 0, 1]), (1,), 585),
+]
+
+
+def _squarefree_pairs(ctx, v_degrees):
+    """Every valid (U, V) with U = 1 or monic of degree 2, V monic of a
+    degree in ``v_degrees``, and UV squarefree."""
+    one = Poly.one(ctx)
+    for u in [one, *monics(ctx, 2)]:
+        for v in (v for d in v_degrees for v in monics(ctx, d)):
+            if gcd(u, v) == one and all(mult == 1 for _, mult in factor(u * v)):
+                yield u, v
+
+
 @pytest.mark.parametrize(
-    "ctx,v_degrees,pairs",
-    [
-        (F3, (1, 3), 111),
-        (F5, (1,), 85),
-        (ctx_new(7), (1,), 259),
-        (ctx_new(3, 2, [1, 0, 1]), (1,), 585),
-    ],
-    ids=["q3", "q5", "q7", "q9"],
+    "ctx,v_degrees,pairs", SQUAREFREE_ENVELOPE, ids=["q3", "q5", "q7", "q9"]
 )
 def test_m_factor_is_a_phi_slope_sum_for_squarefree_uv(ctx, v_degrees, pairs):
     # M(U, V) = q / ((q-1)^2 |UV|) * sum over monic W3 | UV of |W3| phi_slope(UV/W3, W3),
     # on every valid pair with U = 1 or of degree 2 and UV squarefree; a
     # repeated prime of UV is outside the identity
     q, one, seen = ctx.q, Poly.one(ctx), 0
-    for u in [one, *monics(ctx, 2)]:
-        for v in (v for d in v_degrees for v in monics(ctx, d)):
-            w = u * v
-            primes = factor(w)
-            if gcd(u, v) != one or any(mult > 1 for _, mult in primes):
-                continue
-            divisors = [prod(c, start=one) for k in range(len(primes) + 1)
-                        for c in combinations([p for p, _ in primes], k)]
-            total = sum(w3.abs_value() * phi_slope(w // w3, w3) for w3 in divisors)
-            par = ThmParams.compute(u, v, 2 * w.degree, 0)
-            assert m_factor(par) == Fraction(q, (q - 1) ** 2 * w.abs_value()) * total, (u, v)
-            seen += 1
+    for u, v in _squarefree_pairs(ctx, v_degrees):
+        w = u * v
+        primes = factor(w)
+        divisors = [prod(c, start=one) for k in range(len(primes) + 1)
+                    for c in combinations([p for p, _ in primes], k)]
+        total = sum(w3.abs_value() * phi_slope(w // w3, w3) for w3 in divisors)
+        par = ThmParams.compute(u, v, 2 * w.degree, 0)
+        assert m_factor(par) == Fraction(q, (q - 1) ** 2 * w.abs_value()) * total, (u, v)
+        seen += 1
     assert seen == pairs
+
+
+def _repeated_prime_pairs(ctx):
+    """(1, T^3), ((T+1)^2, T), ((T+1)^2, T^3) and (T^2+1, T): three pairs
+    with a repeated prime of UV, and one of a degree-2 U."""
+    t, t1, t3 = Poly(ctx, (0, 1)), Poly(ctx, (1, 1)), Poly(ctx, (0, 0, 0, 1))
+    return [(Poly.one(ctx), t3), (t1 * t1, t), (t1 * t1, t3), (Poly(ctx, (1, 0, 1)), t)]
+
+
+def _times(a, b):
+    return [sum(a[j] * b[i - j] for j in range(i + 1)) for i in range(len(a))]
+
+
+def _weighted_series(w, kmax):
+    """Coefficients to u^kmax of the sum of phi(B) |gcd(B, W)| u^deg B over
+    monic B: the Euler product (1 - qu)/(1 - q^2 u), whose local factor at P
+    is (1 - u^d)/(1 - |P| u^d), with each P | W's factor replaced by
+    sum_e phi(P^e) |P|^min(e, m) u^(e d), m = e_P(W), d = deg P."""
+    q = w.ctx.q
+    series = [1] + [q ** (2 * k) - q ** (2 * k - 1) for k in range(1, kmax + 1)]
+    for prime, m in factor(w):
+        d, norm = prime.degree, q**prime.degree
+        unweighted_inverse = [1] + [(1 - norm) * (i % d == 0) for i in range(1, kmax + 1)]
+        local = [0] * (kmax + 1)
+        for e in range(kmax // d + 1):
+            local[e * d] = (norm**e - norm ** (e - 1) if e else 1) * norm ** min(e, m)
+        series = _times(_times(series, unweighted_inverse), local)
+    return series
+
+
+def _weighted_residue(w):
+    """(1 - q^2 u) times the weighted series' rational function, at its one
+    pole u = q^-2: each local factor summed exactly, its tail past e = m a
+    geometric series of ratio |P| u^d."""
+    q = w.ctx.q
+    u = Fraction(1, q**2)
+    out = 1 - q * u
+    for prime, m in factor(w):
+        norm, x = q**prime.degree, u**prime.degree
+        local = 1 + sum((norm**e - norm ** (e - 1)) * norm**e * x**e for e in range(1, m + 1))
+        local += (norm ** (m + 1) - norm**m) * norm**m * x ** (m + 1) / (1 - norm * x)
+        out *= (1 - norm * x) / (1 - x) * local
+    return out
+
+
+@pytest.mark.parametrize(
+    "ctx,v_degrees,pairs", SQUAREFREE_ENVELOPE, ids=["q3", "q5", "q7", "q9"]
+)
+def test_m_factor_is_the_weighted_euler_products_residue(ctx, v_degrees, pairs):
+    # the weighted increments (q-1) c_k / q^(2k) tend to (q-1) times the
+    # residue, which must be (q-1)^2 |UV| M(U, V) / q, on the squarefree
+    # envelope and on pairs with a repeated prime
+    q, seen = ctx.q, 0
+    for u, v in [*_squarefree_pairs(ctx, v_degrees), *_repeated_prime_pairs(ctx)]:
+        w = u * v
+        par = ThmParams.compute(u, v, 2 * w.degree, 0)
+        want = Fraction((q - 1) ** 2 * w.abs_value(), q) * m_factor(par)
+        assert (q - 1) * _weighted_residue(w) == want, (u, v)
+        seen += 1
+    assert seen == pairs + 4
+
+
+@pytest.mark.parametrize("ctx,kmax", [(F3, 6), (F5, 4)], ids=["q3", "q5"])
+def test_weighted_series_is_the_literal_sum(ctx, kmax):
+    phis = {b: phi(b) for b in monics_upto(ctx, kmax)}
+    for u, v in [(Poly.one(ctx), Poly.t(ctx)), *_repeated_prime_pairs(ctx)]:
+        w = u * v
+        literal = [sum(phis[b] * gcd(b, w).abs_value() for b in monics(ctx, k))
+                   for k in range(kmax + 1)]
+        assert _weighted_series(w, kmax) == literal, (u, v)
 
 
 F27 = ctx_new(3, 3, [1, 2, 0, 1])
@@ -157,7 +232,7 @@ def test_sieve_matches_factored_phi(monkeypatch, ctx, kmax):
     # q3 at kmax 7 spans two blocks: its degree-1 primes times the monic B
     # of degree 6 are 3 * 3^6 products of 8 coefficients, more than CHUNK
     # digits.  A fresh cache keeps an earlier, larger sieve from answering.
-    monkeypatch.setattr(analytic, "_SIEVE_CACHE", {})
+    monkeypatch.setattr(oracle, "_SIEVE_CACHE", {})
     if ctx is F3:
         assert 3 * 3**6 * 8 > CHUNK
     sieve = _phi_array(ctx, kmax)
@@ -180,17 +255,55 @@ def test_monic_products_in_any_blocks_are_the_products(monkeypatch, ctx, d, emax
     lefts = list(monics(ctx, d))
     want = sorted(code(a * b) for a in lefts for b in monics_upto(ctx, emax))
     left = to_digits(ctx.q, [code(a) for a in lefts], d + 1)
-    outer_sums, sizes = analytic._outer_sums, []
+    outer_sums, sizes = oracle._outer_sums, []
 
     def recording(acc, rows, j):
         for block in outer_sums(acc, rows, j):
             sizes.append(block.size)
             yield block
 
-    monkeypatch.setattr(analytic, "_outer_sums", recording)
+    monkeypatch.setattr(oracle, "_outer_sums", recording)
     for chunk in (1, 64, CHUNK):
-        monkeypatch.setattr(analytic, "CHUNK", chunk)
+        monkeypatch.setattr(oracle, "CHUNK", chunk)
         sizes.clear()
         assert sorted(_monic_products(ctx, left, emax).tolist()) == want
         one_row = ctx.q * (d + 1 + emax) * ctx.k
         assert max(sizes) <= max(chunk, one_row)
+
+
+def _random_coprime_pairs(ctx, max_degree, count, rng):
+    """``count`` coprime (W2, W3), each a product of up to three primes of
+    degree <= max_degree drawn with replacement, W2's first prime squared in
+    every other pair; the first pair is (1, 1)."""
+    pool = [p for d in range(1, max_degree + 1) for p in monics(ctx, d)
+            if factor(p) == [(p, 1)]]
+    one = Poly.one(ctx)
+
+    def draw(repeat):
+        primes = rng.choices(pool, k=rng.randrange(4))
+        return prod(primes + primes[:repeat], start=one)
+
+    pairs = [(one, one)]
+    while len(pairs) < count:
+        w2, w3 = draw(len(pairs) % 2), draw(0)
+        if gcd(w2, w3) == one:
+            pairs.append((w2, w3))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "ctx,max_degree,kmax",
+    [(F3, 3, 12), (F5, 2, 6), (ctx_new(7), 2, 4), (ctx_new(3, 2, [1, 0, 1]), 2, 4)],
+    ids=["q3", "q5", "q7", "q9"],
+)
+def test_euler_product_numerators_match_the_sieve(ctx, max_degree, kmax):
+    # the series against the sieve's support-marked sums at every depth up
+    # to kmax, with primes of degree above the depth and repeated primes
+    rng = random.Random(ctx.q)
+    repeated = 0
+    for w2, w3 in _random_coprime_pairs(ctx, max_degree, 8, rng):
+        want = sieve_numerators(ctx, w2, w3, kmax)
+        for k in range(kmax + 1):
+            assert _degree_numerators(w2, w3, k) == want[: k + 1], (w2, w3, k)
+        repeated += any(mult > 1 for w in (w2, w3) for _, mult in factor(w))
+    assert repeated

@@ -4,13 +4,13 @@ from itertools import product as iter_product
 
 import numpy as np
 import pytest
-from oracle import value_counts_scalar
+from oracle import CycInt, value_counts_scalar
 
 from hfq import charsum, fastpath
 from hfq.charsum import magsq_exponents, variance_charsum
 from hfq.checks import check_quadform
 from hfq.errors import HfqError, TooLargeError
-from hfq.field import CycInt, ctx_new
+from hfq.field import ctx_new
 from hfq.hankel import Seq, analyze, bijection_inverse, bijection_ranks, odot
 from hfq.polyring import Poly, gcd
 from hfq.variance import ThmParams, variance_bruteforce

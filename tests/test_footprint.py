@@ -68,10 +68,11 @@ def test_benchmark_setup_loads_no_numpy():
         ("identity", "bijection", "--q", "3", "--n", "6", "--r", "3", "--h", "0..1"),
         ("identity", "kernel-sum", "--q", "3", "--n", "2..5"),
         ("variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "6", "--h", "3"),
+        ("phisum", "--q", "3", "--W2", "1", "--W3", "0,1", "--kmax", "12"),
     ],
     ids=[
         "help", "version", "analyze", "analyze-q9", "kernel-structure", "reduction",
-        "reduction-W", "bijection", "kernel-sum", "variance-theorem",
+        "reduction-W", "bijection", "kernel-sum", "variance-theorem", "phisum",
     ],
 )
 def test_scalar_commands_load_no_arrays(argv):

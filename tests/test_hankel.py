@@ -5,7 +5,14 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import gauss_char_polys, gauss_rhopi_form, walk_strict_tally
+from oracle import (
+    _kernel_basis_raw,
+    gauss_char_polys,
+    gauss_rhopi_form,
+    kernel_basis,
+    toeplitz_mat,
+    walk_strict_tally,
+)
 
 from hfq import checks, cli, hankel
 from hfq.census import census_enumerate, census_formula, census_formula_total
@@ -18,11 +25,9 @@ from hfq.hankel import (
     bijection_inverse,
     bijection_map,
     hankel_matrix,
-    kernel_basis,
     odot,
     rank,
     reduction_profile,
-    toeplitz_mat,
 )
 from hfq.polyring import Poly, coeff_vector, gcd, laurent_expand, polys_upto
 
@@ -127,8 +132,6 @@ def _is_lower_skew_block(block, pi, ctx):
 def test_rhopi_form_shape_exhaustive():
     # square/almost-square views first, then every split wide enough for the
     # block shape (rows and cols both at least r)
-    from hfq.hankel import _kernel_basis_raw
-
     for n in range(6):
         for s in seqs(F3, n):
             p = analyze(s).profile

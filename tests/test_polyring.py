@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import irreducible, rad
 
 from hfq.errors import HfqError
 from hfq.field import ctx_new, fq_vectors
@@ -13,13 +14,11 @@ from hfq.polyring import (
     coeff_vector,
     factor,
     gcd,
-    irreducible,
     laurent_expand,
     monics,
     monics_upto,
     phi,
     polys_upto,
-    rad,
 )
 
 F3 = ctx_new(3)

@@ -2,7 +2,9 @@ import dataclasses
 import tracemalloc
 from fractions import Fraction
 
+import oracle
 import pytest
+from oracle import interval_sum, s_count
 
 from hfq import variance
 from hfq.errors import HfqError, TooLargeError
@@ -12,11 +14,9 @@ from hfq.polyring import Poly, gcd, monics, monics_upto, phi, polys_upto
 from hfq.variance import (
     ThmParams,
     f_formula,
-    interval_sum,
     kernel_sum_identity,
     m_factor,
     mean_formula,
-    s_count,
     theorem_predict,
     variance_bruteforce,
     w_sum_identity,
@@ -182,7 +182,7 @@ def test_s_count_and_interval_sum_guards(monkeypatch):
     assert s_count(U1, V1, b, guard=27) == 4
     # interval of radius 1: 3 members of degree 2, 27 pairs each
     assert interval_sum(U1, V1, b, 1, guard=81) == 6
-    monkeypatch.setattr(variance, "polys_upto", no_enumeration)
+    monkeypatch.setattr(oracle, "polys_upto", no_enumeration)
     with pytest.raises(TooLargeError, match="27"):
         s_count(U1, V1, b, guard=26)
     with pytest.raises(TooLargeError, match="81"):
