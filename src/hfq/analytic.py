@@ -22,10 +22,9 @@ series against a sieve of Eratosthenes over every monic B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import List
+from typing import List, NamedTuple
 
 from .errors import GUARD, HfqError, check_guard
 from .polyring import Poly, factor, gcd
@@ -72,8 +71,7 @@ def phi_slope(w2: Poly, w3: Poly) -> Fraction:
     return out
 
 
-@dataclass
-class PhiSumReport:
+class PhiSumReport(NamedTuple):
     """Partial sums S(0..k_max), their increments, and the predicted slope."""
 
     k_max: int
@@ -91,12 +89,20 @@ class PhiSumReport:
 
 
 def convergence_report(w2: Poly, w3: Poly, k_max: int, guard: int = GUARD) -> PhiSumReport:
-    """Partial sums with increments; increment(0) is S(0) itself."""
+    """Partial sums with increments; increment(0) is S(0) itself.
+
+    The guard charges bit operations on integers of ``bits`` bits, the size
+    of q^(2 k_max), which bounds every numerator and denominator up to a
+    small factor: k_max + 1 updates for each local factor (one per prime of
+    W, and (1 - qu)/(1 - q^2 u)), each linear in the size, and one Fraction
+    reduction per degree, quadratic in it (bits^2 / 30 with 30-bit digits)."""
     _validate(w2, w3)
     if k_max < 0:
         raise HfqError("need k_max >= 0")
     q = w2.ctx.q
-    check_guard(q ** (k_max + 1), guard, f"phi sum to degree {k_max}", "polynomials")
+    bits = 2 * k_max * q.bit_length() + 1
+    work = (k_max + 1) * bits * (len(_support_flags(w2, w3)) + 1 + bits // 30)
+    check_guard(work, guard, f"phi sum to degree {k_max}", "bit operations")
     nums = _degree_numerators(w2, w3, k_max)
     increments = [Fraction((q - 1) * nums[d], q ** (2 * d)) for d in range(k_max + 1)]
     partial = list(accumulate(increments))

@@ -8,7 +8,6 @@ offending instances are kept verbatim in the lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, List
 
@@ -21,12 +20,12 @@ if TYPE_CHECKING:
 _MAX_DETAIL = 8
 
 
-@dataclass
 class CheckResult:
-    name: str
-    checked: int = 0
-    failed: int = 0
-    lines: List[str] = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.failed = 0
+        self.lines: List[str] = []
 
     @property
     def ok(self) -> bool:

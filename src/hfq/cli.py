@@ -286,8 +286,6 @@ def cmd_phisum(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from dataclasses import asdict
-
     from .hankel import Seq, analyze
 
     ctx = _build_ctx(args)
@@ -299,7 +297,7 @@ def cmd_analyze(args) -> int:
             "q": ctx.q,
             "alpha": [ctx.format_elem(e) for e in seq.entries],
             "n": seq.n,
-            "profile": asdict(an.profile),
+            "profile": an.profile._asdict(),
             "a1": an.polys.a1.literal(),
             "a2": an.polys.a2.literal(),
             "a2_canonical": an.polys.canonical,

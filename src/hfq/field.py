@@ -13,7 +13,6 @@ MAX_Q.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -68,7 +67,6 @@ def split_literal(text: str) -> list:
     return re.split(r",(?![^\[]*\])", text)
 
 
-@dataclass(frozen=True)
 class FieldCtx:
     """Immutable description of F_q with q = p^k; safe to share freely.
 
@@ -78,17 +76,13 @@ class FieldCtx:
     (exactly when the modulus is irreducible).
     """
 
-    p: int
-    k: int
-    modulus: Optional[tuple]  # monic, length k+1, present iff k > 1
-
     zero = 0
     one = 1
 
-    def __post_init__(self):
-        p, k = self.p, self.k
+    def __init__(self, p: int, k: int, modulus: Optional[tuple]):
+        """modulus: monic, length k+1, present iff k > 1."""
         q = p**k
-        low = self.modulus[:-1] if self.modulus else (0,)  # F_p is F_p[T]/(T)
+        low = modulus[:-1] if modulus else (0,)  # F_p is F_p[T]/(T)
         residues = [v[::-1] for v in product(range(p), repeat=k)]
         code = {v: c for c, v in enumerate(residues)}
         add = tuple(
@@ -113,6 +107,9 @@ class FieldCtx:
                 raise AssertionError("trace left the prime field")
             trace.append(total)
         for name, value in (
+            ("p", p),
+            ("k", k),
+            ("modulus", modulus),
             ("q", q),
             ("residues", tuple(residues)),
             ("add_table", add),
@@ -123,6 +120,20 @@ class FieldCtx:
             ("trace_table", tuple(trace)),
         ):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldCtx is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.k, self.modulus))
+
+    def __repr__(self) -> str:
+        return f"FieldCtx(p={self.p!r}, k={self.k!r}, modulus={self.modulus!r})"
 
     def elements(self) -> range:
         """All q elements in code order: lexicographic, constant residue fastest."""

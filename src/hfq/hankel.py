@@ -24,8 +24,8 @@ is the independent side that the pass is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import HfqError
 from .field import FieldCtx
@@ -141,8 +141,7 @@ def rank(seq: Seq, rows: int, cols: int) -> int:
     return len(row_reduce(hankel_matrix(seq, rows, cols), cols, seq.ctx))
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """Rank/invertibility characteristic of a sequence: r = rho + pi in both
     the standard and strict readings."""
 
@@ -207,8 +206,7 @@ def _rev(ctx: FieldCtx, c, d: int) -> Poly:
     return Poly(ctx, c[d::-1])
 
 
-@dataclass(frozen=True)
-class CharPolys:
+class CharPolys(NamedTuple):
     """The coprime pair (a1, a2) whose bounded-degree multiples span every
     kernel of the sequence's Hankel family; canonical is True when a2 is the
     unique reduced representative (possible precisely when rho = r)."""
@@ -218,14 +216,14 @@ class CharPolys:
     canonical: bool
 
 
-@dataclass(eq=False)
 class Analysis:
     """A sequence read by one Berlekamp-Massey pass (see analyze): its
     profile, and its kernel polynomials, formed from the pass on first read."""
 
-    seq: Seq
-    profile: Profile
-    kept: tuple  # what _lc_profile returns
+    def __init__(self, seq: Seq, profile: Profile, kept: tuple):
+        self.seq = seq
+        self.profile = profile
+        self.kept = kept  # what _lc_profile returns
 
     @cached_property
     def polys(self) -> CharPolys:

@@ -13,9 +13,8 @@ every function that takes the point as ``par`` trusts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import GUARD, HfqError, check_guard
 from .field import CHUNK, from_digits, to_digits
@@ -45,9 +44,8 @@ def validate_pair(u: Poly, v: Poly) -> None:
         raise HfqError("U and V must be coprime")
 
 
-@dataclass(frozen=True)
-class ThmParams:
-    """(U, V) at (n, h) and, derived from them on construction, the parity
+class ThmParams(NamedTuple):
+    """(U, V) at (n, h) and, derived from them on each read, the parity
     table (s, t), the half-gaps (s', t') and the square-matrix sizes n1, n2.
     The one reader of the parity of n: side(), the rank ranges and the case."""
 
@@ -55,20 +53,30 @@ class ThmParams:
     v: Poly
     n: int
     h: int
-    s: int = field(init=False)
-    t: int = field(init=False)
-    s_prime: int = field(init=False)
-    t_prime: int = field(init=False)
-    n1: int = field(init=False)
-    n2: int = field(init=False)
 
-    def __post_init__(self):
-        n = self.n
-        s, t = self.widths(self.u, self.v, n)
-        derived = {"s": s, "t": t, "s_prime": (n - s) // 2, "t_prime": (n - t) // 2,
-                   "n1": (n + 2) // 2, "n2": (n + 3) // 2}
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)  # frozen: set once, here
+    @property
+    def s(self) -> int:
+        return self.widths(self.u, self.v, self.n)[0]
+
+    @property
+    def t(self) -> int:
+        return self.widths(self.u, self.v, self.n)[1]
+
+    @property
+    def s_prime(self) -> int:
+        return (self.n - self.s) // 2
+
+    @property
+    def t_prime(self) -> int:
+        return (self.n - self.t) // 2
+
+    @property
+    def n1(self) -> int:
+        return (self.n + 2) // 2
+
+    @property
+    def n2(self) -> int:
+        return (self.n + 3) // 2
 
     @property
     def even(self) -> bool:
@@ -242,7 +250,7 @@ def _closed_form_work(par: ThmParams) -> int:
     q, case = par.u.ctx.q, par.case
     if case not in ("case2", "case3"):
         return 0
-    f_par = par if case == "case2" else replace(par, h=par.n1 - 1)
+    f_par = par if case == "case2" else par._replace(h=par.n1 - 1)
     work = 0
     for r1 in f_par.r1_ranks():
         for _, _, (_, d2, monic) in _boxes(f_par, r1):
@@ -265,19 +273,19 @@ def m_factor(par: ThmParams) -> Fraction:
     return out
 
 
-@dataclass
 class VarianceReport:
     """Everything one run produces; optional fields stay None until the
     corresponding computation is requested, and the residual and the
     verdict read whichever values are present."""
 
-    params: ThmParams
-    theorem_value: Optional[Fraction] = None
-    main_term: Optional[Fraction] = None
-    secondary_term: Optional[Fraction] = None
-    error_scale: Optional[tuple] = None
-    oracle: Optional[Fraction] = None
-    charsum_value: Optional[Fraction] = None
+    def __init__(self, params: ThmParams):
+        self.params = params
+        self.theorem_value: Optional[Fraction] = None
+        self.main_term: Optional[Fraction] = None
+        self.secondary_term: Optional[Fraction] = None
+        self.error_scale: Optional[tuple] = None
+        self.oracle: Optional[Fraction] = None
+        self.charsum_value: Optional[Fraction] = None
 
     @property
     def case(self) -> str:
@@ -332,7 +340,7 @@ def theorem_predict(par: ThmParams, guard: int = GUARD) -> VarianceReport:
             4 * (1 - Fraction(1, q)) * q**h * m_factor(par) * Fraction(n - 2 * h, 2)
         )
         # the parity table depends on (U, V, n) alone, so only h moves
-        secondary = f_formula(replace(par, h=par.n1 - 1))
+        secondary = f_formula(par._replace(h=par.n1 - 1))
         report.secondary_term = Fraction(q) ** (2 * h - (par.n2 - 1)) * secondary / abs_uv
         report.theorem_value = report.main_term + report.secondary_term
         duv = par.u.degree + par.v.degree

@@ -47,6 +47,35 @@ def test_validation():
         convergence_report(ONE, ONE, 30, guard=100)
 
 
+@pytest.mark.parametrize(
+    "w2,w3,k_max",
+    [
+        (ONE, ONE, 200),
+        (T * T + ONE, T, 200),
+        (T1**2, T * (T * T + ONE), 150),
+        (Poly(F9, (1, 1)) ** 2, Poly(F9, (5, 0, 1)), 100),
+        (Poly.one(F5), Poly.t(F5), 120),
+    ],
+    ids=["F3-W1", "F3-W2-W3", "F3-repeated", "F9", "F5"],
+)
+def test_guard_charges_the_series_and_bounds_its_integers(w2, w3, k_max):
+    # the guard's size, bits = the length of q^(2 k_max), bounds every
+    # rational the report holds, up to the growth of S(k) with k
+    q = w2.ctx.q
+    bits = 2 * k_max * q.bit_length() + 1
+    report = convergence_report(w2, w3, k_max)
+    values = [*report.partial_sums, *report.increments]
+    size = max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in values)
+    assert size <= bits + (k_max + 1).bit_length() + q.bit_length()
+    with pytest.raises(TooLargeError, match="bit operations"):
+        convergence_report(w2, w3, 4 * k_max)
+
+
+def test_guard_admits_what_the_sieve_guard_refused():
+    # 3^17 polynomials exceed the default cap, but the series takes 17 numerators
+    assert len(convergence_report(ONE, ONE, 16).partial_sums) == 17
+
+
 def _direct_all_b(ctx, w2, w3, k):
     """Literal sum over every non-zero B of degree <= k."""
     w = w2 * w3

@@ -469,6 +469,34 @@ def test_analyze(capsys):
     assert payload["a1"] == "0,0,0,1"
 
 
+@pytest.mark.parametrize(
+    "field,alpha,want",
+    [
+        (("--q", "3"), "1,2,0,1,1,2",
+         '{"a1": "2,0,1,1", "a2": "1,1,1", "a2_canonical": true, '
+         '"alpha": ["1", "2", "0", "1", "1", "2"], "leading_zeros": 0, "n": 5, '
+         '"profile": {"pi": 0, "r": 3, "rho": 3, "strict_pi": 0, "strict_rho": 3}, "q": 3}'),
+        (("--q", "9", "--modulus", "1,0,1"), "[1,2],[0,1],[2,2],[0,0],[1,0]",
+         '{"a1": "[0,2],[1,2],[0,0],[1,0]", "a2": "[0,2],[2,1],[1,0]", "a2_canonical": true, '
+         '"alpha": ["[1,2]", "[0,1]", "[2,2]", "[0,0]", "[1,0]"], "leading_zeros": 0, "n": 4, '
+         '"profile": {"pi": 0, "r": 3, "rho": 3, "strict_pi": 1, "strict_rho": 2}, "q": 9}'),
+    ],
+    ids=["q3", "q9"],
+)
+def test_analyze_json_bytes(capsys, field, alpha, want):
+    # the profile is a named tuple read as a dict; sorted keys fix the bytes
+    code, out, err = run(capsys, "analyze", *field, "--alpha", alpha)
+    assert (code, out, err) == (EXIT_OK, want + "\n", "")
+
+
+def test_check_results_do_not_share_lines():
+    first, second = checks.CheckResult("first"), checks.CheckResult("second")
+    first.count(False, "first failed")
+    assert (first.checked, first.failed, first.lines) == (1, 1, ["first failed"])
+    assert (second.checked, second.failed, second.lines) == (0, 0, [])
+    assert first.summary() == "[FAIL] first: 0/1" and not second.ok
+
+
 def test_analyze_guard_refuses_before_the_pass(capsys, monkeypatch):
     from hfq import hankel
 

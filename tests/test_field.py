@@ -24,6 +24,22 @@ def test_ctx_new_extension_field():
     assert len(list(ctx.elements())) == 9
 
 
+def test_field_ctx_is_a_value():
+    # equality, hashing and repr read (p, k, modulus); the tables are derived
+    f3, f9 = ctx_new(3), ctx_new(3, 2, [1, 0, 1])
+    assert f3 == ctx_new(3) and hash(f3) == hash(ctx_new(3))
+    assert f9 == ctx_new(3, 2, (1, 0, 1)) and hash(f9) == hash(ctx_new(3, 2, (1, 0, 1)))
+    assert f3 != f9 and f9 != ctx_new(3, 2, [2, 2, 1]) and f3 != (3, 1, None)
+    assert len({f3, ctx_new(3), f9}) == 2
+    assert repr(f3) == "FieldCtx(p=3, k=1, modulus=None)"
+    assert repr(f9) == "FieldCtx(p=3, k=2, modulus=(1, 0, 1))"
+    with pytest.raises(AttributeError):
+        f3.p = 5
+    with pytest.raises(AttributeError):
+        f9.mul_table = f3.mul_table
+    assert f3.p == 3 and f9.mul_table[3][3] == 2  # T * T = -1, code 3 is T
+
+
 def test_ctx_new_rejects_bad_parameters():
     with pytest.raises(HfqError, match="4 is not prime"):
         ctx_new(4)

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -48,11 +47,14 @@ def test_thm_params_parity_table():
 def test_derived_parameters_follow_n_and_h():
     # the parity table, half-gaps and sizes are derived from (U, V, n, h),
     # so a replaced point is the point compute builds, not a stale copy
-    moved = dataclasses.replace(ThmParams.compute(U1, V1, 6, 3), n=7)
+    moved = ThmParams.compute(U1, V1, 6, 3)._replace(n=7)
     assert moved == ThmParams.compute(U1, V1, 7, 3)
+    # deg U = 0, deg V = 1 and n odd: (s, t) = (1, 1), s' = t' = 3, (n1, n2) = (4, 5)
+    assert (moved.s, moved.t, moved.s_prime, moved.t_prime) == (1, 1, 3, 3)
+    assert (moved.n1, moved.n2) == (4, 5)
     assert moved.case == "uncovered" and f_formula(moved) == 8
     with pytest.raises(ValueError):  # the derived values take no argument
-        dataclasses.replace(moved, s_prime=7)
+        moved._replace(s_prime=7)
     for n in range(1, 12):
         for h in range(n + 1):
             if ThmParams.domain_error(U2, V3, n, h) is None:
