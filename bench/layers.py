@@ -30,9 +30,10 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
 - cold start: the wall time and peak resident set size of a fresh
   interpreter that runs the benchmark's set-up, ``import hfq, hfq.cli;
   hfq.ctx_new(3)``, and of CLI commands run after that import, each timed
-  from process start to exit: ``--help``, the exit-64 refusal of
-  ``census --q 4``, the scalar ``analyze`` and ``identity
-  kernel-structure`` (F_3, n <= 3), ``identity quadform`` at level 0 over
+  from process start to exit: ``--help``, the exit-64 refusals of
+  ``census --q 4`` (by the field check) and of ``variance ... --or`` (an
+  unknown flag, refused by the flag reader), the scalar ``analyze`` and
+  ``identity kernel-structure`` (F_3, n <= 3), ``identity quadform`` at level 0 over
   F_9, phisum at kmax 9, a one-process census, and the benchmark's
   fast_tally variance command, the closed forms ``variance --q 3 --U
   1,0,1 --V 0,1 --n 6 --h 3`` (case 2, neither --oracle nor --charsum) and
@@ -128,6 +129,8 @@ COLD_STARTS = {
     "setup": ((), 0),
     "help": (("--help",), 0),
     "refusal_census_q4": (("census", "--q", "4", "--n", "2", "--h", "0"), 64),
+    "refusal_variance_or": (("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "6", "--h",
+                             "2", "--or"), 64),
     "analyze_q3": (("analyze", "--q", "3", "--alpha", "0,0,1,0,0"), 0),
     "kernel_structure_q3_n3": (("identity", "kernel-structure", "--q", "3", "--n", "0..3"), 0),
     "quadform_q9_l0": (("identity", "quadform", "--q", "9", "--modulus", "1,0,1", "--l", "0..0"),
@@ -186,7 +189,7 @@ code = 0
 if sys.argv[1:]:
     try:
         code = hfq.cli.main(sys.argv[1:])
-    except SystemExit as exc:  # argparse exits after --help
+    except SystemExit as exc:  # the flag reader exits after --help and on a usage error
         code = exc.code
 with open("/proc/self/status") as status:
     print(next(l.split()[1] for l in status if l.startswith("VmHWM:")), file=sys.stderr)

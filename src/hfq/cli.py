@@ -6,15 +6,21 @@ envelopes); 2 an enumeration guard tripped; 64 usage or hypothesis errors.
 
 Polynomial flags take comma-separated coefficient literals, low-to-high
 ("1,0,1" is 1 + T^2); extension-field coefficients are bracketed residue
-lists.  --guard sets the step cap, 10^8 by default (errors.GUARD).  Flags
-are never abbreviated (--h is not --help).
+lists.  --guard sets the step cap, 10^8 by default (errors.GUARD).
+
+argv is read against one table, _COMMANDS (identity's flags come from
+_IDENTITY_KINDS).  --flag=value and --flag value read alike: a value flag
+takes the next word unless it starts with --, so --n -2..1 reads -2..1.
+--W may repeat; any other flag keeps its last value.  Flags are never
+abbreviated (--h is not --help).  A usage error prints the command's usage
+and exits 64; -h, --help and --version exit 0, all through SystemExit.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import GUARD, HfqError, TooLargeError, check_guard
@@ -24,15 +30,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_GUARD = 2
 EXIT_USAGE = 64
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _factor_prime_power(q: int):
@@ -307,23 +304,27 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp, with_json: bool = False) -> None:
-    sp.add_argument("--q", type=int, required=True, help="field size (prime power)")
-    sp.add_argument("--modulus", help="defining polynomial over F_p when q = p^k, k > 1")
-    sp.add_argument("--guard", type=int, default=GUARD, help="enumeration step cap (default 10^8)")
-    if with_json:  # the commands that also print text
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-
+# A flag: (type, default, help).  An int or str flag takes one value, the
+# last one given winning; a bool flag is a switch; a list flag keeps every
+# value given.  The default ... marks a required flag.
+_STR, _INT, _SWITCH = (str, ..., ""), (int, ..., ""), (bool, False, "")
+_COMMON = {
+    "--q": (int, ..., "field size (prime power)"),
+    "--modulus": (str, None, "defining polynomial over F_p when q = p^k, k > 1"),
+    "--guard": (int, GUARD, "enumeration step cap (default 10^8)"),
+}
+# the flags of the commands that also print text
+_WITH_JSON = {**_COMMON, "--json": (bool, False, "machine-readable output")}
 
 # Each identity kind: its runner, its help and the only flags it reads.
 _IDENTITY_FLAGS = {
-    "--l": dict(default="0..2", help="range"),
-    "--n": dict(default="0..5", help="range"),
-    "--r": dict(type=int, default=3, help="rank"),
-    "--h": dict(default="0..2", help="range"),
-    "--U": dict(default="1"),
-    "--V": dict(default="0,1"),
-    "--W": dict(action="append", help="window polynomial (repeatable)"),
+    "--l": (str, "0..2", "range"),
+    "--n": (str, "0..5", "range"),
+    "--r": (int, 3, "rank"),
+    "--h": (str, "0..2", "range"),
+    "--U": (str, "1", ""),
+    "--V": (str, "0,1", ""),
+    "--W": (list, None, "window polynomial (repeatable)"),
 }
 _IDENTITY_KINDS = {
     "quadform": (_quadform, "quadratic-form magnitudes", ("--l",)),
@@ -334,59 +335,110 @@ _IDENTITY_KINDS = {
     "w-sum": (_sums, "w-sum identity", ("--n", "--h", "--U", "--V")),
 }
 
+# Each command: its handler, its help and its flags (identity's are its KIND's).
+_COMMANDS = {
+    "census": (cmd_census, "class sizes vs enumeration", {
+        **_WITH_JSON, "--n": (str, ..., "range, e.g. 2..5"), "--h": (str, ..., "range, e.g. 0..6"),
+        "--workers": (int, 1, "worker processes (1..CPU count)")}),
+    "variance": (cmd_variance, "oracle / character sum / closed forms", {
+        **_COMMON, "--U": _STR, "--V": _STR, "--n": _INT, "--h": _INT, "--oracle": _SWITCH,
+        "--charsum": _SWITCH, "--fast": (bool, False, "closed-form magnitudes"),
+        "--trust-lemmas": _SWITCH}),
+    "identity": (cmd_identity, "exhaustive checks of the supporting identities", None),
+    "phisum": (cmd_phisum, "restricted totient-ratio convergence",
+               {**_WITH_JSON, "--W2": _STR, "--W3": _STR, "--kmax": _INT}),
+    "analyze": (cmd_analyze, "profile and kernel polynomials of one sequence",
+                {**_COMMON, "--alpha": (str, ..., "sequence literal, e.g. 0,0,1")}),
+}
+_HELP = ("-h, --help", "show this help message and exit")
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hfq", description="Exact Hankel/character-sum verification")
-    parser.add_argument("--version", action="version", version=f"hfq {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("census", parents=[], help="class sizes vs enumeration")
-    _add_common(sp, with_json=True)
-    sp.add_argument("--n", required=True, help="range, e.g. 2..5")
-    sp.add_argument("--h", required=True, help="range, e.g. 0..6")
-    sp.add_argument("--workers", type=int, default=1, help="worker processes (1..CPU count)")
-    sp.set_defaults(fn=cmd_census, parser=sp)
+def _refuse(prog: str, usage: str, message: str):
+    sys.stderr.write(f"usage: {prog} {usage}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
 
-    sp = sub.add_parser("variance", help="oracle / character sum / closed forms")
-    _add_common(sp)
-    sp.add_argument("--U", required=True)
-    sp.add_argument("--V", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--h", type=int, required=True)
-    sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--charsum", action="store_true")
-    sp.add_argument("--fast", action="store_true", help="closed-form magnitudes")
-    sp.add_argument("--trust-lemmas", action="store_true")
-    sp.set_defaults(fn=cmd_variance, parser=sp)
 
-    sp = sub.add_parser("identity", help="exhaustive checks of the supporting identities")
-    kinds = sp.add_subparsers(dest="kind", required=True, metavar="KIND")
-    for kind, (run, text, flags) in _IDENTITY_KINDS.items():
-        kp = kinds.add_parser(kind, help=text)
-        _add_common(kp, with_json=True)
-        for flag in flags:
-            kp.add_argument(flag, **_IDENTITY_FLAGS[flag])
-        kp.set_defaults(fn=cmd_identity, run=run, parser=kp)
+def _help(prog: str, usage: str, about: str, *sections):
+    """Print the usage, the help line and each (title, rows) section; exit 0."""
+    lines = [f"usage: {prog} {usage}", "", about]
+    for title, rows in sections:
+        width = max(len(left) for left, _ in rows) + 2
+        lines += ["", f"{title}:", *(f"  {left:<{width}}{right}".rstrip() for left, right in rows)]
+    print("\n".join(lines))
+    raise SystemExit(EXIT_OK)
 
-    sp = sub.add_parser("phisum", help="restricted totient-ratio convergence")
-    _add_common(sp, with_json=True)
-    sp.add_argument("--W2", required=True)
-    sp.add_argument("--W3", required=True)
-    sp.add_argument("--kmax", type=int, required=True)
-    sp.set_defaults(fn=cmd_phisum, parser=sp)
 
-    sp = sub.add_parser("analyze", help="profile and kernel polynomials of one sequence")
-    _add_common(sp)
-    sp.add_argument("--alpha", required=True, help="sequence literal, e.g. 0,0,1")
-    sp.set_defaults(fn=cmd_analyze, parser=sp)
+def _choose(argv, prog: str, usage: str, about: str, entries: dict, name: str):
+    """The entry argv's first word names (a command or a KIND), and the
+    words after it; hfq itself also reads --version there."""
+    word = argv[0] if argv else None
+    version = [("--version", "show program's version number and exit")] if prog == "hfq" else []
+    if word in ("-h", "--help"):
+        rows = [(key, entry[1]) for key, entry in entries.items()]
+        _help(prog, usage, about, (f"{name.lower()}s", rows), ("options", [_HELP, *version]))
+    if word == "--version" and version:
+        print(f"hfq {__version__}")
+        raise SystemExit(EXIT_OK)
+    if word is None:
+        _refuse(prog, usage, f"the following arguments are required: {name}")
+    if word not in entries:
+        choices = ", ".join(map(repr, entries))
+        _refuse(prog, usage, f"argument {name}: invalid choice: {word!r} (choose from {choices})")
+    return word, argv[1:]
 
-    return parser
+
+def _read_flags(argv, prog: str, about: str, flags: dict) -> dict:
+    """Each flag's value under its name (--trust-lemmas as trust_lemmas).  A
+    value flag reads --flag=value, or the next word unless it starts with --."""
+    shown = {f: f if kind is bool else f"{f} {f[2:].upper()}" for f, (kind, _, _) in flags.items()}
+    usage = " ".join(["[-h]", *(s if flags[f][1] is ... else f"[{s}]" for f, s in shown.items())])
+    given, unknown, words = {}, [], iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            rows = [(shown[f], text) for f, (_, _, text) in flags.items()]
+            _help(prog, usage, about, ("options", [_HELP, *rows]))
+        flag, eq, value = word.partition("=")
+        kind = flags[flag][0] if flag in flags else None
+        if kind is None:  # never abbreviated: --h is --h or nothing
+            unknown.append(word)
+        elif kind is bool and eq:
+            _refuse(prog, usage, f"argument {flag}: ignored explicit argument {value!r}")
+        elif kind is bool:
+            given[flag] = True
+        elif not eq and (value := next(words, "--")).startswith("--"):  # none left, or a flag
+            _refuse(prog, usage, f"argument {flag}: expected one argument")
+        else:
+            try:
+                given[flag] = [*given.get(flag, ()), value] if kind is list else kind(value)
+            except ValueError:
+                _refuse(prog, usage, f"argument {flag}: invalid int value: {value!r}")
+    missing = [f for f, (_, default, _) in flags.items() if default is ... and f not in given]
+    if missing:
+        _refuse(prog, usage, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _refuse(prog, usage, f"unrecognized arguments: {' '.join(unknown)}")
+    return {f[2:].replace("-", "_"): given.get(f, spec[1]) for f, spec in flags.items()}
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The namespace the cmd_* handlers read: the handler as ``fn`` and each
+    flag of the command (or identity KIND) that argv names.  A usage error
+    exits 64 with that command's usage; -h, --help and --version exit 0."""
+    usage = f"[-h] [--version] {{{','.join(_COMMANDS)}}} ..."
+    about = "Exact Hankel/character-sum verification"
+    command, argv = _choose(argv, "hfq", usage, about, _COMMANDS, "command")
+    fn, about, flags = _COMMANDS[command]
+    prog, extra = f"hfq {command}", {}
+    if flags is None:  # identity: the kind names the runner and the flags
+        kind, argv = _choose(argv, prog, "[-h] KIND ...", about, _IDENTITY_KINDS, "KIND")
+        run, about, own = _IDENTITY_KINDS[kind]
+        prog, extra = f"{prog} {kind}", dict(kind=kind, run=run)
+        flags = {**_WITH_JSON, **{flag: _IDENTITY_FLAGS[flag] for flag in own}}
+    return SimpleNamespace(fn=fn, **extra, **_read_flags(argv, prog, about, flags))
 
 
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
-    if extra:  # refused with the usage of the subcommand that was given them
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.guard < 1:
             raise HfqError(f"--guard must be >= 1, got {args.guard}")

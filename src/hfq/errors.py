@@ -18,5 +18,9 @@ class TooLargeError(HfqError):
 
 
 def check_guard(work: int, guard: int, what: str, unit: str = "steps") -> None:
+    """Refuse ``work`` above ``guard``.  A count of over 300 bits is written
+    by its size: int-to-str refuses numbers of more than 4,300 digits."""
     if work > guard:
-        raise TooLargeError(f"{what} needs {work} {unit}, cap {guard}")
+        bits = work.bit_length()
+        shown = work if bits <= 300 else f"at least 2^{bits - 1}"
+        raise TooLargeError(f"{what} needs {shown} {unit}, cap {guard}")

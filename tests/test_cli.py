@@ -519,6 +519,123 @@ def test_usage_errors_exit_64(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--q", "3", "--n", "10000", "--h", "0"),
+        ("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "20001", "--h", "0", "--oracle"),
+        ("identity", "quadform", "--q", "3", "--l", "0..10000"),
+    ],
+    ids=["census", "variance-oracle", "quadform"],
+)
+def test_guard_writes_a_huge_count_by_its_size(capsys, argv):
+    # each count has over 4,300 digits, more than int-to-str writes
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_GUARD and out == ""
+    assert err.startswith("hfq: guard: ") and " needs at least 2^" in err
+
+
+_COMMON_FLAGS = ("--q", "--modulus", "--guard")
+# every flag each command lists in its --help, besides -h and --help
+_COMMAND_FLAGS = {
+    "census": (*_COMMON_FLAGS, "--json", "--n", "--h", "--workers"),
+    "variance": (*_COMMON_FLAGS, "--U", "--V", "--n", "--h", "--oracle", "--charsum", "--fast",
+                 "--trust-lemmas"),
+    "phisum": (*_COMMON_FLAGS, "--json", "--W2", "--W3", "--kmax"),
+    "analyze": (*_COMMON_FLAGS, "--alpha"),
+    **{f"identity {kind}": (*_COMMON_FLAGS, "--json", *own)
+       for kind, (_, own) in _IDENTITY_KINDS.items()},
+}
+
+
+def _help_sections(capsys, *argv) -> dict:
+    """The first column of each section of ``hfq argv --help``, by title."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    out = capsys.readouterr()
+    assert exc.value.code == EXIT_OK and out.err == ""
+    assert out.out.startswith(f"usage: {' '.join(['hfq', *argv])} [-h]")
+    sections, rows = {}, None
+    for line in out.out.splitlines():
+        if line.endswith(":") and not line.startswith(" "):
+            rows = sections.setdefault(line[:-1], [])
+        elif line.startswith("  ") and rows is not None:
+            rows += line.split("  ")[1].replace(",", "").split()
+    return sections
+
+
+def test_help_lists_the_commands(capsys):
+    sections = _help_sections(capsys)
+    assert sections == {
+        "commands": ["census", "variance", "identity", "phisum", "analyze"],
+        "options": ["-h", "--help", "--version"],
+    }
+    # README: `hfq identity KIND --help` lists each kind's flags
+    assert _help_sections(capsys, "identity") == {
+        "kinds": list(_IDENTITY_KINDS), "options": ["-h", "--help"]
+    }
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+def test_help_lists_exactly_the_flags_read(capsys, command):
+    options = _help_sections(capsys, *command.split())["options"]
+    flags = [word for word in options if word.startswith("-")]
+    assert flags == ["-h", "--help", *_COMMAND_FLAGS[command]]
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    out = capsys.readouterr()
+    assert exc.value.code == EXIT_OK and out.out == "hfq 0.1.0\n" and out.err == ""
+
+
+def _outcome(capsys, argv):
+    """The namespace the handlers get from argv, or the code of its usage
+    error, which prints only the usage and the error to stderr."""
+    try:
+        return vars(cli.parse_args(list(argv)))
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("usage: hfq")
+        assert ": error: " in out.err.splitlines()[1]
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "eq_form, space_form, want",
+    [
+        (("identity", "reduction", "--q=3", "--W=1,1", "--W=0,1"),
+         ("identity", "reduction", "--q", "3", "--W", "1,1", "--W", "0,1"), ("W", ["1,1", "0,1"])),
+        (("census", "--q=3", "--n=2", "--h=0", "--q=5"),
+         ("census", "--q", "3", "--n", "2", "--h", "0", "--q", "5"), ("q", 5)),
+        (("census", "--q=3", "--n=2", "--h=0", "--json=1"),
+         ("census", "--q", "3", "--n", "2", "--h", "0", "--json", "1"), EXIT_USAGE),
+        (("census", "--q=3", "--n=2", "--h"), ("census", "--q", "3", "--n", "2", "--h"),
+         EXIT_USAGE),
+        (("identity", "--json=1"), ("identity", "--json", "1"), EXIT_USAGE),
+        (("identity",), ("identity",), EXIT_USAGE),
+        (("no-such-command", "--q=3"), ("no-such-command", "--q", "3"), EXIT_USAGE),
+        (("census", "--q=3", "--n=-2..1", "--h=0"),
+         ("census", "--q", "3", "--n", "-2..1", "--h", "0"), ("n", "-2..1")),
+    ],
+    ids=["repeated-W", "last-q-wins", "json-value", "trailing-h", "identity-flag",
+         "bare-identity", "unknown-command", "negative-range"],
+)
+def test_flag_forms_read_alike(capsys, eq_form, space_form, want):
+    # --flag=value and --flag value are one reading; a value flag takes the
+    # next word unless it starts with --
+    got = _outcome(capsys, eq_form)
+    assert _outcome(capsys, space_form) == got
+    assert got == want if isinstance(want, int) else got[want[0]] == want[1]
+
+
+def test_a_negative_range_value_reaches_the_range_check(capsys):
+    for argv in (("--n=-2..1",), ("--n", "-2..1")):
+        code, out, err = run(capsys, "census", "--q", "3", *argv, "--h", "0")
+        assert code == EXIT_USAGE and out == "" and err == "hfq: error: need n >= 0, got -2\n"
+
+
 def test_extension_field_census(capsys):
     code, out, _ = run(
         capsys,
@@ -720,7 +837,7 @@ def _assert_not_a_mismatch(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse refuses a missing or mistyped flag
+        except SystemExit as exc:  # the flag reader refuses a missing or mistyped flag
             code = exc.code
     assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_GUARD, EXIT_USAGE)
     assert code != EXIT_MISMATCH, argv

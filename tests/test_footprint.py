@@ -1,7 +1,7 @@
 """What a fresh interpreter loads: ``import hfq`` alone loads no submodule,
 each CLI command loads only the modules it runs, numpy and the array
-engine load only with a command that builds an array, and a command that
-builds none loads no ``inspect``."""
+engine load only with a command that builds an array, a command that
+builds none loads no ``inspect``, and no command loads ``argparse``."""
 
 import os
 import subprocess
@@ -28,22 +28,28 @@ def loaded_after(code: str) -> set:
 
 
 def run_cli(*argv, code: int = EXIT_OK) -> set:
-    """The modules one CLI command loads; it must exit with ``code``."""
+    """The modules one CLI command loads; it must exit with ``code``, and,
+    like every command in this file, load no argparse, gettext or locale."""
     script = (
         "from hfq.cli import main\n"
         "try:\n"
         f"    code = main({list(argv)!r})\n"
-        "except SystemExit as exc:  # argparse exits after --help and --version\n"
+        "except SystemExit as exc:  # the flag reader exits after --help and --version\n"
         "    code = exc.code\n"
         f"assert code == {code}, code"
     )
-    return loaded_after(script)
+    mods = loaded_after(script)
+    assert not mods & PARSERS, sorted(mods & PARSERS)
+    return mods
 
 
 ARRAYS = {"numpy", "hfq.fastpath"}
 # dataclasses imports inspect, which imports ast, dis and tokenize: about
 # 6 ms of a cold start that no numpy-free command needs
 INTROSPECTION = {"dataclasses", "inspect"}
+# argparse imports gettext, and its first message lookup imports locale:
+# about 5 ms of every command, which reads argv from hfq.cli's own table
+PARSERS = {"argparse", "gettext", "locale"}
 
 
 def test_import_hfq_loads_no_submodule():
@@ -57,6 +63,11 @@ def test_benchmark_setup_loads_no_numpy():
     mods = loaded_after("import hfq, hfq.cli\nhfq.ctx_new(3)\nhfq.ctx_new(3, 2, (1, 0, 1))")
     assert "hfq.cli" in mods and "hfq.field" in mods
     assert not mods & (ARRAYS | INTROSPECTION)
+
+
+def test_benchmark_setup_loads_no_argument_parser():
+    mods = loaded_after("import hfq, hfq.cli\nhfq.ctx_new(3)\nhfq.ctx_new(3, 2, (1, 0, 1))")
+    assert "hfq.cli" in mods and not mods & PARSERS
 
 
 @pytest.mark.parametrize(
