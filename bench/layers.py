@@ -38,7 +38,9 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   fast_tally variance command, the closed forms ``variance --q 3 --U
   1,0,1 --V 0,1 --n 6 --h 3`` (case 2, neither --oracle nor --charsum) and
   ``variance --q 3 --U 1 --V 0,1 --n 17 --h 6`` (case 3), and the case-2
-  point with ``--oracle --charsum``;
+  point with ``--oracle --charsum``, and two wide ranges, the guard's exit 2
+  of ``identity kernel-structure --q 3 --n 0..30000`` and ``census --q 3
+  --n 0 --h 0..30000000``, of which only h <= 1 can be checked;
 - the wall time and peak resident set size of the walk-bound CLI
   commands, each in one fresh interpreter: ``hfq variance --q 3 --U 1
   --V 0,1 --n N --h H --charsum --fast --trust-lemmas`` at (N, H) =
@@ -145,6 +147,9 @@ COLD_STARTS = {
                                "--h", "6"), 0),
     "oracle_charsum_q3_n6_h3": (("variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n",
                                  "6", "--h", "3", "--oracle", "--charsum"), 0),
+    "wide_kernel_structure_q3": (("identity", "kernel-structure", "--q", "3", "--n", "0..30000"),
+                                 2),
+    "wide_census_q3_h": (("census", "--q", "3", "--n", "0", "--h", "0..30000000"), 0),
 }
 
 

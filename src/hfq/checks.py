@@ -53,6 +53,15 @@ def _all_seqs(ctx: FieldCtx, n: int, h: int = 0):
     return (Seq(ctx, e) for e in fq_vectors(ctx, n + 1 - h, zeros=h))
 
 
+def _sizes(ns, name: str, size):
+    """size(n) for each n of ``ns``, for a guard: a negative n is refused as
+    the guard's pass reaches it, before any work."""
+    for n in ns:
+        if n < 0:
+            raise HfqError(f"need {name} >= 0, got {n}")
+        yield size(n)
+
+
 def check_census(
     ctx: FieldCtx, ns, hs, guard: int = GUARD, workers: int = 1, rows: list = None
 ) -> CheckResult:
@@ -115,10 +124,8 @@ def check_kernel_structure(ctx: FieldCtx, ns, guard: int = GUARD) -> CheckResult
     from .hankel import analyze, odot, rank, row_reduce
     from .polyring import coeff_vector, gcd
 
-    if min(ns, default=0) < 0:
-        raise HfqError(f"need n >= 0, got {min(ns)}")
     res = CheckResult("kernel structure law")
-    check_guard(sum(ctx.q ** (n + 1) for n in ns), guard, "kernel-structure check")
+    check_guard(_sizes(ns, "n", lambda n: ctx.q ** (n + 1)), guard, "kernel-structure check")
     for n in ns:
         for seq in _all_seqs(ctx, n):
             an = analyze(seq)
@@ -149,11 +156,10 @@ def check_quadform(ctx: FieldCtx, ls, guard: int = GUARD) -> CheckResult:
     own row, and every other sequence through one multiple per F_p^* orbit,
     which has the profile and the squared magnitudes of the whole orbit
     (fastpath.scalings) and so counts p - 1 times, passed or failed."""
-    if min(ls, default=0) < 0:
-        raise HfqError(f"need l >= 0, got {min(ls)}")
     res = CheckResult(f"quadratic form magnitudes (q={ctx.q})")
     q = ctx.q
-    check_guard(sum(q ** (2 * l + 1) * (q**l + q ** (l + 1)) for l in ls), guard, "quadform check")
+    work = _sizes(ls, "l", lambda l: q ** (2 * l + 1) * (q**l + q ** (l + 1)))
+    check_guard(work, guard, "quadform check")
     import numpy as np
 
     from . import charsum, fastpath
@@ -200,10 +206,9 @@ def check_reduction(ctx: FieldCtx, ns, ws=None, guard: int = GUARD) -> CheckResu
         ]
     if any(w.is_zero for w in ws):
         raise HfqError("reduction windows must be non-zero")
-    ns = [n for n in ns if n >= 2]
-    check_guard(sum(ctx.q ** (n + 1) for n in ns), guard, "reduction check")
+    check_guard((ctx.q ** (n + 1) for n in ns if n >= 2), guard, "reduction check")
     for n in ns:
-        for seq in _all_seqs(ctx, n):
+        for seq in _all_seqs(ctx, n) if n >= 2 else ():
             an = analyze(seq)
             prof = an.profile
             for w in ws:
@@ -237,7 +242,7 @@ def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = GUARD) -> Ch
     res = CheckResult(f"class/pair bijection (n={n}, r={r})")
     q = ctx.q
     # sequences, then the monic-by-bounded pairs, at each h
-    check_guard(sum(q ** (n + 1 - h) + q ** (2 * r - h) for h in hs), guard, "bijection check")
+    check_guard((q ** (n + 1 - h) + q ** (2 * r - h) for h in hs), guard, "bijection check")
     for h in hs:
         pairs = bijection_pairs(ctx, r, h)
         image = set()

@@ -32,9 +32,10 @@ EXIT_GUARD = 2
 EXIT_USAGE = 64
 
 
-def _factor_prime_power(q: int):
-    """(p, k) with q = p^k.  Trial division stops at MAX_Q: a q with no prime
+def _build_ctx(args):
+    """F_q of --q and --modulus.  Trial division stops at MAX_Q: a q with no prime
     factor that small has no field table either, and is refused as too large."""
+    q = args.q
     if q < 2:
         raise HfqError("q must be >= 2")
     p = next((p for p in range(2, MAX_Q + 1) if q % p == 0), None)
@@ -48,11 +49,6 @@ def _factor_prime_power(q: int):
         k += 1
     if q != 1:
         raise HfqError("q must be a prime power")
-    return p, k
-
-
-def _build_ctx(args):
-    p, k = _factor_prime_power(args.q)
     if k == 1:
         if args.modulus:
             raise HfqError(f"--modulus applies only when q = p^k, k > 1; q = {args.q} is prime")
@@ -78,12 +74,9 @@ def _parse_range(text: str, name: str):
 
 
 def _rat(x):
-    from fractions import Fraction
-
     if x is None:
         return None
-    f = Fraction(x)
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+    return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 def _print_json(payload) -> None:
@@ -121,12 +114,12 @@ def cmd_census(args) -> int:
     ctx = _build_ctx(args)
     worst = EXIT_OK
     ns, h_range = _parse_range(args.n, "n"), _parse_range(args.h, "h")
-    ranges = [(n, [h for h in h_range if h <= n + 1]) for n in ns]
-    if not any(hs for _, hs in ranges):
+    # h <= n + 1 has a class to count: walk only the n and h that do
+    ns = range(max(ns.start, h_range.start - 1), ns.stop)
+    if not ns:
         _nothing_to_check(args.json)
-    for n, hs in ranges:
-        if not hs:
-            continue  # no class to count at this n
+    for n in ns:
+        hs = range(h_range.start, min(h_range.stop, n + 2))
         rows: list = []
         res = checks.check_census(ctx, [n], hs, guard=args.guard, workers=args.workers, rows=rows)
         if args.json:  # a class key, a tuple, prints as a list
@@ -142,14 +135,6 @@ def cmd_census(args) -> int:
     return worst
 
 
-def _fast_envelope_ok(q: int, s_prime: int, t_prime: int) -> bool:
-    """Both quadratic-form lengths, s' and t', inside the verified envelope."""
-    from . import charsum
-
-    lim = charsum.QUADFORM_VERIFIED_L.get(q)
-    return lim is not None and max(s_prime, t_prime) <= lim
-
-
 def cmd_variance(args) -> int:
     from . import variance
     from .polyring import Poly
@@ -163,12 +148,15 @@ def cmd_variance(args) -> int:
     v = Poly.from_literal(ctx, args.V)
     par = variance.ThmParams.compute(u, v, args.n, args.h)
     report = variance.theorem_predict(par, guard=args.guard)
-    if args.fast and not args.trust_lemmas and not _fast_envelope_ok(
-        ctx.q, par.s_prime, par.t_prime
-    ):  # refused before the oracle runs
-        raise HfqError(
-            "--fast outside the exhaustively verified envelope; pass --trust-lemmas to proceed"
-        )
+    if args.fast and not args.trust_lemmas:  # refused before the oracle runs
+        from . import charsum
+
+        # both quadratic-form lengths, s' and t', inside the verified envelope
+        lim = charsum.QUADFORM_VERIFIED_L.get(ctx.q)
+        if lim is None or max(par.s_prime, par.t_prime) > lim:
+            raise HfqError(
+                "--fast outside the exhaustively verified envelope; pass --trust-lemmas to proceed"
+            )
     if args.oracle:
         report.oracle = variance.variance_bruteforce(par, guard=args.guard)
     if args.charsum:
@@ -221,12 +209,12 @@ def _bijection(checks, args):
     if args.r < 0:
         raise HfqError(f"--r must be >= 0, got {args.r}")
     ctx = _build_ctx(args)
-    hs = [h for h in _parse_range(args.h, "h") if h < args.r]
-    return [
-        checks.check_bijection(ctx, n, args.r, hs, args.guard)
-        for n in _parse_range(args.n, "n")
-        if args.r in bijection_ranks(n)
-    ]
+    h_range, ns = _parse_range(args.h, "h"), _parse_range(args.n, "n")
+    hs = range(h_range.start, min(h_range.stop, args.r))
+    # r in bijection_ranks(n) needs r >= 3 and n >= 2r - 1
+    ns = range(max(ns.start, 2 * args.r - 1), ns.stop if args.r >= 3 else 0)
+    return [checks.check_bijection(ctx, n, args.r, hs, args.guard)
+            for n in ns if args.r in bijection_ranks(n)]
 
 
 def _sums(checks, args):
@@ -237,10 +225,11 @@ def _sums(checks, args):
     u, v = Poly.from_literal(ctx, args.U), Poly.from_literal(ctx, args.V)
     variance.validate_pair(u, v)  # a bad pair is bad input, not an empty range
     fn = checks.check_kernel_sum if args.kind == "kernel-sum" else checks.check_w_sum
-    return [
+    ns, h_range = _parse_range(args.n, "n"), _parse_range(args.h, "h")
+    return [  # the domain has h <= n
         fn(variance.ThmParams.compute(u, v, n, h), guard=args.guard)
-        for n in _parse_range(args.n, "n")
-        for h in _parse_range(args.h, "h")
+        for n in ns
+        for h in range(h_range.start, min(h_range.stop, n + 1))
         if variance.ThmParams.domain_error(u, v, n, h) is None
     ]
 

@@ -17,9 +17,19 @@ class TooLargeError(HfqError):
     """A guard refused work that would exceed its cap."""
 
 
-def check_guard(work: int, guard: int, what: str, unit: str = "steps") -> None:
-    """Refuse ``work`` above ``guard``.  A count of over 300 bits is written
-    by its size: int-to-str refuses numbers of more than 4,300 digits."""
+def check_guard(work, guard: int, what: str, unit: str = "steps") -> None:
+    """Refuse ``work``, a count or an iterable of counts, above ``guard``.
+    Counts are summed only until the sum passes max(guard, 2^300), so a long
+    range costs no more than its first counts.  A sum of over 300 bits is
+    written by its size, at least 2^B, a lower bound (int-to-str refuses numbers
+    of more than 4,300 digits); any smaller sum is summed whole and written out."""
+    if not isinstance(work, int):
+        stop, total = max(guard, 1 << 300), 0
+        for count in work:
+            total += count
+            if total > stop:
+                break
+        work = total
     if work > guard:
         bits = work.bit_length()
         shown = work if bits <= 300 else f"at least 2^{bits - 1}"

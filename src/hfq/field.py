@@ -6,8 +6,10 @@ modulo the defining polynomial, constant residue least significant, so a
 prime field's elements are its residues and code order is lexicographic
 with the constant residue fastest.  FieldCtx builds its addition,
 subtraction, negation, multiplication, inversion and trace tables once;
-every operation is a lookup.  A table has q^2 entries, so q is capped at
-MAX_Q.
+every operation is a lookup.  The trace is read off the multiplication
+table: Tr(a) is the trace of x -> a x on the residue basis w^j (code p^j),
+the sum over j of residue j of a w^j, mod p.  A table has q^2 entries, so
+q is capped at MAX_Q.
 """
 
 from __future__ import annotations
@@ -62,11 +64,6 @@ def _parse_int(text: str) -> int:
         raise HfqError(f"not an integer: {text!r}") from None
 
 
-def split_literal(text: str) -> list:
-    """Split a comma-separated literal at the commas outside brackets."""
-    return re.split(r",(?![^\[]*\])", text)
-
-
 class FieldCtx:
     """Immutable description of F_q with q = p^k; safe to share freely.
 
@@ -94,18 +91,6 @@ class FieldCtx:
         units = [row.index(1) for row in mul[1:] if 1 in row]
         if len(units) != q - 1:
             raise HfqError("modulus is reducible: a nonzero residue has no inverse")
-        trace = []
-        for a in range(q):
-            conj = total = a  # the sum of a^(p^i) for i < k
-            for _ in range(k - 1):
-                frob = 1
-                for _ in range(p):
-                    frob = mul[frob][conj]
-                conj = frob
-                total = add[total][conj]
-            if total >= p:
-                raise AssertionError("trace left the prime field")
-            trace.append(total)
         for name, value in (
             ("p", p),
             ("k", k),
@@ -117,7 +102,9 @@ class FieldCtx:
             ("neg_table", neg),
             ("mul_table", mul),
             ("inv_table", (None, *units)),
-            ("trace_table", tuple(trace)),
+            ("trace_table", tuple(
+                sum(row[p**j] // p**j % p for j in range(k)) % p for row in mul
+            )),
         ):
             object.__setattr__(self, name, value)
 
@@ -178,7 +165,7 @@ class FieldCtx:
 
     def parse_literal(self, text: str) -> tuple:
         """The elements of a comma-separated literal; k > 1 entries bracketed."""
-        return tuple(self.parse_elem(x) for x in split_literal(text))
+        return tuple(self.parse_elem(x) for x in re.split(r",(?![^\[]*\])", text))
 
 
 def fq_vectors(ctx: FieldCtx, width: int, zeros: int = 0) -> Iterator[tuple]:

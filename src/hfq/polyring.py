@@ -98,23 +98,10 @@ class Poly:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "Poly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == self.ctx.zero:
-                continue
-            cs = self.ctx.format_elem(c)
-            if i == 0:
-                terms.append(cs)
-            elif i == 1:
-                terms.append(f"{cs}*T" if c != self.ctx.one else "T")
-            else:
-                terms.append(f"{cs}*T^{i}" if c != self.ctx.one else f"T^{i}")
-        return "Poly(" + " + ".join(terms) + ")"
+        return f"Poly({self.literal()})"
 
     def literal(self) -> str:
-        """Low-to-high coefficient literal, inverse of from_literal."""
+        """Low-to-high coefficient literal, inverse of from_literal; repr shows it."""
         return ",".join(self.ctx.format_elem(c) for c in self.coeffs or (0,))
 
     # arithmetic
@@ -136,9 +123,6 @@ class Poly:
         for i, c in enumerate(b):
             out[i] = ctx.sub(out[i], c)
         return Poly(ctx, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.ctx, tuple(self.ctx.neg(c) for c in self.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
         ctx = self.ctx

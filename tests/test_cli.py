@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -880,3 +882,57 @@ def _identity_argv(draw):
 @given(_identity_argv())
 def test_identity_exit_codes_property(argv):
     _assert_not_a_mismatch(argv)
+
+
+BIG = str(10**12)
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv,code,clipped",
+    [
+        (("census", "--q", "3", "--n", "0", "--h", f"0..{BIG}"), EXIT_OK, ("--h", "0..1")),
+        (("identity", "bijection", "--q", "3", "--n", f"0..{BIG}", "--r", BIG), EXIT_OK,
+         ("--n", "0")),
+        (("identity", "bijection", "--q", "3", "--n", "8", "--r", "4", "--h", f"0..{BIG}"),
+         EXIT_OK, ("--h", "0..3")),
+        (("identity", "w-sum", "--q", "3", "--n", "30..40", "--h", f"30..{BIG}"), EXIT_OK,
+         ("--h", "30..40")),
+        (("identity", "kernel-sum", "--q", "3", "--n", "0..3", "--h", f"0..{BIG}"), EXIT_OK,
+         ("--h", "0..3")),
+        (("identity", "kernel-structure", "--q", "3", "--n", f"0..{BIG}"), EXIT_GUARD, None),
+        (("identity", "reduction", "--q", "3", "--n", f"0..{BIG}"), EXIT_GUARD, None),
+        (("identity", "quadform", "--q", "3", "--l", f"0..{BIG}"), EXIT_GUARD, None),
+    ],
+    ids=["census", "bijection-r", "bijection-h", "w-sum", "kernel-sum", "kernel-structure",
+         "reduction", "quadform"],
+)
+def test_a_wide_range_walks_only_the_points_a_check_takes(capsys, argv, code, clipped):
+    # each range ends at 10^12: a command returns at once, in bounded memory,
+    # and prints what the range cut to its checkable points prints
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hfq.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=30, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == code, proc.stderr
+    if clipped:
+        flag = argv.index(clipped[0])
+        want = run(capsys, *argv[:flag], *clipped, *argv[flag + 2:])
+        assert want[:2] == (code, proc.stdout)
+
+
+def test_a_negative_size_is_refused_before_the_guard():
+    ctx = ctx_new(3)
+    for check, sizes, name in ((checks.check_kernel_structure, [0, -1], "n"),
+                               (checks.check_quadform, [-1], "l")):
+        with pytest.raises(HfqError, match=f"need {name} >= 0, got -1") as exc:
+            check(ctx, sizes)
+        assert type(exc.value) is HfqError

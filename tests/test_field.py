@@ -201,6 +201,24 @@ def test_tables_match_residue_polynomial_oracle(p, k, modulus):
         assert ctx.trace(a) == _as_code(tr)
 
 
+@pytest.mark.parametrize(
+    "p,k,modulus", [(3, 4, (2, 1, 0, 0, 1)), (3, 4, (2, 0, 0, 1, 1))], ids=["81a", "81b"]
+)
+def test_trace_matches_frobenius_oracle(p, k, modulus):
+    # the trace alone, Tr(a) = sum of a^(p^i) mod the modulus for i < k,
+    # without the q^2 add/mul loop of the test above
+    ctx = ctx_new(p, k, modulus)
+    fp = ctx_new(p)
+    m = Poly.from_ints(fp, modulus)
+    for a in range(ctx.q):
+        pa = _as_poly(fp, a, k)
+        tr = Poly.zero(fp)
+        for i in range(k):
+            tr = tr + (pa ** (p**i)) % m
+        assert tr.degree <= 0
+        assert ctx.trace(a) == _as_code(tr)
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)], ids=["3^2", "5^2", "3^3"])
 def test_ctx_new_accepts_exactly_the_rootless_moduli(p, k):
     # below degree 4 a monic polynomial is irreducible iff it has no root

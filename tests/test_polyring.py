@@ -196,3 +196,12 @@ def test_seq_literal_round_trip(case):
     entries = a.coeffs or (ctx.zero,)
     text = ",".join(ctx.format_elem(e) for e in entries)
     assert Seq.from_literal(ctx, text) == Seq(ctx, entries)
+
+
+@pytest.mark.parametrize("ctx", [F3, ctx_new(3, 2, [1, 0, 1])], ids=["q3", "q9"])
+def test_repr_is_the_cli_literal(ctx):
+    # a failure line's polynomial pastes back into --U, --V or --W; the
+    # polynomials of degree <= 2 include 0, Poly(0) over F_3, Poly([0,0]) over F_9
+    for a in polys_upto(ctx, 2):
+        assert repr(a) == f"Poly({a.literal()})"
+        assert Poly.from_literal(ctx, repr(a)[len("Poly("):-1]) == a
