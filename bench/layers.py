@@ -37,7 +37,10 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   F_9, phisum at kmax 9, a one-process census, and the benchmark's
   fast_tally variance command, the closed forms ``variance --q 3 --U
   1,0,1 --V 0,1 --n 6 --h 3`` (case 2, neither --oracle nor --charsum) and
-  ``variance --q 3 --U 1 --V 0,1 --n 17 --h 6`` (case 3), and the case-2
+  ``variance --q 3 --U 1 --V 0,1 --n 17 --h 6`` (case 3), the case-3
+  point at deg U = 20, ``variance --q 3 --U
+  1,2,1,1,2,0,2,0,1,0,0,0,2,2,0,1,2,0,1,2,1 --V 0,1 --n 176 --h 66``, whose
+  f-sums count over the divisors of U and V, and the case-2
   point with ``--oracle --charsum``, and two wide ranges, the guard's exit 2
   of ``identity kernel-structure --q 3 --n 0..30000`` and ``census --q 3
   --n 0 --h 0..30000000``, of which only h <= 1 can be checked;
@@ -145,6 +148,9 @@ COLD_STARTS = {
                               "--h", "3"), 0),
     "closed_form_q3_n17_h6": (("variance", "--q", "3", "--U", "1", "--V", "0,1", "--n", "17",
                                "--h", "6"), 0),
+    "closed_form_deg20_case3": (("variance", "--q", "3", "--U",
+                                "1,2,1,1,2,0,2,0,1,0,0,0,2,2,0,1,2,0,1,2,1", "--V", "0,1",
+                                "--n", "176", "--h", "66"), 0),
     "oracle_charsum_q3_n6_h3": (("variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n",
                                  "6", "--h", "3", "--oracle", "--charsum"), 0),
     "wide_kernel_structure_q3": (("identity", "kernel-structure", "--q", "3", "--n", "0..30000"),

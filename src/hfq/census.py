@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .errors import GUARD, HfqError, check_guard
+from .errors import GUARD, HfqError, check_guard, power_count
 
 if TYPE_CHECKING:
     from .field import FieldCtx
@@ -86,7 +86,7 @@ def census_enumerate(
     """Exhaustive tally {(r, rho, pi): count} of the standard classes over
     all sequences in F_q^{n+1} with h leading zeros."""
     _check_box(n, h)
-    total = ctx.q ** (n + 1 - h)
+    total = power_count(ctx.q, n + 1 - h, guard)
     check_guard(total, guard, f"census of q^{n + 1 - h}", "sequences")
     side = (n + 2) // 2 + 1  # r and rho are at most n1
     if workers <= 1 or total < 4 * workers:

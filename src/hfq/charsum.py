@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import GUARD, HfqError, check_guard
+from .errors import GUARD, HfqError, check_guard, power_count
 
 if TYPE_CHECKING:
     from .variance import ThmParams
@@ -62,9 +62,9 @@ def variance_charsum(par: ThmParams, mode: str = "exact", guard: int = GUARD) ->
     q = ctx.q
     mw, m_width, l_m = par.side(True)
     aw, a_width, l_a = par.side(False)
-    work = q ** (n + 1 - h)
+    work = power_count(q, n + 1 - h, guard)
     if mode == "exact":
-        work *= q**l_m + q ** (l_a + 1)
+        work *= power_count(q, l_m, guard) + power_count(q, l_a + 1, guard)
     check_guard(work, guard, "character sum")
     import numpy as np
 

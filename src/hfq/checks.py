@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import TYPE_CHECKING, List
 
-from .errors import GUARD, HfqError, check_guard
+from .errors import GUARD, HfqError, check_guard, power_count
 from .field import FieldCtx, fq_vectors
 
 if TYPE_CHECKING:
@@ -125,7 +125,8 @@ def check_kernel_structure(ctx: FieldCtx, ns, guard: int = GUARD) -> CheckResult
     from .polyring import coeff_vector, gcd
 
     res = CheckResult("kernel structure law")
-    check_guard(_sizes(ns, "n", lambda n: ctx.q ** (n + 1)), guard, "kernel-structure check")
+    work = _sizes(ns, "n", lambda n: power_count(ctx.q, n + 1, guard))
+    check_guard(work, guard, "kernel-structure check")
     for n in ns:
         for seq in _all_seqs(ctx, n):
             an = analyze(seq)
@@ -158,7 +159,7 @@ def check_quadform(ctx: FieldCtx, ls, guard: int = GUARD) -> CheckResult:
     (fastpath.scalings) and so counts p - 1 times, passed or failed."""
     res = CheckResult(f"quadratic form magnitudes (q={ctx.q})")
     q = ctx.q
-    work = _sizes(ls, "l", lambda l: q ** (2 * l + 1) * (q**l + q ** (l + 1)))
+    work = _sizes(ls, "l", lambda l: (q + 1) * power_count(q, 3 * l + 1, guard))
     check_guard(work, guard, "quadform check")
     import numpy as np
 
@@ -206,7 +207,8 @@ def check_reduction(ctx: FieldCtx, ns, ws=None, guard: int = GUARD) -> CheckResu
         ]
     if any(w.is_zero for w in ws):
         raise HfqError("reduction windows must be non-zero")
-    check_guard((ctx.q ** (n + 1) for n in ns if n >= 2), guard, "reduction check")
+    work = (power_count(ctx.q, n + 1, guard) for n in ns if n >= 2)
+    check_guard(work, guard, "reduction check")
     for n in ns:
         for seq in _all_seqs(ctx, n) if n >= 2 else ():
             an = analyze(seq)
@@ -233,6 +235,11 @@ def check_reduction(ctx: FieldCtx, ns, ws=None, guard: int = GUARD) -> CheckResu
     return res
 
 
+def bijection_work(q: int, n: int, r: int, hs, guard: int = GUARD):
+    """check_bijection's steps per h of hs: sequences, then monic-by-bounded pairs."""
+    return (power_count(q, n + 1 - h, guard) + power_count(q, 2 * r - h, guard) for h in hs)
+
+
 def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = GUARD) -> CheckResult:
     """Forward map into the coprime pairs, the inverse roundtrip, injectivity,
     and both cardinalities, with one Berlekamp-Massey pass per sequence."""
@@ -241,8 +248,7 @@ def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = GUARD) -> Ch
 
     res = CheckResult(f"class/pair bijection (n={n}, r={r})")
     q = ctx.q
-    # sequences, then the monic-by-bounded pairs, at each h
-    check_guard((q ** (n + 1 - h) + q ** (2 * r - h) for h in hs), guard, "bijection check")
+    check_guard(bijection_work(q, n, r, hs, guard), guard, "bijection check")
     for h in hs:
         pairs = bijection_pairs(ctx, r, h)
         image = set()
@@ -278,12 +284,25 @@ def _check_ranks(title: str, label: str, identity, ranks, par, guard) -> CheckRe
     return res
 
 
+def _kernel_sum_ranks(par: ThmParams):
+    # below h = n2 - 1 the identity has no domain: nothing to check
+    return par.r1_ranks() if par.h >= par.n2 - 1 else ()
+
+
+def sum_work(kind: str, par: ThmParams, guard: int = GUARD):
+    """check_kernel_sum's (kind "kernel-sum") or check_w_sum's steps at par, by rank."""
+    from . import variance
+
+    if kind == "kernel-sum":
+        return (variance.kernel_sum_work(par, r1, guard) for r1 in _kernel_sum_ranks(par))
+    return (power_count(par.u.ctx.q, par.n - par.h, guard) for _ in par.w_ranks())
+
+
 def check_kernel_sum(par: ThmParams, guard: int = GUARD) -> CheckResult:
     """kernel_sum_identity at every feasible rank for one point."""
     from . import variance
 
-    # below h = n2 - 1 the identity has no domain: nothing to check
-    ranks = par.r1_ranks() if par.h >= par.n2 - 1 else ()
+    ranks = _kernel_sum_ranks(par)
     return _check_ranks("kernel-sum", "r1", variance.kernel_sum_identity, ranks, par, guard)
 
 

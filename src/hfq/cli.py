@@ -23,7 +23,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .errors import GUARD, HfqError, TooLargeError, check_guard
+from .errors import GUARD, HfqError, TooLargeError, check_guard, power_count
 from .field import MAX_Q, ctx_new
 
 EXIT_OK = 0
@@ -117,7 +117,12 @@ def cmd_census(args) -> int:
     # h <= n + 1 has a class to count: walk only the n and h that do
     ns = range(max(ns.start, h_range.start - 1), ns.stop)
     if not ns:
-        _nothing_to_check(args.json)
+        return _nothing_to_check(args.json)
+    # one guard over every (n, h), of q^lo..q^hi sequences each, before any runs
+    lo, hi = max(ns.start + 1 - h_range[-1], 0), ns[-1] + 1 - h_range.start
+    sizes = (power_count(ctx.q, n + 1 - h, args.guard)
+             for n in ns for h in range(h_range.start, min(h_range.stop, n + 2)))
+    check_guard(sizes, args.guard, f"census of q^{lo}" + f"..q^{hi}" * (hi > lo), "sequences")
     for n in ns:
         hs = range(h_range.start, min(h_range.stop, n + 2))
         rows: list = []
@@ -204,17 +209,16 @@ def _reduction(checks, args):
 
 
 def _bijection(checks, args):
-    from .hankel import bijection_ranks
-
     if args.r < 0:
         raise HfqError(f"--r must be >= 0, got {args.r}")
     ctx = _build_ctx(args)
     h_range, ns = _parse_range(args.h, "h"), _parse_range(args.n, "n")
     hs = range(h_range.start, min(h_range.stop, args.r))
-    # r in bijection_ranks(n) needs r >= 3 and n >= 2r - 1
-    ns = range(max(ns.start, 2 * args.r - 1), ns.stop if args.r >= 3 else 0)
-    return [checks.check_bijection(ctx, n, args.r, hs, args.guard)
-            for n in ns if args.r in bijection_ranks(n)]
+    # r is in hankel.bijection_ranks(n) just when r >= 3 and n >= 2r - 1
+    ns = range(max(ns.start, 2 * args.r - 1), ns.stop if args.r >= 3 and hs else 0)
+    work = (w for n in ns for w in checks.bijection_work(ctx.q, n, args.r, hs, args.guard))
+    check_guard(work, args.guard, "bijection check")
+    return [checks.check_bijection(ctx, n, args.r, hs, args.guard) for n in ns]
 
 
 def _sums(checks, args):
@@ -226,12 +230,18 @@ def _sums(checks, args):
     variance.validate_pair(u, v)  # a bad pair is bad input, not an empty range
     fn = checks.check_kernel_sum if args.kind == "kernel-sum" else checks.check_w_sum
     ns, h_range = _parse_range(args.n, "n"), _parse_range(args.h, "h")
-    return [  # the domain has h <= n
-        fn(variance.ThmParams.compute(u, v, n, h), guard=args.guard)
-        for n in ns
-        for h in range(h_range.start, min(h_range.stop, n + 1))
-        if variance.ThmParams.domain_error(u, v, n, h) is None
-    ]
+    ns = range(max(ns.start, h_range.start), ns.stop)  # the domain has h <= n
+
+    def points():
+        for n in ns:
+            for h in range(h_range.start, min(h_range.stop, n + 1)):
+                if variance.ThmParams.domain_error(u, v, n, h) is None:
+                    yield variance.ThmParams.compute(u, v, n, h)
+
+    # one guard over every point and rank, before any runs
+    work = (w for par in points() for w in checks.sum_work(args.kind, par, args.guard))
+    check_guard(work, args.guard, "identity enumeration")
+    return [fn(par, guard=args.guard) for par in points()]
 
 
 def cmd_identity(args) -> int:
@@ -428,7 +438,10 @@ def parse_args(argv) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     try:
+        if digits:  # print in full each exact value the guards admit
+            sys.set_int_max_str_digits(0)
         if args.guard < 1:
             raise HfqError(f"--guard must be >= 1, got {args.guard}")
         return args.fn(args)
@@ -438,6 +451,9 @@ def main(argv=None) -> int:
     except HfqError as exc:
         print(f"hfq: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -34,3 +34,11 @@ def check_guard(work, guard: int, what: str, unit: str = "steps") -> None:
         bits = work.bit_length()
         shown = work if bits <= 300 else f"at least 2^{bits - 1}"
         raise TooLargeError(f"{what} needs {shown} {unit}, cap {guard}")
+
+
+def power_count(q: int, e: int, guard: int) -> int:
+    """q^e, a count for check_guard, built only below e = B, the bit length
+    of max(guard, 2^300); from there on 2^B, a lower bound (q >= 3) that
+    check_guard refuses as it would refuse q^e."""
+    bits = max(guard, 1 << 300).bit_length()
+    return q**e if e < bits else 1 << bits

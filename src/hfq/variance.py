@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .errors import GUARD, HfqError, check_guard
+from .errors import GUARD, HfqError, check_guard, power_count
 from .field import CHUNK, from_digits, to_digits
 from .polyring import (
     Poly,
@@ -190,31 +190,32 @@ def variance_bruteforce(par: ThmParams, guard: int = GUARD) -> Fraction:
     """Exact variance of the interval sums over all monic centres of degree n,
     from the sum S1 and the sum of squares S2 of every class's interval sum.
     Pairs are capped at 2^30 so that S2 <= S1^2 = (2 pairs)^2 is exact in int64."""
-    q = par.u.ctx.q
-    pairs = q ** (par.s_prime + par.t_prime + 1)
-    classes = q ** (par.n - par.h)
-    check_guard(max(pairs, classes), min(guard, 2**30), "enumeration")
+    q, cap = par.u.ctx.q, min(guard, 2**30)
+    pairs = power_count(q, par.s_prime + par.t_prime + 1, cap)
+    classes = power_count(q, par.n - par.h, cap)
+    check_guard(max(pairs, classes), cap, "enumeration")
     counts = _binned_interval_sums(par)
     s1, s2 = int(counts.sum()), int(counts @ counts)
     mean = mean_formula(par)
     return (s2 - 2 * mean * s1 + classes * mean * mean) / classes
 
 
-def gcd_divisibility_sum(w: Poly, d1: int, d2: int, monic2: bool) -> int:
+def gcd_divisibility_sum(q: int, primes, d1: int, d2: int, monic2: bool) -> int:
     """Sum of |gcd(B2, W)| over B2 (monic of degree <= d2, or arbitrary
-    including 0) and B1 in A_{<= d1} with gcd(B2, W) dividing B1.
-
-    The inner B1 count collapses to the number of multiples of the gcd in
-    the box, so only B2 is enumerated.
-    """
-    ctx = w.ctx
-    q = ctx.q
-    total = 0
-    b2_range = monics_upto(ctx, d2) if monic2 else polys_upto(ctx, d2)
-    for b2 in b2_range:
-        g = w.monic() if b2.is_zero else gcd(b2, w)
-        dg = g.degree
-        total += q**dg * q ** max(d1 - dg + 1, 0)  # multiples of g in A_{<= d1}, 0 included
+    including 0) and B1 in A_{<= d1} with gcd(B2, W) dividing B1, for W
+    factored as ``primes``, with no polynomial enumerated.  The B2 with gcd
+    g add q^max(d1 + 1, deg g) each and are g B' with B' coprime to W/g of
+    degree <= d2 - deg g: by Mobius inversion, those divisible by a
+    squarefree D | W/g, 0 included, number q^max(d2 - deg gD + 1, 0).  A
+    monic box drops B2 = 0 and keeps one of each B2's q - 1 unit multiples."""
+    terms = [(1, 0, 0)]  # (mu(D), deg g, deg gD) over g | W and D | W/g
+    for p, e in primes:
+        terms = [(-mu if b else mu, dg + a * p.degree, dgd + (a + b) * p.degree)
+                 for mu, dg, dgd in terms for a in range(e + 1) for b in (0, 1) if a + b <= e]
+    total = sum(mu * q ** (max(d1 + 1, dg) + max(d2 - dgd + 1, 0)) for mu, dg, dgd in terms)
+    if monic2:
+        total -= q ** max(d1 + 1, sum(e * p.degree for p, e in primes))  # B2 = 0: g = W
+        total //= q - 1
     return total
 
 
@@ -234,31 +235,14 @@ def f_formula(par: ThmParams) -> Fraction:
     q = par.u.ctx.q
     duv = par.u.degree + par.v.degree
     pref = Fraction(4 * (q - 1), q ** ((1 + duv) // 2))
+    primes = {w: factor(w) for w in (par.u, par.v)}
     acc = Fraction(0)
     for r1 in par.r1_ranks():
         term = Fraction(q) ** (r1 - (par.n - par.h))
         for w, _, box in _boxes(par, r1):
-            term *= gcd_divisibility_sum(w, *box)
+            term *= gcd_divisibility_sum(q, primes[w], *box)
         acc += term
     return pref * acc
-
-
-def _closed_form_work(par: ThmParams) -> int:
-    """The steps theorem_predict enumerates at par: one gcd per B2 of each
-    f-sum box, and in case 3 at most the monic trial divisors of degree
-    <= deg UV / 2 that m_factor's factorization of UV tries."""
-    q, case = par.u.ctx.q, par.case
-    if case not in ("case2", "case3"):
-        return 0
-    f_par = par if case == "case2" else par._replace(h=par.n1 - 1)
-    work = 0
-    for r1 in f_par.r1_ranks():
-        for _, _, (_, d2, monic) in _boxes(f_par, r1):
-            size = q ** max(d2 + 1, 0)  # of polys_upto(d2); monics_upto(d2) is smaller
-            work += (size - 1) // (q - 1) if monic else size
-    if case == "case3":
-        work += sum(q**d for d in range(1, (par.u.degree + par.v.degree) // 2 + 1))
-    return work
 
 
 def m_factor(par: ThmParams) -> Fraction:
@@ -325,10 +309,19 @@ def theorem_predict(par: ThmParams, guard: int = GUARD) -> VarianceReport:
     q^(2h - n + r1 - (deg UV + 1)/2) / |UV| per rank, and the brute-force
     oracle confirms it (e.g. q=3, U=T^2+1, V=T: variance is 24 at
     (n,h)=(6,3) and 72 at (8,4), matching q^h f / |UV| at both).
+
+    The guard charges the trial divisors of each factorization run (U, V
+    and, in case 3, UV): q + ... + q^(deg W // 2) each; and limbs^2 for the
+    exact values, of about (h + deg UV + 2) log2 q bits in 30-bit limbs.
     """
-    check_guard(_closed_form_work(par), guard, "closed-form evaluation")
     q, n, h = par.u.ctx.q, par.n, par.h
     case = par.case
+    duv = par.u.degree + par.v.degree
+    if case in ("case2", "case3"):
+        factored = (par.u, par.v, par.u * par.v)[: 3 if case == "case3" else 2]
+        limbs = (h + duv + 2) * q.bit_length() // 30 + 1
+        trials = sum(q**d for w in factored for d in range(1, w.degree // 2 + 1))
+        check_guard(trials + limbs * limbs, guard, "closed-form evaluation")
     report = VarianceReport(par)
     abs_uv = (par.u * par.v).abs_value()
     if case == "case1":
@@ -343,12 +336,22 @@ def theorem_predict(par: ThmParams, guard: int = GUARD) -> VarianceReport:
         secondary = f_formula(par._replace(h=par.n1 - 1))
         report.secondary_term = Fraction(q) ** (2 * h - (par.n2 - 1)) * secondary / abs_uv
         report.theorem_value = report.main_term + report.secondary_term
-        duv = par.u.degree + par.v.degree
         report.error_scale = (
             Fraction(q**h, abs_uv),
             Fraction(q ** (h + 2) * duv),
         )
     return report
+
+
+def kernel_sum_work(par: ThmParams, r1: int, guard: int = GUARD) -> int:
+    """The steps of kernel_sum_identity at rank r1, from its lists' sizes: each
+    monic A of degree n - r1 + 1 meets each side's outer B and box's B2."""
+    q = par.u.ctx.q
+    work = 0
+    for _, half, (_, d2, monic) in _boxes(par, r1):
+        inner = (q ** (d2 + 1) - 1) // (q - 1) if monic else q ** max(d2 + 1, 0)
+        work += power_count(q, half + (not monic), guard) * inner
+    return power_count(q, par.n - r1 + 1, guard) * work
 
 
 def kernel_sum_identity(par: ThmParams, r1: int, guard: int = GUARD):
@@ -370,6 +373,7 @@ def kernel_sum_identity(par: ThmParams, r1: int, guard: int = GUARD):
     ranks = par.r1_ranks()
     if r1 not in ranks:
         raise HfqError(f"r1 = {r1} outside [{ranks.start}, {ranks.stop - 1}]")
+    check_guard(kernel_sum_work(par, r1, guard), guard, "identity enumeration")
     ctx = par.u.ctx
     q = ctx.q
     da = par.n - r1 + 1
@@ -379,8 +383,6 @@ def kernel_sum_identity(par: ThmParams, r1: int, guard: int = GUARD):
         outer = list(monics(ctx, half) if monic else polys_upto(ctx, half))
         inner = list(monics_upto(ctx, d2) if monic else polys_upto(ctx, d2))
         sides.append((w, outer, inner, box))
-    work = q**da * sum(len(outer) * len(inner) for _, outer, inner, _ in sides)
-    check_guard(work, guard, "identity enumeration")
 
     lhs = 0
     for a in monics(ctx, da):
@@ -399,7 +401,7 @@ def kernel_sum_identity(par: ThmParams, r1: int, guard: int = GUARD):
 
     rhs = Fraction(q**da, (par.u * par.v).abs_value())
     for w, _, _, box in sides:
-        rhs *= gcd_divisibility_sum(w, *box)
+        rhs *= gcd_divisibility_sum(q, factor(w), *box)
     return Fraction(lhs), rhs
 
 
@@ -415,7 +417,7 @@ def w_sum_identity(par: ThmParams, r: int, guard: int = GUARD):
     ranks = par.w_ranks()
     if r not in ranks:
         raise HfqError(f"r = {r} outside [{h + 1}, {ranks.stop - 1}] (and r > 2)")
-    check_guard(q ** (n - h), guard, "identity enumeration")
+    check_guard(power_count(q, n - h, guard), guard, "identity enumeration")
     from . import fastpath
     from .hankel import Seq, analyze
 

@@ -8,7 +8,8 @@ keeps, for the checks of the walk's strict rho.
 
 The references that no library code reads live here too: exact
 arithmetic in Z[zeta_p] (CycInt) and the additive character psi; the
-literal representation counts s_count and interval_sum; RREF kernel
+literal representation counts s_count and interval_sum; the
+gcd-divisibility sum by enumeration of every B2, with one gcd apiece; RREF kernel
 bases and the Toeplitz matrices of multiplication by W; the radical and
 trial-division irreducibility; and the sieve of Eratosthenes over every
 monic polynomial, whose per-degree totient sums analytic's Euler product
@@ -33,7 +34,16 @@ from hfq.hankel import (
     rank,
     row_reduce,
 )
-from hfq.polyring import NEG_INF, Poly, coeff_vector, factor, monics, polys_upto
+from hfq.polyring import (
+    NEG_INF,
+    Poly,
+    coeff_vector,
+    factor,
+    gcd,
+    monics,
+    monics_upto,
+    polys_upto,
+)
 from hfq.variance import ThmParams, validate_pair
 
 
@@ -417,6 +427,19 @@ def interval_sum(u: Poly, v: Poly, a: Poly, h: int, guard: int = GUARD) -> int:
     check_guard(work, guard, "interval_sum", "pairs")
     tally = Counter(_square_sums(u, v, top))  # once, over the largest member's box
     return sum(tally[a + d] for d in polys_upto(u.ctx, h - 1))
+
+
+def gcd_divisibility_sum(w: Poly, d1: int, d2: int, monic2: bool) -> int:
+    """variance.gcd_divisibility_sum by enumeration: every B2 in the box
+    (monic of degree <= d2, or arbitrary including 0) with one gcd apiece,
+    each adding |gcd(B2, W)| times the multiples of that gcd in A_{<= d1},
+    0 included."""
+    q = w.ctx.q
+    total = 0
+    for b2 in monics_upto(w.ctx, d2) if monic2 else polys_upto(w.ctx, d2):
+        dg = gcd(b2, w).degree  # gcd(0, W) is W
+        total += q**dg * q ** max(d1 - dg + 1, 0)
+    return total
 
 
 def _kernel_basis_raw(rows, ncols: int, ctx: FieldCtx):

@@ -246,8 +246,9 @@ def test_variance_guard_exit(capsys):
 
 
 def test_closed_forms_count_against_the_guard(capsys, monkeypatch):
-    # case 3 at deg U = 20: 44,291 gcds in the secondary f-sum, and at
-    # most 3 + 9 + ... + 3^10 trial divisors for M(U, V)
+    # case 3 at deg U = 20: the f-sums count over divisors, so the price is
+    # the trial divisors of U and of UV, 3 + 9 + ... + 3^10 each (V = T has
+    # none), and 6^2 limb products for exact values of (66 + 21 + 2) * 2 bits
     argv = (
         "variance", "--q", "3", "--U", "1,2,1,1,2,0,2,0,1,0,0,0,2,2,0,1,2,0,1,2,1",
         "--V", "0,1", "--n", "176", "--h", "66",
@@ -259,13 +260,14 @@ def test_closed_forms_count_against_the_guard(capsys, monkeypatch):
 
     monkeypatch.setattr(variance, "f_formula", no_enumeration)
     monkeypatch.setattr(variance, "factor", no_enumeration)
-    work = 44291 + sum(3**d for d in range(1, 11))
+    work = 2 * sum(3**d for d in range(1, 11)) + 6**2
+    assert work == 177180
     code, out, err = run(capsys, *argv, "--guard", str(work - 1))
     assert code == EXIT_GUARD and out == ""
     assert err == f"hfq: guard: closed-form evaluation needs {work} steps, cap {work - 1}\n"
     monkeypatch.setattr(variance, "f_formula", real[0])
     monkeypatch.setattr(variance, "factor", real[1])
-    code, out, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--guard", str(work))
     assert code == EXIT_OK and json.loads(out)["case"] == "case3"
 
 
@@ -927,6 +929,83 @@ def test_a_wide_range_walks_only_the_points_a_check_takes(capsys, argv, code, cl
         flag = argv.index(clipped[0])
         want = run(capsys, *argv[:flag], *clipped, *argv[flag + 2:])
         assert want[:2] == (code, proc.stdout)
+
+
+def _run_limited(argv):
+    """hfq argv in a fresh interpreter under a 2 GiB address space, cut at 30 s."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "hfq.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=30, preexec_fn=_limit_address_space,
+    )
+
+
+_VARIANCE_UT = ("variance", "--q", "3", "--U", "1", "--V", "0,1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--q", "3", "--n", BIG, "--h", "0"),
+        ("identity", "kernel-structure", "--q", "3", "--n", BIG),
+        ("identity", "quadform", "--q", "3", "--l", BIG),
+        ("identity", "reduction", "--q", "3", "--n", BIG),
+        ("identity", "bijection", "--q", "3", "--n", BIG, "--r", "4"),
+        ("identity", "w-sum", "--q", "3", "--n", BIG, "--h", "0"),
+        (*_VARIANCE_UT, "--n", BIG, "--h", "0", "--oracle"),
+        (*_VARIANCE_UT, "--n", BIG, "--h", "0", "--charsum"),
+        (*_VARIANCE_UT, "--n", BIG, "--h", str(4 * 10**11)),
+        ("identity", "kernel-sum", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "30",
+         "--h", "15"),
+        ("identity", "kernel-sum", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "40",
+         "--h", "20", "--guard", "10"),
+        (*_VARIANCE_UT, "--n", "30000", "--h", "10000"),
+        (*_VARIANCE_UT, "--n", "30000", "--h", "10000", "--guard", "1"),
+        ("variance", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "18200", "--h", "9100"),
+        ("variance", "--q", "251", "--U", "1", "--V", "0,1", "--n", "6000", "--h", "1900"),
+        ("phisum", "--q", "3", "--W2", "1", "--W3", "0,1", "--kmax", "5000", "--guard", BIG),
+    ],
+    ids=["census", "kernel-structure", "quadform", "reduction", "bijection", "w-sum",
+         "variance-oracle", "variance-charsum", "variance-case3-huge-h", "kernel-sum",
+         "kernel-sum-guard-10", "variance-case3", "variance-case3-guard-1", "variance-case2",
+         "variance-q251", "phisum"],
+)
+def test_a_huge_size_is_refused_or_printed_in_full(capsys, argv):
+    # a size of 10^12, or an exact value past int-to-str's 4,300 digits:
+    # either the guard refuses it at once, or the value prints in full
+    proc = _run_limited(argv)
+    assert proc.returncode in (EXIT_OK, EXIT_GUARD), proc.stderr
+    if proc.returncode == EXIT_GUARD:
+        assert proc.stdout == "" and proc.stderr.startswith("hfq: guard: ")
+    else:
+        assert run(capsys, *argv)[:2] == (EXIT_OK, proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv,total",
+    [
+        (("census", "--q", "3", "--n", "3..4", "--h", "0"), 3**4 + 3**5),
+        # q^(n+1-h) sequences plus q^(2r-h) pairs per n and h
+        (("identity", "bijection", "--q", "3", "--n", "5..7", "--r", "3"),
+         sum(3 ** (n + 1 - h) + 3 ** (6 - h) for n in (5, 6, 7) for h in range(3))),
+        (("identity", "w-sum", "--q", "3", "--U", "1", "--V", "0,1", "--n", "8..9", "--h", "0"),
+         3**8 + 2 * 3**9),
+        # one rank at (4, 2) and (6, 3), each q^(n - r1 + 1) times the outer
+        # and inner list sizes (9 * 1 + 27 * 1 at (6, 3))
+        (("identity", "kernel-sum", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--n", "4..6",
+          "--h", "0..3"), 3**3 * (3 * 1 + 9 * 1) + 3**4 * (9 * 1 + 27 * 1)),
+    ],
+    ids=["census", "bijection", "w-sum", "kernel-sum"],
+)
+def test_one_guard_prices_a_whole_command(capsys, argv, total):
+    # every n, h and rank the command runs, summed before the first runs
+    code, out, err = run(capsys, *argv, "--guard", str(total - 1))
+    assert code == EXIT_GUARD and out == "" and f"needs {total} " in err
+    want = run(capsys, *argv)
+    assert want[0] == EXIT_OK
+    assert run(capsys, *argv, "--guard", str(total))[:2] == want[:2]
 
 
 def test_a_negative_size_is_refused_before_the_guard():

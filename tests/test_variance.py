@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import oracle
 import pytest
@@ -9,7 +10,7 @@ from hfq import variance
 from hfq.errors import HfqError, TooLargeError
 from hfq.field import ctx_new
 from hfq.hankel import bijection_pairs, bijection_ranks
-from hfq.polyring import Poly, gcd, monics, monics_upto, phi, polys_upto
+from hfq.polyring import Poly, factor, gcd, monics, monics_upto, phi, polys_upto
 from hfq.variance import (
     ThmParams,
     f_formula,
@@ -307,20 +308,36 @@ def test_theorem_predict_case3_terms():
     assert rep.error_scale == (Fraction(243), Fraction(6561))
 
 
+def _closed_form_price(par):
+    """theorem_predict's price in cases 2 and 3: q + ... + q^(deg W // 2)
+    trial divisors for each W factored, U and V and, in case 3, UV; and
+    limbs^2 for exact values of (h + deg UV + 2) log2 q bits."""
+    q, case = par.u.ctx.q, par.case
+    if case not in ("case2", "case3"):
+        return 0
+    factored = [par.u, par.v] + ([par.u * par.v] if case == "case3" else [])
+    limbs = (par.h + par.u.degree + par.v.degree + 2) * q.bit_length() // 30 + 1
+    return sum(q**d for w in factored for d in range(1, w.degree // 2 + 1)) + limbs**2
+
+
 def test_closed_form_guard_counts_the_enumerations(monkeypatch):
-    # every polynomial theorem_predict enumerates: the f-sums' B2 (monic
-    # boxes through polyring.monics, full ones through polys_upto) and
-    # m_factor's trial divisors (polyring.monics); the count is exact
-    # without a factorization and a bound with one
+    # theorem_predict enumerates only the trial divisors of its
+    # factorizations (polyring.monics inside factor), never more than its
+    # price, and calls no polys_upto, monics_upto or gcd: the f-sums count
+    # over the divisors of U and V
     from hfq import polyring
 
     seen = []
+    enum = polyring.monics
 
-    def counted(enum):
-        return lambda *args: (seen.append(x) or x for x in enum(*args))
+    def counted(*args):
+        return (seen.append(x) or x for x in enum(*args))
 
-    monkeypatch.setattr(polyring, "monics", counted(polyring.monics))
-    monkeypatch.setattr(variance, "polys_upto", counted(variance.polys_upto))
+    def refused(*args):
+        raise AssertionError("theorem_predict enumerated a box or took a gcd")
+
+    monkeypatch.setattr(polyring, "monics", counted)
+
     cases = set()
     u4 = p3(2, 1, 0, 0, 1)  # T^4 + T + 2
     for u, v in ((U1, V1), (U2, V1), (U1, V3), (u4, V1), (u4, p3(1, 1))):
@@ -328,16 +345,36 @@ def test_closed_form_guard_counts_the_enumerations(monkeypatch):
             for h in range(n + 1):
                 if ThmParams.domain_error(u, v, n, h):
                     continue
-                par = ThmParams.compute(u, v, n, h)
-                work = variance._closed_form_work(par)
-                if work:
-                    with pytest.raises(TooLargeError):
-                        theorem_predict(par, guard=work - 1)
-                seen.clear()
-                theorem_predict(par, guard=work)
-                assert len(seen) == work if par.case != "case3" else len(seen) <= work
+                par = ThmParams.compute(u, v, n, h)  # validating the pair takes a gcd
+                price = _closed_form_price(par)
+                with monkeypatch.context() as patch:
+                    for module in (variance, polyring):
+                        for name in ("polys_upto", "monics_upto", "gcd"):
+                            patch.setattr(module, name, refused)
+                    if price:
+                        with pytest.raises(TooLargeError):
+                            theorem_predict(par, guard=price - 1)
+                    seen.clear()
+                    theorem_predict(par, guard=price)
+                assert len(seen) <= price
                 cases.add(par.case)
     assert cases == {"case1", "case2", "case3", "uncovered"}
+
+
+@pytest.mark.parametrize(
+    "ctx,deg_w,degrees",
+    [(F3, 3, range(-1, 4)), (F5, 2, range(-1, 3)), (ctx_new(7), 2, range(-1, 2)),
+     (ctx_new(3, 2, (2, 1, 1)), 2, range(-1, 2))],
+    ids=["q3", "q5", "q7", "q9"],
+)
+def test_gcd_divisibility_sum_counts_the_enumeration(ctx, deg_w, degrees):
+    # the count over the divisors of W against one gcd per B2 of the box,
+    # on every box (d1, d2) of both kinds and every monic W up to deg_w
+    for w in monics_upto(ctx, deg_w):
+        primes = factor(w)
+        for d1, d2, monic in product(degrees, degrees, (True, False)):
+            got = variance.gcd_divisibility_sum(ctx.q, primes, d1, d2, monic)
+            assert got == oracle.gcd_divisibility_sum(w, d1, d2, monic), (w, d1, d2, monic)
 
 
 def test_kernel_sum_identity_fixture():
