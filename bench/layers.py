@@ -41,9 +41,11 @@ imports hfq from PYTHONPATH and stores, under ``--label``, in the JSON file
   point at deg U = 20, ``variance --q 3 --U
   1,2,1,1,2,0,2,0,1,0,0,0,2,2,0,1,2,0,1,2,1 --V 0,1 --n 176 --h 66``, whose
   f-sums count over the divisors of U and V, and the case-2
-  point with ``--oracle --charsum``, and two wide ranges, the guard's exit 2
-  of ``identity kernel-structure --q 3 --n 0..30000`` and ``census --q 3
-  --n 0 --h 0..30000000``, of which only h <= 1 can be checked;
+  point with ``--oracle --charsum``, and four wide ranges: the guard's exit 2
+  of ``identity kernel-structure --q 3 --n 0..30000`` and of ``identity
+  bijection --q 3 --n 0..30000000 --r 4``, ``census --q 3 --n 0 --h
+  0..30000000``, of which only h <= 1 can be checked, and ``identity w-sum
+  --q 3 --n 30..40 --h 30..30000000``, of which only h <= n can be;
 - the wall time and peak resident set size of the walk-bound CLI
   commands, each in one fresh interpreter: ``hfq variance --q 3 --U 1
   --V 0,1 --n N --h H --charsum --fast --trust-lemmas`` at (N, H) =
@@ -156,6 +158,10 @@ COLD_STARTS = {
     "wide_kernel_structure_q3": (("identity", "kernel-structure", "--q", "3", "--n", "0..30000"),
                                  2),
     "wide_census_q3_h": (("census", "--q", "3", "--n", "0", "--h", "0..30000000"), 0),
+    "wide_bijection_q3": (("identity", "bijection", "--q", "3", "--n", "0..30000000", "--r", "4"),
+                          2),
+    "wide_w_sum_q3_h": (("identity", "w-sum", "--q", "3", "--n", "30..40", "--h",
+                         "30..30000000"), 0),
 }
 
 

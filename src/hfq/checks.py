@@ -9,13 +9,10 @@ offending instances are kept verbatim in the lines.
 from __future__ import annotations
 
 from itertools import chain
-from typing import TYPE_CHECKING, List
+from typing import List
 
 from .errors import GUARD, HfqError, check_guard, power_count
 from .field import FieldCtx, fq_vectors
-
-if TYPE_CHECKING:
-    from .variance import ThmParams
 
 _MAX_DETAIL = 8
 
@@ -63,23 +60,32 @@ def _sizes(ns, name: str, size):
 
 
 def check_census(
-    ctx: FieldCtx, ns, hs, guard: int = GUARD, workers: int = 1, rows: list = None
-) -> CheckResult:
+    ctx: FieldCtx, ns: range, hs: range, guard: int = GUARD, workers: int = 1
+) -> list:
     """Class sizes: every (n, h, class) formula against the exhaustive tally,
-    the per-rank aggregates, and the partition total.
+    the per-rank aggregates, and the partition total, at each n of ``ns``
+    and each h of ``hs`` up to n + 1 (the h that have a class to count),
+    after one guard over the sequences of them all.
 
-    When a list is passed as ``rows`` it collects one entry per attained
-    class and per rank aggregate: (n, h, kind, key, formula, enumerated).
+    One (n, rows, result) per n that has such an h; ``rows`` holds one entry
+    per attained class and per rank aggregate: (n, h, kind, key, formula,
+    enumerated).
     """
     from .census import census_enumerate, census_formula, census_formula_total
 
-    res = CheckResult("census formulas vs enumeration")
     q = ctx.q
+    # h <= n + 1 has a class to count: walk only the n and h that do
+    ns = range(max(ns.start, hs.start - 1), ns.stop)
+    # one guard over every (n, h), of q^lo..q^hi sequences each, before any runs
+    lo, hi = max(ns.start + 2 - hs.stop, 0), ns.stop - hs.start
+    sizes = (power_count(q, n + 1 - h, guard)
+             for n in ns for h in range(hs.start, min(hs.stop, n + 2)))
+    check_guard(sizes, guard, f"census of q^{lo}" + f"..q^{hi}" * (hi > lo), "sequences")
+    results = []
     for n in ns:
         n1 = (n + 2) // 2
-        for h in hs:
-            if h > n + 1:
-                continue
+        res, rows = CheckResult("census formulas vs enumeration"), []
+        for h in range(hs.start, min(hs.stop, n + 2)):
             tally = census_enumerate(ctx, n, h, guard=guard, workers=workers)
             res.count(
                 sum(tally.values()) == q ** (n + 1 - h),
@@ -97,7 +103,7 @@ def check_census(
                         want == got,
                         f"class (n={n},h={h},r={r},rho={rho},pi={pi}): formula {want} != tally {got}",
                     )
-                    if rows is not None and (want or got):
+                    if want or got:
                         rows.append((n, h, "class", (r, rho, pi), want, got))
             for r in range(n1 + 2):
                 want = census_formula_total(n, h, r, q)
@@ -106,9 +112,10 @@ def check_census(
                     want == got,
                     f"aggregate (n={n},h={h},r={r}): formula {want} != tally {got}",
                 )
-                if rows is not None and (want or got):
+                if want or got:
                     rows.append((n, h, "rank", r, want, got))
-    return res
+        results.append((n, rows, res))
+    return results
 
 
 def check_kernel_structure(ctx: FieldCtx, ns, guard: int = GUARD) -> CheckResult:
@@ -235,79 +242,98 @@ def check_reduction(ctx: FieldCtx, ns, ws=None, guard: int = GUARD) -> CheckResu
     return res
 
 
-def bijection_work(q: int, n: int, r: int, hs, guard: int = GUARD):
-    """check_bijection's steps per h of hs: sequences, then monic-by-bounded pairs."""
-    return (power_count(q, n + 1 - h, guard) + power_count(q, 2 * r - h, guard) for h in hs)
-
-
-def check_bijection(ctx: FieldCtx, n: int, r: int, hs, guard: int = GUARD) -> CheckResult:
+def check_bijection(ctx: FieldCtx, ns: range, r: int, hs: range, guard: int = GUARD) -> list:
     """Forward map into the coprime pairs, the inverse roundtrip, injectivity,
-    and both cardinalities, with one Berlekamp-Massey pass per sequence."""
+    and both cardinalities, with one Berlekamp-Massey pass per sequence, at
+    each n of ``ns`` with r in bijection_ranks(n) and each h < r of ``hs``.
+    One guard charges them all before any runs: each sequence's pass, (n + 1)^2
+    steps, and one step per monic-by-bounded pair.  One result per n."""
     from .census import census_formula
     from .hankel import analyze, bijection_inverse, bijection_map, bijection_pairs
 
-    res = CheckResult(f"class/pair bijection (n={n}, r={r})")
     q = ctx.q
-    check_guard(bijection_work(q, n, r, hs, guard), guard, "bijection check")
-    for h in hs:
-        pairs = bijection_pairs(ctx, r, h)
-        image = set()
-        members = 0
-        for seq in _all_seqs(ctx, n, h):
-            an = analyze(seq)
-            if an.profile.standard != (r, r, 0):
-                continue
-            members += 1
-            a, b = bijection_map(an, h)
-            back = bijection_inverse(a, b, n, h)
+    hs = range(hs.start, min(hs.stop, r))
+    # r is in hankel.bijection_ranks(n) just when r >= 3 and n >= 2r - 1
+    ns = range(max(ns.start, 2 * r - 1), ns.stop if r >= 3 and hs else 0)
+    work = ((n + 1) ** 2 * power_count(q, n + 1 - h, guard) + power_count(q, 2 * r - h, guard)
+            for n in ns for h in hs)
+    check_guard(work, guard, "bijection check")
+    results = []
+    for n in ns:
+        res = CheckResult(f"class/pair bijection (n={n}, r={r})")
+        for h in hs:
+            pairs = bijection_pairs(ctx, r, h)
+            image = set()
+            members = 0
+            for seq in _all_seqs(ctx, n, h):
+                an = analyze(seq)
+                if an.profile.standard != (r, r, 0):
+                    continue
+                members += 1
+                a, b = bijection_map(an, h)
+                back = bijection_inverse(a, b, n, h)
+                res.count(
+                    b in pairs.get(a, ()) and back == seq,
+                    lambda: f"roundtrip failed at {seq!r} (h={h}) -> ({a!r}, {b!r})",
+                )
+                image.add((a, b))
+            want = census_formula(n, h, r, r, 0, q)
+            pair_set = {(a, b) for a, bs in pairs.items() for b in bs}
             res.count(
-                b in pairs.get(a, ()) and back == seq,
-                lambda: f"roundtrip failed at {seq!r} (h={h}) -> ({a!r}, {b!r})",
+                members == want and len(image) == members and image == pair_set,
+                f"counts at h={h}: class {members}, image {len(image)}, "
+                f"pairs {len(pair_set)}, formula {want}",
             )
-            image.add((a, b))
-        want = census_formula(n, h, r, r, 0, q)
-        pair_set = {(a, b) for a, bs in pairs.items() for b in bs}
-        res.count(
-            members == want and len(image) == members and image == pair_set,
-            f"counts at h={h}: class {members}, image {len(image)}, "
-            f"pairs {len(pair_set)}, formula {want}",
-        )
-    return res
+        results.append(res)
+    return results
 
 
-def _check_ranks(title: str, label: str, identity, ranks, par, guard) -> CheckResult:
-    """One identity at every rank of its range for one point."""
-    res = CheckResult(f"{title} identity (n={par.n}, h={par.h})")
-    for r in ranks:
-        lhs, rhs = identity(par, r, guard=guard)
-        res.count(lhs == rhs, f"{label}={r}: lhs {lhs} != rhs {rhs}")
-    return res
+def _check_sums(title: str, label: str, identity, ranks, work, u, v, ns, hs, guard) -> list:
+    """One identity at every rank ranks(par) of every point par = (u, v, n, h),
+    n in ``ns`` and h in ``hs``, that ThmParams.domain_error admits, after
+    one guard over work(par, r) of them all.  One result per point."""
+    from .variance import ThmParams, validate_pair
+
+    validate_pair(u, v)  # a bad pair is bad input, not an empty range
+
+    def points():
+        for n in range(max(ns.start, hs.start), ns.stop):  # the domain has h <= n
+            for h in range(hs.start, min(hs.stop, n + 1)):
+                if ThmParams.domain_error(u, v, n, h) is None:
+                    yield ThmParams.compute(u, v, n, h)
+
+    # one guard over every point and rank, before any runs
+    check_guard((work(par, r) for par in points() for r in ranks(par)), guard,
+                "identity enumeration")
+    results = []
+    for par in points():
+        res = CheckResult(f"{title} identity (n={par.n}, h={par.h})")
+        for r in ranks(par):
+            lhs, rhs = identity(par, r, guard=guard)
+            res.count(lhs == rhs, f"{label}={r}: lhs {lhs} != rhs {rhs}")
+        results.append(res)
+    return results
 
 
-def _kernel_sum_ranks(par: ThmParams):
-    # below h = n2 - 1 the identity has no domain: nothing to check
-    return par.r1_ranks() if par.h >= par.n2 - 1 else ()
-
-
-def sum_work(kind: str, par: ThmParams, guard: int = GUARD):
-    """check_kernel_sum's (kind "kernel-sum") or check_w_sum's steps at par, by rank."""
+def check_kernel_sum(u, v, ns: range, hs: range, guard: int = GUARD) -> list:
+    """kernel_sum_identity at every feasible rank of every point of ns x hs.
+    Below h = n2 - 1 the identity has no domain, nothing to check, so n
+    stops at twice the largest h."""
     from . import variance
 
-    if kind == "kernel-sum":
-        return (variance.kernel_sum_work(par, r1, guard) for r1 in _kernel_sum_ranks(par))
-    return (power_count(par.u.ctx.q, par.n - par.h, guard) for _ in par.w_ranks())
+    return _check_sums(
+        "kernel-sum", "r1", variance.kernel_sum_identity,
+        lambda par: par.r1_ranks() if par.h >= par.n2 - 1 else (),
+        lambda par, r1: variance.kernel_sum_work(par, r1, guard),
+        u, v, range(ns.start, min(ns.stop, 2 * hs.stop - 1)), hs, guard,
+    )
 
 
-def check_kernel_sum(par: ThmParams, guard: int = GUARD) -> CheckResult:
-    """kernel_sum_identity at every feasible rank for one point."""
+def check_w_sum(u, v, ns: range, hs: range, guard: int = GUARD) -> list:
+    """w_sum_identity at every feasible rank of every point of ns x hs."""
     from . import variance
 
-    ranks = _kernel_sum_ranks(par)
-    return _check_ranks("kernel-sum", "r1", variance.kernel_sum_identity, ranks, par, guard)
-
-
-def check_w_sum(par: ThmParams, guard: int = GUARD) -> CheckResult:
-    """w_sum_identity at every feasible rank for one point."""
-    from . import variance
-
-    return _check_ranks("w-sum", "r", variance.w_sum_identity, par.w_ranks(), par, guard)
+    return _check_sums(
+        "w-sum", "r", variance.w_sum_identity, variance.ThmParams.w_ranks,
+        lambda par, r: power_count(u.ctx.q, par.n - par.h, guard), u, v, ns, hs, guard,
+    )

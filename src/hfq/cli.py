@@ -23,7 +23,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .errors import GUARD, HfqError, TooLargeError, check_guard, power_count
+from .errors import GUARD, HfqError, TooLargeError, check_guard
 from .field import MAX_Q, ctx_new
 
 EXIT_OK = 0
@@ -113,20 +113,11 @@ def cmd_census(args) -> int:
         raise HfqError(f"--workers must be in 1..{cpus}, got {args.workers}")
     ctx = _build_ctx(args)
     worst = EXIT_OK
-    ns, h_range = _parse_range(args.n, "n"), _parse_range(args.h, "h")
-    # h <= n + 1 has a class to count: walk only the n and h that do
-    ns = range(max(ns.start, h_range.start - 1), ns.stop)
-    if not ns:
+    ns, hs = _parse_range(args.n, "n"), _parse_range(args.h, "h")
+    results = checks.check_census(ctx, ns, hs, args.guard, args.workers)
+    if not results:
         return _nothing_to_check(args.json)
-    # one guard over every (n, h), of q^lo..q^hi sequences each, before any runs
-    lo, hi = max(ns.start + 1 - h_range[-1], 0), ns[-1] + 1 - h_range.start
-    sizes = (power_count(ctx.q, n + 1 - h, args.guard)
-             for n in ns for h in range(h_range.start, min(h_range.stop, n + 2)))
-    check_guard(sizes, args.guard, f"census of q^{lo}" + f"..q^{hi}" * (hi > lo), "sequences")
-    for n in ns:
-        hs = range(h_range.start, min(h_range.stop, n + 2))
-        rows: list = []
-        res = checks.check_census(ctx, [n], hs, guard=args.guard, workers=args.workers, rows=rows)
+    for n, rows, res in results:
         if args.json:  # a class key, a tuple, prints as a list
             fields = ("n", "h", "kind", "key", "formula", "enumerated")
             table = [dict(zip(fields, row), match=row[-2] == row[-1]) for row in rows]
@@ -212,36 +203,17 @@ def _bijection(checks, args):
     if args.r < 0:
         raise HfqError(f"--r must be >= 0, got {args.r}")
     ctx = _build_ctx(args)
-    h_range, ns = _parse_range(args.h, "h"), _parse_range(args.n, "n")
-    hs = range(h_range.start, min(h_range.stop, args.r))
-    # r is in hankel.bijection_ranks(n) just when r >= 3 and n >= 2r - 1
-    ns = range(max(ns.start, 2 * args.r - 1), ns.stop if args.r >= 3 and hs else 0)
-    work = (w for n in ns for w in checks.bijection_work(ctx.q, n, args.r, hs, args.guard))
-    check_guard(work, args.guard, "bijection check")
-    return [checks.check_bijection(ctx, n, args.r, hs, args.guard) for n in ns]
+    hs = _parse_range(args.h, "h")
+    return checks.check_bijection(ctx, _parse_range(args.n, "n"), args.r, hs, args.guard)
 
 
 def _sums(checks, args):
-    from . import variance
     from .polyring import Poly
 
     ctx = _build_ctx(args)
     u, v = Poly.from_literal(ctx, args.U), Poly.from_literal(ctx, args.V)
-    variance.validate_pair(u, v)  # a bad pair is bad input, not an empty range
     fn = checks.check_kernel_sum if args.kind == "kernel-sum" else checks.check_w_sum
-    ns, h_range = _parse_range(args.n, "n"), _parse_range(args.h, "h")
-    ns = range(max(ns.start, h_range.start), ns.stop)  # the domain has h <= n
-
-    def points():
-        for n in ns:
-            for h in range(h_range.start, min(h_range.stop, n + 1)):
-                if variance.ThmParams.domain_error(u, v, n, h) is None:
-                    yield variance.ThmParams.compute(u, v, n, h)
-
-    # one guard over every point and rank, before any runs
-    work = (w for par in points() for w in checks.sum_work(args.kind, par, args.guard))
-    check_guard(work, args.guard, "identity enumeration")
-    return [fn(par, guard=args.guard) for par in points()]
+    return fn(u, v, _parse_range(args.n, "n"), _parse_range(args.h, "h"), args.guard)
 
 
 def cmd_identity(args) -> int:

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfq import checks, cli, variance
+from hfq import census, checks, cli, hankel, variance
 from hfq.cli import EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from hfq.errors import HfqError
+from hfq.errors import HfqError, TooLargeError
 from hfq.field import ctx_new
 from hfq.polyring import Poly
 
@@ -362,10 +362,10 @@ def test_identity_kernel_sum(capsys):
         (("identity", "reduction", "--q", "3", "--n", "0..3"), 27 + 81),
         # (n+1)^2 steps of one Berlekamp-Massey pass over n + 1 entries
         (("analyze", "--q", "3", "--alpha", "0,0,1,0,0"), 5**2),
-        # q^(n+1-h) sequences plus q^r * q^(r-h) pairs per h
+        # q^(n+1-h) sequences, (n+1)^2 steps each, plus q^r * q^(r-h) pairs per h
         (
             ("identity", "bijection", "--q", "3", "--n", "6", "--r", "3", "--h", "0..2"),
-            sum(3 ** (7 - h) + 3 ** (6 - h) for h in range(3)),
+            sum(7**2 * 3 ** (7 - h) + 3 ** (6 - h) for h in range(3)),
         ),
         # exact mode: q^(n+1-h) sequences times q^l_m monic + q^(l_a+1) full vectors
         (
@@ -418,23 +418,30 @@ def test_identity_bad_input_exits_64(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "kind,check", [("kernel-sum", "check_kernel_sum"), ("w-sum", "check_w_sum")]
+    "kind,identity,u,n,h,point",
+    [
+        ("kernel-sum", "kernel_sum_identity", "1,0,1", "4..6", "0..3", ("1,0,1", "0,1", 6, 3)),
+        ("w-sum", "w_sum_identity", "1", "7..8", "0", ("1", "0,1", 8, 0)),
+    ],
+    ids=["kernel-sum-check_kernel_sum", "w-sum-check_w_sum"],  # the kind and the check it runs
 )
-def test_identity_error_at_a_feasible_point_exits_64(capsys, monkeypatch, kind, check):
-    # an error inside a check is reported, not taken for an empty range
-    real = getattr(checks, check)
+def test_identity_error_at_a_feasible_point_exits_64(capsys, monkeypatch, kind, identity, u, n,
+                                                     h, point):
+    # an error inside a check, at the range's last point with a rank, is
+    # reported, not taken for an empty range
+    real = getattr(variance, identity)
 
-    def planted(par, guard):
-        if (par.u.literal(), par.v.literal(), par.n, par.h) == ("1,0,1", "0,1", 6, 3):
-            raise HfqError("planted failure at n=6 h=3")
-        return real(par, guard=guard)
+    def planted(par, r, guard):
+        if (par.u.literal(), par.v.literal(), par.n, par.h) == point:
+            raise HfqError(f"planted failure at n={par.n} h={par.h}")
+        return real(par, r, guard=guard)
 
-    monkeypatch.setattr(checks, check, planted)
+    monkeypatch.setattr(variance, identity, planted)
     code, out, err = run(
-        capsys, "identity", kind, "--q", "3", "--U", "1,0,1", "--V", "0,1",
-        "--n", "6", "--h", "3",
+        capsys, "identity", kind, "--q", "3", "--U", u, "--V", "0,1", "--n", n, "--h", h,
     )
-    assert code == EXIT_USAGE and out == "" and err == "hfq: error: planted failure at n=6 h=3\n"
+    want = f"hfq: error: planted failure at n={point[2]} h={point[3]}\n"
+    assert code == EXIT_USAGE and out == "" and err == want
 
 
 def test_phisum_csv_rows(capsys):
@@ -942,6 +949,15 @@ def _run_limited(argv):
     )
 
 
+def test_kernel_sum_walks_n_only_up_to_twice_the_largest_h(capsys):
+    # below h = n2 - 1 the identity has no domain, so a 10^12-wide --n stops at n = 2h
+    argv = ("identity", "kernel-sum", "--q", "3", "--U", "1,0,1", "--V", "0,1", "--h", "3")
+    proc = _run_limited((*argv, "--n", f"0..{BIG}"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert run(capsys, *argv, "--n", "0..6")[:2] == (EXIT_OK, proc.stdout)
+    assert "(n=6, h=3)" in proc.stdout
+
+
 _VARIANCE_UT = ("variance", "--q", "3", "--U", "1", "--V", "0,1")
 
 
@@ -987,9 +1003,10 @@ def test_a_huge_size_is_refused_or_printed_in_full(capsys, argv):
     "argv,total",
     [
         (("census", "--q", "3", "--n", "3..4", "--h", "0"), 3**4 + 3**5),
-        # q^(n+1-h) sequences plus q^(2r-h) pairs per n and h
+        # q^(n+1-h) sequences of (n+1)^2 steps each plus q^(2r-h) pairs per n and h
         (("identity", "bijection", "--q", "3", "--n", "5..7", "--r", "3"),
-         sum(3 ** (n + 1 - h) + 3 ** (6 - h) for n in (5, 6, 7) for h in range(3))),
+         sum((n + 1) ** 2 * 3 ** (n + 1 - h) + 3 ** (6 - h)
+             for n in (5, 6, 7) for h in range(3))),
         (("identity", "w-sum", "--q", "3", "--U", "1", "--V", "0,1", "--n", "8..9", "--h", "0"),
          3**8 + 2 * 3**9),
         # one rank at (4, 2) and (6, 3), each q^(n - r1 + 1) times the outer
@@ -1006,6 +1023,48 @@ def test_one_guard_prices_a_whole_command(capsys, argv, total):
     want = run(capsys, *argv)
     assert want[0] == EXIT_OK
     assert run(capsys, *argv, "--guard", str(total))[:2] == want[:2]
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; the list of calls."""
+    real, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+_F3 = ctx_new(3)
+_U2, _T = Poly.from_literal(_F3, "1,0,1"), Poly.from_literal(_F3, "0,1")
+
+
+@pytest.mark.parametrize(
+    "check,args,counted,total",
+    [
+        (checks.check_census, (_F3, range(3, 5), range(0, 2)), (census, "census_enumerate"),
+         3**4 + 3**3 + 3**5 + 3**4),
+        (checks.check_bijection, (_F3, range(5, 7), 3, range(0, 2)), (hankel, "analyze"),
+         sum((n + 1) ** 2 * 3 ** (n + 1 - h) + 3 ** (6 - h) for n in (5, 6) for h in (0, 1))),
+        (checks.check_kernel_sum, (_U2, _T, range(4, 7), range(0, 4)),
+         (variance, "kernel_sum_identity"), 3**3 * (3 * 1 + 9 * 1) + 3**4 * (9 * 1 + 27 * 1)),
+        (checks.check_w_sum, (Poly.one(_F3), _T, range(8, 10), range(0, 1)), (hankel, "analyze"),
+         3**8 + 2 * 3**9),
+    ],
+    ids=["census", "bijection", "kernel-sum", "w-sum"],
+)
+def test_a_library_check_charges_one_guard_over_its_range(monkeypatch, check, args, counted,
+                                                          total):
+    # a direct call over several n is priced whole before its first enumeration
+    calls = _counting(monkeypatch, *counted)
+    with pytest.raises(TooLargeError, match=f"needs {total} "):
+        check(*args, guard=total - 1)
+    assert calls == []
+    # census gives (n, rows, result) per n, the others a result per n or point
+    results = [res[-1] if isinstance(res, tuple) else res for res in check(*args, guard=total)]
+    assert calls and len(results) > 1 and not any(res.failed for res in results)
 
 
 def test_a_negative_size_is_refused_before_the_guard():

@@ -75,3 +75,17 @@ def test_no_module_reads_another_modules_private_names():
         for path in modules
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_cli_guards_only_the_analyze_pass():
+    # each check prices its own range; cmd_analyze's pass has no library-side guard
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    calls = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("check_guard", "power_count"):
+                    calls.append((getattr(top, "name", None), name))
+    assert calls == [("cmd_analyze", "check_guard")]
