@@ -258,11 +258,14 @@ def check_bijection(ctx: FieldCtx, ns: range, r: int, hs: range, guard: int = GU
     work = ((n + 1) ** 2 * power_count(q, n + 1 - h, guard) + power_count(q, 2 * r - h, guard)
             for n in ns for h in hs)
     check_guard(work, guard, "bijection check")
+    # each h's pair set depends on (r, h) alone: built once, if any n runs
+    pair_sets = {h: {(a, b) for a, bs in bijection_pairs(ctx, r, h).items() for b in bs}
+                 for h in (hs if ns else ())}
     results = []
     for n in ns:
         res = CheckResult(f"class/pair bijection (n={n}, r={r})")
         for h in hs:
-            pairs = bijection_pairs(ctx, r, h)
+            pair_set = pair_sets[h]
             image = set()
             members = 0
             for seq in _all_seqs(ctx, n, h):
@@ -273,12 +276,11 @@ def check_bijection(ctx: FieldCtx, ns: range, r: int, hs: range, guard: int = GU
                 a, b = bijection_map(an, h)
                 back = bijection_inverse(a, b, n, h)
                 res.count(
-                    b in pairs.get(a, ()) and back == seq,
+                    (a, b) in pair_set and back == seq,
                     lambda: f"roundtrip failed at {seq!r} (h={h}) -> ({a!r}, {b!r})",
                 )
                 image.add((a, b))
             want = census_formula(n, h, r, r, 0, q)
-            pair_set = {(a, b) for a, bs in pairs.items() for b in bs}
             res.count(
                 members == want and len(image) == members and image == pair_set,
                 f"counts at h={h}: class {members}, image {len(image)}, "

@@ -1,4 +1,4 @@
-"""Arithmetic in F_q (q = p^k, p an odd prime) and in Z[zeta_p].
+"""Arithmetic in F_q (q = p^k, p an odd prime).
 
 Every element of F_q is an int code in 0..q-1, for prime and extension
 fields alike.  The base-p digits of a code are the element's residues
@@ -6,10 +6,11 @@ modulo the defining polynomial, constant residue least significant, so a
 prime field's elements are its residues and code order is lexicographic
 with the constant residue fastest.  FieldCtx builds its addition,
 subtraction, negation, multiplication, inversion and trace tables once;
-every operation is a lookup.  The trace is read off the multiplication
-table: Tr(a) is the trace of x -> a x on the residue basis w^j (code p^j),
-the sum over j of residue j of a w^j, mod p.  A table has q^2 entries, so
-q is capped at MAX_Q.
+every operation is a lookup that callers read off the tables themselves
+(a + b is add_table[a][b]), except inv, which refuses 0.  The trace is
+read off the multiplication table: Tr(a) is the trace of x -> a x on the
+residue basis w^j (code p^j), the sum over j of residue j of a w^j, mod p.
+A table has q^2 entries, so q is capped at MAX_Q.
 """
 
 from __future__ import annotations
@@ -122,30 +123,10 @@ class FieldCtx:
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p!r}, k={self.k!r}, modulus={self.modulus!r})"
 
-    def elements(self) -> range:
-        """All q elements in code order: lexicographic, constant residue fastest."""
-        return range(self.q)
-
-    def add(self, a: FqElem, b: FqElem) -> FqElem:
-        return self.add_table[a][b]
-
-    def sub(self, a: FqElem, b: FqElem) -> FqElem:
-        return self.sub_table[a][b]
-
-    def neg(self, a: FqElem) -> FqElem:
-        return self.neg_table[a]
-
-    def mul(self, a: FqElem, b: FqElem) -> FqElem:
-        return self.mul_table[a][b]
-
     def inv(self, a: FqElem) -> FqElem:
         if not a:
             raise ZeroDivisionError("inverse of 0 in F_q")
         return self.inv_table[a]
-
-    def trace(self, a: FqElem) -> int:
-        """Absolute trace Tr(a) = sum of a^(p^i) for i < k, an element of F_p."""
-        return self.trace_table[a]
 
     def format_elem(self, a: FqElem) -> str:
         if self.k == 1:

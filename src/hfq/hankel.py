@@ -98,6 +98,7 @@ def row_reduce(rows, ncols: int, ctx: FieldCtx):
     pivots = []
     cur = 0
     zero = ctx.zero
+    mul, sub = ctx.mul_table, ctx.sub_table
     for col in range(ncols):
         pr = None
         for i in range(cur, len(rows)):
@@ -109,11 +110,11 @@ def row_reduce(rows, ncols: int, ctx: FieldCtx):
         rows[cur], rows[pr] = rows[pr], rows[cur]
         inv = ctx.inv(rows[cur][col])
         if inv != ctx.one:
-            rows[cur] = [ctx.mul(inv, x) for x in rows[cur]]
+            rows[cur] = [mul[inv][x] for x in rows[cur]]
         for i in range(len(rows)):
             if i != cur and rows[i][col] != zero:
-                f = rows[i][col]
-                rows[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[i], rows[cur])]
+                f = mul[rows[i][col]]
+                rows[i] = [sub[x][f[y]] for x, y in zip(rows[i], rows[cur])]
         pivots.append(col)
         cur += 1
         if cur == len(rows):
@@ -169,6 +170,7 @@ def _lc_profile(entries, ctx: FieldCtx):
     c; and the final bs = x^shift * B.  c is rebuilt (never mutated) whenever
     it changes, so a kept c is a snapshot, and memory stays O(len)."""
     zero = ctx.zero
+    add, sub, mul = ctx.add_table, ctx.sub_table, ctx.mul_table
     width = len(entries) + 1
     top = width // 2
     c = [ctx.one] + [zero] * (width - 1)
@@ -181,11 +183,11 @@ def _lc_profile(entries, ctx: FieldCtx):
     for i, d in enumerate(entries):
         for j in range(1, length + 1):
             if c[j] != zero:
-                d = ctx.add(d, ctx.mul(c[j], entries[i - j]))
+                d = add[d][mul[c[j]][entries[i - j]]]
         if d != zero:
-            f = ctx.mul(d, b_inv)
+            f = mul[mul[d][b_inv]]
             prev = c
-            c = [ctx.sub(x, ctx.mul(f, y)) if y != zero else x for x, y in zip(c, bs)]
+            c = [sub[x][f[y]] if y != zero else x for x, y in zip(c, bs)]
             if 2 * length <= i:
                 length = i + 1 - length
                 b_inv = ctx.inv(d)
@@ -305,6 +307,7 @@ def odot(seq: Seq, w: Poly, s: int) -> Seq:
     s+1); output entry i is sum_j W_j alpha_{i+j}."""
     _check_window(w, s, seq.n)
     ctx = seq.ctx
+    add, mul = ctx.add_table, ctx.mul_table
     wv = coeff_vector(w, s)
     e = seq.entries
     out = []
@@ -312,7 +315,7 @@ def odot(seq: Seq, w: Poly, s: int) -> Seq:
         acc = ctx.zero
         for j, wj in enumerate(wv):
             if wj != ctx.zero:
-                acc = ctx.add(acc, ctx.mul(wj, e[i + j]))
+                acc = add[acc][mul[wj][e[i + j]]]
         out.append(acc)
     return Seq(ctx, out)
 

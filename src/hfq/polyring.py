@@ -108,20 +108,22 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         ctx = self.ctx
+        add = ctx.add_table
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = ctx.add(out[i], c)
+            out[i] = add[out[i]][c]
         return Poly(ctx, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         ctx = self.ctx
+        sub = ctx.sub_table
         a, b = self.coeffs, other.coeffs
         out = list(a) + [ctx.zero] * (len(b) - len(a))
         for i, c in enumerate(b):
-            out[i] = ctx.sub(out[i], c)
+            out[i] = sub[out[i]][c]
         return Poly(ctx, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
@@ -139,8 +141,8 @@ class Poly:
         return Poly(ctx, out)
 
     def scale(self, c: FqElem) -> "Poly":
-        ctx = self.ctx
-        return Poly(ctx, tuple(ctx.mul(c, x) for x in self.coeffs))
+        row = self.ctx.mul_table[c]
+        return Poly(self.ctx, tuple(row[x] for x in self.coeffs))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by T^k."""

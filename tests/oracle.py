@@ -54,9 +54,9 @@ def value_counts_scalar(seq: Seq, l: int, monic: bool):
     e = seq.entries
     rows = [e[i : i + l + 1] for i in range(l + 1)]
     counts = [0] * ctx.p
-    elems = list(ctx.elements())
+    add, mul = ctx.add_table, ctx.mul_table
     positions = l if monic else l + 1
-    for tail in product(elems, repeat=positions):
+    for tail in product(range(ctx.q), repeat=positions):
         vec = tail + (ctx.one,) if monic else tail
         acc = ctx.zero
         for i in range(l + 1):
@@ -68,9 +68,9 @@ def value_counts_scalar(seq: Seq, l: int, monic: bool):
             for j in range(l + 1):
                 vj = vec[j]
                 if vj != ctx.zero:
-                    dot = ctx.add(dot, ctx.mul(row[j], vj))
-            acc = ctx.add(acc, ctx.mul(vi, dot))
-        counts[ctx.trace(acc)] += 1
+                    dot = add[dot][mul[row[j]][vj]]
+            acc = add[acc][mul[vi][dot]]
+        counts[ctx.trace_table[acc]] += 1
     return counts
 
 
@@ -119,7 +119,8 @@ def gauss_rhopi_form(seq: Seq, rows: int, cols: int):
         for j, xj in enumerate(x):
             if xj != ctx.zero:
                 prev = mat[i - rho + j]
-                new_row = [ctx.sub(a, ctx.mul(xj, b)) for a, b in zip(new_row, prev)]
+                f = ctx.mul_table[xj]
+                new_row = [ctx.sub_table[a][f[b]] for a, b in zip(new_row, prev)]
         mat[i] = new_row
     return mat, x
 
@@ -158,7 +159,7 @@ def gauss_char_polys(seq: Seq) -> CharPolys:
         a1 = one
     elif 2 * rho - 1 <= n:
         x = gauss_recurrence_vector(seq, rho)
-        a1 = Poly(ctx, tuple(ctx.neg(c) for c in x) + (ctx.one,))
+        a1 = Poly(ctx, tuple(ctx.neg_table[c] for c in x) + (ctx.one,))
     else:
         # full-rank even case: pick a1 from the first kernel where it appears
         kb = _view_kernel(seq, rho - 1, n + 3 - rho)
@@ -384,7 +385,7 @@ class CycInt:
 
 def psi(ctx: FieldCtx, a: FqElem) -> CycInt:
     """The canonical additive character zeta_p^Tr(a)."""
-    return CycInt.zeta_pow(ctx.p, ctx.trace(a))
+    return CycInt.zeta_pow(ctx.p, ctx.trace_table[a])
 
 
 def _half_degrees(u: Poly, v: Poly, degree) -> tuple:
@@ -454,7 +455,7 @@ def _kernel_basis_raw(rows, ncols: int, ctx: FieldCtx):
         v = [ctx.zero] * ncols
         v[free] = ctx.one
         for i, pc in enumerate(pivots):
-            v[pc] = ctx.neg(work[i][free])
+            v[pc] = ctx.neg_table[work[i][free]]
         basis.append(tuple(v))
     return basis
 

@@ -14,10 +14,10 @@ from oracle import (
     walk_strict_tally,
 )
 
-from hfq import checks, cli, hankel
+from hfq import checks, cli, fastpath, hankel
 from hfq.census import census_enumerate, census_formula, census_formula_total
 from hfq.errors import HfqError, TooLargeError
-from hfq.field import ctx_new
+from hfq.field import ctx_new, fq_vectors
 from hfq.hankel import (
     CharPolys,
     Seq,
@@ -226,8 +226,8 @@ def recurrent_sequences(draw):
     while len(tail) < length - zeros:
         acc = ctx.zero
         for c, e in zip(coeffs, tail[-order:]):
-            acc = ctx.add(acc, ctx.mul(c, e))
-        tail.append(ctx.neg(acc))
+            acc = ctx.add_table[acc][ctx.mul_table[c][e]]
+        tail.append(ctx.neg_table[acc])
     entries = ([0] * zeros + tail)[:length]
     for i, e in draw(st.lists(st.tuples(st.integers(0, length - 1), elem), max_size=2)):
         entries[i] = e
@@ -271,8 +271,8 @@ def test_kernel_structure_law_small():
 
 @pytest.mark.parametrize(
     "ctx,n_max",
-    [(F3, 4), (ctx_new(5), 3), (ctx_new(3, 2, [2, 1, 1]), 2)],
-    ids=["q3", "q5", "q9"],
+    [(F3, 4), (ctx_new(5), 3), (ctx_new(3, 2, [2, 1, 1]), 2), (F27, 2)],
+    ids=["q3", "q5", "q9", "q27"],
 )
 def test_check_kernel_structure_passes(ctx, n_max):
     res = checks.check_kernel_structure(ctx, range(n_max + 1))
@@ -600,6 +600,36 @@ def test_reduction_strict_class_beyond_the_envelope():
     assert widths == {0, 1, 2, 3, 4}
 
 
+@pytest.mark.parametrize(
+    "ctx,n_max,scalar_max",
+    [(F3, 12, 8), (ctx_new(5), 9, 5), (F9A, 6, 4)],
+    ids=["q3", "q5", "q9"],
+)
+def test_reduction_strict_class_on_the_walk(ctx, n_max, scalar_max):
+    # claim 2 exhaustively past the scalar check's n <= 6: the walk reads
+    # each sequence through the views (1,) and [W]_s, s = deg W, and every
+    # member of the strict class (half, 0, half), half = (n - s)/2 + 1 with
+    # n - s even and >= 2, keeps that class under alpha odot [W]_s; up to
+    # scalar_max the walk's member counts equal those of analyze
+    one = ctx.one
+    windows = [Poly(ctx, (one,)), Poly(ctx, (0, one)), Poly(ctx, (one, one)),
+               Poly(ctx, (one, 0, one))]
+    for n in range(2, n_max + 1):
+        ws = [w for w in windows if n - w.degree >= 2 and (n - w.degree) % 2 == 0]
+        halves = [(n - w.degree) // 2 + 1 for w in ws]
+        vecs = ((1,), *(coeff_vector(w, w.degree) for w in ws))
+        members = [0] * len(ws)
+        for (r, _, strict_rho), *views, _ in fastpath.walk(ctx, n + 1, 0, vecs):
+            for i, (half, (vr, _, v_strict_rho)) in enumerate(zip(halves, views)):
+                cls = (r == half) & (strict_rho == 0)  # each leaf stands for q - 1
+                assert (vr[cls] == half).all() and (v_strict_rho[cls] == 0).all(), (n, ws[i])
+                members[i] += int(cls.sum()) * (ctx.q - 1)
+        assert all(members), (n, members)
+        if n <= scalar_max:
+            strict = [analyze(Seq(ctx, e)).profile.strict for e in fq_vectors(ctx, n + 1)]
+            assert members == [strict.count((half, 0, half)) for half in halves], n
+
+
 def test_check_reduction_one_pass_per_sequence(monkeypatch):
     # one Berlekamp-Massey pass per sequence and one per reduced sequence
     # checked: the predictions reuse the sequence's own pass
@@ -684,6 +714,24 @@ def test_checks_make_one_pass_per_sequence(monkeypatch):
     passes.clear()
     assert checks.check_kernel_structure(F3, range(7)).ok
     assert len(passes) == sum(3 ** (n + 1) for n in range(7)) == 3_279
+
+
+def test_bijection_check_builds_each_pair_set_once(monkeypatch):
+    # the pair set depends on (r, h) alone: one build per h for the whole
+    # range of n, and none when no n can run
+    pairs, calls = hankel.bijection_pairs, []
+
+    def counting(ctx, r, h):
+        calls.append((r, h))
+        return pairs(ctx, r, h)
+
+    monkeypatch.setattr(hankel, "bijection_pairs", counting)
+    results = checks.check_bijection(F3, range(5, 8), 3, range(3))
+    assert len(results) == 3 and all(res.ok for res in results)
+    assert sorted(calls) == [(3, 0), (3, 1), (3, 2)]
+    calls.clear()
+    assert checks.check_bijection(F3, range(12), 7, range(7)) == []  # n < 2r - 1
+    assert calls == []
 
 
 def test_profile_and_polys_take_one_pass(monkeypatch):
